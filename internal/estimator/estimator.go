@@ -3,11 +3,21 @@
 // boosting surrogate that predicts the full performance vector of a
 // state from its bitmap features in one call (Section 2, "Estimators"),
 // trained online from the historical test set T.
+//
+// A refit fits one independent boosted model per output. Those fits run
+// side by side on the process-global worker pool (workpool.Global,
+// GOMAXPROCS workers), so concurrent refits — one per engine or serving
+// shard — are bounded by the pool's worker count rather than by the
+// number of engines. Each fit is deterministic and writes only its own
+// model, so estimates are identical at any worker count. The serving
+// layer's -workers pool and an engine's WithParallelism bound exact
+// model inference only; refits never run on that pool.
 package estimator
 
 import (
 	"repro/internal/ml"
 	"repro/internal/skyline"
+	"repro/internal/workpool"
 )
 
 // MOGBM is the multi-output gradient boosting surrogate.
@@ -32,6 +42,9 @@ type MOGBM struct {
 	n        int
 	model    *ml.MultiOutputGBM
 	sinceFit int
+	// queue is the surrogate's lane into the process-global pool, on
+	// which a refit's per-output fits run.
+	queue *workpool.Queue
 }
 
 // NewMOGBM returns a surrogate with the defaults used in the paper's
@@ -75,7 +88,10 @@ func (e *MOGBM) NumObservations() int { return e.n }
 
 // Estimate predicts the performance vector; ok=false until enough
 // observations have accumulated. Refitting is lazy and incremental by
-// observation count.
+// observation count. A refit blocks until pool workers have run its
+// per-output fits, so Estimate must not be called from a task running
+// on workpool.Global: with every worker waiting the same way, nothing
+// would run the fits.
 func (e *MOGBM) Estimate(features []float64) (skyline.Vector, bool) {
 	minObs := e.MinObs
 	if minObs <= 0 {
@@ -90,7 +106,10 @@ func (e *MOGBM) Estimate(features []float64) (skyline.Vector, bool) {
 	}
 	if e.model == nil || e.sinceFit >= refit {
 		m := &ml.MultiOutputGBM{Config: e.Config}
-		m.FitCols(e.n, e.featCols, e.tgtCols)
+		if e.queue == nil {
+			e.queue = workpool.Global().NewQueue("estimator", 0)
+		}
+		e.queue.Run(m.FitColsTasks(e.n, e.featCols, e.tgtCols))
 		e.model = m
 		e.sinceFit = 0
 	}

@@ -3,10 +3,12 @@ package estimator
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/ml"
 	"repro/internal/skyline"
+	"repro/internal/workpool"
 )
 
 func TestMOGBMNotReadyUntilMinObs(t *testing.T) {
@@ -105,41 +107,50 @@ func TestExactNeverAnswers(t *testing.T) {
 	}
 }
 
-// The column-major history must reproduce the estimates of the former
-// row-major path exactly: a reference MultiOutputGBM fit on row-major
-// copies of the same observations predicts identically.
+// The column-major history, refit through a worker pool, must reproduce
+// the estimates of the former row-major path exactly: a reference
+// MultiOutputGBM fit inline on row-major copies of the same
+// observations predicts identically, after every refit and whatever
+// the pool's worker count.
 func TestMOGBMColumnarMatchesRowMajorFit(t *testing.T) {
-	e := NewMOGBM()
-	e.MinObs = 16
-	e.RefitEvery = 1000 // single fit below
-	rng := rand.New(rand.NewSource(9))
-	dim := 8
-	var feats, targets [][]float64
-	for i := 0; i < 40; i++ {
-		f := make([]float64, dim)
-		for j := range f {
-			f[j] = float64(rng.Intn(2))
-		}
-		v := skyline.Vector{f[0] + f[1], f[2] * 0.5, 1 - f[3]}
-		e.Observe(f, v)
-		feats = append(feats, append([]float64(nil), f...))
-		targets = append(targets, append([]float64(nil), v...))
-	}
-	ref := &ml.MultiOutputGBM{Config: e.Config}
-	ref.Fit(feats, targets)
-	for i := 0; i < 20; i++ {
-		f := make([]float64, dim)
-		for j := range f {
-			f[j] = float64(rng.Intn(2))
-		}
-		got, ok := e.Estimate(f)
-		if !ok {
-			t.Fatal("estimator should be ready")
-		}
-		want := ref.Predict(f)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("estimate[%d] = %v, want %v", j, got[j], want[j])
+	for _, procs := range []int{1, 4} {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		pool := workpool.New(workpool.Options{Workers: procs})
+		defer pool.Close()
+		e := NewMOGBM()
+		e.MinObs = 16
+		e.queue = pool.NewQueue("test", 0)
+		rng := rand.New(rand.NewSource(9))
+		dim := 8
+		var feats, targets [][]float64
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 2*e.RefitEvery; i++ {
+				f := make([]float64, dim)
+				for j := range f {
+					f[j] = float64(rng.Intn(2))
+				}
+				v := skyline.Vector{f[0] + f[1], f[2] * 0.5, 1 - f[3], f[4] - 0.3*f[5]}
+				e.Observe(f, v)
+				feats = append(feats, append([]float64(nil), f...))
+				targets = append(targets, append([]float64(nil), v...))
+			}
+			ref := &ml.MultiOutputGBM{Config: e.Config}
+			ref.Fit(feats, targets)
+			for i := 0; i < 20; i++ {
+				f := make([]float64, dim)
+				for j := range f {
+					f[j] = float64(rng.Intn(2))
+				}
+				got, ok := e.Estimate(f)
+				if !ok {
+					t.Fatal("estimator should be ready")
+				}
+				want := ref.Predict(f)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("GOMAXPROCS %d, refit %d: estimate[%d] = %v, want %v", procs, round, j, got[j], want[j])
+					}
+				}
 			}
 		}
 	}

@@ -216,6 +216,10 @@ func (v *Valuator) ValuateWindow(ctx context.Context, states []*State, budget in
 			useSurrogate = false
 		}
 		if useSurrogate {
+			// Planning runs on the run's own goroutine, never on a pool
+			// worker: a surrogate refit blocks on workers of the
+			// process-global pool, and a nested Run from one of them
+			// could deadlock.
 			if p, ok := c.estimate(feats); ok {
 				j.perf = clampVec(p)
 			} else {

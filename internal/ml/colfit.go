@@ -20,6 +20,12 @@ type frame struct {
 	// base[f] holds positions 0..n-1 sorted ascending by
 	// (cols[f][p], p); growth works on copies it partitions in place.
 	base [][]int32
+	// binary marks a frame whose every value is 0 or 1. It has no
+	// orders (base is unused): a feature's presorted order over a node
+	// is its zeros then its ones, which growth reads off the node's
+	// ascending position segment (see bestSplitBinary). Its cols alias
+	// the caller's columns.
+	binary bool
 
 	// Backing slabs, retained across the pool so a recycled frame of
 	// the same shape reslices instead of reallocating. ybuf backs y
@@ -30,25 +36,31 @@ type frame struct {
 	ybuf   []float64
 }
 
+// takeFrame pops a frame off the scratch's free list, or makes one.
+func (ws *treeScratch) takeFrame() *frame {
+	if k := len(ws.frameFree); k > 0 {
+		fr := ws.frameFree[k-1]
+		ws.frameFree = ws.frameFree[:k-1]
+		return fr
+	}
+	return &frame{}
+}
+
 // getFrame hands out a frame with cols/base carved from pooled slabs,
 // recycling the scratch's free list — the successor of the former
 // newFrame allocation, which was the largest remaining per-valuation
 // allocation of a discovery run.
 func (ws *treeScratch) getFrame(nf, n int) *frame {
-	var fr *frame
-	if k := len(ws.frameFree); k > 0 {
-		fr = ws.frameFree[k-1]
-		ws.frameFree = ws.frameFree[:k-1]
-	} else {
-		fr = &frame{}
-	}
-	fr.n, fr.nf = n, nf
+	fr := ws.takeFrame()
+	fr.n, fr.nf, fr.binary = n, nf, false
 	if need := nf * n; cap(fr.colBuf) < need {
 		fr.colBuf = make([]float64, need)
 		fr.ordBuf = make([]int32, need)
 	}
 	if cap(fr.cols) < nf {
 		fr.cols = make([][]float64, nf)
+	}
+	if cap(fr.base) < nf {
 		fr.base = make([][]int32, nf)
 	}
 	fr.cols = fr.cols[:nf]
@@ -62,14 +74,17 @@ func (ws *treeScratch) getFrame(nf, n int) *frame {
 }
 
 // putFrame returns a frame to the scratch's free list once its fit is
-// done. The target alias is dropped first: frames built by
-// frameFromRows alias the caller's y, and the pool must not retain
-// another fit's labels.
+// done. Aliases of the caller's data are dropped first: frames built
+// by frameFromRows alias the caller's y, binary frames its columns
+// too, and the pool must not retain another fit's data.
 func (ws *treeScratch) putFrame(fr *frame) {
 	if fr == nil {
 		return
 	}
 	fr.y = nil
+	if fr.binary {
+		clear(fr.cols)
+	}
 	ws.frameFree = append(ws.frameFree, fr)
 }
 
@@ -118,10 +133,24 @@ func frameFromRowsRaw(X [][]float64, y []float64, ws *treeScratch) *frame {
 // cols[f][p] is feature f of example p. The transpose of frameFromRows
 // disappears — columns copy straight into the pooled slabs — and the
 // presorted orders are derived the same way, so a column fit and a row
-// fit of the same numbers grow bit-identical trees.
+// fit of the same numbers grow bit-identical trees. Columns that hold
+// only 0 and 1 (bitmap literals, the surrogate's features) make a
+// binary frame instead: no copy, no orders, and growth's binary split
+// kernel reproduces the generic scan's trees bit for bit. frameFromRows
+// never makes one, so Fit stays the generic reference FitCols is
+// tested against.
 func frameFromCols(cols [][]float64, y []float64, ws *treeScratch) *frame {
 	nf := len(cols)
 	n := len(y)
+	if binaryCols(cols, n) {
+		fr := ws.takeFrame()
+		fr.n, fr.nf, fr.binary, fr.y = n, nf, true, y
+		fr.cols = fr.cols[:0]
+		for _, c := range cols {
+			fr.cols = append(fr.cols, c[:n])
+		}
+		return fr
+	}
 	fr := ws.getFrame(nf, n)
 	fr.y = y
 	for f, c := range cols {
@@ -129,6 +158,19 @@ func frameFromCols(cols [][]float64, y []float64, ws *treeScratch) *frame {
 		sortOrder(fr.cols[f], fr.base[f])
 	}
 	return fr
+}
+
+// binaryCols reports whether the first n values of every column are
+// 0 or 1.
+func binaryCols(cols [][]float64, n int) bool {
+	for _, c := range cols {
+		for _, x := range c[:n] {
+			if x != 0 && x != 1 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // sortOrder fills order with positions 0..n-1 sorted by

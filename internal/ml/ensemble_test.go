@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -163,46 +164,148 @@ func TestBinRowMonotone(t *testing.T) {
 }
 
 // FitCols on column-major data must grow the exact trees Fit grows on
-// the row-major equivalent: frameFromCols and frameFromRows construct
-// the same frame, and everything downstream is shared code.
+// the row-major equivalent. On real-valued columns frameFromCols and
+// frameFromRows construct the same frame and everything downstream is
+// shared code; on 0/1 columns FitCols takes the binary split kernel
+// while Fit stays on the generic presorted scan, so the 0/1 cases pin
+// the kernel to the reference, including its edge cases.
 func TestMultiOutputGBMFitColsParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	// column returns a 0/1 column of n values with exactly zeros zeros.
+	column := func(n, zeros int) []float64 {
+		c := make([]float64, n)
+		for _, p := range rng.Perm(n)[zeros:] {
+			c[p] = 1
+		}
+		return c
+	}
+	// bitRows lays extra columns next to nf random 0/1 columns and
+	// returns the rows.
+	bitRows := func(n, nf int, extra ...[]float64) [][]float64 {
+		X := make([][]float64, n)
+		for i := range X {
+			for f := 0; f < nf; f++ {
+				X[i] = append(X[i], float64(rng.Intn(2)))
+			}
+			for _, c := range extra {
+				X[i] = append(X[i], c[i])
+			}
+		}
+		return X
+	}
+	noise := func() float64 { return 0.05 * rng.NormFloat64() }
+
+	type parityCase struct {
+		name    string
+		X, Y    [][]float64
+		minLeaf int
+		binary  bool // every feature is 0/1, so FitCols takes the binary kernel
+	}
+	var cases []parityCase
+
 	X, _ := linearData(160, 12)
 	Y := make([][]float64, len(X))
 	for i, x := range X {
 		Y[i] = []float64{x[0] + x[1], x[0] - x[1]}
 	}
-	ref := &MultiOutputGBM{Config: GBMConfig{NumTrees: 30, MaxDepth: 3, Seed: 5}}
-	ref.Fit(X, Y)
+	cases = append(cases, parityCase{name: "real-valued", X: X, Y: Y})
 
-	nf := len(X[0])
-	cols := make([][]float64, nf)
-	for f := 0; f < nf; f++ {
-		cols[f] = make([]float64, len(X))
-		for i, x := range X {
-			cols[f][i] = x[f]
-		}
-	}
-	tgts := make([][]float64, len(Y[0]))
-	for j := range tgts {
-		tgts[j] = make([]float64, len(Y))
-		for i := range Y {
-			tgts[j][i] = Y[i][j]
-		}
-	}
-	m := &MultiOutputGBM{Config: GBMConfig{NumTrees: 30, MaxDepth: 3, Seed: 5}}
-	m.FitCols(len(X), cols, tgts)
-
-	if m.NumOutputs() != ref.NumOutputs() {
-		t.Fatalf("outputs = %d, want %d", m.NumOutputs(), ref.NumOutputs())
-	}
+	X = bitRows(160, 10)
+	Y = make([][]float64, len(X))
 	for i, x := range X {
-		p, q := m.Predict(x), ref.Predict(x)
-		for j := range p {
-			if p[j] != q[j] {
-				t.Fatalf("prediction %d[%d] = %v, want %v", i, j, p[j], q[j])
-			}
-		}
+		Y[i] = []float64{x[0] + 0.5*x[1] + noise(), x[2]*x[3] - x[4] + noise(), x[5] + x[6] + x[7]}
 	}
+	cases = append(cases, parityCase{name: "bits", X: X, Y: Y, binary: true})
+
+	// Root zero counts at every acceptance edge for minLeaf 3, next to
+	// all-zero and all-one columns; each target follows one edge column,
+	// so the edge splits are the ones worth taking.
+	const n, minLeaf = 60, 3
+	below, at, top := column(n, minLeaf-1), column(n, minLeaf), column(n, n-minLeaf)
+	X = bitRows(n, 4, column(n, n), column(n, 0), below, at, top)
+	Y = make([][]float64, n)
+	for i := range X {
+		Y[i] = []float64{5*below[i] + noise(), 5*at[i] + noise(), 5*top[i] + noise(), X[i][0] + noise()}
+	}
+	cases = append(cases, parityCase{name: "edge-counts", X: X, Y: Y, minLeaf: minLeaf, binary: true})
+
+	X = bitRows(80, 6)
+	Y = make([][]float64, len(X))
+	for i, x := range X {
+		Y[i] = []float64{0.25, x[0] + noise()}
+	}
+	cases = append(cases, parityCase{name: "constant-target", X: X, Y: Y, binary: true})
+
+	X = bitRows(2*minLeaf-1, 3)
+	Y = make([][]float64, len(X))
+	for i, x := range X {
+		Y[i] = []float64{x[0], x[1] + x[2]}
+	}
+	cases = append(cases, parityCase{name: "below-two-leaves", X: X, Y: Y, minLeaf: minLeaf, binary: true})
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := GBMConfig{NumTrees: 30, MaxDepth: 3, MinLeaf: tc.minLeaf, Seed: 5}
+			ref := &MultiOutputGBM{Config: cfg}
+			ref.Fit(tc.X, tc.Y)
+
+			nf := len(tc.X[0])
+			cols := make([][]float64, nf)
+			for f := 0; f < nf; f++ {
+				cols[f] = make([]float64, len(tc.X))
+				for i, x := range tc.X {
+					cols[f][i] = x[f]
+				}
+			}
+			tgts := make([][]float64, len(tc.Y[0]))
+			for j := range tgts {
+				tgts[j] = make([]float64, len(tc.Y))
+				for i := range tc.Y {
+					tgts[j][i] = tc.Y[i][j]
+				}
+			}
+			ws := getScratch()
+			fr := frameFromCols(cols, tgts[0], ws)
+			binary := fr.binary
+			ws.putFrame(fr)
+			putScratch(ws)
+			if binary != tc.binary {
+				t.Fatalf("binary frame = %v, want %v", binary, tc.binary)
+			}
+			m := &MultiOutputGBM{Config: cfg}
+			m.FitCols(len(tc.X), cols, tgts)
+
+			if m.NumOutputs() != ref.NumOutputs() {
+				t.Fatalf("outputs = %d, want %d", m.NumOutputs(), ref.NumOutputs())
+			}
+			for i, x := range tc.X {
+				p, q := m.Predict(x), ref.Predict(x)
+				for j := range p {
+					if p[j] != q[j] {
+						t.Fatalf("prediction %d[%d] = %v, want %v", i, j, p[j], q[j])
+					}
+				}
+			}
+			for j, g := range m.models {
+				for k, tree := range g.trees {
+					if !sameTree(tree.root, ref.models[j].trees[k].root) {
+						t.Fatalf("output %d tree %d differs from the reference", j, k)
+					}
+				}
+			}
+		})
+	}
+}
+
+// sameTree reports whether two trees have the same shape, splits, leaf
+// values and sample counts, bit for bit.
+func sameTree(a, b *treeNode) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.leaf == b.leaf && a.feature == b.feature && a.thresh == b.thresh &&
+		a.value == b.value && a.nSamples == b.nSamples &&
+		sameTree(a.left, b.left) && sameTree(a.right, b.right)
 }
 
 func TestMultiOutputGBMFitColsEmpty(t *testing.T) {

@@ -260,23 +260,39 @@ func (m *MultiOutputGBM) Fit(X [][]float64, Y [][]float64) {
 // bit-identical to Fit on the same numbers (see frameFromCols).
 // Callers that accumulate observations incrementally — the MO-GBM
 // estimator — keep their history in this layout and refit without any
-// per-fit reshaping.
+// per-fit reshaping. The per-output fits run inline, in output order.
 func (m *MultiOutputGBM) FitCols(n int, cols [][]float64, targets [][]float64) {
+	for _, fit := range m.FitColsTasks(n, cols, targets) {
+		fit()
+	}
+}
+
+// FitColsTasks prepares FitCols as one self-contained task per output,
+// for callers that run them on a worker pool. Task j fits output j with
+// its fixed seed on its own scratch and writes only model slot j, so
+// the tasks may run in any order, on any goroutines, and the model is
+// the one FitCols grows. The model is ready once every task has
+// returned; cols and targets must not change before then.
+func (m *MultiOutputGBM) FitColsTasks(n int, cols [][]float64, targets [][]float64) []func() {
 	if len(targets) == 0 || n == 0 {
 		m.models = nil
-		return
+		return nil
 	}
 	m.models = make([]*GBMRegressor, len(targets))
-	ws := getScratch()
+	tasks := make([]func(), len(targets))
 	for j, tgt := range targets {
-		g := &GBMRegressor{Config: m.Config}
-		g.Config.Seed = m.Config.Seed + int64(j)*7919
-		fr := frameFromCols(cols, tgt[:n], ws)
-		g.fitFrame(fr, ws)
-		ws.putFrame(fr)
-		m.models[j] = g
+		tasks[j] = func() {
+			g := &GBMRegressor{Config: m.Config}
+			g.Config.Seed = m.Config.Seed + int64(j)*7919
+			ws := getScratch()
+			fr := frameFromCols(cols, tgt[:n], ws)
+			g.fitFrame(fr, ws)
+			ws.putFrame(fr)
+			putScratch(ws)
+			m.models[j] = g
+		}
 	}
-	putScratch(ws)
+	return tasks
 }
 
 // Predict returns the full output vector for one example.

@@ -59,6 +59,10 @@ type treeScratch struct {
 	workBuf []int32
 	left    []bool
 	part    []int32
+	// zeroY and oneY gather a node's targets by side of a 0/1 feature
+	// for bestSplitBinary.
+	zeroY []float64
+	oneY  []float64
 	// cnt backs counting sorts over presorted value ranks.
 	cnt []int32
 
@@ -109,6 +113,8 @@ func (ws *treeScratch) ensureGrow(nf, n int) {
 		ws.idx = make([]int32, n)
 		ws.left = make([]bool, n)
 		ws.part = make([]int32, n)
+		ws.zeroY = make([]float64, n)
+		ws.oneY = make([]float64, n)
 	}
 	if cap(ws.workBuf) < nf*n {
 		ws.workBuf = make([]int32, nf*n)
@@ -146,8 +152,17 @@ func (t *TreeRegressor) FitData(d Data) {
 // fitFrame grows the tree over the frame's presorted feature orders.
 func (t *TreeRegressor) fitFrame(fr *frame, ws *treeScratch) {
 	cfg := t.Config.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	t.root = growFit(fr, cfg, rng, false, 0, ws)
+	t.root = growFit(fr, cfg, featureRNG(cfg, fr.nf), false, 0, ws)
+}
+
+// featureRNG returns the source MaxFeatures sampling draws from, or nil
+// when every split scans all nf features and nothing would read it:
+// seeding a source costs more than growing a small boosting tree.
+func featureRNG(cfg TreeConfig, nf int) *rand.Rand {
+	if cfg.MaxFeatures > 0 && cfg.MaxFeatures < nf {
+		return rand.New(rand.NewSource(cfg.Seed))
+	}
+	return nil
 }
 
 // Predict returns the tree's output for a single example.
@@ -185,8 +200,7 @@ func (t *TreeClassifier) fitFrame(fr *frame, ws *treeScratch) {
 		t.NumClass = countClasses(fr.y)
 	}
 	cfg := t.Config.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	t.root = growFit(fr, cfg, rng, true, t.NumClass, ws)
+	t.root = growFit(fr, cfg, featureRNG(cfg, fr.nf), true, t.NumClass, ws)
 }
 
 // PredictProba returns class probabilities for a single example.
@@ -254,17 +268,27 @@ func asLeaf(node *treeNode, y []float64, idx []int32, clf bool, nClass int) *tre
 
 // growFit prepares the per-fit growth state (position slice, working
 // copies of the frame's presorted feature orders) and grows the tree.
+// A binary frame has no orders to copy.
 func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws *treeScratch) *treeNode {
+	if fr.binary && clf {
+		panic("ml: binary frames are built for regression fits only")
+	}
 	n := fr.n
-	ws.ensureGrow(fr.nf, n)
+	var orders [][]int32
+	if fr.binary {
+		ws.ensureGrow(0, n)
+	} else {
+		ws.ensureGrow(fr.nf, n)
+		for f := 0; f < fr.nf; f++ {
+			copy(ws.work[f], fr.base[f])
+		}
+		orders = ws.work
+	}
 	idx := ws.idx[:n]
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	for f := 0; f < fr.nf; f++ {
-		copy(ws.work[f], fr.base[f])
-	}
-	return growFrame(fr, ws.work, idx, 0, n, 0, cfg, rng, clf, nClass, ws)
+	return growFrame(fr, orders, idx, 0, n, 0, cfg, rng, clf, nClass, ws)
 }
 
 // growFrame recursively grows a CART tree over the position segment
@@ -273,7 +297,9 @@ func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws
 // same rows sorted by feature f. Splits stably partition every array
 // into left|right segments, so no node ever sorts — the frame's one-time
 // presort (or the space-level presorted orderings it was filtered from)
-// carries the whole tree.
+// carries the whole tree. idx[lo:hi] is always ascending, since it
+// starts as 0..n-1 and every partition is stable; a binary frame (nil
+// orders) relies on that.
 func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws *treeScratch) *treeNode {
 	node := ws.newNode(hi - lo)
 	seg := idx[lo:hi]
@@ -299,7 +325,13 @@ func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg 
 	bestFeat, bestThresh := -1, 0.0
 	parentImp := impurity(fr.y, seg, clf, nClass, ws)
 	for _, f := range feats {
-		gain, thresh, ok := bestSplitOrdered(fr, orders[f][lo:hi], f, cfg.MinLeaf, parentImp, clf, nClass, ws)
+		var gain, thresh float64
+		var ok bool
+		if fr.binary {
+			gain, thresh, ok = bestSplitBinary(fr.cols[f], fr.y, seg, cfg.MinLeaf, parentImp, ws)
+		} else {
+			gain, thresh, ok = bestSplitOrdered(fr, orders[f][lo:hi], f, cfg.MinLeaf, parentImp, clf, nClass, ws)
+		}
 		if ok && gain > bestGain+1e-12 {
 			bestGain, bestFeat, bestThresh = gain, f, thresh
 		}
@@ -327,8 +359,8 @@ func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg 
 	// left rows first, right rows after, relative order preserved — the
 	// children's segments stay sorted without re-sorting.
 	stablePartition(idx, lo, hi, k, ws.left, ws.part)
-	for f := 0; f < nf; f++ {
-		stablePartition(orders[f], lo, hi, k, ws.left, ws.part)
+	for _, order := range orders {
+		stablePartition(order, lo, hi, k, ws.left, ws.part)
 	}
 	node.left = growFrame(fr, orders, idx, lo, lo+k, depth+1, cfg, rng, clf, nClass, ws)
 	node.right = growFrame(fr, orders, idx, lo+k, hi, depth+1, cfg, rng, clf, nClass, ws)
@@ -502,6 +534,56 @@ func bestSplitOrdered(fr *frame, order []int32, f, minLeaf int, parentImp float6
 		return 0, 0, false
 	}
 	return best, thresh, true
+}
+
+// bestSplitBinary is bestSplitOrdered's regression scan for a 0/1
+// column, bit for bit. The node's segment seg is ascending, so the
+// column's presorted order over it is the segment's zeros followed by
+// its ones, and the generic scan's only candidate is the boundary
+// between them, at threshold (0+1)/2. The float operations are replayed
+// in the generic order: rs/rs2 sum the zeros then the ones, then each
+// zero is added to ls/ls2 and subtracted from rs/rs2. The running sums
+// over the zeros alone are the same for rs and ls, so they are summed
+// once.
+func bestSplitBinary(col, y []float64, seg []int32, minLeaf int, parentImp float64, ws *treeScratch) (gain, thresh float64, ok bool) {
+	// Branch-free gather: both buffers take every target and only the
+	// cursor of the bit's side advances.
+	zeros, ones := ws.zeroY[:len(seg)], ws.oneY[:len(seg)]
+	nz, no := 0, 0
+	for _, p := range seg {
+		v, b := y[p], int(col[p])
+		zeros[nz] = v
+		ones[no] = v
+		nz += 1 - b
+		no += b
+	}
+	zeros, ones = zeros[:nz], ones[:no]
+	if len(zeros) < minLeaf || len(ones) < minLeaf {
+		return 0, 0, false
+	}
+	var ls, ls2 float64
+	for _, v := range zeros {
+		ls += v
+		ls2 += v * v
+	}
+	rs, rs2 := ls, ls2
+	for _, v := range ones {
+		rs += v
+		rs2 += v * v
+	}
+	for _, v := range zeros {
+		rs -= v
+		rs2 -= v * v
+	}
+	lw, rw := float64(len(zeros)), float64(len(ones))
+	best := -1.0
+	if g := parentImp - (lw*varFromSums(ls, ls2, lw)+rw*varFromSums(rs, rs2, rw))/(lw+rw); g > best {
+		best = g
+	}
+	if best <= 0 {
+		return 0, 0, false
+	}
+	return best, 0.5, true
 }
 
 // clampClass maps out-of-range labels into [0, nClass): a fixed model

@@ -140,3 +140,59 @@ func TestTreeImportancesNormalized(t *testing.T) {
 		t.Errorf("importances sum to %v, want 1", s)
 	}
 }
+
+// bestSplitBinary must return bestSplitOrdered's gain bit for bit, not
+// only the same split: a gain one ulp off can flip a later comparison
+// between features. Segments are random ascending subsets of the
+// positions, with zero counts at every minLeaf edge and constant
+// targets mixed in.
+func TestBestSplitBinaryMatchesOrdered(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const n, minLeaf = 40, 3
+	ws := new(treeScratch)
+	ws.ensureGrow(0, n)
+	for trial := 0; trial < 600; trial++ {
+		var seg []int32
+		for p := 0; p < n; p++ {
+			if rng.Intn(4) > 0 {
+				seg = append(seg, int32(p))
+			}
+		}
+		m := len(seg)
+		zeros := [...]int{0, minLeaf - 1, minLeaf, m - minLeaf, m, rng.Intn(m + 1)}[trial%6]
+		col := make([]float64, n)
+		for i := range col {
+			col[i] = float64(rng.Intn(2))
+		}
+		for k, i := range rng.Perm(m) {
+			col[seg[i]] = 0
+			if k >= zeros {
+				col[seg[i]] = 1
+			}
+		}
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = rng.NormFloat64()
+			if trial%5 == 0 {
+				y[i] = 0.3
+			}
+		}
+		// The generic scan's input: the segment sorted by (value, position).
+		var order []int32
+		for _, side := range []float64{0, 1} {
+			for _, p := range seg {
+				if col[p] == side {
+					order = append(order, p)
+				}
+			}
+		}
+		fr := &frame{cols: [][]float64{col}, y: y, n: n, nf: 1}
+		parentImp := impurity(y, seg, false, 0, ws)
+		wantGain, wantThresh, wantOK := bestSplitOrdered(fr, order, 0, minLeaf, parentImp, false, 0, ws)
+		gain, thresh, ok := bestSplitBinary(col, y, seg, minLeaf, parentImp, ws)
+		if math.Float64bits(gain) != math.Float64bits(wantGain) || thresh != wantThresh || ok != wantOK {
+			t.Fatalf("trial %d (%d zeros of %d): binary = (%v, %v, %v), ordered = (%v, %v, %v)",
+				trial, zeros, m, gain, thresh, ok, wantGain, wantThresh, wantOK)
+		}
+	}
+}

@@ -226,15 +226,20 @@ func TestQueuedSubmitShedAfterMaxWait(t *testing.T) {
 		MaxConcurrent: 1,
 		MaxQueueWait:  50 * time.Millisecond,
 	})
-	registerShape(t, sched, newShapeConfig(t, 5*time.Millisecond))
+	cfg := newShapeConfig(t, 0)
+	gate := make(chan struct{})
+	cfg.Model.(*shapeModel).gate = gate
+	registerShape(t, sched, cfg)
 	ctx := context.Background()
 
-	// A long job holds the only slot.
+	// A long job holds the only slot: its valuations wait on the gate,
+	// released once the queued job's outcome is checked.
 	long, err := sched.Submit(ctx, "shape", "bi", runOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer long.Cancel()
+	defer close(gate)
 	waitUntil(t, 5*time.Second, "long job to start", func() bool { return long.Started() })
 
 	start := time.Now()

@@ -17,15 +17,20 @@ import (
 // searches have a genuine trade-off with no ML cost and results are a
 // pure function of the state — the determinism the batching property
 // tests lean on. Evaluate is re-entrant; sleep stretches valuations so
-// concurrent runs genuinely overlap.
+// concurrent runs genuinely overlap, and a non-nil gate holds every
+// valuation until the test closes it.
 type shapeModel struct {
 	space *fst.Space
 	sleep time.Duration
+	gate  chan struct{}
 }
 
 func (m *shapeModel) Name() string { return "shape" }
 
 func (m *shapeModel) Evaluate(d *table.Table) ([]float64, error) {
+	if m.gate != nil {
+		<-m.gate
+	}
 	if m.sleep > 0 {
 		time.Sleep(m.sleep)
 	}
