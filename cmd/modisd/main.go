@@ -72,7 +72,7 @@ func main() {
 		stateDir  = flag.String("state-dir", "", "directory for crash-safe state, one <hash>/ subdirectory per workload shard; empty = in-memory only")
 		commitInt = flag.Duration("commit-interval", 100*time.Millisecond, "max latency before pending state records are committed to disk")
 		commitThr = flag.Int("commit-threshold", 64, "pending state records that force an immediate commit")
-		ledgerWin = flag.Int("ledger-window", 128, "finished jobs kept fully in memory; older ones are served from the on-disk ledger")
+		ledgerWin = flag.Int("ledger-window", 128, "finished jobs kept fully in memory; older ones are served from the on-disk ledger, or without -state-dir keep only their status")
 	)
 	flag.Parse()
 

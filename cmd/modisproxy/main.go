@@ -11,10 +11,13 @@
 // Retry-After).
 //
 // Nodes are health-checked on -health-interval; new submissions route
-// away from dead nodes to the next ring candidate. Routing is
-// deterministic in the -nodes list (order-insensitive), so restarting
-// the proxy — or running several proxies with the same fleet — keeps
-// every shard on the same owner.
+// away from dead nodes to the next ring candidate. A submission whose
+// node fails at the transport level is retried once on that node, 25ms
+// later, then fails over along the ring under the same idempotency
+// key. Every exchange with a node goes through serve.Client, except
+// the SSE event pipe. Routing is deterministic in the -nodes list
+// (order-insensitive), so restarting the proxy — or running several
+// proxies with the same fleet — keeps every shard on the same owner.
 //
 // Usage:
 //
@@ -49,7 +52,6 @@ func main() {
 		probeTO    = flag.Duration("probe-timeout", 0, "per-node health probe timeout within a sweep (0 = default 1s)")
 		brFails    = flag.Int("breaker-failures", 0, "consecutive node failures that open its circuit breaker (0 = default 1)")
 		brCooldown = flag.Duration("breaker-cooldown", 0, "open-circuit cooldown before a half-open probe (0 = default 2s)")
-		retries    = flag.Int("submit-retries", 0, "same-node submit retries on transport failure before failing over (0 = default 1)")
 		rate       = flag.Float64("rate", 0, "per-tenant sustained submissions/second (0 = unlimited)")
 		burst      = flag.Float64("burst", 0, "per-tenant submission burst depth (0 = default max(rate, 1))")
 		tenantJobs = flag.Int("max-tenant-jobs", 0, "per-tenant concurrent-job cap (0 = unlimited)")
@@ -73,7 +75,6 @@ func main() {
 		LoadFactor:     *loadFactor,
 		HealthInterval: *healthInt,
 		ProbeTimeout:   *probeTO,
-		SubmitRetries:  *retries,
 		Breaker: proxy.BreakerOptions{
 			FailureThreshold: *brFails,
 			Cooldown:         *brCooldown,

@@ -11,31 +11,22 @@ import (
 	"repro/internal/stats"
 )
 
-// corrGraph is G_C: nodes are measures, edges connect strongly
-// (Spearman ≥ θ) correlated pairs, rebuilt as the test set T grows.
-type corrGraph struct {
-	strong [][]bool
-	hasAny bool
-}
-
-func buildCorrGraph(cols [][]float64, theta float64) *corrGraph {
-	n := len(cols)
-	g := &corrGraph{strong: make([][]bool, n)}
-	for i := range g.strong {
-		g.strong[i] = make([]bool, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if len(cols[i]) < 3 {
-				continue
-			}
+// anyStrongPair reports whether G_C — nodes are measures, edges join
+// strongly (|Spearman| ≥ θ) correlated pairs over the test set T — has
+// any edge, stopping at the first one found. Correlation needs at least
+// three tests.
+func anyStrongPair(cols [][]float64, theta float64) bool {
+	for i := range cols {
+		if len(cols[i]) < 3 {
+			continue
+		}
+		for j := i + 1; j < len(cols); j++ {
 			if math.Abs(stats.Spearman(cols[i], cols[j])) >= theta {
-				g.strong[i][j], g.strong[j][i] = true, true
-				g.hasAny = true
+				return true
 			}
 		}
 	}
-	return g
+	return false
 }
 
 // appendWeights extends the per-test bitmap-weight cache to cover a
@@ -165,10 +156,7 @@ func BiMODis(ctx context.Context, cfg *fst.Config, opts Options) (*Result, error
 
 	expand := func(s *fst.State, dir fst.Direction, visited, other map[fst.StateKey]bool) ([]*fst.State, bool, error) {
 		met := false
-		var gc *corrGraph
-		if !opts.DisablePrune {
-			gc = buildCorrGraph(cfg.Tests.Columns(nm), opts.Theta)
-		}
+		prune := !opts.DisablePrune && anyStrongPair(cfg.Tests.Columns(nm), opts.Theta)
 		children := fst.OpGen(s, dir)
 		var next []*fst.State
 		var history []*fst.Test
@@ -185,7 +173,7 @@ func BiMODis(ctx context.Context, cfg *fst.Config, opts Options) (*Result, error
 		size := 1
 		for idx < len(children) && !budget() {
 			var members []*Candidate
-			if gc != nil && gc.hasAny {
+			if prune {
 				history = cfg.Tests.AppendAll(history)
 				weights = appendWeights(weights, history)
 				members = g.members()
@@ -203,7 +191,7 @@ func BiMODis(ctx context.Context, cfg *fst.Config, opts Options) (*Result, error
 				}
 				visited[k] = true
 
-				if gc != nil && gc.hasAny {
+				if prune {
 					if lo, _, ok := paramRange(history, weights, child.Bits.Ones(), nm); ok {
 						if canPrune(members, lo, opts.Eps) {
 							pruned++

@@ -3,6 +3,7 @@ package fst
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/skyline"
@@ -10,13 +11,14 @@ import (
 )
 
 // countingModel reports the dataset size as its two raw metrics and
-// counts evaluations, for memoization tests.
-type countingModel struct{ calls int }
+// counts evaluations, for memoization tests. The count is atomic:
+// pooled valuation evaluates from several workers at once.
+type countingModel struct{ calls atomic.Int64 }
 
 func (m *countingModel) Name() string { return "counting" }
 
 func (m *countingModel) Evaluate(d *table.Table) ([]float64, error) {
-	m.calls++
+	m.calls.Add(1)
 	rows := float64(d.NumRows()) / 100
 	cols := float64(d.NumCols()) / 100
 	return []float64{rows, cols}, nil
@@ -71,8 +73,8 @@ func TestValuateMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.calls != 1 {
-		t.Errorf("model calls = %d, want 1 (memoized)", m.calls)
+	if m.calls.Load() != 1 {
+		t.Errorf("model calls = %d, want 1 (memoized)", m.calls.Load())
 	}
 	for i := range v1 {
 		if v1[i] != v2[i] {
@@ -163,8 +165,8 @@ func TestValuateUsesSurrogateAfterWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.calls != 1 {
-		t.Errorf("model calls = %d, want 1 (surrogate served the 2nd)", m.calls)
+	if m.calls.Load() != 1 {
+		t.Errorf("model calls = %d, want 1 (surrogate served the 2nd)", m.calls.Load())
 	}
 	if v[0] != 0.5 {
 		t.Errorf("surrogate answer not used: %v", v)

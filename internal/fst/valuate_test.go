@@ -192,8 +192,8 @@ func TestValuateStatesMemoHitsAreFree(t *testing.T) {
 	if val.Stats.Valuations() != 1 {
 		t.Errorf("valuations = %d, want 1 (hit is free)", val.Stats.Valuations())
 	}
-	if m.calls != 1 {
-		t.Errorf("model calls = %d, want 1", m.calls)
+	if m.calls.Load() != 1 {
+		t.Errorf("model calls = %d, want 1", m.calls.Load())
 	}
 }
 

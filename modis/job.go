@@ -33,13 +33,13 @@ type Job struct {
 	cancel    context.CancelFunc
 	done      chan struct{}
 	started   atomic.Bool
+	report    *Report // report and err are written once, before done closes
+	err       error
 
 	mu       sync.Mutex
 	events   []Event
 	wake     chan struct{} // closed and replaced on every record; stays closed after finish
 	finished bool
-	report   *Report
-	err      error
 }
 
 func newJob(algorithm string) *Job {
@@ -181,12 +181,13 @@ func (j *Job) record(ev Event) {
 }
 
 // finish publishes the terminal state and releases Done, Result, and
-// the event streams.
+// the event streams — Done first, so a stream that observes the end of
+// the run can count on Done being closed.
 func (j *Job) finish(rep *Report, err error) {
-	j.mu.Lock()
 	j.report, j.err = rep, err
+	close(j.done)
+	j.mu.Lock()
 	j.finished = true
 	close(j.wake)
 	j.mu.Unlock()
-	close(j.done)
 }

@@ -3,6 +3,8 @@ package modis_test
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,6 +96,43 @@ func TestJobEventsReplayAndOrdering(t *testing.T) {
 	}
 	if last, ok := job.LastEvent(); !ok || !last.Done {
 		t.Errorf("LastEvent = (%+v, %v), want the Done event", last, ok)
+	}
+}
+
+// TestJobStreamEndImpliesDone pins the invariant wire layers build on:
+// once a job's event stream has ended, Done is already closed, so a
+// handler that drains the stream and then checks Done without blocking
+// never skips the terminal status. Memo-warm jobs keep the runs short,
+// and more submitters than cores get job goroutines descheduled at any
+// point of finishing — the window a wrong finish order leaves open.
+func TestJobStreamEndImpliesDone(t *testing.T) {
+	eng := modis.NewEngine(newTestConfig(t, nil))
+	var wg sync.WaitGroup
+	var early atomic.Int64
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				job, err := eng.Submit(context.Background(), "bi",
+					modis.WithBudget(80), modis.WithMaxLevel(3))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for range job.Events() {
+				}
+				select {
+				case <-job.Done():
+				default:
+					early.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := early.Load(); n > 0 {
+		t.Fatalf("%d event streams ended before their job's Done closed", n)
 	}
 }
 

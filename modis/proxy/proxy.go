@@ -1,14 +1,12 @@
 package proxy
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,17 +41,8 @@ type Options struct {
 	// Breaker configures the per-node circuit breakers. The zero value
 	// opens on the first failure with a 2s cooldown.
 	Breaker BreakerOptions
-	// SubmitRetries is how many times a submission is retried on the
-	// SAME node after a transport failure before failing over to the
-	// next ring candidate (default 1). Same-node retries are the safe
-	// first response to a blip: the idempotency key dedupes there even
-	// when the lost response had actually been accepted, whereas a
-	// different node cannot see the first node's ledger.
-	SubmitRetries int
 	// Admission configures per-tenant rate limits and job caps.
 	Admission AdmissionOptions
-	// Client overrides the HTTP client used towards nodes.
-	Client *http.Client
 }
 
 // nodeState is the proxy's view of one modisd.
@@ -74,14 +63,15 @@ type nodeState struct {
 // death), job reads follow the job to the node that ran it, SSE event
 // streams pass through unbuffered, and the workload/algorithm catalogs
 // merge the fleet's. Admission control (429 + Retry-After) runs at
-// submission, before any node is touched.
+// submission, before any node is touched. Every exchange with a node
+// except the SSE pipe is a call on that node's serve.Client.
 type Proxy struct {
 	opts       Options
 	ring       *Ring
 	adm        *Admission
-	hc         *http.Client
 	mux        *http.ServeMux
-	sweepEvery time.Duration // effective sweep period (0 = disabled)
+	sweepEvery time.Duration            // effective sweep period (0 = disabled)
+	clients    map[string]*serve.Client // node → its client; fixed at New, read without mu
 
 	mu      sync.Mutex
 	nodes   map[string]*nodeState
@@ -121,24 +111,26 @@ func New(opts Options) *Proxy {
 		opts:    opts,
 		ring:    NewRing(normalized, opts.VNodes),
 		adm:     NewAdmission(opts.Admission),
-		hc:      opts.Client,
 		mux:     http.NewServeMux(),
+		clients: map[string]*serve.Client{},
 		nodes:   map[string]*nodeState{},
 		catalog: map[string]serve.WorkloadInfo{},
 		jobs:    map[string]string{},
 	}
-	if p.hc == nil {
-		p.hc = &http.Client{}
-	}
 	for _, n := range p.ring.Nodes() {
 		p.nodes[n] = &nodeState{br: NewBreaker(opts.Breaker)}
+		p.clients[n] = serve.NewClient(n)
 	}
 	p.ctx, p.stop = context.WithCancel(context.Background())
 
 	p.mux.HandleFunc("POST /v1/jobs", p.handleSubmit)
 	p.mux.HandleFunc("GET /v1/jobs", p.handleList)
-	p.mux.HandleFunc("GET /v1/jobs/{id}", p.handleJobGet)
-	p.mux.HandleFunc("DELETE /v1/jobs/{id}", p.handleJobDelete)
+	p.mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		p.forwardJob(w, r, (*serve.Client).Status)
+	})
+	p.mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		p.forwardJob(w, r, (*serve.Client).Cancel)
+	})
 	p.mux.HandleFunc("GET /v1/jobs/{id}/events", p.handleEvents)
 	p.mux.HandleFunc("GET /v1/workloads", p.handleWorkloads)
 	p.mux.HandleFunc("POST /v1/workloads/{name}/rows", p.handleAppendRows)
@@ -152,8 +144,6 @@ func New(opts Options) *Proxy {
 	}
 	if interval > 0 {
 		p.sweepEvery = interval
-	}
-	if interval > 0 {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
@@ -190,7 +180,9 @@ func (p *Proxy) Close() {
 // interval; tests call it directly for determinism.
 func (p *Proxy) CheckNow(ctx context.Context) {
 	for _, node := range p.ring.Nodes() {
-		hr, err := p.nodeHealth(ctx, node)
+		pctx, cancel := context.WithTimeout(ctx, p.probeTimeout())
+		hr, err := p.clients[node].Health(pctx)
+		cancel()
 		p.mu.Lock()
 		ns := p.nodes[node]
 		if err != nil {
@@ -214,23 +206,19 @@ func (p *Proxy) probeTimeout() time.Duration {
 	return time.Second
 }
 
-func (p *Proxy) nodeHealth(ctx context.Context, node string) (*serve.HealthResponse, error) {
-	ctx, cancel := context.WithTimeout(ctx, p.probeTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/healthz", nil)
-	if err != nil {
-		return nil, err
+// aliveNodes lists the nodes whose circuit is closed, in ring order —
+// the targets of fleet-wide reads, which should not burn a half-open
+// probe slot on bulk traffic.
+func (p *Proxy) aliveNodes() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var alive []string
+	for _, n := range p.ring.Nodes() {
+		if p.nodes[n].br.Healthy() {
+			alive = append(alive, n)
+		}
 	}
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var hr serve.HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		return nil, err
-	}
-	return &hr, nil
+	return alive
 }
 
 // refreshCatalog merges the healthy nodes' workload catalogs. Nodes
@@ -238,28 +226,9 @@ func (p *Proxy) nodeHealth(ctx context.Context, node string) (*serve.HealthRespo
 // the merged view is deterministic in the fleet state.
 func (p *Proxy) refreshCatalog(ctx context.Context) {
 	merged := map[string]serve.WorkloadInfo{}
-	for _, node := range p.ring.Nodes() {
-		p.mu.Lock()
-		alive := p.nodes[node].br.Healthy()
-		p.mu.Unlock()
-		if !alive {
-			continue
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/workloads", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := p.hc.Do(req)
-		if err != nil {
-			p.markFailed(node, err)
-			continue
-		}
-		var infos []serve.WorkloadInfo
-		derr := json.NewDecoder(resp.Body).Decode(&infos)
-		resp.Body.Close()
-		if derr != nil {
-			continue
-		}
+	for _, node := range p.aliveNodes() {
+		infos, err := p.clients[node].Workloads(ctx)
+		p.record(node, err)
 		for _, info := range infos {
 			if _, taken := merged[info.Name]; !taken {
 				merged[info.Name] = info
@@ -271,28 +240,50 @@ func (p *Proxy) refreshCatalog(ctx context.Context) {
 	p.mu.Unlock()
 }
 
-// markFailed feeds one failed exchange into the node's breaker.
-func (p *Proxy) markFailed(node string, err error) {
-	p.mu.Lock()
-	if ns, ok := p.nodes[node]; ok {
-		ns.br.Failure()
-		ns.errMsg = err.Error()
-		ns.failed++
-	}
-	p.mu.Unlock()
+// answered reports whether a failed node call carries the node's own
+// non-2xx answer — as opposed to a transport failure, after which the
+// node may never have seen the request.
+func answered(err error) bool {
+	var ae *serve.APIError
+	return errors.As(err, &ae)
 }
 
-// markOK feeds one successful exchange into the node's breaker — in
-// particular, the success that closes a half-open circuit after its
-// probe request came back.
-func (p *Proxy) markOK(node string) {
+// record feeds one exchange's outcome into the node's breaker and its
+// /metrics counters. A node that answered — 2xx or its own error
+// status — is alive; only a transport failure counts against it. The
+// caller's own cancellation or deadline says nothing about the node
+// and is not recorded.
+func (p *Proxy) record(node string, err error) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return
+	}
 	p.mu.Lock()
-	if ns, ok := p.nodes[node]; ok {
+	defer p.mu.Unlock()
+	ns := p.nodes[node]
+	if err == nil || answered(err) {
 		ns.br.Success()
 		ns.errMsg = ""
 		ns.ok++
+		return
 	}
-	p.mu.Unlock()
+	ns.br.Failure()
+	ns.errMsg = err.Error()
+	ns.failed++
+}
+
+// relayError answers with a failed node call: the node's own non-2xx
+// answer goes back out as it came — same status, same {"error": …}
+// body, same Retry-After — and a transport failure is a 502.
+func relayError(w http.ResponseWriter, node string, err error) {
+	var ae *serve.APIError
+	if !errors.As(err, &ae) {
+		writeError(w, http.StatusBadGateway, fmt.Errorf("proxy: node %s unreachable: %w", node, err))
+		return
+	}
+	if ae.RetryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(ae.RetryAfter)))
+	}
+	writeError(w, ae.Status, errors.New(ae.Msg))
 }
 
 // resolveWorkload maps a catalog name to its descriptor hash,
@@ -315,8 +306,8 @@ func (p *Proxy) resolveWorkload(ctx context.Context, name string) (string, bool)
 // pick chooses the serving node for a shard hash: ring candidates,
 // breaker willing, bounded load. Allow claims the half-open probe slot
 // when it fires, so the submission routed to a recovering node IS its
-// probe — the outcome is reported back through markOK/markFailed like
-// any other exchange.
+// probe — the outcome is reported back through record like any other
+// exchange.
 func (p *Proxy) pick(hash string) string {
 	p.mu.Lock()
 	brs := make(map[string]*Breaker, len(p.nodes))
@@ -350,32 +341,24 @@ func (p *Proxy) pick(hash string) string {
 }
 
 func (p *Proxy) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("proxy: reading submit body: %w", err))
-		return
-	}
 	var req serve.SubmitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("proxy: malformed submit request: %w", err))
 		return
 	}
 
-	// TimeoutMS is the request's whole deadline budget; every hop from
-	// here on — node retries, failover, the engine run itself — draws
-	// from it, and each forward carries only what remains.
-	arrival := time.Now()
+	// TimeoutMS is the request's whole deadline budget, counted from
+	// arrival: ctx carries it, and the node client's Submit forwards
+	// only what remains of it to each node tried.
+	ctx := r.Context()
 	budget := time.Duration(req.TimeoutMS) * time.Millisecond
-	remaining := func() (time.Duration, bool) {
-		if budget <= 0 {
-			return 0, true
-		}
-		left := budget - time.Since(arrival)
-		return left, left > 0
+	if budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
 	}
 
-	tenant := r.Header.Get(TenantHeader)
-	release, retryAfter, err := p.adm.Admit(tenant)
+	release, retryAfter, err := p.adm.Admit(r.Header.Get(TenantHeader))
 	if err != nil {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retryAfter)))
 		writeError(w, http.StatusTooManyRequests, err)
@@ -401,14 +384,9 @@ func (p *Proxy) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Forward to the shard owner. A transport failure is retried on the
-	// same node first — the key dedupes there even if the lost response
-	// had been an acceptance — and trips the breaker after the retries,
-	// sending the submission to the next ring candidate.
-	sameNode := p.opts.SubmitRetries
-	if sameNode <= 0 {
-		sameNode = 1
-	}
+	// Forward to the shard owner; a transport failure there (after one
+	// same-node retry) trips its breaker and sends the submission to the
+	// next ring candidate under the same key.
 	tried := map[string]bool{}
 	for {
 		node := p.pick(hash)
@@ -419,97 +397,63 @@ func (p *Proxy) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		tried[node] = true
 
-		var blob []byte
-		var resp *http.Response
-		var ferr error
-		for attempt := 0; attempt <= sameNode; attempt++ {
-			left, inBudget := remaining()
-			if !inBudget {
-				release()
-				writeError(w, http.StatusGatewayTimeout,
-					fmt.Errorf("proxy: deadline budget (%s) exhausted before the submission reached a node", budget))
-				return
+		st, err := p.submitTo(ctx, node, req)
+		p.record(node, err)
+		switch {
+		case err == nil:
+			p.mu.Lock()
+			p.jobs[st.JobID] = node
+			p.nodes[node].inflight++
+			p.mu.Unlock()
+			p.wg.Add(1)
+			go p.watch(st.JobID, node, release)
+			status := http.StatusAccepted
+			if st.Replayed {
+				w.Header().Set(serve.ReplayedHeader, "true")
+				status = http.StatusOK
 			}
-			fctx := r.Context()
-			var cancel context.CancelFunc
-			if budget > 0 {
-				req.TimeoutMS = int64(left / time.Millisecond)
-				if req.TimeoutMS < 1 {
-					req.TimeoutMS = 1
-				}
-				fctx, cancel = context.WithTimeout(fctx, left)
-			}
-			out, merr := json.Marshal(req)
-			if merr != nil {
-				if cancel != nil {
-					cancel()
-				}
-				release()
-				writeError(w, http.StatusInternalServerError, merr)
-				return
-			}
-			resp, ferr = p.forward(fctx, node, http.MethodPost, "/v1/jobs", out, tenant)
-			if ferr == nil {
-				blob, ferr = io.ReadAll(resp.Body)
-				resp.Body.Close()
-			}
-			if cancel != nil {
-				cancel()
-			}
-			if ferr == nil {
-				break
-			}
-			if r.Context().Err() != nil {
-				release()
-				return // the client went away; nothing to answer
-			}
-			if attempt < sameNode {
-				select {
-				case <-time.After(25 * time.Millisecond):
-				case <-r.Context().Done():
-					release()
-					return
-				}
-			}
-		}
-		if ferr != nil {
-			p.markFailed(node, ferr)
-			continue
-		}
-
-		p.markOK(node)
-		accepted := resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK
-		if accepted {
-			var st serve.JobStatus
-			if json.Unmarshal(blob, &st) == nil && st.JobID != "" {
-				p.mu.Lock()
-				p.jobs[st.JobID] = node
-				p.nodes[node].inflight++
-				p.mu.Unlock()
-				p.wg.Add(1)
-				go p.watch(st.JobID, node, release)
-			} else {
-				release()
-			}
-		} else {
-			// The node answered: the rejection (bad algorithm, invalid
-			// options, draining, shedding) passes through verbatim —
-			// Retry-After and all.
+			writeJSON(w, status, st)
+			return
+		case r.Context().Err() != nil:
 			release()
+			return // the client went away; nothing to answer
+		case ctx.Err() != nil:
+			release()
+			writeError(w, http.StatusGatewayTimeout,
+				fmt.Errorf("proxy: deadline budget (%s) exhausted before the submission reached a node", budget))
+			return
+		case answered(err):
+			// The node's rejection (bad algorithm, invalid options,
+			// draining, shedding) passes through and is never retried.
+			release()
+			relayError(w, node, err)
+			return
 		}
-		if v := resp.Header.Get(serve.ReplayedHeader); v != "" {
-			w.Header().Set(serve.ReplayedHeader, v)
-		}
-		if v := resp.Header.Get("Retry-After"); v != "" {
-			w.Header().Set("Retry-After", v)
-		}
-		passthrough(w, resp.StatusCode, resp.Header.Get("Content-Type"), blob)
-		return
 	}
 }
 
-// watch polls the job on its node until it is terminal, then frees the
-// admission slot and the node's in-flight count.
+// sameNodeRetryPause spaces the one same-node retry of a submission.
+const sameNodeRetryPause = 25 * time.Millisecond
+
+// submitTo sends a submission to node, retrying once on the same node
+// after a transport failure: the idempotency key dedupes there even
+// when the lost response had been an acceptance, whereas a different
+// node cannot see this one's ledger.
+func (p *Proxy) submitTo(ctx context.Context, node string, req serve.SubmitRequest) (*serve.JobStatus, error) {
+	st, err := p.clients[node].Submit(ctx, req)
+	if err == nil || answered(err) || ctx.Err() != nil {
+		return st, err
+	}
+	select {
+	case <-time.After(sameNodeRetryPause):
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return p.clients[node].Submit(ctx, req)
+}
+
+// watch follows the job on its node until it is terminal, then frees
+// the admission slot and the node's in-flight count.
 func (p *Proxy) watch(jobID, node string, release func()) {
 	defer p.wg.Done()
 	defer release()
@@ -520,44 +464,8 @@ func (p *Proxy) watch(jobID, node string, release func()) {
 		}
 		p.mu.Unlock()
 	}()
-	t := time.NewTicker(50 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.ctx.Done():
-			return
-		case <-t.C:
-		}
-		st, err := p.jobStatus(p.ctx, node, jobID)
-		if err != nil {
-			p.markFailed(node, err)
-			return
-		}
-		switch st.Status {
-		case serve.StatusDone, serve.StatusFailed, serve.StatusCancelled:
-			return
-		}
-	}
-}
-
-func (p *Proxy) jobStatus(ctx context.Context, node, jobID string) (*serve.JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/jobs/"+jobID, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("proxy: node %s returned %d for job %s", node, resp.StatusCode, jobID)
-	}
-	var st serve.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	_, err := p.clients[node].Wait(p.ctx, jobID, 50*time.Millisecond)
+	p.record(node, err)
 }
 
 // nodeForJob locates the node serving a job id: the submit-time record
@@ -570,14 +478,10 @@ func (p *Proxy) nodeForJob(ctx context.Context, jobID string) (string, bool) {
 	if ok {
 		return node, true
 	}
-	for _, n := range p.ring.Nodes() {
-		p.mu.Lock()
-		alive := p.nodes[n].br.Healthy()
-		p.mu.Unlock()
-		if !alive {
-			continue
-		}
-		if _, err := p.jobStatus(ctx, n, jobID); err == nil {
+	for _, n := range p.aliveNodes() {
+		_, err := p.clients[n].Status(ctx, jobID)
+		p.record(n, err)
+		if err == nil {
 			p.mu.Lock()
 			p.jobs[jobID] = n
 			p.mu.Unlock()
@@ -587,33 +491,23 @@ func (p *Proxy) nodeForJob(ctx context.Context, jobID string) (string, bool) {
 	return "", false
 }
 
-func (p *Proxy) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	p.forwardJob(w, r, http.MethodGet)
-}
-func (p *Proxy) handleJobDelete(w http.ResponseWriter, r *http.Request) {
-	p.forwardJob(w, r, http.MethodDelete)
-}
-
-func (p *Proxy) forwardJob(w http.ResponseWriter, r *http.Request, method string) {
+// forwardJob answers a job read or cancel with call on the node that
+// runs the job.
+func (p *Proxy) forwardJob(w http.ResponseWriter, r *http.Request,
+	call func(*serve.Client, context.Context, string) (*serve.JobStatus, error)) {
 	id := r.PathValue("id")
 	node, ok := p.nodeForJob(r.Context(), id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("proxy: unknown job %q", id))
 		return
 	}
-	resp, err := p.forward(r.Context(), node, method, "/v1/jobs/"+id, nil, r.Header.Get(TenantHeader))
+	st, err := call(p.clients[node], r.Context(), id)
+	p.record(node, err)
 	if err != nil {
-		p.markFailed(node, err)
-		writeError(w, http.StatusBadGateway, fmt.Errorf("proxy: node %s unreachable: %w", node, err))
+		relayError(w, node, err)
 		return
 	}
-	defer resp.Body.Close()
-	blob, err := io.ReadAll(resp.Body)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, err)
-		return
-	}
-	passthrough(w, resp.StatusCode, resp.Header.Get("Content-Type"), blob)
+	writeJSON(w, http.StatusOK, st)
 }
 
 // handleEvents streams the owning node's SSE stream through
@@ -637,10 +531,10 @@ func (p *Proxy) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	resp, err := p.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
+	p.record(node, err)
 	if err != nil {
-		p.markFailed(node, err)
-		writeError(w, http.StatusBadGateway, fmt.Errorf("proxy: node %s unreachable: %w", node, err))
+		relayError(w, node, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -670,25 +564,12 @@ func (p *Proxy) handleEvents(w http.ResponseWriter, r *http.Request) {
 // full listing; page against nodes directly for cursor semantics).
 func (p *Proxy) handleList(w http.ResponseWriter, r *http.Request) {
 	out := serve.JobsPageResponse{Jobs: []*serve.JobStatus{}}
-	for _, node := range p.ring.Nodes() {
-		p.mu.Lock()
-		alive := p.nodes[node].br.Healthy()
-		p.mu.Unlock()
-		if !alive {
-			continue
+	for _, node := range p.aliveNodes() {
+		page, err := p.clients[node].List(r.Context(), "", 0)
+		p.record(node, err)
+		if err == nil {
+			out.Jobs = append(out.Jobs, page.Jobs...)
 		}
-		resp, err := p.forward(r.Context(), node, http.MethodGet, "/v1/jobs", nil, "")
-		if err != nil {
-			p.markFailed(node, err)
-			continue
-		}
-		var page serve.JobsPageResponse
-		derr := json.NewDecoder(resp.Body).Decode(&page)
-		resp.Body.Close()
-		if derr != nil {
-			continue
-		}
-		out.Jobs = append(out.Jobs, page.Jobs...)
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -735,9 +616,11 @@ func (p *Proxy) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 // an explicit 503, not a silent reroute.
 func (p *Proxy) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("proxy: reading append body: %w", err))
+	var req serve.AppendRowsRequest
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("proxy: malformed append request: %w", err))
 		return
 	}
 	hash, ok := p.resolveWorkload(r.Context(), name)
@@ -759,46 +642,23 @@ func (p *Proxy) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("proxy: workload %q owner %s is unavailable; appends do not fail over", name, node))
 		return
 	}
-	resp, ferr := p.forward(r.Context(), node, http.MethodPost,
-		"/v1/workloads/"+url.PathEscape(name)+"/rows", body, r.Header.Get(TenantHeader))
-	if ferr != nil {
-		p.markFailed(node, ferr)
-		writeError(w, http.StatusBadGateway, fmt.Errorf("proxy: node %s unreachable (append not retried): %w", node, ferr))
+	out, err := p.clients[node].AppendRows(r.Context(), name, req)
+	p.record(node, err)
+	if err != nil {
+		relayError(w, node, err)
 		return
 	}
-	defer resp.Body.Close()
-	blob, rerr := io.ReadAll(resp.Body)
-	if rerr != nil {
-		writeError(w, http.StatusBadGateway, rerr)
-		return
-	}
-	p.markOK(node)
-	if v := resp.Header.Get("Retry-After"); v != "" {
-		w.Header().Set("Retry-After", v)
-	}
-	passthrough(w, resp.StatusCode, resp.Header.Get("Content-Type"), blob)
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (p *Proxy) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	for _, node := range p.ring.Nodes() {
-		p.mu.Lock()
-		alive := p.nodes[node].br.Healthy()
-		p.mu.Unlock()
-		if !alive {
-			continue
+	for _, node := range p.aliveNodes() {
+		names, err := p.clients[node].Algorithms(r.Context())
+		p.record(node, err)
+		if err == nil {
+			writeJSON(w, http.StatusOK, names)
+			return
 		}
-		resp, err := p.forward(r.Context(), node, http.MethodGet, "/v1/algorithms", nil, "")
-		if err != nil {
-			p.markFailed(node, err)
-			continue
-		}
-		blob, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			continue
-		}
-		passthrough(w, resp.StatusCode, resp.Header.Get("Content-Type"), blob)
-		return
 	}
 	writeError(w, http.StatusServiceUnavailable, fmt.Errorf("proxy: no alive node"))
 }
@@ -910,24 +770,6 @@ func breakerStateValue(s BreakerState) int {
 	}
 }
 
-func (p *Proxy) forward(ctx context.Context, node, method, path string, body []byte, tenant string) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, node+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if tenant != "" {
-		req.Header.Set(TenantHeader, tenant)
-	}
-	return p.hc.Do(req)
-}
-
 // retryAfterSeconds renders a wait as the Retry-After integer: ceiling
 // seconds, at least 1 — a client honoring it never retries early.
 func retryAfterSeconds(d time.Duration) int {
@@ -936,14 +778,6 @@ func retryAfterSeconds(d time.Duration) int {
 		s = 1
 	}
 	return s
-}
-
-func passthrough(w http.ResponseWriter, status int, contentType string, body []byte) {
-	if contentType != "" {
-		w.Header().Set("Content-Type", contentType)
-	}
-	w.WriteHeader(status)
-	w.Write(body)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

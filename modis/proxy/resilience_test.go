@@ -135,6 +135,43 @@ func TestProxyKeyedSubmitFailover(t *testing.T) {
 	}
 }
 
+// TestProxyReplayAnswersOK: a same-key resubmit through the proxy
+// answers the way a node does — 200 with Idempotency-Replayed: true and
+// "replayed" in the body — where the first submit answered a plain 202.
+func TestProxyReplayAnswersOK(t *testing.T) {
+	fleet := startFleet(t, 2, 1, 0)
+	_, front, _ := startProxy(t, fleet, proxy.AdmissionOptions{})
+	req := submitReq("wl0")
+	req.IdempotencyKey = "key-replay"
+	blob, _ := json.Marshal(req)
+	post := func() (*http.Response, *serve.JobStatus) {
+		t.Helper()
+		resp, err := http.Post(front+"/v1/jobs", "application/json", strings.NewReader(string(blob)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st := decodeStatus(t, resp)
+		if st == nil {
+			t.Fatalf("submit returned %d with no job status", resp.StatusCode)
+		}
+		return resp, st
+	}
+
+	first, st1 := post()
+	if first.StatusCode != http.StatusAccepted || first.Header.Get(serve.ReplayedHeader) != "" || st1.Replayed {
+		t.Fatalf("fresh keyed submit: status %d, replay header %q, replayed %v; want 202, none, false",
+			first.StatusCode, first.Header.Get(serve.ReplayedHeader), st1.Replayed)
+	}
+	second, st2 := post()
+	if second.StatusCode != http.StatusOK || second.Header.Get(serve.ReplayedHeader) != "true" || !st2.Replayed {
+		t.Fatalf("same-key resubmit: status %d, replay header %q, replayed %v; want 200, true, true",
+			second.StatusCode, second.Header.Get(serve.ReplayedHeader), st2.Replayed)
+	}
+	if st2.JobID != st1.JobID {
+		t.Fatalf("replay returned job %q, want the original %q", st2.JobID, st1.JobID)
+	}
+}
+
 // TestProxyGeneratesIdempotencyKey: a bare submission (no key from the
 // client) still travels under a proxy-minted key, so proxy-side
 // retries are safe and the node's status reports the key.
@@ -216,9 +253,10 @@ func TestProxyDeadlineBudgetExhausted(t *testing.T) {
 	for _, n := range fleet {
 		addrs = append(addrs, n.hs.URL)
 	}
-	// Plenty of same-node retries (25ms apart): the 60ms budget dies
-	// inside the retry loop, well before the candidate list runs out.
-	p := proxy.New(proxy.Options{Nodes: addrs, HealthInterval: -1, SubmitRetries: 20})
+	// The 10ms budget is shorter than the 25ms pause before the
+	// same-node retry, so it dies inside the retry loop, before the
+	// candidate list runs out.
+	p := proxy.New(proxy.Options{Nodes: addrs, HealthInterval: -1})
 	t.Cleanup(p.Close)
 	p.CheckNow(context.Background())
 	front := httptest.NewServer(p)
@@ -227,7 +265,7 @@ func TestProxyDeadlineBudgetExhausted(t *testing.T) {
 	fleet[0].hs.Close()
 
 	req := submitReq("wl0")
-	req.TimeoutMS = 60
+	req.TimeoutMS = 10
 	blob, _ := json.Marshal(req)
 	resp, err := http.Post(front.URL+"/v1/jobs", "application/json", strings.NewReader(string(blob)))
 	if err != nil {

@@ -20,16 +20,14 @@ import (
 
 // Client drives a modisd daemon (or a modisproxy front) over HTTP —
 // the programmatic twin of the curl examples in docs/serving.md and
-// the transport behind cmd/modis -remote. The zero configuration makes
-// every call exactly once; WithRetry arms the fleet's unified
-// retry/backoff policy (submits then auto-carry idempotency keys, so a
-// retried submit can never double-run), and WithHedge arms hedged
-// reads for latency-sensitive GETs.
+// the transport behind cmd/modis -remote and modisproxy's forwarding.
+// The zero configuration makes every call exactly once; WithRetry arms
+// the fleet's unified retry/backoff policy (submits then auto-carry
+// idempotency keys, so a retried submit can never double-run).
 type Client struct {
 	base  string
 	hc    *http.Client
 	retry RetryPolicy
-	hedge time.Duration
 }
 
 // NewClient returns a client for the daemon at base (e.g.
@@ -48,15 +46,6 @@ func NewClient(base string) *Client {
 // from the last delivered event.
 func (c *Client) WithRetry(p RetryPolicy) *Client {
 	c.retry = p
-	return c
-}
-
-// WithHedge arms hedged reads: a GET still in flight after d gets a
-// second, identical request raced against it; the first response wins.
-// Writes are never hedged — only the idempotency key makes a repeated
-// submit safe, and that is the retry path's job.
-func (c *Client) WithHedge(d time.Duration) *Client {
-	c.hedge = d
 	return c
 }
 
@@ -125,13 +114,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		}
 	}
 	op := func(ctx context.Context) error {
-		var respBody []byte
-		var err error
-		if method == http.MethodGet && c.hedge > 0 {
-			respBody, err = c.hedged(ctx, method, path)
-		} else {
-			respBody, err = c.doRaw(ctx, method, path, blob)
-		}
+		respBody, err := c.doRaw(ctx, method, path, blob)
 		if err != nil {
 			return err
 		}
@@ -149,54 +132,14 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	return op(ctx)
 }
 
-// hedged races up to two identical GETs: the second launches once the
-// first has been in flight for the hedge delay, and the first success
-// wins (the loser is cancelled). One slow replica then costs one hedge
-// delay instead of a timeout.
-func (c *Client) hedged(ctx context.Context, method, path string) ([]byte, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		body []byte
-		err  error
-	}
-	ch := make(chan result, 2)
-	run := func() {
-		body, err := c.doRaw(hctx, method, path, nil)
-		ch <- result{body, err}
-	}
-	go run()
-	inflight := 1
-	t := time.NewTimer(c.hedge)
-	defer t.Stop()
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			if r.err == nil {
-				return r.body, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if inflight--; inflight == 0 {
-				return nil, firstErr
-			}
-		case <-t.C:
-			go run()
-			inflight++
-		}
-	}
-}
-
 // Submit submits a job and returns its accepted status (the job id in
 // particular). With a retry policy armed (WithRetry), transport
 // failures and retryable statuses are retried under the policy: the
 // submission carries an idempotency key (generated when the request
-// has none) so a retried submit returns the original job, and
-// TimeoutMS is treated as a deadline budget — each retry forwards only
-// what remains of it, and a budget spent entirely on failed attempts
-// surfaces as a terminal 504.
+// has none) so a retried submit returns the original job. TimeoutMS is
+// treated as a deadline budget: each attempt forwards only what remains
+// of it — or of ctx's deadline, when that comes sooner — and a budget
+// spent entirely on failed attempts surfaces as a terminal 504.
 func (c *Client) Submit(ctx context.Context, req SubmitRequest) (*JobStatus, error) {
 	p := c.retry.withDefaults()
 	if p.MaxAttempts > 1 && req.IdempotencyKey == "" {
@@ -212,8 +155,11 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest) (*JobStatus, err
 		attempt := req
 		if budget > 0 {
 			remaining := budget - time.Since(start)
+			if dl, ok := ctx.Deadline(); ok {
+				remaining = min(remaining, time.Until(dl))
+			}
 			if remaining <= 0 {
-				return &APIError{Status: http.StatusGatewayTimeout, Msg: "serve: deadline budget exhausted before submit could be retried"}
+				return &APIError{Status: http.StatusGatewayTimeout, Msg: "serve: deadline budget exhausted before the submit was sent"}
 			}
 			attempt.TimeoutMS = int64(remaining / time.Millisecond)
 			if attempt.TimeoutMS < 1 {
@@ -292,6 +238,16 @@ func (c *Client) AppendRows(ctx context.Context, workload string, req AppendRows
 		return nil, err
 	}
 	return &out, nil
+}
+
+// Health fetches the daemon's /healthz body: readiness plus the node
+// identity the proxy routes on.
+func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
+	var hr HealthResponse
+	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &hr); err != nil {
+		return nil, err
+	}
+	return &hr, nil
 }
 
 // Algorithms lists the daemon's registered algorithm keys.

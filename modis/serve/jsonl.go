@@ -120,12 +120,14 @@ func (s *Server) serveJSONLOp(ctx context.Context, w *jsonlWriter, req JSONLRequ
 	}
 	switch req.Op {
 	case "submit":
-		rec, _, err := s.Submit(req.SubmitRequest)
+		rec, replayed, err := s.Submit(req.SubmitRequest)
 		if err != nil {
 			fail(err)
 			return
 		}
-		w.send(JSONLResponse{Kind: "accepted", Tag: req.Tag, JobID: rec.ID, Status: s.sched.statusOf(rec)})
+		accepted := s.sched.statusOf(rec)
+		accepted.Replayed = replayed
+		w.send(JSONLResponse{Kind: "accepted", Tag: req.Tag, JobID: rec.ID, Status: accepted})
 		job := rec.Live()
 		if job == nil {
 			// A replayed key resolved to an archived job: it is already

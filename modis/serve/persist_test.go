@@ -501,3 +501,42 @@ func TestLedgerWindowArchivesHandles(t *testing.T) {
 		}
 	}
 }
+
+// TestLedgerWindowEvictsWithoutPersistence: a scheduler without a
+// state directory evicts by the same window, immediately on finish, so
+// a stateless daemon's resident jobs stay bounded. An evicted job keeps
+// its status; its report is gone.
+func TestLedgerWindowEvictsWithoutPersistence(t *testing.T) {
+	ctx := context.Background()
+	sched := serve.NewScheduler(serve.SchedulerOptions{LedgerWindow: 4})
+	registerShape(t, sched, newShapeConfig(t, 0))
+	srv := httptest.NewServer(serve.NewServer(sched, serve.ServerOptions{}))
+	defer srv.Close()
+
+	for i := 0; i < 10; i++ {
+		job, err := sched.Submit(ctx, "shape", "bi", runOpts()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustResult(t, job)
+	}
+	live := func() int {
+		n := 0
+		for _, rec := range sched.Jobs() {
+			if rec.Live() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	waitUntil(t, 5*time.Second, "at most 4 live records", func() bool { return live() <= 4 })
+
+	oldest := sched.Jobs()[0]
+	st, err := serve.NewClient(srv.URL).Status(ctx, oldest.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Status != serve.StatusDone || st.Report != nil {
+		t.Fatalf("evicted job = status %q, report %v; want done without a report", st.Status, st.Report != nil)
+	}
+}

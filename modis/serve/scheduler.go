@@ -84,10 +84,10 @@ type SchedulerOptions struct {
 	// shard registers. Nil keeps everything in memory.
 	Persist *Persistence
 	// LedgerWindow bounds how many finished jobs stay resident with
-	// their full in-memory handle once their ledger record is durable;
-	// older ones archive — status stays resolvable, the report is read
-	// back from disk on demand (default 128; only meaningful with
-	// Persist).
+	// their full in-memory handle (default 128). Older ones archive:
+	// status and error stay resolvable; with Persist the report is read
+	// back from disk on demand once the ledger record is durable,
+	// without it the report is gone.
 	LedgerWindow int
 }
 
@@ -164,11 +164,11 @@ type shard struct {
 }
 
 // JobRecord is a scheduler's ledger entry for one accepted job. A
-// record is either live — carrying the job handle — or archived: its
-// terminal state is durable in the persistence ledger, the handle has
-// been dropped to bound resident memory, and the report is read back
-// from disk on demand. Records recovered from a previous incarnation
-// start archived.
+// record is either live — carrying the job handle — or archived: the
+// handle has been dropped to bound resident memory, and the report is
+// read back from the persistence ledger on demand (a scheduler without
+// persistence keeps only the status and error). Records recovered from
+// a previous incarnation start archived.
 type JobRecord struct {
 	// ID is the job id.
 	ID string
@@ -710,37 +710,44 @@ func (s *Scheduler) QueueDepth() int {
 	return s.queued
 }
 
-// recordFinished spills a terminal job to its shard's ledger; once the
-// record is durable the job joins the archive queue, and jobs beyond
-// the resident window drop their in-memory handle.
+// recordFinished joins a terminal job to the archive queue — at once
+// without persistence, once its ledger record is durable with it — and
+// jobs beyond the resident window drop their in-memory handle.
 func (s *Scheduler) recordFinished(rec *JobRecord) {
-	if s.opts.Persist == nil {
-		return
-	}
 	job := rec.Live()
 	if job == nil {
 		return
 	}
+	if s.opts.Persist == nil {
+		s.retire(rec.ID)
+		return
+	}
 	status, errMsg, rep := terminalState(job)
 	s.opts.Persist.AppendFinished(rec.Hash, rec.ID, rec.Workload, rec.Algorithm, rec.IdemKey, rec.Submitted, status, errMsg, rep, func() {
-		s.mu.Lock()
-		s.finished = append(s.finished, rec.ID)
-		var evict []*JobRecord
-		for len(s.finished) > s.opts.LedgerWindow {
-			id := s.finished[0]
-			s.finished = s.finished[1:]
-			if old, ok := s.jobs[id]; ok {
-				evict = append(evict, old)
-			}
-		}
-		s.mu.Unlock()
-		for _, old := range evict {
-			if j := old.Live(); j != nil {
-				st, em, rp := terminalState(j)
-				old.archive(st, em, rp != nil)
-			}
-		}
+		s.retire(rec.ID)
 	})
+}
+
+// retire queues a finished job for archiving and archives the oldest
+// ones beyond LedgerWindow. An archived job keeps its status and error;
+// its report survives only where the persistence ledger holds it.
+func (s *Scheduler) retire(id string) {
+	s.mu.Lock()
+	s.finished = append(s.finished, id)
+	var evict []*JobRecord
+	for len(s.finished) > s.opts.LedgerWindow {
+		if old, ok := s.jobs[s.finished[0]]; ok {
+			evict = append(evict, old)
+		}
+		s.finished = s.finished[1:]
+	}
+	s.mu.Unlock()
+	for _, old := range evict {
+		if j := old.Live(); j != nil {
+			st, em, rp := terminalState(j)
+			old.archive(st, em, rp != nil)
+		}
+	}
 }
 
 // terminalState maps a finished job handle onto its wire status.

@@ -131,6 +131,10 @@ type JobStatus struct {
 	Progress *modis.Event `json:"progress,omitempty"`
 	// Report is the result of a done job.
 	Report *modis.Report `json:"report,omitempty"`
+	// Replayed marks a submit response that answered a repeated
+	// idempotency key with the already-accepted job (the body twin of
+	// the Idempotency-Replayed header).
+	Replayed bool `json:"replayed,omitempty"`
 }
 
 // statusOf snapshots a job record into its wire form. Archived
@@ -331,13 +335,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// A fresh acceptance is 202; a replay answers 200 — the submission
 	// was already accepted, possibly long ago — and says so in a header
-	// so retry layers can tell dedup from double-run.
+	// and in the body, so retry layers can tell dedup from double-run.
+	st := s.sched.statusOf(rec)
+	st.Replayed = replayed
 	status := http.StatusAccepted
 	if replayed {
 		w.Header().Set(ReplayedHeader, "true")
 		status = http.StatusOK
 	}
-	writeJSON(w, status, s.sched.statusOf(rec))
+	writeJSON(w, status, st)
 }
 
 // JobsPageResponse is the paginated envelope of GET /v1/jobs.
