@@ -1,24 +1,17 @@
 // Package repro's root benchmarks regenerate the paper's tables and
-// figures as testing.B targets (one per experiment; see DESIGN.md E1-E17
-// for the index) plus micro-benchmarks of the substrates. Absolute
-// numbers differ from the paper (synthetic lakes, from-scratch ML), but
-// the comparative shapes hold; EXPERIMENTS.md records both.
+// figures as testing.B targets, one per cmd/modisbench experiment
+// (modisbench -list prints the index). Absolute numbers differ from the
+// paper (synthetic lakes, from-scratch ML), but the comparative shapes
+// hold. Per-layer costs (joins, materialisation, model fits, skyline
+// maintenance, keys, appends) are measured by modisperf's probes.
 package repro
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/exp"
-	"repro/internal/fst"
-	"repro/internal/ml"
-	"repro/internal/skyline"
-	"repro/internal/stats"
-	"repro/internal/table"
 	"repro/modis"
 )
 
@@ -34,22 +27,8 @@ func benchOpts(extra ...modis.Option) []modis.Option {
 		modis.WithEpsilon(0.1),
 		modis.WithMaxLevel(5),
 		modis.WithSeed(1),
-		modis.WithParallelism(benchParallelism()),
+		modis.WithParallelism(0),
 	}, extra...)
-}
-
-// benchParallelism is the valuation-pool width the discovery
-// benchmarks run with: all CPUs by default, overridable through
-// MODIS_BENCH_PARALLEL so benchmarks/sweep.sh can record a
-// WithParallelism(0)-vs-(1) split on multi-core hosts (results are
-// byte-identical either way; only wall time moves).
-func benchParallelism() int {
-	if s := os.Getenv("MODIS_BENCH_PARALLEL"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 0 {
-			return n
-		}
-	}
-	return 0
 }
 
 func runAlgo(b *testing.B, w *datagen.Workload, algo string, extra ...modis.Option) {
@@ -77,98 +56,6 @@ func BenchmarkTable4T4(b *testing.B) {
 	w := datagen.T4Mental(datagen.TaskConfig{Rows: 140})
 	b.ResetTimer()
 	runAlgo(b, w, "bi")
-}
-
-// BenchmarkAppend is the streaming-economics benchmark on the Table 4
-// T2 workload: "incremental" measures Engine.Append of a small batch
-// plus the follow-up run against a warm engine, "cold" measures the
-// alternative — rebuilding encoder, space, and memo over the
-// concatenated table and running from scratch. The search is the
-// exhaustive level-2 sweep with every valuation exact, so the state
-// set is fixed and the memo's retained valuations are the measured
-// saving; a budget-bound search would spend whatever the memo saves
-// on exploring further instead. Batch rows sit on literal value
-// points (appendBatch), the case streaming exists for: states
-// clearing one of those literals provably keep their selection, so
-// their valuations survive the append, while the cold side starts
-// from an empty memo by construction.
-func BenchmarkAppend(b *testing.B) {
-	const appendRows = 8
-	opts := benchOpts(modis.WithBudget(1<<20), modis.WithMaxLevel(2))
-
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			w := datagen.T2House(datagen.TaskConfig{Rows: 140})
-			eng := modis.NewEngine(w.NewConfig(false))
-			if _, err := eng.Run(context.Background(), "exact", opts...); err != nil {
-				b.Fatal(err)
-			}
-			batch := appendBatch(w, appendRows)
-			b.StartTimer()
-			res, err := eng.Append(batch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Retained == 0 {
-				b.Fatal("append retained nothing — the benchmark measures memo reuse")
-			}
-			rep, err := eng.Run(context.Background(), "exact", opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rep.Skyline) == 0 {
-				b.Fatal("empty skyline")
-			}
-		}
-	})
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			w := datagen.T2House(datagen.TaskConfig{Rows: 140})
-			batch := appendBatch(w, appendRows)
-			b.StartTimer()
-			u2, err := table.Concat("D_U", w.Lake.Universal, batch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			enc := ml.NewTableEncoderSkip(u2, w.Lake.Target, "id")
-			cfg := w.NewConfig(false)
-			cfg.Space = w.Space.Rebuild(u2)
-			cfg.Space.SetColumnSource(enc)
-			cfg.Model = w.Model.(*datagen.TableModel).WithEncoder(enc)
-			rep, err := modis.NewEngine(cfg).Run(context.Background(), "exact", opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rep.Skyline) == 0 {
-				b.Fatal("empty skyline")
-			}
-		}
-	})
-}
-
-// appendBatch synthesizes n identical rows sitting on each attribute's
-// first literal value point (literals match by exact value equality, so
-// any state clearing one of those literals removes every batch row and
-// keeps its memoized valuation). Non-literal cells copy universal row 0,
-// staying inside the encoder's frozen string domains.
-func appendBatch(w *datagen.Workload, n int) []table.Row {
-	u := w.Lake.Universal
-	proto := append(table.Row(nil), u.Rows[0]...)
-	seen := map[string]bool{}
-	for _, e := range w.Space.Entries {
-		if e.Kind == fst.EntryLiteral && !seen[e.Attr] {
-			seen[e.Attr] = true
-			proto[u.Schema.Index(e.Attr)] = e.Literal.Value
-		}
-	}
-	batch := make([]table.Row, n)
-	for i := range batch {
-		batch[i] = append(table.Row(nil), proto...)
-	}
-	return batch
 }
 
 // --- E3: Table 5 (T5 link regression) ---
@@ -269,10 +156,10 @@ func BenchmarkFig14T5Scal(b *testing.B) {
 	}
 }
 
-// --- Ablations called out in DESIGN.md ---
+// --- Ablations ---
 
 // BenchmarkAblationPruning compares BiMODis with and without
-// correlation-based pruning (design choice 1).
+// correlation-based pruning.
 func BenchmarkAblationPruning(b *testing.B) {
 	for _, algo := range []string{"bi", "nobi"} {
 		name := "prune"
@@ -288,7 +175,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 }
 
 // BenchmarkAblationSurrogate compares surrogate-backed discovery with
-// exact-only valuation (design choice 4).
+// exact-only valuation.
 func BenchmarkAblationSurrogate(b *testing.B) {
 	for _, sur := range []bool{true, false} {
 		name := "surrogate"
@@ -306,135 +193,6 @@ func BenchmarkAblationSurrogate(b *testing.B) {
 		})
 	}
 }
-
-// --- Substrate micro-benchmarks ---
-
-func BenchmarkOuterJoin(b *testing.B) {
-	w := datagen.T1Movie(datagen.TaskConfig{Rows: 400})
-	ts := w.Lake.Tables
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table.Universal(ts...)
-	}
-}
-
-func BenchmarkMaterialize(b *testing.B) {
-	w := datagen.T1Movie(datagen.TaskConfig{Rows: 400})
-	bits := w.Space.FullBitmap()
-	for i := 0; i < bits.Len(); i += 3 {
-		bits.Clear(i)
-	}
-	// Warm the space's one-time literal row index so iterations measure
-	// the steady-state incremental path a search actually runs.
-	w.Space.Materialize(bits)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Space.Materialize(bits)
-	}
-}
-
-func BenchmarkKMeans1D(b *testing.B) {
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = float64(i%97) / 7
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats.KMeans1D(xs, 8, 50)
-	}
-}
-
-func BenchmarkGBMFit(b *testing.B) {
-	w := datagen.T1Movie(datagen.TaskConfig{Rows: 300})
-	ds := ml.FromTable(w.Lake.Universal, w.Lake.Target)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := &ml.GBMRegressor{Config: ml.GBMConfig{NumTrees: 30, MaxDepth: 3, Seed: 1}}
-		g.Fit(ds.X, ds.Y)
-	}
-}
-
-func BenchmarkSkylineFilter(b *testing.B) {
-	vs := make([]skyline.Vector, 500)
-	for i := range vs {
-		vs[i] = skyline.Vector{
-			float64(i%13) / 13, float64(i%7) / 7, float64(i%31) / 31,
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		skyline.Skyline(vs)
-	}
-}
-
-func BenchmarkKungSkyline(b *testing.B) {
-	vs := make([]skyline.Vector, 500)
-	for i := range vs {
-		vs[i] = skyline.Vector{
-			float64(i%13) / 13, float64(i%7) / 7, float64(i%31) / 31,
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		skyline.KungSkyline(vs)
-	}
-}
-
-func BenchmarkEstimatorValuate(b *testing.B) {
-	w := datagen.T1Movie(datagen.TaskConfig{Rows: 200})
-	cfg := w.NewConfig(true)
-	bits := w.Space.FullBitmap()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nb := bits.Clone()
-		nb.Clear(i % nb.Len())
-		if _, err := cfg.Valuate(nb); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBitmapKey exercises the memoization path of the search inner
-// loop — flip an entry, compute the state key, probe a visited map — and
-// must run allocation-free per lookup.
-func BenchmarkBitmapKey(b *testing.B) {
-	const n = 512
-	bits := fst.NewBitmap(n)
-	for i := 0; i < n; i += 2 {
-		bits.Set(i)
-	}
-	visited := make(map[fst.StateKey]bool, 2*n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bits.Flip(i % n)
-		visited[bits.Key()] = true
-	}
-	if len(visited) == 0 {
-		b.Fatal("no keys recorded")
-	}
-}
-
-// BenchmarkOpGen measures child spawning from a wide state: the State
-// headers come from one slab and each child's packed words are a single
-// word-wise copy.
-func BenchmarkOpGen(b *testing.B) {
-	bits := fst.NewBitmap(512)
-	for i := 0; i < 512; i += 2 {
-		bits.Set(i)
-	}
-	s := &fst.State{Bits: bits}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if kids := fst.OpGen(s, fst.Forward); len(kids) != 256 {
-			b.Fatal("wrong fan-out")
-		}
-	}
-}
-
-// Keep exp's report machinery hot so the harness compiles against it.
-var _ = exp.RImp
 
 func label(k string, v float64) string { return fmt.Sprintf("%s=%.1f", k, v) }
 

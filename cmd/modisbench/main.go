@@ -1,6 +1,6 @@
 // Command modisbench regenerates every table and figure of the MODis
-// paper's evaluation over the synthetic data lakes (see DESIGN.md for
-// the per-experiment index and EXPERIMENTS.md for recorded results).
+// paper's evaluation over the synthetic data lakes; -list prints the
+// experiment index.
 //
 // Usage:
 //

@@ -120,12 +120,7 @@ func NewCustomWorkload(cfg CustomConfig) (*Workload, error) {
 		cost := trainCost(train.NumRows(), train.NumFeatures(), 1)
 		return []float64{quality, cost}, nil
 	}
-	model := &TableModel{
-		ModelName: "custom-" + kindOrDefault(kind),
-		Eval:      func(d *table.Table) ([]float64, error) { return eval(enc.Encode(d)) },
-		EvalRows:  rowsEval(enc, eval),
-		Body:      eval,
-	}
+	model := taskModel("custom-"+kindOrDefault(kind), enc, eval)
 
 	qualityName := "pAcc"
 	if !classification {

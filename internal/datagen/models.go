@@ -23,30 +23,6 @@ type TableModel struct {
 	// EvalRows, when set, valuates a state straight from the space's
 	// row view; returning ok=false falls back to Eval.
 	EvalRows func(v fst.RowsView) (raw []float64, ok bool, err error)
-	// Body, when set, is the Data-generic evaluation body both routes
-	// share. It exists so the model can be rebound to a different
-	// encoder: the cold reference of the streaming determinism contract
-	// (a space Rebuild over the concatenated table) needs the same
-	// metrics computed through a fresh encoder's matrix, not the one
-	// the streamed space extended in place.
-	Body func(ds ml.Data) ([]float64, error)
-}
-
-// WithEncoder rebinds the model's evaluation body to another encoder,
-// leaving the receiver untouched. Models without a rebindable body
-// (T5's graph model reads universal tuples directly) are returned
-// as-is.
-func (m *TableModel) WithEncoder(enc *ml.TableEncoder) *TableModel {
-	if m.Body == nil {
-		return m
-	}
-	body := m.Body
-	return &TableModel{
-		ModelName: m.ModelName,
-		Eval:      func(d *table.Table) ([]float64, error) { return body(enc.Encode(d)) },
-		EvalRows:  rowsEval(enc, body),
-		Body:      body,
-	}
 }
 
 // Name implements fst.Model.

@@ -71,7 +71,6 @@ func taskModel(name string, enc *ml.TableEncoder, eval func(ml.Data) ([]float64,
 		ModelName: name,
 		Eval:      func(d *table.Table) ([]float64, error) { return eval(enc.Encode(d)) },
 		EvalRows:  rowsEval(enc, eval),
-		Body:      eval,
 	}
 }
 

@@ -171,10 +171,11 @@ func (sp *Space) SelectionUnchanged(feats []float64, fromRow int) bool {
 // scratch (fresh row index, fresh column decode). NewSpace is not
 // that reference: it re-derives literal clusters, which appended rows
 // would shift. The immutable layout (Entries, entry maps, UDFs) is
-// shared; all lazily-built state starts empty. The caller wires a
-// fresh column source (SetColumnSource) if it wants the column fast
-// path.
-func (sp *Space) Rebuild(u *table.Table) *Space {
+// shared; all lazily-built state starts empty. cols, when not nil, is
+// a column source decoded over u (typically a fresh encoder's matrix)
+// that the row index is built from, as SpaceConfig.Columns would; the
+// index is bit-identical either way, so it changes only the build cost.
+func (sp *Space) Rebuild(u *table.Table, cols ColumnSource) *Space {
 	return &Space{
 		Universal:  u,
 		Target:     sp.Target,
@@ -182,6 +183,7 @@ func (sp *Space) Rebuild(u *table.Table) *Space {
 		attrEntry:  sp.attrEntry,
 		litEntries: sp.litEntries,
 		udfs:       sp.udfs,
+		colSrc:     cols,
 	}
 }
 

@@ -129,7 +129,7 @@ func TestAppendRowIndexMatchesRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cold := sp.Rebuild(u2)
+				cold := sp.Rebuild(u2, nil)
 				for trial := 0; trial < 40; trial++ {
 					bits := sp.FullBitmap()
 					for i := range sp.Entries {

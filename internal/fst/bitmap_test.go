@@ -138,6 +138,26 @@ func TestBitmapKeyUnique(t *testing.T) {
 	}
 }
 
+// The search inner loop flips an entry and takes the state key once
+// per probe, so that path must not allocate.
+func TestBitmapFlipKeyAllocFree(t *testing.T) {
+	const n = 512
+	b := NewBitmap(n)
+	for i := 0; i < n; i += 2 {
+		b.Set(i)
+	}
+	var i int
+	var sink StateKey
+	allocs := testing.AllocsPerRun(1000, func() {
+		b.Flip(i % n)
+		sink ^= b.Key()
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Flip+Key allocated %.1f times per lookup, want 0", allocs)
+	}
+}
+
 // Trailing-word masking: ForEachClear and Ones must never see ghost
 // bits beyond Len, for widths straddling the 64-bit word boundary.
 func TestBitmapTrailingWordMasking(t *testing.T) {

@@ -38,12 +38,20 @@ func nullableUniversal() *table.Table {
 	return u
 }
 
-func nullableSpace() *Space {
-	return NewSpace(nullableUniversal(), "target", SpaceConfig{
+// nullableSpace builds a space over nullableUniversal. src, when not
+// nil, is pointed at that table and becomes the space's column source.
+func nullableSpace(src *tableColumns) *Space {
+	u := nullableUniversal()
+	cfg := SpaceConfig{
 		MaxLiteralsPerAttr: 4,
 		SkipLiteralAttrs:   []string{"id"},
 		ProtectedAttrs:     []string{"id"},
-	})
+	}
+	if src != nil {
+		src.u = u
+		cfg.Columns = src
+	}
+	return NewSpace(u, "target", cfg)
 }
 
 // tableColumns is a ColumnSource decoding numeric columns of a table —
@@ -96,10 +104,12 @@ func forceIndex(sp *Space) *rowIndex {
 // is bit-identical to the scan-built one — per literal entry, word by
 // word — and the numeric attributes actually took the fast path.
 func TestRowIndexColumnSourceParity(t *testing.T) {
-	scan := forceIndex(nullableSpace())
-	spFast := nullableSpace()
-	src := &tableColumns{u: spFast.Universal}
-	spFast.SetColumnSource(src)
+	scan := forceIndex(nullableSpace(nil))
+	src := &tableColumns{}
+	spFast := nullableSpace(src)
+	// Literal derivation consulted the source too; count only the
+	// index build from here on.
+	src.asked = nil
 	fast := forceIndex(spFast)
 
 	for i := range scan.litRows {
@@ -126,10 +136,8 @@ func TestRowIndexColumnSourceParity(t *testing.T) {
 // match the universal row count is ignored, and materialization stays
 // correct through the scan path.
 func TestRowIndexShortColumnFallsBack(t *testing.T) {
-	scan := forceIndex(nullableSpace())
-	sp := nullableSpace()
-	sp.SetColumnSource(&tableColumns{u: sp.Universal, short: true})
-	fast := forceIndex(sp)
+	scan := forceIndex(nullableSpace(nil))
+	fast := forceIndex(nullableSpace(&tableColumns{short: true}))
 	for i := range scan.litRows {
 		for wi := range scan.litRows[i] {
 			if scan.litRows[i][wi] != fast.litRows[i][wi] {
@@ -143,8 +151,7 @@ func TestRowIndexShortColumnFallsBack(t *testing.T) {
 // still equals the scratch row-scan reference on randomized bitmaps —
 // the source changes the cost of building the index, never a result.
 func TestMaterializeWithColumnSourceMatchesScan(t *testing.T) {
-	sp := nullableSpace()
-	sp.SetColumnSource(&tableColumns{u: sp.Universal})
+	sp := nullableSpace(&tableColumns{})
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		bits := sp.FullBitmap()

@@ -93,7 +93,7 @@ type SpaceConfig struct {
 	// Columns, when set, supplies pre-decoded numeric columns (typically
 	// the ML encoder's frozen matrix): literal derivation clusters the
 	// already-decoded floats instead of re-scanning universal cells, and
-	// the same source feeds row-index construction (SetColumnSource).
+	// the same source feeds row-index construction.
 	// Attributes the source does not cover — strings, skipped names —
 	// fall back to the row scan. Literals are identical either way; a
 	// property test asserts it.
@@ -176,19 +176,6 @@ func (sp *Space) AttrEntry(attr string) int {
 
 // LiteralEntries returns the EntryLiteral indexes of the attribute.
 func (sp *Space) LiteralEntries(attr string) []int { return sp.litEntries[attr] }
-
-// SetColumnSource wires a pre-decoded column provider (typically the
-// ML encoder's frozen matrix) into row-index construction, so the
-// per-literal statistics are derived from the floats already decoded
-// for the estimator instead of a second cell-by-cell walk of the
-// universal table. Call it before the first Materialize/RowsFor — the
-// index is built once and a later source is ignored. The produced
-// index is bit-identical to the scan-built one (see rowindex.go), so
-// the source never changes results, only the cost of building them.
-// Prefer SpaceConfig.Columns, which additionally feeds literal
-// derivation; SetColumnSource remains for spaces whose source only
-// exists after construction.
-func (sp *Space) SetColumnSource(src ColumnSource) { sp.colSrc = src }
 
 // Materialize produces the dataset D_s of a state by applying the
 // sequence of Reduct operators implied by the cleared bitmap entries to

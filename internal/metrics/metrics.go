@@ -2,8 +2,8 @@
 // layer: a dependency-free writer for the Prometheus text exposition
 // format and a sliding-window reservoir for latency quantiles. The
 // daemon's GET /metrics and the proxy's node aggregation are built on
-// it; cmd/modisload scrapes the output to attribute merge rate and
-// memo hits to a load run.
+// it; the modisperf benchmark scrapes the output to attribute merge
+// rate and memo hits to a serving run.
 package metrics
 
 import (

@@ -86,10 +86,8 @@ func coldTwin(tb testing.TB, streamed *fst.Config, base *table.Table, appended [
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sp := streamed.Space.Rebuild(u2)
-	sp.SetColumnSource(ml.NewTableEncoder(u2, "target"))
 	return modis.NewEngine(&fst.Config{
-		Space:    sp,
+		Space:    streamed.Space.Rebuild(u2, ml.NewTableEncoder(u2, "target")),
 		Model:    streamShapeModel{},
 		Measures: streamed.Measures,
 	})
