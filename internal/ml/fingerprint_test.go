@@ -1,0 +1,290 @@
+package ml
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/table"
+)
+
+// pinnedFingerprints are the output hashes of every tree family and
+// feature score on the fixed inputs of fingerprintOutputs. A speed-up
+// that must not move a single output bit leaves them as they are; a
+// change that means to move outputs updates them (the failure message
+// prints the new table) and says so.
+var pinnedFingerprints = map[string]string{
+	"fisher/data":             "e2d013e99dc94c1a",
+	"forestclf/data":          "ff5b4eb9cedff1f0",
+	"forestclf/fit":           "a70d96a1ea228799",
+	"forestreg/data":          "cafc796dd585a483",
+	"forestreg/fit":           "8596d588e0c4df39",
+	"gbmclf-sub0.7/data":      "efea7f419c26d5fe",
+	"gbmclf-sub0.7/fit":       "8fce7f43a9f9fafc",
+	"gbmclf/data":             "90c20c4d25f4e40f",
+	"gbmclf/fit":              "d782617c116e1811",
+	"gbmreg-minleaf4/data":    "666200f520f436fb",
+	"gbmreg-minleaf4/fitcols": "12d883a6bf55db12",
+	"gbmreg/data":             "04516efa1788b919",
+	"gbmreg/fit":              "011feb01ba938fe1",
+	"histgbm/data":            "0e89e5547f71e7e8",
+	"histgbm/fit":             "d36835273f0a1852",
+	"mi/data":                 "9e1d5725ad28ba98",
+	"mi/data-continuous":      "1d5418912bbf0ecc",
+	"mi/rows":                 "4a3240cbc801c231",
+	"mogbm/fit":               "5f2edaa10b141067",
+	"mogbm/fitcols":           "5f2edaa10b141067",
+	"treeclf/data":            "e5f4d83043d87f4b",
+	"treeclf/fit":             "5cb2a9f7c6daf1f0",
+	"treereg-minleaf5/fit":    "4900260312b6e920",
+	"treereg-tie/fit":         "9d9bc8ffe313f57f",
+	"treereg/data":            "0acfd825b57c3b3d",
+	"treereg/fit":             "966b38cf0f3e8ca6",
+}
+
+// fingerprintTable is a seeded 160-row table full of ties: a few-level
+// int, a half-step float, a string, a float whose every fourth value
+// repeats its predecessor, a column of ±0 and small integers, and
+// quarter-rounded regression targets.
+func fingerprintTable() *table.Table {
+	u := table.New("D_U", table.Schema{
+		{Name: "id", Kind: table.KindInt},
+		{Name: "a", Kind: table.KindInt},
+		{Name: "b", Kind: table.KindFloat},
+		{Name: "s", Kind: table.KindString},
+		{Name: "c", Kind: table.KindFloat},
+		{Name: "z", Kind: table.KindFloat},
+		{Name: "yr", Kind: table.KindFloat},
+		{Name: "yc", Kind: table.KindInt},
+	})
+	rng := rand.New(rand.NewSource(43))
+	levels := []string{"x", "y", "w"}
+	zs := []float64{math.Copysign(0, -1), 0, 1, -1, 2}
+	c := 0.0
+	for i := 0; i < 160; i++ {
+		a := rng.Intn(5)
+		b := math.Round(rng.Float64()*8) / 2
+		s := levels[rng.Intn(3)]
+		if i%4 != 3 {
+			c = rng.NormFloat64()
+		}
+		z := zs[rng.Intn(len(zs))]
+		yr := 0.7*float64(a) + b - 0.5*c
+		if s == "x" {
+			yr -= 1
+		}
+		yr = math.Round((yr+0.4*rng.NormFloat64())*4) / 4
+		yc := 0
+		if float64(a)+b+c > 4 {
+			yc = 1
+		}
+		if rng.Intn(10) == 0 {
+			yc = 1 - yc
+		}
+		u.MustAppend(table.Row{
+			table.Int(int64(i)), table.Int(int64(a)), table.Float(b), table.Str(s),
+			table.Float(c), table.Float(z), table.Float(yr), table.Int(int64(yc)),
+		})
+	}
+	return u
+}
+
+// fingerprintBits is a seeded 0/1 feature matrix (rows and columns)
+// with two noisy targets, the shape the MO-GBM surrogate trains on.
+func fingerprintBits() (X [][]float64, cols [][]float64, Y [][]float64, targets [][]float64) {
+	rng := rand.New(rand.NewSource(44))
+	const n, nf = 120, 6
+	cols = make([][]float64, nf)
+	for f := range cols {
+		cols[f] = make([]float64, n)
+		for i := range cols[f] {
+			cols[f][i] = float64(rng.Intn(2))
+		}
+	}
+	targets = [][]float64{make([]float64, n), make([]float64, n)}
+	X = make([][]float64, n)
+	Y = make([][]float64, n)
+	for i := 0; i < n; i++ {
+		X[i] = make([]float64, nf)
+		for f := range cols {
+			X[i][f] = cols[f][i]
+		}
+		targets[0][i] = cols[0][i] + 0.5*cols[1][i]*cols[2][i] + 0.05*rng.NormFloat64()
+		targets[1][i] = math.Round(4*(cols[3][i]-cols[4][i]+0.3*rng.NormFloat64())) / 4
+		Y[i] = []float64{targets[0][i], targets[1][i]}
+	}
+	return X, cols, Y, targets
+}
+
+// hashBits hashes the Float64bits of xs.
+func hashBits(xs []float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// fingerprintOutputs fits every family through Fit (row-major) and
+// FitData (a matrix view of a row subset), predicts every row of the
+// full table, and computes the feature scores; it returns each output
+// vector's hash by name.
+func fingerprintOutputs() map[string]string {
+	u := fingerprintTable()
+	encR := NewTableEncoderSkip(u, "yr", "id", "yc")
+	encC := NewTableEncoderSkip(u, "yc", "id", "yr")
+	dsR, dsC := encR.Encode(u), encC.Encode(u)
+	var sub []int
+	for i := 0; i < u.NumRows(); i++ {
+		if i%5 != 2 {
+			sub = append(sub, i)
+		}
+	}
+	vR, vC := encR.Matrix().View(sub, nil), encC.Matrix().View(sub, nil)
+
+	out := map[string]string{}
+	predictAll := func(X [][]float64, f func([]float64) float64) string {
+		p := make([]float64, len(X))
+		for i, x := range X {
+			p[i] = f(x)
+		}
+		return hashBits(p)
+	}
+	type model interface {
+		Fit(X [][]float64, y []float64)
+		FitData(d Data)
+	}
+	// both fits a fresh model through Fit on ds and through FitData on
+	// v, and records the hashes of pred over ds's rows.
+	both := func(name string, ds *Dataset, v *View, mk func() model, pred func(model) func([]float64) float64) {
+		m := mk()
+		m.Fit(ds.X, ds.Y)
+		out[name+"/fit"] = predictAll(ds.X, pred(m))
+		m = mk()
+		m.FitData(v)
+		out[name+"/data"] = predictAll(ds.X, pred(m))
+	}
+	predict := func(m model) func([]float64) float64 { return m.(interface{ Predict([]float64) float64 }).Predict }
+	proba := func(m model) func([]float64) float64 {
+		switch c := m.(type) {
+		case *GBMClassifier:
+			return c.PredictProba
+		case *HistGBMClassifier:
+			return c.PredictProba
+		case *TreeClassifier:
+			return func(x []float64) float64 { return c.PredictProba(x)[1] }
+		case *ForestClassifier:
+			return func(x []float64) float64 { return c.PredictProba(x)[1] }
+		}
+		panic("no proba")
+	}
+
+	both("treereg", dsR, vR, func() model { return &TreeRegressor{Config: TreeConfig{MaxDepth: 6}} }, predict)
+	both("treeclf", dsC, vC, func() model { return &TreeClassifier{Config: TreeConfig{MaxDepth: 6}} }, proba)
+	both("gbmreg", dsR, vR, func() model { return &GBMRegressor{Config: GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 1}} }, predict)
+	both("gbmclf", dsC, vC, func() model { return &GBMClassifier{Config: GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 1}} }, proba)
+	both("gbmclf-sub0.7", dsC, vC, func() model {
+		return &GBMClassifier{Config: GBMConfig{NumTrees: 25, MaxDepth: 3, Subsample: 0.7, Seed: 5}}
+	}, proba)
+	both("forestclf", dsC, vC, func() model {
+		return &ForestClassifier{Config: ForestConfig{NumTrees: 10, MaxDepth: 6, Seed: 2}}
+	}, proba)
+	both("forestreg", dsR, vR, func() model {
+		return &ForestRegressor{Config: ForestConfig{NumTrees: 10, MaxDepth: 6, Seed: 2}}
+	}, predict)
+	both("histgbm", dsC, vC, func() model {
+		return &HistGBMClassifier{Config: HistGBMConfig{GBM: GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 1}, NumBins: 8}}
+	}, proba)
+	// Large leaves make the k < MinLeaf abort common.
+	tm := &TreeRegressor{Config: TreeConfig{MaxDepth: 8, MinLeaf: 5}}
+	tm.Fit(dsR.X, dsR.Y)
+	out["treereg-minleaf5/fit"] = predictAll(dsR.X, tm.Predict)
+	// A mirror-symmetric stump: isolating either end row gains exactly
+	// the same, and the first candidate must win.
+	tieX := make([][]float64, 10)
+	tieY := make([]float64, 10)
+	for i := range tieX {
+		tieX[i] = []float64{float64(i)}
+	}
+	tieY[0], tieY[9] = 3, 3
+	ts := &TreeRegressor{Config: TreeConfig{MaxDepth: 1, MinLeaf: 1}}
+	ts.Fit(tieX, tieY)
+	out["treereg-tie/fit"] = predictAll(tieX, ts.Predict)
+	gm := &GBMRegressor{Config: GBMConfig{NumTrees: 15, MaxDepth: 4, MinLeaf: 4, Seed: 3}}
+	gm.FitData(vR)
+	out["gbmreg-minleaf4/data"] = predictAll(dsR.X, gm.Predict)
+
+	X, cols, Y, targets := fingerprintBits()
+	moCfg := GBMConfig{NumTrees: 20, MaxDepth: 3, LearningRate: 0.15, Seed: 9}
+	mo := &MultiOutputGBM{Config: moCfg}
+	mo.Fit(X, Y)
+	moHash := func(m *MultiOutputGBM) string {
+		var p []float64
+		for _, x := range X {
+			p = append(p, m.Predict(x)...)
+		}
+		return hashBits(p)
+	}
+	out["mogbm/fit"] = moHash(mo)
+	mo = &MultiOutputGBM{Config: moCfg}
+	mo.FitCols(len(X), cols, targets)
+	out["mogbm/fitcols"] = moHash(mo)
+	gb := &GBMRegressor{Config: GBMConfig{NumTrees: 15, MaxDepth: 4, MinLeaf: 4, Seed: 3}}
+	ws := getScratch()
+	fr := frameFromCols(cols, targets[1], ws)
+	gb.fitFrame(fr, ws)
+	ws.putFrame(fr)
+	putScratch(ws)
+	out["gbmreg-minleaf4/fitcols"] = predictAll(X, gb.Predict)
+
+	out["fisher/data"] = hashBits(FisherScoreData(vC, Labels(vC)))
+	out["mi/data"] = hashBits(MutualInformationData(vC, Labels(vC), 8))
+	out["mi/data-continuous"] = hashBits(MutualInformationData(vR, Labels(vR), 4))
+	out["mi/rows"] = hashBits(MutualInformation(dsR.X, dsR.Y, 6))
+	return out
+}
+
+// TestPinnedFingerprints holds every tree family and feature score to
+// the output bits recorded in pinnedFingerprints, so a kernel rewrite
+// that claims identical output is checked against the code it replaced
+// rather than only against itself.
+func TestPinnedFingerprints(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("fingerprints are pinned on amd64; %s may fuse multiply-adds differently", runtime.GOARCH)
+	}
+	got := fingerprintOutputs()
+	var bad []string
+	for name, want := range pinnedFingerprints {
+		if got[name] != want {
+			bad = append(bad, fmt.Sprintf("%s: got %s, pinned %s", name, got[name], want))
+		}
+	}
+	for name := range got {
+		if _, ok := pinnedFingerprints[name]; !ok {
+			bad = append(bad, name+": not pinned")
+		}
+	}
+	if len(bad) == 0 {
+		return
+	}
+	sort.Strings(bad)
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var tbl strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&tbl, "\t%q: %q,\n", name, got[name])
+	}
+	t.Fatalf("outputs moved:\n%s\ncurrent table:\n%s", strings.Join(bad, "\n"), tbl.String())
+}
