@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
 // FisherScore returns the Fisher score of each feature for a labelled
@@ -100,16 +101,18 @@ func MutualInformation(X [][]float64, y []float64, bins int) []float64 {
 	if bins <= 0 {
 		bins = 10
 	}
+	s := miPool.Get().(*miScratch)
+	defer miPool.Put(s)
 	nf := len(X[0])
-	yd := discretize(y, bins)
+	s.yd = s.discretize(y, bins, s.yd)
 	out := make([]float64, nf)
-	col := make([]float64, len(X))
+	s.col = resizeFloats(s.col, len(X))
 	for f := 0; f < nf; f++ {
 		for i := range X {
-			col[i] = X[i][f]
+			s.col[i] = X[i][f]
 		}
-		xd := discretize(col, bins)
-		out[f] = discreteMI(xd, yd)
+		s.xd = s.discretize(s.col, bins, s.xd)
+		out[f] = s.discreteMI(s.xd, s.yd)
 	}
 	return out
 }
@@ -125,89 +128,127 @@ func MutualInformationData(d Data, y []float64, bins int) []float64 {
 	if bins <= 0 {
 		bins = 10
 	}
-	yd := discretize(y, bins)
+	s := miPool.Get().(*miScratch)
+	defer miPool.Put(s)
+	s.yd = s.discretize(y, bins, s.yd)
 	out := make([]float64, d.NumFeatures())
-	col := make([]float64, n)
 	for f := range out {
-		xd := discretize(d.Col(f, col), bins)
-		out[f] = discreteMI(xd, yd)
+		s.col = d.Col(f, resizeFloats(s.col, n))
+		s.xd = s.discretize(s.col, bins, s.xd)
+		out[f] = s.discreteMI(s.xd, s.yd)
 	}
 	return out
 }
 
-// discretize maps values to equal-frequency bin ids; values with few
-// distinct levels keep their level ids.
-func discretize(xs []float64, bins int) []int {
-	distinct := map[float64]bool{}
-	for _, x := range xs {
-		distinct[x] = true
+// miScratch holds the buffers a mutual-information call reuses across
+// its features: the gathered column, the sorted copy discretize counts
+// levels from and its bin edges, both level-id vectors, and the dense
+// count tables of discreteMI. miPool recycles it across calls.
+type miScratch struct {
+	col, sorted, edges []float64
+	xd, yd             []int
+	joint, pa, pb      []float64
+}
+
+var miPool = sync.Pool{New: func() any { return new(miScratch) }}
+
+// discretize writes the equal-frequency bin id of each value to out
+// (resized to len(xs)) and returns it; values with at most bins
+// distinct levels keep their level ids, the rank among the distinct
+// values. Levels are counted on a sorted copy, where NaN sorts first
+// and, never equal to itself, is a level of its own each time; a NaN
+// value gets id 0.
+func (s *miScratch) discretize(xs []float64, bins int, out []int) []int {
+	sorted := append(s.sorted[:0], xs...)
+	s.sorted = sorted
+	sort.Float64s(sorted)
+	out = resizeInts(out, len(xs))
+	distinct := 0
+	for i, x := range sorted {
+		if i == 0 || x != sorted[i-1] {
+			distinct++
+		}
 	}
-	if len(distinct) <= bins {
-		levels := make([]float64, 0, len(distinct))
-		for x := range distinct {
-			levels = append(levels, x)
+	if distinct <= bins {
+		levels := sorted[:0]
+		for i, x := range sorted {
+			if i == 0 || x != sorted[i-1] {
+				levels = append(levels, x)
+			}
 		}
-		sort.Float64s(levels)
-		lvl := map[float64]int{}
-		for i, x := range levels {
-			lvl[x] = i
-		}
-		out := make([]int, len(xs))
 		for i, x := range xs {
-			out[i] = lvl[x]
+			if x != x {
+				out[i] = 0
+			} else {
+				out[i] = sort.SearchFloat64s(levels, x)
+			}
 		}
 		return out
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	edges := make([]float64, 0, bins-1)
+	edges := s.edges[:0]
 	for b := 1; b < bins; b++ {
 		e := sorted[b*len(sorted)/bins]
 		if len(edges) == 0 || e != edges[len(edges)-1] {
 			edges = append(edges, e)
 		}
 	}
-	out := make([]int, len(xs))
+	s.edges = edges
 	for i, x := range xs {
 		out[i] = sort.SearchFloat64s(edges, x)
 	}
 	return out
 }
 
-func discreteMI(a, b []int) float64 {
+// discreteMI is the mutual information of two level-id vectors (ids
+// non-negative, as discretize makes them). Counts go into dense tables
+// and the sum runs over the joint table in row-major order — ascending
+// (a, b), the order that keeps the returned float deterministic.
+func (s *miScratch) discreteMI(a, b []int) float64 {
 	n := float64(len(a))
 	if n == 0 {
 		return 0
 	}
-	joint := map[[2]int]float64{}
-	pa := map[int]float64{}
-	pb := map[int]float64{}
-	for i := range a {
-		joint[[2]int{a[i], b[i]}]++
-		pa[a[i]]++
+	na, nb := maxID(a)+1, maxID(b)+1
+	s.joint = resizeFloats(s.joint, na*nb)
+	s.pa = resizeFloats(s.pa, na)
+	s.pb = resizeFloats(s.pb, nb)
+	joint, pa, pb := s.joint, s.pa, s.pb
+	for i, x := range a {
+		joint[x*nb+b[i]]++
+		pa[x]++
 		pb[b[i]]++
 	}
-	// Sorted key iteration keeps the summation order — and thus the
-	// returned float — deterministic.
-	keys := make([][2]int, 0, len(joint))
-	for k := range joint {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
 	var mi float64
-	for _, k := range keys {
-		pxy := joint[k] / n
-		px := pa[k[0]] / n
-		py := pb[k[1]] / n
-		mi += pxy * math.Log(pxy/(px*py))
+	for x := 0; x < na; x++ {
+		for y, c := range joint[x*nb : (x+1)*nb] {
+			if c == 0 {
+				continue
+			}
+			pxy := c / n
+			px := pa[x] / n
+			py := pb[y] / n
+			mi += pxy * math.Log(pxy/(px*py))
+		}
 	}
 	if mi < 0 {
 		mi = 0
 	}
 	return mi
+}
+
+func maxID(ids []int) int {
+	m := 0
+	for _, v := range ids {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+func resizeInts(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	return buf[:n]
 }

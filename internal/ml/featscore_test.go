@@ -63,7 +63,7 @@ func TestMutualInformationNonNegative(t *testing.T) {
 
 func TestDiscretizeFewLevels(t *testing.T) {
 	xs := []float64{1, 1, 2, 2}
-	d := discretize(xs, 10)
+	d := new(miScratch).discretize(xs, 10, nil)
 	if d[0] != d[1] || d[2] != d[3] || d[0] == d[2] {
 		t.Errorf("level discretization = %v", d)
 	}
@@ -74,7 +74,7 @@ func TestDiscretizeEqualFrequency(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i)
 	}
-	d := discretize(xs, 4)
+	d := new(miScratch).discretize(xs, 4, nil)
 	counts := map[int]int{}
 	for _, b := range d {
 		counts[b]++

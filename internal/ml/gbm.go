@@ -73,7 +73,7 @@ func (g *GBMRegressor) fitFrame(fr *frame, ws *treeScratch) {
 	if fr.n == 0 {
 		return
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := stageRNG(cfg)
 	pred := make([]float64, fr.n)
 	for i := range pred {
 		pred[i] = g.bias
@@ -84,12 +84,9 @@ func (g *GBMRegressor) fitFrame(fr *frame, ws *treeScratch) {
 		for i := range resid {
 			resid[i] = target[i] - pred[i]
 		}
-		tree := &TreeRegressor{Config: TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, Seed: rng.Int63()}}
-		fitStage(tree, fr, resid, cfg.Subsample, rng, ws)
+		tree := stageTree(cfg, rng)
+		addStage(pred, g.lr, fitStage(tree, fr, resid, cfg.Subsample, rng, ws), tree, fr)
 		g.trees = append(g.trees, tree)
-		for i := range pred {
-			pred[i] += g.lr * predictCols(tree.root, fr.cols, i)
-		}
 	}
 	fr.y = target
 }
@@ -116,13 +113,58 @@ func (g *GBMRegressor) Importances(nf int) []float64 {
 	return acc
 }
 
+// stageRNG returns the source row subsampling draws from, or nil
+// without subsampling: boosting trees scan every feature, so nothing
+// else would read it.
+func stageRNG(cfg GBMConfig) *rand.Rand {
+	if cfg.Subsample < 1 {
+		return rand.New(rand.NewSource(cfg.Seed))
+	}
+	return nil
+}
+
+// stageTree makes the next boosting tree. With subsampling it draws
+// the tree's seed first, keeping the sequence of draws rng.Perm reads.
+func stageTree(cfg GBMConfig, rng *rand.Rand) *TreeRegressor {
+	tc := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf}
+	if rng != nil {
+		tc.Seed = rng.Int63()
+	}
+	return &TreeRegressor{Config: tc}
+}
+
+// addStage adds lr times the new tree's output to every row's running
+// prediction: from the per-row leaf values growth recorded when there
+// are any, by walking the tree otherwise. Both read the same leaf
+// value, so the sums are bit-identical.
+func addStage(pred []float64, lr float64, leafv []float64, tree *TreeRegressor, fr *frame) {
+	if leafv != nil {
+		for i, v := range leafv {
+			pred[i] += lr * v
+		}
+		return
+	}
+	for i := range pred {
+		pred[i] += lr * predictCols(tree.root, fr.cols, i)
+	}
+}
+
 // fitStage fits one boosting tree on the frame with the stage's
-// pseudo-target, subsampling rows first when configured.
-func fitStage(tree *TreeRegressor, fr *frame, target []float64, subsampleFrac float64, rng *rand.Rand, ws *treeScratch) {
+// pseudo-target, subsampling rows first when configured. Without
+// subsampling the tree grows over every frame row and fitStage returns
+// each row's leaf value (valid until the scratch's next fit); with it,
+// nil.
+func fitStage(tree *TreeRegressor, fr *frame, target []float64, subsampleFrac float64, rng *rand.Rand, ws *treeScratch) []float64 {
 	if subsampleFrac >= 1 {
 		fr.y = target
+		if cap(ws.leafBuf) < fr.n {
+			ws.leafBuf = make([]float64, fr.n)
+		}
+		ws.leafv = ws.leafBuf[:fr.n]
 		tree.fitFrame(fr, ws)
-		return
+		leafv := ws.leafv
+		ws.leafv = nil
+		return leafv
 	}
 	n := int(float64(fr.n) * subsampleFrac)
 	if n < 1 {
@@ -135,6 +177,7 @@ func fitStage(tree *TreeRegressor, fr *frame, target []float64, subsampleFrac fl
 	fr.y = saved
 	tree.fitFrame(sub, ws)
 	ws.putFrame(sub)
+	return nil
 }
 
 // GBMClassifier is binary gradient boosting with logistic loss; labels
@@ -174,7 +217,7 @@ func (g *GBMClassifier) fitFrame(fr *frame, ws *treeScratch) {
 	p := mean(fr.y)
 	p = clamp(p, 1e-6, 1-1e-6)
 	g.bias = math.Log(p / (1 - p))
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := stageRNG(cfg)
 	raw := make([]float64, fr.n)
 	for i := range raw {
 		raw[i] = g.bias
@@ -185,12 +228,9 @@ func (g *GBMClassifier) fitFrame(fr *frame, ws *treeScratch) {
 		for i := range grad {
 			grad[i] = target[i] - sigmoid(raw[i])
 		}
-		tree := &TreeRegressor{Config: TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, Seed: rng.Int63()}}
-		fitStage(tree, fr, grad, cfg.Subsample, rng, ws)
+		tree := stageTree(cfg, rng)
+		addStage(raw, g.lr, fitStage(tree, fr, grad, cfg.Subsample, rng, ws), tree, fr)
 		g.trees = append(g.trees, tree)
-		for i := range raw {
-			raw[i] += g.lr * predictCols(tree.root, fr.cols, i)
-		}
 	}
 	fr.y = target
 }

@@ -52,13 +52,21 @@ type treeScratch struct {
 	// Per-fit growth state: idx is the node row-position slice (the
 	// successor of the old allIndexes allocation), work holds the
 	// per-feature sorted position orders growFrame partitions in place,
-	// left marks the split side per position, and part is the stable
-	// partition scratch. All are slab-reused across the trees of a fit.
+	// left marks the split side per position (1 = left), and partL/
+	// partR gather the two sides of a stable partition. All are
+	// slab-reused across the trees of a fit.
 	idx     []int32
 	work    [][]int32
 	workBuf []int32
-	left    []bool
-	part    []int32
+	left    []uint8
+	partL   []int32
+	partR   []int32
+	// leafv, when non-nil, receives every position's leaf value as the
+	// leaves of a regression tree are made: leafv[p] is the value the
+	// tree predicts for frame row p. Boosting sets it to update its
+	// predictions without walking the new tree again; leafBuf backs it.
+	leafv   []float64
+	leafBuf []float64
 	// zeroY and oneY gather a node's targets by side of a 0/1 feature
 	// for bestSplitBinary.
 	zeroY []float64
@@ -111,8 +119,9 @@ func (ws *treeScratch) newNode(nSamples int) *treeNode {
 func (ws *treeScratch) ensureGrow(nf, n int) {
 	if cap(ws.idx) < n {
 		ws.idx = make([]int32, n)
-		ws.left = make([]bool, n)
-		ws.part = make([]int32, n)
+		ws.left = make([]uint8, n)
+		ws.partL = make([]int32, n)
+		ws.partR = make([]int32, n)
 		ws.zeroY = make([]float64, n)
 		ws.oneY = make([]float64, n)
 	}
@@ -255,13 +264,19 @@ func predictCols(root *treeNode, cols [][]float64, i int) float64 {
 
 // asLeaf finalizes a node as a leaf: the prediction payload (mean value
 // or class probabilities) is only materialized here, since descend never
-// reads it off internal nodes.
-func asLeaf(node *treeNode, y []float64, idx []int32, clf bool, nClass int) *treeNode {
+// reads it off internal nodes. A regression leaf also writes its value
+// to ws.leafv for each of its positions when boosting asked for them.
+func asLeaf(node *treeNode, y []float64, idx []int32, clf bool, nClass int, ws *treeScratch) *treeNode {
 	node.leaf = true
 	if clf {
 		node.proba = classProba(y, idx, nClass)
-	} else {
-		node.value = meanAt(y, idx)
+		return node
+	}
+	node.value = meanAt(y, idx)
+	if ws.leafv != nil {
+		for _, p := range idx {
+			ws.leafv[p] = node.value
+		}
 	}
 	return node
 }
@@ -294,17 +309,20 @@ func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws
 // growFrame recursively grows a CART tree over the position segment
 // [lo, hi) of idx and of every per-feature sorted order in orders: idx
 // holds the node's rows in insertion order, orders[f][lo:hi] holds the
-// same rows sorted by feature f. Splits stably partition every array
+// same rows sorted by feature f. Splits stably partition the arrays
 // into left|right segments, so no node ever sorts — the frame's one-time
 // presort (or the space-level presorted orderings it was filtered from)
-// carries the whole tree. idx[lo:hi] is always ascending, since it
-// starts as 0..n-1 and every partition is stable; a binary frame (nil
-// orders) relies on that.
+// carries the whole tree. idx is partitioned at every split, since
+// leaves read it; the orders only when a child can split again (it is
+// above MaxDepth and holds at least 2*MinLeaf rows), since only split
+// search reads them. idx[lo:hi] is always ascending, since it starts
+// as 0..n-1 and every partition is stable; a binary frame (nil orders)
+// relies on that.
 func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws *treeScratch) *treeNode {
 	node := ws.newNode(hi - lo)
 	seg := idx[lo:hi]
 	if depth >= cfg.MaxDepth || hi-lo < 2*cfg.MinLeaf || pure(fr.y, seg) {
-		return asLeaf(node, fr.y, seg, clf, nClass)
+		return asLeaf(node, fr.y, seg, clf, nClass, ws)
 	}
 
 	nf := fr.nf
@@ -337,51 +355,55 @@ func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg 
 		}
 	}
 	if bestFeat < 0 {
-		return asLeaf(node, fr.y, seg, clf, nClass)
+		return asLeaf(node, fr.y, seg, clf, nClass, ws)
 	}
 
 	// Mark each position's side and count the left partition.
 	col := fr.cols[bestFeat]
 	k := 0
 	for _, p := range seg {
-		goesLeft := col[p] <= bestThresh
-		ws.left[p] = goesLeft
-		if goesLeft {
-			k++
+		var b uint8
+		if col[p] <= bestThresh {
+			b = 1
 		}
+		ws.left[p] = b
+		k += int(b)
 	}
 	if k < cfg.MinLeaf || (hi-lo)-k < cfg.MinLeaf {
-		return asLeaf(node, fr.y, seg, clf, nClass)
+		return asLeaf(node, fr.y, seg, clf, nClass, ws)
 	}
 	node.feature = bestFeat
 	node.thresh = bestThresh
-	// Stable-partition the insertion order and every feature order:
-	// left rows first, right rows after, relative order preserved — the
-	// children's segments stay sorted without re-sorting.
-	stablePartition(idx, lo, hi, k, ws.left, ws.part)
-	for _, order := range orders {
-		stablePartition(order, lo, hi, k, ws.left, ws.part)
+	// Stable-partition the insertion order and, when a child will
+	// search them, the feature orders: left rows first, right rows
+	// after, relative order preserved — the children's segments stay
+	// sorted without re-sorting.
+	stablePartition(idx[lo:hi], k, ws.left, ws.partL, ws.partR)
+	if depth+1 < cfg.MaxDepth && (k >= 2*cfg.MinLeaf || (hi-lo)-k >= 2*cfg.MinLeaf) {
+		for _, order := range orders {
+			stablePartition(order[lo:hi], k, ws.left, ws.partL, ws.partR)
+		}
 	}
 	node.left = growFrame(fr, orders, idx, lo, lo+k, depth+1, cfg, rng, clf, nClass, ws)
 	node.right = growFrame(fr, orders, idx, lo+k, hi, depth+1, cfg, rng, clf, nClass, ws)
 	return node
 }
 
-// stablePartition reorders a[lo:hi] so positions marked left come
-// first (k of them), both sides keeping their relative order.
-func stablePartition(a []int32, lo, hi, k int, left []bool, tmp []int32) {
-	n := hi - lo
-	li, ri := 0, k
-	for _, p := range a[lo:hi] {
-		if left[p] {
-			tmp[li] = p
-			li++
-		} else {
-			tmp[ri] = p
-			ri++
-		}
+// stablePartition reorders seg so positions marked left (left[p] == 1,
+// k of them) come first, both sides keeping their relative order.
+// Branch-free: every position is written to both gather buffers (each
+// at least len(seg) long) and only the cursor of its side advances.
+func stablePartition(seg []int32, k int, left []uint8, lbuf, rbuf []int32) {
+	li, ri := 0, 0
+	for _, p := range seg {
+		b := int(left[p])
+		lbuf[li] = p
+		rbuf[ri] = p
+		li += b
+		ri += 1 - b
 	}
-	copy(a[lo:hi], tmp[:n])
+	copy(seg[:k], lbuf[:k])
+	copy(seg[k:], rbuf[:ri])
 }
 
 func pure(y []float64, idx []int32) bool {
