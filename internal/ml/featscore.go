@@ -141,13 +141,13 @@ func MutualInformationData(d Data, y []float64, bins int) []float64 {
 }
 
 // miScratch holds the buffers a mutual-information call reuses across
-// its features: the gathered column, the sorted copy discretize counts
-// levels from and its bin edges, both level-id vectors, and the dense
-// count tables of discreteMI. miPool recycles it across calls.
+// its features: the gathered column, the sorted copy discretize reads
+// levels from, its levels or bin edges, both level-id vectors, and the
+// dense count tables of discreteMI. miPool recycles it across calls.
 type miScratch struct {
-	col, sorted, edges []float64
-	xd, yd             []int
-	joint, pa, pb      []float64
+	col, sorted, cuts []float64
+	xd, yd            []int
+	joint, pa, pb     []float64
 }
 
 var miPool = sync.Pool{New: func() any { return new(miScratch) }}
@@ -155,7 +155,7 @@ var miPool = sync.Pool{New: func() any { return new(miScratch) }}
 // discretize writes the equal-frequency bin id of each value to out
 // (resized to len(xs)) and returns it; values with at most bins
 // distinct levels keep their level ids, the rank among the distinct
-// values. Levels are counted on a sorted copy, where NaN sorts first
+// values. Levels are read off a sorted copy, where NaN sorts first
 // and, never equal to itself, is a level of its own each time; a NaN
 // value gets id 0.
 func (s *miScratch) discretize(xs []float64, bins int, out []int) []int {
@@ -163,19 +163,19 @@ func (s *miScratch) discretize(xs []float64, bins int, out []int) []int {
 	s.sorted = sorted
 	sort.Float64s(sorted)
 	out = resizeInts(out, len(xs))
-	distinct := 0
+	levels, few := s.cuts[:0], true
 	for i, x := range sorted {
-		if i == 0 || x != sorted[i-1] {
-			distinct++
+		if i > 0 && x == sorted[i-1] {
+			continue
 		}
+		if len(levels) == bins {
+			few = false
+			break
+		}
+		levels = append(levels, x)
 	}
-	if distinct <= bins {
-		levels := sorted[:0]
-		for i, x := range sorted {
-			if i == 0 || x != sorted[i-1] {
-				levels = append(levels, x)
-			}
-		}
+	s.cuts = levels
+	if few {
 		for i, x := range xs {
 			if x != x {
 				out[i] = 0
@@ -185,14 +185,14 @@ func (s *miScratch) discretize(xs []float64, bins int, out []int) []int {
 		}
 		return out
 	}
-	edges := s.edges[:0]
+	edges := s.cuts[:0]
 	for b := 1; b < bins; b++ {
 		e := sorted[b*len(sorted)/bins]
 		if len(edges) == 0 || e != edges[len(edges)-1] {
 			edges = append(edges, e)
 		}
 	}
-	s.edges = edges
+	s.cuts = edges
 	for i, x := range xs {
 		out[i] = sort.SearchFloat64s(edges, x)
 	}

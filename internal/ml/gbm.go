@@ -84,9 +84,7 @@ func (g *GBMRegressor) fitFrame(fr *frame, ws *treeScratch) {
 		for i := range resid {
 			resid[i] = target[i] - pred[i]
 		}
-		tree := stageTree(cfg, rng)
-		addStage(pred, g.lr, fitStage(tree, fr, resid, cfg.Subsample, rng, ws), tree, fr)
-		g.trees = append(g.trees, tree)
+		g.trees = append(g.trees, fitStage(cfg, fr, resid, pred, rng, ws))
 	}
 	fr.y = target
 }
@@ -123,50 +121,31 @@ func stageRNG(cfg GBMConfig) *rand.Rand {
 	return nil
 }
 
-// stageTree makes the next boosting tree. With subsampling it draws
-// the tree's seed first, keeping the sequence of draws rng.Perm reads.
-func stageTree(cfg GBMConfig, rng *rand.Rand) *TreeRegressor {
-	tc := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf}
-	if rng != nil {
-		tc.Seed = rng.Int63()
-	}
-	return &TreeRegressor{Config: tc}
-}
-
-// addStage adds lr times the new tree's output to every row's running
-// prediction: from the per-row leaf values growth recorded when there
-// are any, by walking the tree otherwise. Both read the same leaf
-// value, so the sums are bit-identical.
-func addStage(pred []float64, lr float64, leafv []float64, tree *TreeRegressor, fr *frame) {
-	if leafv != nil {
-		for i, v := range leafv {
-			pred[i] += lr * v
-		}
-		return
-	}
-	for i := range pred {
-		pred[i] += lr * predictCols(tree.root, fr.cols, i)
-	}
-}
-
-// fitStage fits one boosting tree on the frame with the stage's
-// pseudo-target, subsampling rows first when configured. Without
-// subsampling the tree grows over every frame row and fitStage returns
-// each row's leaf value (valid until the scratch's next fit); with it,
-// nil.
-func fitStage(tree *TreeRegressor, fr *frame, target []float64, subsampleFrac float64, rng *rand.Rand, ws *treeScratch) []float64 {
-	if subsampleFrac >= 1 {
+// fitStage grows the next boosting tree on the frame with the stage's
+// pseudo-target and adds LearningRate times its output to every row's
+// running prediction pred. Without subsampling (nil rng) growth records
+// each row's leaf value and pred is updated from those; with it, the
+// tree grows on a row subset and pred is updated by walking the tree.
+// Both read the same leaf values, so the sums are the same bits.
+func fitStage(cfg GBMConfig, fr *frame, target, pred []float64, rng *rand.Rand, ws *treeScratch) *TreeRegressor {
+	tree := &TreeRegressor{Config: TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf}}
+	if rng == nil {
 		fr.y = target
 		if cap(ws.leafBuf) < fr.n {
 			ws.leafBuf = make([]float64, fr.n)
 		}
 		ws.leafv = ws.leafBuf[:fr.n]
 		tree.fitFrame(fr, ws)
-		leafv := ws.leafv
+		for i, v := range ws.leafv {
+			pred[i] += cfg.LearningRate * v
+		}
 		ws.leafv = nil
-		return leafv
+		return tree
 	}
-	n := int(float64(fr.n) * subsampleFrac)
+	// No tree reads its seed, but drawing it before each subsample keeps
+	// the draws rng.Perm makes, and so the subsamples, where they are.
+	tree.Config.Seed = rng.Int63()
+	n := int(float64(fr.n) * cfg.Subsample)
 	if n < 1 {
 		n = 1
 	}
@@ -177,7 +156,10 @@ func fitStage(tree *TreeRegressor, fr *frame, target []float64, subsampleFrac fl
 	fr.y = saved
 	tree.fitFrame(sub, ws)
 	ws.putFrame(sub)
-	return nil
+	for i := range pred {
+		pred[i] += cfg.LearningRate * predictCols(tree.root, fr.cols, i)
+	}
+	return tree
 }
 
 // GBMClassifier is binary gradient boosting with logistic loss; labels
@@ -228,9 +210,7 @@ func (g *GBMClassifier) fitFrame(fr *frame, ws *treeScratch) {
 		for i := range grad {
 			grad[i] = target[i] - sigmoid(raw[i])
 		}
-		tree := stageTree(cfg, rng)
-		addStage(raw, g.lr, fitStage(tree, fr, grad, cfg.Subsample, rng, ws), tree, fr)
-		g.trees = append(g.trees, tree)
+		g.trees = append(g.trees, fitStage(cfg, fr, grad, raw, rng, ws))
 	}
 	fr.y = target
 }

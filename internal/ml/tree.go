@@ -313,9 +313,9 @@ func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws
 // into left|right segments, so no node ever sorts — the frame's one-time
 // presort (or the space-level presorted orderings it was filtered from)
 // carries the whole tree. idx is partitioned at every split, since
-// leaves read it; the orders only when a child can split again (it is
-// above MaxDepth and holds at least 2*MinLeaf rows), since only split
-// search reads them. idx[lo:hi] is always ascending, since it starts
+// leaves read it; the orders only when a child can split again (its
+// depth is below MaxDepth and it holds at least 2*MinLeaf rows), since
+// only split search reads them. idx[lo:hi] is always ascending, since it starts
 // as 0..n-1 and every partition is stable; a binary frame (nil orders)
 // relies on that.
 func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws *treeScratch) *treeNode {
