@@ -132,9 +132,9 @@ func MutualInformationData(d Data, y []float64, bins int) []float64 {
 	defer miPool.Put(s)
 	s.yd = s.discretize(y, bins, s.yd)
 	out := make([]float64, d.NumFeatures())
+	s.col = resizeFloats(s.col, n)
 	for f := range out {
-		s.col = d.Col(f, resizeFloats(s.col, n))
-		s.xd = s.discretize(s.col, bins, s.xd)
+		s.xd = s.discretize(d.Col(f, s.col), bins, s.xd)
 		out[f] = s.discreteMI(s.xd, s.yd)
 	}
 	return out
