@@ -2,107 +2,21 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"repro/internal/fst"
 )
 
 // ApxMODis is Algorithm 1: the (N, ε)-approximation that reduces from
 // the universal dataset. Starting at s_U it spawns one-flip Reduct
-// children level by level, valuates each level's independent children
-// as one batch through the run's Valuator — memo hits free, exact model
-// inferences fanned across the worker pool, results committed in child
-// order so any parallelism degree reproduces the sequential run — and
-// maintains the ε-skyline set with procedure UPareto until N states are
-// valuated or the space (bounded by MaxLevel) is exhausted. The context
-// is checked at frontier-pop and batch granularity (workers observe it
+// children, valuates each expansion's children in progressive windows
+// through the run's Valuator — memo hits free, exact model inferences
+// fanned across the worker pool, results committed in child order so
+// any parallelism degree reproduces the sequential run — and maintains
+// the ε-skyline set with procedure UPareto until N states are valuated
+// or the space (bounded by MaxLevel) is exhausted. The context is
+// checked at frontier-pop and window granularity (workers observe it
 // per job): cancellation or deadline expiry drains the pool and returns
 // ctx.Err() with no partial result.
 func ApxMODis(ctx context.Context, cfg *fst.Config, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opts = opts.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: ApxMODis: %w", err)
-	}
-	start := time.Now()
-	val := newValuator(cfg, opts)
-	g := newGrid(cfg, opts.Eps, opts.decisiveIdx(len(cfg.Measures)))
-	var rg *fst.RunningGraph
-	if opts.RecordGraph {
-		rg = fst.NewRunningGraph()
-	}
-
-	su := &fst.State{Bits: cfg.Space.FullBitmap(), Level: 0, Via: -1}
-	perf, err := val.Valuate(ctx, su.Bits)
-	if err != nil {
-		return nil, err
-	}
-	su.Perf = perf
-	g.upareto(su.Bits, perf)
-	if rg != nil {
-		rg.AddNode(su)
-	}
-
-	queue := newFrontier(su)
-	visited := map[fst.StateKey]bool{su.Key(): true}
-	maxLevel := 0
-	var batch []*fst.State
-
-	for queue.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if opts.N > 0 && val.Stats.Valuations() >= opts.N {
-			break
-		}
-		s := queue.pop()
-		if opts.MaxLevel > 0 && s.Level >= opts.MaxLevel {
-			continue
-		}
-		batch = batch[:0]
-		for _, child := range fst.OpGen(s, fst.Forward) {
-			k := child.Key()
-			if visited[k] {
-				continue
-			}
-			visited[k] = true
-			batch = append(batch, child)
-		}
-		n, err := val.ValuateStates(ctx, batch, opts.N)
-		if err != nil {
-			return nil, err
-		}
-		for _, child := range batch[:n] {
-			if child.Level > maxLevel {
-				maxLevel = child.Level
-				opts.emit("apx", maxLevel, queue.Len(), val.Stats.Valuations(), g.size(), false)
-			}
-			if rg != nil {
-				rg.AddEdge(s, rg.AddNode(child), child.Via, fst.Forward)
-			}
-			// Early pruning (Section 5.2, "Advantage"): under a budget,
-			// only states that enter the ε-skyline set keep spawning
-			// reductions — extending "shortest paths" first so deep
-			// levels stay reachable within N. Unbudgeted runs stay
-			// exhaustive, matching Algorithm 1 exactly.
-			if g.upareto(child.Bits, child.Perf) || opts.N == 0 {
-				queue.push(child)
-			}
-		}
-	}
-
-	opts.emit("apx", maxLevel, queue.Len(), val.Stats.Valuations(), g.size(), true)
-	return &Result{
-		Skyline: g.finalize(),
-		Stats: RunStats{
-			Valuated:   val.Stats.Valuations(),
-			ExactCalls: val.Stats.ExactCalls(),
-			Levels:     maxLevel,
-			Elapsed:    time.Since(start),
-		},
-		Graph: rg,
-	}, nil
+	return search(ctx, cfg, opts, spec{algo: "apx"})
 }

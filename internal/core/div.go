@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/fst"
 	"repro/internal/stats"
@@ -101,119 +99,15 @@ func diversifyStep(set []*Candidate, k int, alpha, eucMax float64, rng *rand.Ran
 }
 
 // DivMODis extends the bi-directional generation with the level-wise
-// diversification of Section 5.4: after each frontier expansion the
-// ε-skyline set is restricted to a k-subset maximizing the submodular
-// diversification score Div, achieving a 1/4-approximation (Lemma 5).
-// Children valuate batch-wise through the run's Valuator (exact
-// inferences on the worker pool, deterministic child-order commit), so
-// any parallelism degree reproduces the sequential skyline. The context
-// is checked at frontier-pop and batch granularity: cancellation or
-// deadline expiry drains the pool and returns ctx.Err() with no partial
-// result.
+// diversification of Section 5.4: after each round of frontier
+// expansions the ε-skyline set is restricted to a k-subset maximizing
+// the submodular diversification score Div, achieving a
+// 1/4-approximation (Lemma 5). Children valuate in progressive windows
+// through the run's Valuator (exact inferences on the worker pool,
+// deterministic child-order commit), so any parallelism degree
+// reproduces the sequential skyline. The context is checked at
+// frontier-pop and window granularity: cancellation or deadline expiry
+// drains the pool and returns ctx.Err() with no partial result.
 func DivMODis(ctx context.Context, cfg *fst.Config, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opts = opts.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: DivMODis: %w", err)
-	}
-	start := time.Now()
-	nm := len(cfg.Measures)
-	val := newValuator(cfg, opts)
-	g := newGrid(cfg, opts.Eps, opts.decisiveIdx(nm))
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
-
-	su := &fst.State{Bits: cfg.Space.FullBitmap(), Level: 0}
-	sb := &fst.State{Bits: fst.BackSt(cfg.Space), Level: 0}
-	for _, s := range []*fst.State{su, sb} {
-		perf, err := val.Valuate(ctx, s.Bits)
-		if err != nil {
-			return nil, err
-		}
-		s.Perf = perf
-		g.upareto(s.Bits, perf)
-	}
-
-	qf := newFrontier(su)
-	qb := newFrontier(sb)
-	visitedF := map[fst.StateKey]bool{su.Key(): true}
-	visitedB := map[fst.StateKey]bool{sb.Key(): true}
-	maxLevel := 0
-	var batch []*fst.State
-	budget := func() bool { return opts.N > 0 && val.Stats.Valuations() >= opts.N }
-
-	expand := func(s *fst.State, dir fst.Direction, visited map[fst.StateKey]bool) ([]*fst.State, error) {
-		batch = batch[:0]
-		for _, child := range fst.OpGen(s, dir) {
-			k := child.Key()
-			if visited[k] {
-				continue
-			}
-			visited[k] = true
-			batch = append(batch, child)
-		}
-		n, err := val.ValuateStates(ctx, batch, opts.N)
-		if err != nil {
-			return nil, err
-		}
-		var next []*fst.State
-		for _, child := range batch[:n] {
-			if child.Level > maxLevel {
-				maxLevel = child.Level
-				opts.emit("div", maxLevel, qf.Len()+qb.Len(), val.Stats.Valuations(), g.size(), false)
-			}
-			// Skyline-guided expansion, as in ApxMODis/BiMODis.
-			if g.upareto(child.Bits, child.Perf) || opts.N == 0 {
-				next = append(next, child)
-			}
-		}
-		return next, nil
-	}
-
-	for (qf.Len() > 0 || qb.Len() > 0) && !budget() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if qf.Len() > 0 {
-			sf := qf.pop()
-			if opts.MaxLevel == 0 || sf.Level < opts.MaxLevel {
-				nf, err := expand(sf, fst.Forward, visitedF)
-				if err != nil {
-					return nil, err
-				}
-				for _, s := range nf {
-					qf.push(s)
-				}
-			}
-		}
-		if qb.Len() > 0 {
-			sback := qb.pop()
-			if opts.MaxLevel == 0 || sback.Level < opts.MaxLevel {
-				nb, err := expand(sback, fst.Backward, visitedB)
-				if err != nil {
-					return nil, err
-				}
-				for _, s := range nb {
-					qb.push(s)
-				}
-			}
-		}
-		// Level-wise diversification: carry at most k candidates forward.
-		if members := g.members(); len(members) > opts.K {
-			em := maxEuc(cfg.Tests)
-			g.restrict(diversifyStep(members, opts.K, opts.Alpha, em, rng))
-		}
-	}
-
-	opts.emit("div", maxLevel, qf.Len()+qb.Len(), val.Stats.Valuations(), g.size(), true)
-	return &Result{
-		Skyline: g.finalize(),
-		Stats: RunStats{
-			Valuated:   val.Stats.Valuations(),
-			ExactCalls: val.Stats.ExactCalls(),
-			Levels:     maxLevel,
-			Elapsed:    time.Since(start),
-		},
-	}, nil
+	return search(ctx, cfg, opts, spec{algo: "div", backward: true, diversify: true})
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"repro/internal/fst"
 	"repro/internal/skyline"
@@ -11,84 +9,23 @@ import (
 
 // ExactMODis is the exact algorithm behind the fixed-parameter
 // tractability of Theorem 1: it exhausts the runnings of the generator
-// (every reachable state up to MaxLevel, or at most N valuations),
-// valuates each level's children as one batch through the run's
-// Valuator (exact inferences on the worker pool, committed in child
-// order so any parallelism reproduces the sequential result), and
-// computes the exact skyline with Kung's algorithm. Exponential in the
-// space size — use only on small spaces, e.g. to validate the (N, ε)-
-// approximations in tests and ablations. The context is checked at
-// frontier-pop and batch granularity: cancellation or deadline expiry
-// drains the pool and returns ctx.Err() with no partial result.
+// breadth-first (every reachable state up to MaxLevel, or at most N
+// valuations), valuates each expansion's children in progressive
+// windows through the run's Valuator (exact inferences on the worker
+// pool, committed in child order so any parallelism reproduces the
+// sequential result), and computes the exact skyline of the in-bounds
+// states with Kung's algorithm. Exponential in the space size — use
+// only on small spaces, e.g. to validate the (N, ε)-approximations in
+// tests and ablations. The context is checked at frontier-pop and
+// window granularity: cancellation or deadline expiry drains the pool
+// and returns ctx.Err() with no partial result.
 func ExactMODis(ctx context.Context, cfg *fst.Config, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opts = opts.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: ExactMODis: %w", err)
-	}
-	start := time.Now()
-	val := newValuator(cfg, opts)
+	return search(ctx, cfg, opts, spec{algo: "exact", exhaustive: true})
+}
 
-	su := &fst.State{Bits: cfg.Space.FullBitmap(), Level: 0}
-	perf, err := val.Valuate(ctx, su.Bits)
-	if err != nil {
-		return nil, err
-	}
-	su.Perf = perf
-
-	var all []*Candidate
-	withinBounds := func(v skyline.Vector) bool { return cfg.WithinBounds(v) }
-	if withinBounds(perf) {
-		all = append(all, &Candidate{Bits: su.Bits.Clone(), Perf: perf.Clone()})
-	}
-
-	queue := []*fst.State{su}
-	visited := map[fst.StateKey]bool{su.Key(): true}
-	maxLevel := 0
-	var batch []*fst.State
-	for len(queue) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if opts.N > 0 && val.Stats.Valuations() >= opts.N {
-			break
-		}
-		s := queue[0]
-		queue = queue[1:]
-		if opts.MaxLevel > 0 && s.Level >= opts.MaxLevel {
-			continue
-		}
-		batch = batch[:0]
-		for _, child := range fst.OpGen(s, fst.Forward) {
-			k := child.Key()
-			if visited[k] {
-				continue
-			}
-			visited[k] = true
-			batch = append(batch, child)
-		}
-		n, err := val.ValuateStates(ctx, batch, opts.N)
-		if err != nil {
-			return nil, err
-		}
-		for _, child := range batch[:n] {
-			if child.Level > maxLevel {
-				maxLevel = child.Level
-				if opts.Progress != nil {
-					opts.emit("exact", maxLevel, len(queue), val.Stats.Valuations(), incumbentSkyline(all), false)
-				}
-			}
-			if withinBounds(child.Perf) {
-				all = append(all, &Candidate{Bits: child.Bits.Clone(), Perf: child.Perf.Clone()})
-			}
-			queue = append(queue, child)
-		}
-	}
-
-	// Exact Pareto filter via Kung's algorithm (Theorem 1's
-	// multi-objective optimizer step).
+// exactSkyline filters the candidates to their exact Pareto set with
+// Kung's algorithm (Theorem 1's multi-objective optimizer step).
+func exactSkyline(all []*Candidate) []*Candidate {
 	vs := make([]skyline.Vector, len(all))
 	for i, c := range all {
 		vs[i] = c.Perf
@@ -98,17 +35,7 @@ func ExactMODis(ctx context.Context, cfg *fst.Config, opts Options) (*Result, er
 	for _, i := range keep {
 		out = append(out, all[i])
 	}
-
-	opts.emit("exact", maxLevel, 0, val.Stats.Valuations(), len(out), true)
-	return &Result{
-		Skyline: out,
-		Stats: RunStats{
-			Valuated:   val.Stats.Valuations(),
-			ExactCalls: val.Stats.ExactCalls(),
-			Levels:     maxLevel,
-			Elapsed:    time.Since(start),
-		},
-	}, nil
+	return out
 }
 
 // incumbentSkyline is the current exact-skyline cardinality of the

@@ -81,37 +81,64 @@ func TestApxValuatesNoMoreThanExact(t *testing.T) {
 
 // BuildMOSP: path costs telescope, so every label cost at a node equals
 // that node's performance delta from the start state — validating the
-// Lemma 2 correspondence executable-y.
+// Lemma 2 correspondence executable-y. Every algorithm records its
+// running graph, and on a fresh memo each valuated state is one node.
 func TestMOSPBridgeTelescopes(t *testing.T) {
-	cfg := newTestConfig(t, 2)
-	res, err := ApxMODis(context.Background(), cfg, Options{Eps: 0.2, MaxLevel: 3, RecordGraph: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Graph == nil {
-		t.Fatal("running graph not recorded")
-	}
-	startKey := cfg.Space.FullBitmap().Key()
-	g, start, ids, err := BuildMOSP(res.Graph, cfg.Tests, startKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startPerf, _ := cfg.Tests.Get(startKey)
+	for _, algo := range algorithmsUnderTest() {
+		t.Run(algo.name, func(t *testing.T) {
+			cfg := newTestConfig(t, 2)
+			res, err := algo.run(context.Background(), cfg, Options{Eps: 0.2, MaxLevel: 3, RecordGraph: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Graph == nil {
+				t.Fatal("running graph not recorded")
+			}
+			if n := res.Graph.NumNodes(); n != res.Stats.Valuated {
+				t.Errorf("graph has %d nodes, run valuated %d states", n, res.Stats.Valuated)
+			}
+			startKey := cfg.Space.FullBitmap().Key()
+			g, start, ids, err := BuildMOSP(res.Graph, cfg.Tests, startKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			startPerf, _ := cfg.Tests.Get(startKey)
 
-	labels := mosp.Exact(g, start)
-	// Every reached node's label cost must equal node.P - start.P.
-	for key, id := range ids {
-		tst, ok := cfg.Tests.Get(key)
-		if !ok {
-			continue
-		}
-		for _, l := range labels[id] {
-			for i := range l.Cost {
-				want := tst.Perf[i] - startPerf.Perf[i]
-				if math.Abs(l.Cost[i]-want) > 1e-9 {
-					t.Fatalf("label cost %v != telescoped delta %v", l.Cost[i], want)
+			labels := mosp.Exact(g, start)
+			// Every reached node's label cost must equal node.P - start.P.
+			for key, id := range ids {
+				tst, ok := cfg.Tests.Get(key)
+				if !ok {
+					continue
+				}
+				for _, l := range labels[id] {
+					for i := range l.Cost {
+						want := tst.Perf[i] - startPerf.Perf[i]
+						if math.Abs(l.Cost[i]-want) > 1e-9 {
+							t.Fatalf("label cost %v != telescoped delta %v", l.Cost[i], want)
+						}
+					}
 				}
 			}
+		})
+	}
+}
+
+// TestFinalEventCountsQueue: the final progress event of the
+// exhaustive search counts the states still queued when the budget
+// stops it, and none once it has drained its space.
+func TestFinalEventCountsQueue(t *testing.T) {
+	for _, tc := range []struct {
+		opts   Options
+		queued bool
+	}{{Options{N: 20, MaxLevel: 4}, true}, {Options{MaxLevel: 2}, false}} {
+		var last ProgressEvent
+		tc.opts.Progress = func(ev ProgressEvent) { last = ev }
+		if _, err := ExactMODis(context.Background(), newTestConfig(t, 2), tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		if !last.Done || (last.Frontier > 0) != tc.queued {
+			t.Errorf("N=%d: final event %+v", tc.opts.N, last)
 		}
 	}
 }

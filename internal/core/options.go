@@ -1,8 +1,9 @@
 // Package core implements the MODis skyline data generation algorithms:
 // ApxMODis (Algorithm 1, reduce-from-universal), BiMODis (Algorithm 2,
 // bi-directional search with correlation-based pruning), NOBiMODis
-// (BiMODis without pruning), and DivMODis (Algorithm 3, level-wise
-// diversification).
+// (BiMODis without pruning), DivMODis (Algorithm 3, level-wise
+// diversification), and the exhaustive ExactMODis. All five run one
+// frontier search (search.go) and differ only in its spec.
 package core
 
 import (
@@ -85,11 +86,12 @@ type ProgressEvent struct {
 	// Level is the deepest operator-path length reached so far.
 	Level int
 	// Frontier is the number of states currently queued across all
-	// frontiers.
+	// frontiers; in the final event, those left unexpanded.
 	Frontier int
 	// Valuated is the number of valuations used so far.
 	Valuated int
-	// SkylineSize is the size of the incumbent ε-skyline set.
+	// SkylineSize is the size of the incumbent ε-skyline set; in the
+	// final event, the size of the returned skyline.
 	SkylineSize int
 	// Done marks the final event of a run.
 	Done bool
@@ -126,18 +128,6 @@ func (o Options) withDefaults() Options {
 		o.Alpha = 0.5
 	}
 	return o
-}
-
-// newValuator builds a run's Valuator from the resolved options: the
-// worker-pool degree, plus the batch-aware exact runner when a serving
-// scheduler provides one. Every algorithm constructs its valuator here
-// so the alignment hook cannot be missed by a single search loop.
-func newValuator(cfg *fst.Config, opts Options) *fst.Valuator {
-	v := cfg.NewValuator(opts.Parallelism)
-	if opts.ExactRunner != nil {
-		v.SetExactRunner(opts.ExactRunner)
-	}
-	return v
 }
 
 func (o Options) decisiveIdx(numMeasures int) int {

@@ -8,18 +8,25 @@ import (
 	"repro/internal/skyline"
 )
 
-// frontier is the search queue of the budgeted algorithms: a min-heap
-// on mean performance, so the "extend shortest paths first"
-// prioritization of Section 5.2 pops in O(log n) instead of the former
-// O(n) linear scan. States are valuated before they are pushed, so the
-// ordering score is stable while queued.
-type frontier []*fst.State
+// frontier is the search queue of one search direction: a min-heap on
+// mean performance, so the "extend shortest paths first" prioritization
+// of Section 5.2 pops in O(log n) instead of an O(n) linear scan, or,
+// in FIFO mode, plain arrival order (the breadth-first exhaustive
+// search). States are valuated before they are pushed, so the ordering
+// score is stable while queued.
+type frontier struct {
+	states []*fst.State
+	fifo   bool
+}
 
-func (f frontier) Len() int           { return len(f) }
-func (f frontier) Less(i, j int) bool { return meanPerf(f[i]) < meanPerf(f[j]) }
-func (f frontier) Swap(i, j int)      { f[i], f[j] = f[j], f[i] }
-func (f *frontier) Push(x any)        { *f = append(*f, x.(*fst.State)) }
-func (f *frontier) Pop() any {
+// byMeanPerf orders the heap frontier.
+type byMeanPerf []*fst.State
+
+func (f byMeanPerf) Len() int           { return len(f) }
+func (f byMeanPerf) Less(i, j int) bool { return meanPerf(f[i]) < meanPerf(f[j]) }
+func (f byMeanPerf) Swap(i, j int)      { f[i], f[j] = f[j], f[i] }
+func (f *byMeanPerf) Push(x any)        { *f = append(*f, x.(*fst.State)) }
+func (f *byMeanPerf) Pop() any {
 	old := *f
 	n := len(old)
 	s := old[n-1]
@@ -28,17 +35,36 @@ func (f *frontier) Pop() any {
 	return s
 }
 
-// newFrontier heapifies the seed states.
-func newFrontier(states ...*fst.State) *frontier {
-	f := frontier(states)
-	heap.Init(&f)
-	return &f
+// newFrontier queues the seed states, heapified unless fifo.
+func newFrontier(fifo bool, states ...*fst.State) *frontier {
+	f := &frontier{states: states, fifo: fifo}
+	if !fifo {
+		heap.Init((*byMeanPerf)(&f.states))
+	}
+	return f
 }
 
-func (f *frontier) push(s *fst.State) { heap.Push(f, s) }
+func (f *frontier) Len() int { return len(f.states) }
 
-// pop removes and returns the state with the smallest mean performance.
-func (f *frontier) pop() *fst.State { return heap.Pop(f).(*fst.State) }
+func (f *frontier) push(s *fst.State) {
+	if f.fifo {
+		f.states = append(f.states, s)
+		return
+	}
+	heap.Push((*byMeanPerf)(&f.states), s)
+}
+
+// pop removes and returns the oldest state (fifo) or the state with the
+// smallest mean performance.
+func (f *frontier) pop() *fst.State {
+	if f.fifo {
+		s := f.states[0]
+		f.states[0] = nil
+		f.states = f.states[1:]
+		return s
+	}
+	return heap.Pop((*byMeanPerf)(&f.states)).(*fst.State)
+}
 
 func meanPerf(s *fst.State) float64 {
 	if len(s.Perf) == 0 {

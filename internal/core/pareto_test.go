@@ -95,7 +95,7 @@ func TestFrontierPopOrder(t *testing.T) {
 	a := &fst.State{Perf: skyline.Vector{0.9, 0.9}}
 	b := &fst.State{Perf: skyline.Vector{0.1, 0.1}}
 	c := &fst.State{Perf: skyline.Vector{0.5, 0.5}}
-	q := newFrontier(a, b, c)
+	q := newFrontier(false, a, b, c)
 	if got := q.pop(); got != b {
 		t.Fatal("pop should pick the smallest mean")
 	}
@@ -104,6 +104,13 @@ func TestFrontierPopOrder(t *testing.T) {
 	}
 	if got := q.pop(); got != c {
 		t.Fatal("second pop should pick the next smallest")
+	}
+	fifo := newFrontier(true, a, b)
+	fifo.push(c)
+	for _, want := range []*fst.State{a, b, c} {
+		if got := fifo.pop(); got != want {
+			t.Fatal("a FIFO frontier pops in arrival order")
+		}
 	}
 }
 
@@ -127,7 +134,7 @@ func popBestScan(queue []*fst.State) (*fst.State, []*fst.State) {
 func TestFrontierMatchesLinearScan(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := newFrontier()
+		q := newFrontier(false)
 		var ref []*fst.State
 		for step := 0; step < 120; step++ {
 			if rng.Intn(3) > 0 || len(ref) == 0 {

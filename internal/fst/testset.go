@@ -287,8 +287,8 @@ func (ts *TestSet) All() []*Test {
 
 // AppendAll snapshots the valuation order into dst (reusing its
 // capacity) — the allocation-free variant of All for hot loops that
-// re-snapshot as the record grows, e.g. BiMODis' per-window prune
-// history.
+// re-snapshot as the record grows, e.g. the prune history that the
+// search refreshes between valuation windows.
 func (ts *TestSet) AppendAll(dst []*Test) []*Test {
 	ts.ordMu.RLock()
 	defer ts.ordMu.RUnlock()

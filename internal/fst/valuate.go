@@ -95,7 +95,7 @@ func (c *Config) NewValuator(parallelism int) *Valuator {
 func (v *Valuator) Parallelism() int { return v.par }
 
 // Valuate valuates a single state bitmap against this run's counters —
-// the start-state path; frontiers of children go through ValuateStates.
+// the start-state path; frontiers of children go through ValuateWindow.
 // It is the single-state window, so the policy (memo adoption, warmup
 // gate, ExactEvery, canonical-memo commit) and the cancellation
 // behavior are exactly the batch ones — root valuations are often the
@@ -131,8 +131,9 @@ type valJob struct {
 const MaxWindow = 16
 
 // GrowWindow advances the progressive window schedule: 1, 2, 4, 8,
-// MaxWindow, MaxWindow, ... Shared by ValuateStates and search loops
-// (BiMODis' prune chunking) so both refresh at the same boundaries.
+// MaxWindow, MaxWindow, ... The search loop of internal/core slices
+// each expansion's children with it and refreshes its own inputs (the
+// skyline, BiMODis' prune history) between windows.
 func GrowWindow(size int) int {
 	size *= 2
 	if size > MaxWindow {
@@ -141,45 +142,19 @@ func GrowWindow(size int) int {
 	return size
 }
 
-// ValuateStates fills Perf for a deterministic prefix of states — the
-// independent children of one frontier expansion — processing them in
-// progressive windows (see MaxWindow). Memo hits cost nothing;
-// budget > 0 caps this run's total valuations, cutting the batch short
-// exactly where the sequential search would stop. It returns how many
-// leading states were processed; states[n:] are left untouched (and
-// unvaluated). Cancellation drains the pool and surfaces ctx.Err();
-// the side effects of children preceding the first error commit first
-// — exactly those a sequential run would have committed before
-// stopping at that child.
-func (v *Valuator) ValuateStates(ctx context.Context, states []*State, budget int) (int, error) {
-	done := 0
-	size := 1
-	for done < len(states) {
-		end := done + size
-		if end > len(states) {
-			end = len(states)
-		}
-		window := states[done:end]
-		n, err := v.ValuateWindow(ctx, window, budget)
-		done += n
-		if err != nil {
-			return done, err
-		}
-		if n < len(window) { // window cut short: budget exhausted
-			break
-		}
-		size = GrowWindow(size)
-	}
-	return done, nil
-}
-
 // ValuateWindow plans, executes, and commits one window as a unit: the
 // surrogate consults the estimator as trained before the window, all
 // exact inferences of the window fan out across the pool together, and
-// side effects commit in child order. Search loops that interleave
-// their own bookkeeping between windows (BiMODis' pruning) drive this
-// directly with GrowWindow-sized slices; everything else goes through
-// ValuateStates.
+// side effects commit in child order. Memo hits are free; budget > 0
+// caps this run's total valuations, cutting the window short exactly
+// where a sequential search would stop. It returns how many leading
+// states were processed; states[n:] are left untouched (and
+// unvaluated). Cancellation drains the pool and surfaces ctx.Err();
+// the side effects of states preceding the first error commit first —
+// exactly those a sequential run would have committed before stopping
+// at that state. The search drives it with GrowWindow-sized slices of
+// each expansion's children, interleaving its own bookkeeping (skyline
+// updates, pruning) between windows.
 func (v *Valuator) ValuateWindow(ctx context.Context, states []*State, budget int) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err

@@ -131,9 +131,26 @@ func (m *safeCountModel) count() int {
 	return m.calls
 }
 
-// TestValuateStatesBudgetCut: the batch stops exactly at the budget and
-// leaves the remaining states untouched, like the sequential loop.
-func TestValuateStatesBudgetCut(t *testing.T) {
+// valuateWindows drives v over states on the search's progressive
+// window schedule (1, 2, 4, ... MaxWindow), stopping after a window the
+// budget cut short, and returns how many leading states were processed.
+func valuateWindows(ctx context.Context, v *Valuator, states []*State, budget int) (int, error) {
+	done := 0
+	for size := 1; done < len(states); size = GrowWindow(size) {
+		window := states[done:min(done+size, len(states))]
+		n, err := v.ValuateWindow(ctx, window, budget)
+		done += n
+		if err != nil || n < len(window) {
+			return done, err
+		}
+	}
+	return done, nil
+}
+
+// TestValuateWindowsBudgetCut: the windows stop exactly at the budget —
+// mid-window — and leave the remaining states untouched, like the
+// sequential loop.
+func TestValuateWindowsBudgetCut(t *testing.T) {
 	cfg := testConfig(&countingModel{})
 	cfg.Validate()
 	val := cfg.NewValuator(4)
@@ -145,7 +162,7 @@ func TestValuateStatesBudgetCut(t *testing.T) {
 		b.Clear(i)
 		states = append(states, &State{Bits: b, Level: 1, Via: i})
 	}
-	n, err := val.ValuateStates(context.Background(), states, 4)
+	n, err := valuateWindows(context.Background(), val, states, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +184,9 @@ func TestValuateStatesBudgetCut(t *testing.T) {
 	}
 }
 
-// TestValuateStatesMemoHitsAreFree: memoized states fill from T without
+// TestValuateWindowsMemoHitsAreFree: memoized states fill from T without
 // consuming budget or model calls.
-func TestValuateStatesMemoHitsAreFree(t *testing.T) {
+func TestValuateWindowsMemoHitsAreFree(t *testing.T) {
 	m := &countingModel{}
 	cfg := testConfig(m)
 	cfg.Validate()
@@ -182,7 +199,7 @@ func TestValuateStatesMemoHitsAreFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	states := []*State{{Bits: b.Clone(), Level: 1}}
-	n, err := val.ValuateStates(context.Background(), states, 0)
+	n, err := valuateWindows(context.Background(), val, states, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,16 +214,16 @@ func TestValuateStatesMemoHitsAreFree(t *testing.T) {
 	}
 }
 
-// TestValuateStatesCancelledContext: cancellation surfaces as ctx.Err()
-// from the batch.
-func TestValuateStatesCancelledContext(t *testing.T) {
+// TestValuateWindowsCancelledContext: cancellation surfaces as ctx.Err()
+// from the window.
+func TestValuateWindowsCancelledContext(t *testing.T) {
 	cfg := testConfig(&countingModel{})
 	cfg.Validate()
 	val := cfg.NewValuator(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	b := cfg.Space.FullBitmap()
-	_, err := val.ValuateStates(ctx, []*State{{Bits: b}}, 0)
+	_, err := val.ValuateWindow(ctx, []*State{{Bits: b}}, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -237,7 +254,7 @@ func TestConcurrentValuatorsShareMemo(t *testing.T) {
 			defer wg.Done()
 			val := cfg.NewValuator(2)
 			states := mkStates()
-			if _, err := val.ValuateStates(context.Background(), states, 0); err != nil {
+			if _, err := valuateWindows(context.Background(), val, states, 0); err != nil {
 				t.Error(err)
 			}
 			for _, s := range states {
@@ -292,7 +309,7 @@ func TestExactRunnerMatchesBuiltinPool(t *testing.T) {
 			b.Clear(i)
 			states = append(states, &State{Bits: b, Level: 1, Via: i})
 		}
-		if _, err := val.ValuateStates(context.Background(), states, 0); err != nil {
+		if _, err := valuateWindows(context.Background(), val, states, 0); err != nil {
 			t.Fatal(err)
 		}
 		return states, val, rr, cfg.Tests

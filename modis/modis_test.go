@@ -330,33 +330,49 @@ func TestConcurrentEngineRuns(t *testing.T) {
 	}
 }
 
+// TestProgressEventsStream: every algorithm streams level events whose
+// levels and valuation counts never decrease, then one final event that
+// agrees with the report.
 func TestProgressEventsStream(t *testing.T) {
-	var events []modis.Event
-	_, err := modis.NewEngine(newTestConfig(t, nil)).Run(context.Background(), "bi",
-		modis.WithBudget(80), modis.WithMaxLevel(3),
-		modis.WithProgress(func(ev modis.Event) { events = append(events, ev) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) < 2 {
-		t.Fatalf("got %d events, want level events plus a final one", len(events))
-	}
-	last := events[len(events)-1]
-	if !last.Done {
-		t.Error("final event must have Done set")
-	}
-	prev := -1
-	for _, ev := range events {
-		if ev.Algorithm != "bi" {
-			t.Errorf("event algorithm = %q", ev.Algorithm)
-		}
-		if ev.Level < prev {
-			t.Errorf("levels must be non-decreasing: %d after %d", ev.Level, prev)
-		}
-		prev = ev.Level
-		if ev.Valuated == 0 && !ev.Done {
-			t.Error("level event with no valuations")
-		}
+	for _, algo := range allAlgorithms() {
+		t.Run(algo, func(t *testing.T) {
+			var events []modis.Event
+			rep, err := modis.NewEngine(newTestConfig(t, nil)).Run(context.Background(), algo,
+				modis.WithBudget(80), modis.WithMaxLevel(3),
+				modis.WithProgress(func(ev modis.Event) { events = append(events, ev) }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(events) < 2 {
+				t.Fatalf("got %d events, want level events plus a final one", len(events))
+			}
+			prevLevel, prevValuated := -1, -1
+			for i, ev := range events {
+				if ev.Algorithm != algo {
+					t.Errorf("event algorithm = %q", ev.Algorithm)
+				}
+				if ev.Done != (i == len(events)-1) {
+					t.Errorf("event %d: Done = %v; only the final event is done", i, ev.Done)
+				}
+				if ev.Level < prevLevel {
+					t.Errorf("levels must be non-decreasing: %d after %d", ev.Level, prevLevel)
+				}
+				if ev.Valuated < prevValuated {
+					t.Errorf("valuations must be non-decreasing: %d after %d", ev.Valuated, prevValuated)
+				}
+				prevLevel, prevValuated = ev.Level, ev.Valuated
+				if ev.Valuated == 0 && !ev.Done {
+					t.Error("level event with no valuations")
+				}
+			}
+			last := events[len(events)-1]
+			if last.Valuated != rep.Valuated {
+				t.Errorf("final event Valuated = %d, report %d", last.Valuated, rep.Valuated)
+			}
+			if last.SkylineSize != len(rep.Skyline) {
+				t.Errorf("final event SkylineSize = %d, report skyline has %d members", last.SkylineSize, len(rep.Skyline))
+			}
+		})
 	}
 }
 

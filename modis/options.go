@@ -24,11 +24,13 @@ type Event struct {
 	Algorithm string `json:"algorithm"`
 	// Level is the deepest operator-path length reached so far.
 	Level int `json:"level"`
-	// Frontier is the number of states currently queued.
+	// Frontier is the number of states currently queued; in the final
+	// event, those left unexpanded.
 	Frontier int `json:"frontier"`
 	// Valuated is the number of valuations used so far.
 	Valuated int `json:"valuated"`
-	// SkylineSize is the incumbent ε-skyline set size.
+	// SkylineSize is the incumbent ε-skyline set size; in the final
+	// event, the size of the report's skyline.
 	SkylineSize int `json:"skyline_size"`
 	// Done marks the final event of a run.
 	Done bool `json:"done"`
@@ -278,8 +280,9 @@ func WithAdmission(fn func(ctx context.Context) error) Option {
 	}
 }
 
-// WithRecordGraph captures the running graph G_T in the report, for
-// analysis and the MOSP reduction.
+// WithRecordGraph captures the running graph G_T in the report — every
+// valuated state and each transition with its direction — for analysis
+// and the MOSP reduction. Every algorithm records it.
 func WithRecordGraph() Option {
 	return func(s *settings) error {
 		s.recordGraph = true
