@@ -21,32 +21,44 @@ import (
 // change that means to move outputs updates them (the failure message
 // prints the new table) and says so.
 var pinnedFingerprints = map[string]string{
-	"fisher/data":             "e2d013e99dc94c1a",
-	"forestclf/data":          "ff5b4eb9cedff1f0",
-	"forestclf/fit":           "a70d96a1ea228799",
-	"forestreg/data":          "cafc796dd585a483",
-	"forestreg/fit":           "8596d588e0c4df39",
-	"gbmclf-sub0.7/data":      "efea7f419c26d5fe",
-	"gbmclf-sub0.7/fit":       "8fce7f43a9f9fafc",
-	"gbmclf/data":             "90c20c4d25f4e40f",
-	"gbmclf/fit":              "d782617c116e1811",
-	"gbmreg-minleaf4/data":    "666200f520f436fb",
-	"gbmreg-minleaf4/fitcols": "12d883a6bf55db12",
-	"gbmreg/data":             "04516efa1788b919",
-	"gbmreg/fit":              "011feb01ba938fe1",
-	"histgbm/data":            "0e89e5547f71e7e8",
-	"histgbm/fit":             "d36835273f0a1852",
-	"mi/data":                 "9e1d5725ad28ba98",
-	"mi/data-continuous":      "1d5418912bbf0ecc",
-	"mi/rows":                 "4a3240cbc801c231",
-	"mogbm/fit":               "5f2edaa10b141067",
-	"mogbm/fitcols":           "5f2edaa10b141067",
-	"treeclf/data":            "e5f4d83043d87f4b",
-	"treeclf/fit":             "5cb2a9f7c6daf1f0",
-	"treereg-minleaf5/fit":    "4900260312b6e920",
-	"treereg-tie/fit":         "9d9bc8ffe313f57f",
-	"treereg/data":            "0acfd825b57c3b3d",
-	"treereg/fit":             "966b38cf0f3e8ca6",
+	"fisher/data":                    "e2d013e99dc94c1a",
+	"forestclf-levels-3class/fit":    "6b4959d1b15120e6",
+	"forestclf-levels-minleaf1/data": "3be11bfec4e5c7f6",
+	"forestclf-levels-minleaf1/fit":  "05a98c02e91fafe2",
+	"forestclf-levels/data":          "aef2e038dfa025c5",
+	"forestclf-levels/fit":           "7f54dab979073f9a",
+	"forestclf/data":                 "ff5b4eb9cedff1f0",
+	"forestclf/fit":                  "a70d96a1ea228799",
+	"forestreg/data":                 "cafc796dd585a483",
+	"forestreg/fit":                  "8596d588e0c4df39",
+	"gbmclf-sub0.7/data":             "efea7f419c26d5fe",
+	"gbmclf-sub0.7/fit":              "8fce7f43a9f9fafc",
+	"gbmclf/data":                    "90c20c4d25f4e40f",
+	"gbmclf/fit":                     "d782617c116e1811",
+	"gbmreg-minleaf4/data":           "666200f520f436fb",
+	"gbmreg-minleaf4/fitcols":        "12d883a6bf55db12",
+	"gbmreg/data":                    "04516efa1788b919",
+	"gbmreg/fit":                     "011feb01ba938fe1",
+	"histgbm/data":                   "0e89e5547f71e7e8",
+	"histgbm/fit":                    "d36835273f0a1852",
+	"mi/data":                        "9e1d5725ad28ba98",
+	"mi/data-continuous":             "1d5418912bbf0ecc",
+	"mi/rows":                        "4a3240cbc801c231",
+	"mogbm/fit":                      "5f2edaa10b141067",
+	"mogbm/fitcols":                  "5f2edaa10b141067",
+	"treeclf-levels-3class/fit":      "fe94d266f188e14f",
+	"treeclf-levels-minleaf1/data":   "96005e58045a7b78",
+	"treeclf-levels-minleaf1/fit":    "11a7e6f2a1193e55",
+	"treeclf-levels-minleaf7/data":   "bba4b7331178590b",
+	"treeclf-levels-minleaf7/fit":    "144aaa81b71cc181",
+	"treeclf-levels/data":            "492da08ce09be7c7",
+	"treeclf-levels/fit":             "82ef8d7a5e132bd7",
+	"treeclf/data":                   "e5f4d83043d87f4b",
+	"treeclf/fit":                    "5cb2a9f7c6daf1f0",
+	"treereg-minleaf5/fit":           "4900260312b6e920",
+	"treereg-tie/fit":                "9d9bc8ffe313f57f",
+	"treereg/data":                   "0acfd825b57c3b3d",
+	"treereg/fit":                    "966b38cf0f3e8ca6",
 }
 
 // fingerprintTable is a seeded 160-row table full of ties: a few-level
@@ -142,14 +154,18 @@ func fingerprintOutputs() map[string]string {
 	u := fingerprintTable()
 	encR := NewTableEncoderSkip(u, "yr", "id", "yc")
 	encC := NewTableEncoderSkip(u, "yc", "id", "yr")
-	dsR, dsC := encR.Encode(u), encC.Encode(u)
+	// Without the continuous c every feature has at most 16 value
+	// levels (a 5, b 9, s 3, z 4 with ±0 as one level), the shape of
+	// every exact fit in the datagen tasks.
+	encL := NewTableEncoderSkip(u, "yc", "id", "yr", "c")
+	dsR, dsC, dsL := encR.Encode(u), encC.Encode(u), encL.Encode(u)
 	var sub []int
 	for i := 0; i < u.NumRows(); i++ {
 		if i%5 != 2 {
 			sub = append(sub, i)
 		}
 	}
-	vR, vC := encR.Matrix().View(sub, nil), encC.Matrix().View(sub, nil)
+	vR, vC, vL := encR.Matrix().View(sub, nil), encC.Matrix().View(sub, nil), encL.Matrix().View(sub, nil)
 
 	out := map[string]string{}
 	predictAll := func(X [][]float64, f func([]float64) float64) string {
@@ -198,12 +214,34 @@ func fingerprintOutputs() map[string]string {
 	both("forestclf", dsC, vC, func() model {
 		return &ForestClassifier{Config: ForestConfig{NumTrees: 10, MaxDepth: 6, Seed: 2}}
 	}, proba)
+	both("treeclf-levels", dsL, vL, func() model { return &TreeClassifier{Config: TreeConfig{MaxDepth: 6}} }, proba)
+	both("treeclf-levels-minleaf1", dsL, vL, func() model { return &TreeClassifier{Config: TreeConfig{MaxDepth: 8, MinLeaf: 1}} }, proba)
+	both("treeclf-levels-minleaf7", dsL, vL, func() model { return &TreeClassifier{Config: TreeConfig{MaxDepth: 8, MinLeaf: 7}} }, proba)
+	both("forestclf-levels", dsL, vL, func() model {
+		return &ForestClassifier{Config: ForestConfig{NumTrees: 10, MaxDepth: 6, Seed: 2}}
+	}, proba)
+	both("forestclf-levels-minleaf1", dsL, vL, func() model {
+		return &ForestClassifier{Config: ForestConfig{NumTrees: 10, MaxDepth: 8, MinLeaf: 1, MaxFeatures: 3, Seed: 4}}
+	}, proba)
 	both("forestreg", dsR, vR, func() model {
 		return &ForestRegressor{Config: ForestConfig{NumTrees: 10, MaxDepth: 6, Seed: 2}}
 	}, predict)
 	both("histgbm", dsC, vC, func() model {
 		return &HistGBMClassifier{Config: HistGBMConfig{GBM: GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 1}, NumBins: 8}}
 	}, proba)
+	// Three classes plus a label of -1, which split search clamps to
+	// class 0 and leaf probabilities ignore.
+	y3 := make([]float64, len(dsL.Y))
+	for i, x := range dsL.X {
+		y3[i] = dsL.Y[i] + float64(int(x[0])%3) - 1
+	}
+	proba3 := func(p []float64) float64 { return p[1] + 4*p[2] }
+	tc := &TreeClassifier{Config: TreeConfig{MaxDepth: 6, MinLeaf: 1}, NumClass: 3}
+	tc.Fit(dsL.X, y3)
+	out["treeclf-levels-3class/fit"] = predictAll(dsL.X, func(x []float64) float64 { return proba3(tc.PredictProba(x)) })
+	fc := &ForestClassifier{Config: ForestConfig{NumTrees: 6, MaxDepth: 6, Seed: 3}, NumClass: 3}
+	fc.Fit(dsL.X, y3)
+	out["forestclf-levels-3class/fit"] = predictAll(dsL.X, func(x []float64) float64 { return proba3(fc.PredictProba(x)) })
 	// Large leaves make the k < MinLeaf abort common.
 	tm := &TreeRegressor{Config: TreeConfig{MaxDepth: 8, MinLeaf: 5}}
 	tm.Fit(dsR.X, dsR.Y)
