@@ -11,7 +11,8 @@ import "sort"
 // dataset fit of the same numbers grow bit-identical trees by
 // construction: (value, position) is a total order, hence every correct
 // construction yields the same permutation, and all downstream growth is
-// shared code.
+// shared code. A classification fit then reads value levels off the
+// orders (readLevels); a leveled frame is grown from its levels alone.
 type frame struct {
 	cols [][]float64 // [feature][position]
 	y    []float64   // [position]
@@ -26,21 +27,38 @@ type frame struct {
 	// ascending position segment (see bestSplitBinary). Its cols alias
 	// the caller's columns.
 	binary bool
+	// leveled marks a classification frame whose every feature has at
+	// most maxLevels values: lv[f][p] is the value level of position p
+	// and lvals[f][l] the value of level l, ascending. Growth reads
+	// only lv and lvals, never base or cols, so it copies and
+	// partitions no orders (see bestSplitLevels); a leveled bootstrap
+	// resample leaves base and cols unfilled.
+	leveled bool
+	lv      [][]uint8
+	lvals   [][]float64
 
 	// Backing slabs, retained across the pool so a recycled frame of
 	// the same shape reslices instead of reallocating. ybuf backs y
 	// only for frames that own their target (ownY); frames built over
 	// a caller's y alias it and putFrame drops the alias.
-	colBuf []float64
-	ordBuf []int32
-	ybuf   []float64
+	colBuf  []float64
+	ordBuf  []int32
+	ybuf    []float64
+	lvBuf   []uint8
+	lvalBuf []float64
 }
+
+// maxLevels is the most values a feature of a leveled frame may have:
+// a level fits a uint8, and a node's level × class count histogram
+// stays small enough to clear for every feature it scans.
+const maxLevels = 16
 
 // takeFrame pops a frame off the scratch's free list, or makes one.
 func (ws *treeScratch) takeFrame() *frame {
 	if k := len(ws.frameFree); k > 0 {
 		fr := ws.frameFree[k-1]
 		ws.frameFree = ws.frameFree[:k-1]
+		fr.leveled = false
 		return fr
 	}
 	return &frame{}
@@ -86,6 +104,67 @@ func (ws *treeScratch) putFrame(fr *frame) {
 		clear(fr.cols)
 	}
 	ws.frameFree = append(ws.frameFree, fr)
+}
+
+// carveLevels slices the level tables out of the frame's pooled slabs:
+// lv[f] holds n positions, lvals[f] is empty with room for maxLevels.
+func (fr *frame) carveLevels() {
+	nf, n := fr.nf, fr.n
+	if cap(fr.lvBuf) < nf*n {
+		fr.lvBuf = make([]uint8, nf*n)
+	}
+	if cap(fr.lvalBuf) < nf*maxLevels {
+		fr.lvalBuf = make([]float64, nf*maxLevels)
+	}
+	fr.lv, fr.lvals = fr.lv[:0], fr.lvals[:0]
+	for f := 0; f < nf; f++ {
+		lo := f * maxLevels
+		fr.lv = append(fr.lv, fr.lvBuf[f*n:(f+1)*n])
+		fr.lvals = append(fr.lvals, fr.lvalBuf[lo:lo:lo+maxLevels])
+	}
+}
+
+// readLevels makes fr a leveled frame when every feature qualifies:
+// at most maxLevels values, no NaN, and a base order sorted by
+// (level, position). Levels are read off each presorted order with the
+// ordered scan's own != test, so level boundaries are exactly that
+// scan's candidate thresholds. Any other frame stays on the ordered
+// path.
+func (fr *frame) readLevels() {
+	fr.carveLevels()
+	for f := 0; f < fr.nf; f++ {
+		if !fr.readFeatureLevels(f) {
+			return
+		}
+	}
+	fr.leveled = true
+}
+
+// readFeatureLevels fills lv[f] and lvals[f] from base[f], reporting
+// whether feature f qualifies for a leveled frame.
+func (fr *frame) readFeatureLevels(f int) bool {
+	col, lv := fr.cols[f], fr.lv[f]
+	vals := fr.lvals[f]
+	last := int32(-1)
+	for _, p := range fr.base[f] {
+		v := col[p]
+		switch {
+		case v != v: // NaN
+			return false
+		case len(vals) > 0 && v == vals[len(vals)-1]:
+			if p < last {
+				return false
+			}
+		case len(vals) == maxLevels || len(vals) > 0 && v < vals[len(vals)-1]:
+			return false
+		default:
+			vals = append(vals, v)
+		}
+		lv[p] = uint8(len(vals) - 1)
+		last = p
+	}
+	fr.lvals[f] = vals
+	return true
 }
 
 // ownY points the frame's target at its own pooled slab (resized to

@@ -39,6 +39,7 @@ type ForestClassifier struct {
 func (f *ForestClassifier) Fit(X [][]float64, y []float64) {
 	ws := getScratch()
 	fr := frameFromRows(X, y, ws)
+	fr.readLevels()
 	f.fitFrame(fr, ws)
 	ws.putFrame(fr)
 	putScratch(ws)
@@ -48,6 +49,7 @@ func (f *ForestClassifier) Fit(X [][]float64, y []float64) {
 func (f *ForestClassifier) FitData(d Data) {
 	ws := getScratch()
 	fr := d.buildFrame(ws)
+	fr.readLevels()
 	f.fitFrame(fr, ws)
 	ws.putFrame(fr)
 	putScratch(ws)
@@ -197,8 +199,11 @@ func (f *ForestRegressor) Importances(nf int) []float64 {
 // frame's dense value ranks in linear time (counting) instead of
 // re-sorting, so the resampled frame satisfies the same unique
 // (value, position) order invariant as every other frame constructor.
-// All buffers — the resampled frame, the draw vector, the rank tables,
-// the counting scratch — are reused across the ensemble's trees.
+// A leveled base frame's levels are those dense ranks, so its
+// resamples are leveled too: each gathers its positions' levels and
+// keeps no orders or columns. All buffers — the resampled frame, the
+// draw vector, the rank tables, the counting scratch — are reused
+// across the ensemble's trees.
 type bootstrapper struct {
 	base *frame
 	out  *frame
@@ -214,6 +219,14 @@ func newBootstrapper(fr *frame, ws *treeScratch) *bootstrapper {
 	b := &bootstrapper{base: fr, out: ws.getFrame(fr.nf, fr.n)}
 	b.out.ownY(fr.n)
 	b.boot = make([]int32, fr.n)
+	if fr.leveled {
+		b.out.carveLevels()
+		b.out.leveled = true
+		for f, vals := range fr.lvals {
+			b.out.lvals[f] = append(b.out.lvals[f], vals...)
+		}
+		return b
+	}
 	b.cnt = make([]int32, fr.n+1)
 	b.rankOf = make([][]int32, fr.nf)
 	b.nRank = make([]int32, fr.nf)
@@ -246,9 +259,18 @@ func (b *bootstrapper) resample(rng *rand.Rand) *frame {
 	for i := 0; i < n; i++ {
 		b.boot[i] = int32(rng.Intn(n))
 	}
-	// Gather the resampled target and columns.
+	// Gather the resampled target and columns, or levels.
 	for i, src := range b.boot[:n] {
 		out.y[i] = fr.y[src]
+	}
+	if fr.leveled {
+		for f, src := range fr.lv {
+			lv := out.lv[f]
+			for i, p := range b.boot[:n] {
+				lv[i] = src[p]
+			}
+		}
+		return out
 	}
 	for f := 0; f < fr.nf; f++ {
 		bc, sc := out.cols[f], fr.cols[f]

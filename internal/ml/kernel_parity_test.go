@@ -317,3 +317,257 @@ func TestLeafValuesMatchPredictCols(t *testing.T) {
 	checkLeafValues(t, "abort", fr, tree, leafv)
 	ws.putFrame(fr)
 }
+
+// levelRows draws n rows of nf features, feature f over levels[f]
+// distinct values, and labels in [-1, nClass]: -1 and nClass are out
+// of range, so split search clamps them. A zero level takes -0 or +0
+// at random. With mirror set, every feature has the same level count
+// of rows and labels that are symmetric in the level, so splits at
+// mirrored boundaries gain exactly the same.
+func levelRows(rng *rand.Rand, n int, levels []int, nClass int, mirror bool) (X [][]float64, y []float64) {
+	negZero := math.Copysign(0, -1)
+	vals := make([][]float64, len(levels))
+	for f, L := range levels {
+		base := float64(rng.Intn(3) - 2) // 0 among the values most of the time
+		for l := 0; l < L; l++ {
+			vals[f] = append(vals[f], base+float64(l)*[]float64{0.5, 1, 3}[f%3])
+		}
+	}
+	X = make([][]float64, n)
+	y = make([]float64, n)
+	for i := range X {
+		X[i] = make([]float64, len(levels))
+		for f, L := range levels {
+			l := rng.Intn(L)
+			if mirror {
+				l = i % L
+			}
+			v := vals[f][l]
+			if v == 0 && rng.Intn(2) == 0 {
+				v = negZero
+			}
+			X[i][f] = v
+		}
+		y[i] = float64(rng.Intn(nClass+2) - 1)
+		if mirror {
+			l := i % levels[0]
+			y[i] = float64(min(l, levels[0]-1-l) % nClass)
+		}
+	}
+	return X, y
+}
+
+// TestLevelSplitMatchesOrdered checks bestSplitLevels against
+// bestSplitOrdered bit for bit — gain, threshold and ok — on random
+// leveled frames: 1 to 16 levels, 2 to 4 classes with out-of-range
+// labels, ±0, mirrored ties, every MinLeaf from 1 to 4, node segments
+// left by up to three partitions, and bootstrap resamples with
+// duplicate rows.
+func TestLevelSplitMatchesOrdered(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ws := new(treeScratch)
+	checks := 0
+	for trial := 0; trial < 400; trial++ {
+		nf, nClass := 1+rng.Intn(3), 2+rng.Intn(3)
+		levels := make([]int, nf)
+		for f := range levels {
+			levels[f] = 1 + rng.Intn(maxLevels)
+		}
+		n := 1 + rng.Intn(70)
+		mirror := trial%5 == 0
+		if mirror {
+			for f := range levels {
+				levels[f] = levels[0]
+			}
+			n = levels[0] * (1 + rng.Intn(4))
+		}
+		X, y := levelRows(rng, n, levels, nClass, mirror)
+		fr := frameFromRows(X, y, ws)
+		fr.readLevels()
+		if !fr.leveled {
+			t.Fatalf("trial %d: levels %v not leveled", trial, levels)
+		}
+		// ord is the frame the ordered scan reads: fr itself, or for a
+		// bootstrap draw the resample's columns with sorted orders.
+		lfr, ord := fr, fr
+		if trial%3 == 1 {
+			bs := newBootstrapper(fr, ws)
+			lfr = bs.resample(rng)
+			ord = &frame{y: lfr.y, n: n, nf: nf, cols: make([][]float64, nf), base: make([][]int32, nf)}
+			for f := 0; f < nf; f++ {
+				ord.cols[f] = make([]float64, n)
+				for i, p := range bs.boot {
+					ord.cols[f][i] = fr.cols[f][p]
+				}
+				ord.base[f] = make([]int32, n)
+				sortOrder(ord.cols[f], ord.base[f])
+			}
+		}
+		ws.ensureGrow(0, n)
+		ws.prepareLevels(lfr.y, nClass)
+		idx := make([]int32, n)
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+		orders := make([][]int32, nf)
+		for f := range orders {
+			orders[f] = append([]int32(nil), ord.base[f]...)
+		}
+		lo, hi := 0, n
+		for cut := rng.Intn(4); ; cut-- {
+			seg := idx[lo:hi]
+			for _, minLeaf := range []int{1, 2, 3, 4} {
+				parentImp := impurity(lfr.y, seg, true, nClass, ws)
+				for f := 0; f < nf; f++ {
+					wg, wt, wok := bestSplitOrdered(ord, orders[f][lo:hi], f, minLeaf, parentImp, true, nClass, ws)
+					gg, gt, gok := bestSplitLevels(lfr, f, seg, minLeaf, parentImp, nClass, ws)
+					if math.Float64bits(gg) != math.Float64bits(wg) || math.Float64bits(gt) != math.Float64bits(wt) || gok != wok {
+						t.Fatalf("trial %d feature %d segment [%d,%d) minLeaf %d: levels (%v, %v, %v), ordered (%v, %v, %v)",
+							trial, f, lo, hi, minLeaf, gg, gt, gok, wg, wt, wok)
+					}
+					checks++
+				}
+			}
+			if cut == 0 || hi-lo < 2 {
+				break
+			}
+			// Partition the node at random and descend into one side.
+			k := 0
+			for _, p := range seg {
+				ws.left[p] = uint8(rng.Intn(2))
+				k += int(ws.left[p])
+			}
+			stablePartition(seg, k, ws.left, ws.partL, ws.partR)
+			for _, o := range orders {
+				stablePartition(o[lo:hi], k, ws.left, ws.partL, ws.partR)
+			}
+			if rng.Intn(2) == 0 {
+				hi = lo + k
+			} else {
+				lo += k
+			}
+		}
+		ws.putFrame(fr)
+	}
+	if checks < 5000 {
+		t.Fatalf("only %d kernel comparisons", checks)
+	}
+}
+
+// TestLeveledTreesMatchOrdered grows classification trees and forests
+// over the same frame twice, on its levels and on its presorted orders,
+// and requires bit-identical predictions. One feature's levels are
+// adjacent floats whose midpoints round onto the upper value, so a
+// split can send a whole level the other way or be abandoned.
+func TestLeveledTreesMatchOrdered(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	ws := new(treeScratch)
+	a := math.Nextafter(1, 2)
+	adjacent := []float64{1, a, math.Nextafter(a, 2)}
+	for trial := 0; trial < 40; trial++ {
+		nf, nClass := 1+rng.Intn(4), 2+rng.Intn(3)
+		levels := make([]int, nf)
+		for f := range levels {
+			levels[f] = 1 + rng.Intn(maxLevels)
+		}
+		n := 2 + rng.Intn(150)
+		X, y := levelRows(rng, n, levels, nClass, false)
+		for i := range X {
+			X[i] = append(X[i], adjacent[rng.Intn(3)])
+		}
+		cfg := TreeConfig{MaxDepth: 1 + rng.Intn(7), MinLeaf: 1 + rng.Intn(4)}
+		fcfg := ForestConfig{NumTrees: 3, MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, Seed: int64(trial)}
+
+		fr := frameFromRows(X, y, ws)
+		ordTree := &TreeClassifier{Config: cfg, NumClass: nClass}
+		ordTree.fitFrame(fr, ws)
+		ordForest := &ForestClassifier{Config: fcfg, NumClass: nClass}
+		ordForest.fitFrame(fr, ws)
+		fr.readLevels()
+		if !fr.leveled {
+			t.Fatalf("trial %d: not leveled", trial)
+		}
+		lvTree := &TreeClassifier{Config: cfg, NumClass: nClass}
+		lvTree.fitFrame(fr, ws)
+		lvForest := &ForestClassifier{Config: fcfg, NumClass: nClass}
+		lvForest.fitFrame(fr, ws)
+		ws.putFrame(fr)
+
+		for i, x := range X {
+			for _, pair := range [][2][]float64{
+				{lvTree.PredictProba(x), ordTree.PredictProba(x)},
+				{lvForest.PredictProba(x), ordForest.PredictProba(x)},
+			} {
+				for c := range pair[1] {
+					if math.Float64bits(pair[0][c]) != math.Float64bits(pair[1][c]) {
+						t.Fatalf("trial %d row %d class %d: leveled %v, ordered %v", trial, i, c, pair[0], pair[1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLevelsKeepOrderedPath: a frame is leveled only when every feature
+// has at most maxLevels values, none NaN, in a (level, position)-sorted
+// base order; any other frame, and every resample of it, keeps its
+// orders.
+func TestLevelsKeepOrderedPath(t *testing.T) {
+	ws := new(treeScratch)
+	build := func(col []float64) *frame {
+		X := make([][]float64, len(col))
+		for i, v := range col {
+			X[i] = []float64{float64(i % 2), v}
+		}
+		return frameFromRows(X, make([]float64, len(col)), ws)
+	}
+	spread := func(L int) []float64 {
+		col := make([]float64, 40)
+		for i := range col {
+			col[i] = float64((i * 7) % L)
+		}
+		return col
+	}
+	nan := spread(4)
+	nan[5] = math.NaN()
+	for _, tc := range []struct {
+		name    string
+		col     []float64
+		unsort  bool
+		leveled bool
+	}{
+		{"16 levels", spread(16), false, true},
+		{"17 levels", spread(17), false, false},
+		{"NaN", nan, false, false},
+		{"positions out of order in a level", spread(4), true, false},
+	} {
+		fr := build(tc.col)
+		if tc.unsort {
+			o := fr.base[1]
+			o[0], o[1] = o[1], o[0]
+		}
+		fr.readLevels()
+		if fr.leveled != tc.leveled {
+			t.Fatalf("%s: leveled %v, want %v", tc.name, fr.leveled, tc.leveled)
+		}
+		bs := newBootstrapper(fr, ws)
+		out := bs.resample(rand.New(rand.NewSource(1)))
+		if out.leveled != tc.leveled {
+			t.Fatalf("%s: resample leveled %v, want %v", tc.name, out.leveled, tc.leveled)
+		}
+		if !tc.leveled {
+			// The ordered resample carries a full order of every feature.
+			seen := make([]bool, out.n)
+			for _, p := range out.base[1] {
+				seen[p] = true
+			}
+			for p, ok := range seen {
+				if !ok {
+					t.Fatalf("%s: resample order misses position %d", tc.name, p)
+				}
+			}
+		}
+		ws.putFrame(bs.out)
+		ws.putFrame(fr)
+	}
+}

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -309,7 +310,9 @@ func TestCountingOrderMatchesSort(t *testing.T) {
 // TestBootstrapOrdersMatchSort: resampled frames must satisfy the same
 // unique (value, position) order invariant as every other frame
 // constructor, including across tied values drawn from different
-// source rows.
+// source rows. A leveled resample keeps no orders; its levels must
+// order positions as the levels read off the counting-sort order of
+// the same draw do, and carry the same values.
 func TestBootstrapOrdersMatchSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n := 80
@@ -335,6 +338,56 @@ func TestBootstrapOrdersMatchSort(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// Few-level columns, ±0 among them: the base frame is leveled.
+	negZero := math.Copysign(0, -1)
+	for i := range X {
+		z := 0.0
+		if rng.Intn(2) == 0 {
+			z = negZero
+		}
+		X[i] = []float64{float64(i % 3), float64(rng.Intn(16)), []float64{z, 1, -2}[rng.Intn(3)]}
+	}
+	lfr, ofr := frameFromRows(X, y, ws), frameFromRows(X, y, ws)
+	lfr.readLevels()
+	if !lfr.leveled || ofr.leveled {
+		t.Fatalf("leveled %v and %v, want true and false", lfr.leveled, ofr.leveled)
+	}
+	lbs, obs := newBootstrapper(lfr, ws), newBootstrapper(ofr, ws)
+	for trial := 0; trial < 6; trial++ {
+		seed := rng.Int63()
+		lb := lbs.resample(rand.New(rand.NewSource(seed)))
+		ob := obs.resample(rand.New(rand.NewSource(seed)))
+		if !lb.leveled || ob.leveled {
+			t.Fatalf("trial %d: resamples leveled %v and %v, want true and false", trial, lb.leveled, ob.leveled)
+		}
+		// Read the ordered resample's levels into a frame of its own, so
+		// its bootstrapper keeps an unleveled output.
+		rfr := ws.getFrame(ob.nf, ob.n)
+		rfr.y = ob.y
+		for f := 0; f < ob.nf; f++ {
+			copy(rfr.cols[f], ob.cols[f])
+			copy(rfr.base[f], ob.base[f])
+		}
+		rfr.readLevels()
+		if !rfr.leveled {
+			t.Fatalf("trial %d: levels not read off the counting-sort order", trial)
+		}
+		for f := 0; f < lb.nf; f++ {
+			got, want := lb.lv[f], rfr.lv[f]
+			for p := 0; p < lb.n; p++ {
+				if gv, wv := lb.lvals[f][got[p]], rfr.lvals[f][want[p]]; gv != wv || gv != ob.cols[f][p] {
+					t.Fatalf("trial %d feature %d pos %d: level value %v, read off the order %v, column %v", trial, f, p, gv, wv, ob.cols[f][p])
+				}
+				for q := 0; q < lb.n; q++ {
+					if (got[p] < got[q]) != (want[p] < want[q]) {
+						t.Fatalf("trial %d feature %d: positions %d, %d ordered apart by the two level sets", trial, f, p, q)
+					}
+				}
+			}
+		}
+		ws.putFrame(rfr)
 	}
 }
 

@@ -39,10 +39,11 @@ func (c TreeConfig) withDefaults() TreeConfig {
 }
 
 // treeScratch holds the buffers reused across every node of a fit —
-// node position slices, per-feature working orders, partition and
-// class-count scratch — so growing a tree allocates only its leaf
-// probability vectors and, in slab-sized chunks, its persistent nodes.
-// Ensemble fits share one scratch across all their trees.
+// node position slices, per-feature working orders (none for a leveled
+// or binary frame), partition, class-count and level-histogram scratch
+// — so growing a tree allocates only its leaf probability vectors and,
+// in slab-sized chunks, its persistent nodes. Ensemble fits share one
+// scratch across all their trees.
 type treeScratch struct {
 	feats    []int
 	leftCnt  []float64
@@ -73,6 +74,11 @@ type treeScratch struct {
 	oneY  []float64
 	// cnt backs counting sorts over presorted value ranks.
 	cnt []int32
+	// cls[p] is position p's class, clamped, and hist the level × class
+	// count histogram bestSplitLevels builds per node and feature; both
+	// serve leveled frames only.
+	cls  []int32
+	hist []float64
 
 	// frameFree recycles fitting frames (column/order slabs) across the
 	// fits sharing this scratch — see getFrame/putFrame in colfit.go.
@@ -124,6 +130,7 @@ func (ws *treeScratch) ensureGrow(nf, n int) {
 		ws.partR = make([]int32, n)
 		ws.zeroY = make([]float64, n)
 		ws.oneY = make([]float64, n)
+		ws.cls = make([]int32, n)
 	}
 	if cap(ws.workBuf) < nf*n {
 		ws.workBuf = make([]int32, nf*n)
@@ -190,6 +197,7 @@ type TreeClassifier struct {
 func (t *TreeClassifier) Fit(X [][]float64, y []float64) {
 	ws := getScratch()
 	fr := frameFromRows(X, y, ws)
+	fr.readLevels()
 	t.fitFrame(fr, ws)
 	ws.putFrame(fr)
 	putScratch(ws)
@@ -199,6 +207,7 @@ func (t *TreeClassifier) Fit(X [][]float64, y []float64) {
 func (t *TreeClassifier) FitData(d Data) {
 	ws := getScratch()
 	fr := d.buildFrame(ws)
+	fr.readLevels()
 	t.fitFrame(fr, ws)
 	ws.putFrame(fr)
 	putScratch(ws)
@@ -283,14 +292,15 @@ func asLeaf(node *treeNode, y []float64, idx []int32, clf bool, nClass int, ws *
 
 // growFit prepares the per-fit growth state (position slice, working
 // copies of the frame's presorted feature orders) and grows the tree.
-// A binary frame has no orders to copy.
+// Orders are nil for binary and leveled frames: there are none to copy,
+// and growth reads each node off its ascending position segment.
 func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws *treeScratch) *treeNode {
-	if fr.binary && clf {
-		panic("ml: binary frames are built for regression fits only")
+	if fr.binary && clf || fr.leveled && !clf {
+		panic("ml: binary frames are for regression fits, leveled frames for classification fits")
 	}
 	n := fr.n
 	var orders [][]int32
-	if fr.binary {
+	if fr.binary || fr.leveled {
 		ws.ensureGrow(0, n)
 	} else {
 		ws.ensureGrow(fr.nf, n)
@@ -298,6 +308,9 @@ func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws
 			copy(ws.work[f], fr.base[f])
 		}
 		orders = ws.work
+	}
+	if fr.leveled {
+		ws.prepareLevels(fr.y, nClass)
 	}
 	idx := ws.idx[:n]
 	for i := range idx {
@@ -315,9 +328,9 @@ func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws
 // carries the whole tree. idx is partitioned at every split, since
 // leaves read it; the orders only when a child can split again (its
 // depth is below MaxDepth and it holds at least 2*MinLeaf rows), since
-// only split search reads them. idx[lo:hi] is always ascending, since it starts
-// as 0..n-1 and every partition is stable; a binary frame (nil orders)
-// relies on that.
+// only split search reads them. idx[lo:hi] is always ascending, since it
+// starts as 0..n-1 and every partition is stable; binary and leveled
+// frames (nil orders) rely on that.
 func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws *treeScratch) *treeNode {
 	node := ws.newNode(hi - lo)
 	seg := idx[lo:hi]
@@ -345,9 +358,12 @@ func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg 
 	for _, f := range feats {
 		var gain, thresh float64
 		var ok bool
-		if fr.binary {
+		switch {
+		case fr.binary:
 			gain, thresh, ok = bestSplitBinary(fr.cols[f], fr.y, seg, cfg.MinLeaf, parentImp, ws)
-		} else {
+		case fr.leveled:
+			gain, thresh, ok = bestSplitLevels(fr, f, seg, cfg.MinLeaf, parentImp, nClass, ws)
+		default:
 			gain, thresh, ok = bestSplitOrdered(fr, orders[f][lo:hi], f, cfg.MinLeaf, parentImp, clf, nClass, ws)
 		}
 		if ok && gain > bestGain+1e-12 {
@@ -358,16 +374,30 @@ func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg 
 		return asLeaf(node, fr.y, seg, clf, nClass, ws)
 	}
 
-	// Mark each position's side and count the left partition.
-	col := fr.cols[bestFeat]
+	// Mark each position's side and count the left partition. A
+	// leveled frame compares its level values: rows of a level compare
+	// equal to it.
 	k := 0
-	for _, p := range seg {
-		var b uint8
-		if col[p] <= bestThresh {
-			b = 1
+	if fr.leveled {
+		lv, vals := fr.lv[bestFeat], fr.lvals[bestFeat]
+		for _, p := range seg {
+			var b uint8
+			if vals[lv[p]] <= bestThresh {
+				b = 1
+			}
+			ws.left[p] = b
+			k += int(b)
 		}
-		ws.left[p] = b
-		k += int(b)
+	} else {
+		col := fr.cols[bestFeat]
+		for _, p := range seg {
+			var b uint8
+			if col[p] <= bestThresh {
+				b = 1
+			}
+			ws.left[p] = b
+			k += int(b)
+		}
 	}
 	if k < cfg.MinLeaf || (hi-lo)-k < cfg.MinLeaf {
 		return asLeaf(node, fr.y, seg, clf, nClass, ws)
@@ -551,6 +581,81 @@ func bestSplitOrdered(fr *frame, order []int32, f, minLeaf int, parentImp float6
 			best = g
 			thresh = (col[p] + col[order[j+1]]) / 2
 		}
+	}
+	if best <= 0 {
+		return 0, 0, false
+	}
+	return best, thresh, true
+}
+
+// prepareLevels sizes the class-count scratch for a leveled fit and
+// caches each position's class, clamped as bestSplitOrdered clamps it.
+func (ws *treeScratch) prepareLevels(y []float64, nClass int) {
+	if cap(ws.leftCnt) < nClass {
+		ws.leftCnt = make([]float64, nClass)
+		ws.rightCnt = make([]float64, nClass)
+	}
+	if cap(ws.hist) < maxLevels*nClass {
+		ws.hist = make([]float64, maxLevels*nClass)
+	}
+	cls := ws.cls[:len(y)]
+	for p, v := range y {
+		cls[p] = int32(clampClass(int(v), nClass))
+	}
+}
+
+// bestSplitLevels is bestSplitOrdered's classification scan over a
+// leveled frame, bit for bit. It reads the node off its ascending
+// segment seg instead of a presorted order: one pass counts classes per
+// value level, then the non-empty levels are scanned in ascending
+// order. The ordered scan's candidates are exactly the boundaries
+// between non-empty levels, where its running counts equal the
+// cumulative level counts here. Counts are integer-valued floats, so
+// they are exact in any summation order, and every gain, and with it
+// the first-best choice, comes out the same. A boundary's threshold is
+// the midpoint of the two level values, which is the ordered scan's
+// midpoint of the two rows beside the boundary: rows of one level
+// compare equal, and the only equal floats with different bits, ±0,
+// give the same sum with a nonzero neighbour.
+func bestSplitLevels(fr *frame, f int, seg []int32, minLeaf int, parentImp float64, nClass int, ws *treeScratch) (gain, thresh float64, ok bool) {
+	lv, vals, cls := fr.lv[f], fr.lvals[f], ws.cls
+	hist := zeroed(ws.hist[:len(vals)*nClass])
+	for _, p := range seg {
+		hist[int(lv[p])*nClass+int(cls[p])]++
+	}
+	leftCnt := zeroed(ws.leftCnt[:nClass])
+	rightCnt := zeroed(ws.rightCnt[:nClass])
+	for l := 0; l < len(hist); l += nClass {
+		for c, k := range hist[l : l+nClass] {
+			rightCnt[c] += k
+		}
+	}
+	lw, rw := 0.0, float64(len(seg))
+	best := -1.0
+	prev := -1
+	for l := range vals {
+		row := hist[l*nClass : (l+1)*nClass]
+		var m float64
+		for _, k := range row {
+			m += k
+		}
+		if m == 0 {
+			continue
+		}
+		if prev >= 0 && lw >= float64(minLeaf) && rw >= float64(minLeaf) {
+			g := parentImp - (lw*gini(leftCnt, lw)+rw*gini(rightCnt, rw))/(lw+rw)
+			if g > best {
+				best = g
+				thresh = (vals[prev] + vals[l]) / 2
+			}
+		}
+		for c, k := range row {
+			leftCnt[c] += k
+			rightCnt[c] -= k
+		}
+		lw += m
+		rw -= m
+		prev = l
 	}
 	if best <= 0 {
 		return 0, 0, false
