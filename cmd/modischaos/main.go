@@ -70,14 +70,24 @@ func main() {
 		keep   = flag.Bool("keep", false, "keep the scratch directory (state dirs, logs) after the run")
 	)
 	flag.Parse()
+	if err := run(*modisd, *rows, *keep); err != nil {
+		fmt.Fprintf(os.Stderr, "modischaos: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	h := &harness{modisd: *modisd, rows: *rows, ref: map[string]string{}}
+// run starts the fleet, drives every scenario and checks the contract.
+// Its deferred teardown stops every daemon started so far on every
+// return path, a failed setup included; os.Exit would skip it, so only
+// main exits.
+func run(modisd string, rows int, keep bool) error {
+	h := &harness{modisd: modisd, rows: rows, ref: map[string]string{}}
 	var err error
 	h.workdir, err = os.MkdirTemp("", "modischaos-*")
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if !*keep {
+	if !keep {
 		defer os.RemoveAll(h.workdir)
 	} else {
 		defer fmt.Fprintf(os.Stderr, "modischaos: scratch kept at %s\n", h.workdir)
@@ -88,7 +98,7 @@ func main() {
 	defer cancel()
 
 	if err := h.setup(ctx); err != nil {
-		fatal(err)
+		return err
 	}
 	scenarios := []struct {
 		name string
@@ -115,15 +125,10 @@ func main() {
 		for _, v := range h.violations {
 			fmt.Fprintf(os.Stderr, "VIOLATION: %s\n", v)
 		}
-		h.teardown()
-		os.Exit(1)
+		return fmt.Errorf("%d invariant violations", len(h.violations))
 	}
 	fmt.Fprintf(os.Stderr, "modischaos: %d accepted jobs, all invariants held: OK\n", len(h.accepted))
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "modischaos: %v\n", err)
-	os.Exit(1)
+	return nil
 }
 
 // setup starts two daemons, wraps each in a fault proxy, and fronts
@@ -141,10 +146,12 @@ func (h *harness) setup(ctx context.Context) error {
 		if err := h.startDaemon(n); err != nil {
 			return err
 		}
+		// Recorded as soon as it runs, so teardown stops it even when
+		// the rest of the setup fails.
+		h.nodes = append(h.nodes, n)
 		if n.cp, err = chaos.NewProxy("127.0.0.1:0", n.addr, chaos.Faults{}); err != nil {
 			return err
 		}
-		h.nodes = append(h.nodes, n)
 	}
 	for _, n := range h.nodes {
 		if err := waitHealthy(ctx, n.addr); err != nil {

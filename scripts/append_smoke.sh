@@ -16,8 +16,18 @@ MODISD=${MODISD:-/tmp/modisd}
 ADDR=${ADDR:-127.0.0.1:9965}
 PIDS=()
 
+# cleanup stops every process the script started and waits for it:
+# after SIGTERM modisd drains for up to its -drain (30 s by default),
+# so without the wait a daemon could outlive a passing smoke. Whatever
+# still runs after about 10 s is killed.
 cleanup() {
+  local pid deadline=$((SECONDS + 10))
   for pid in "${PIDS[@]:-}"; do kill "$pid" 2>/dev/null || true; done
+  for pid in "${PIDS[@]:-}"; do
+    while kill -0 "$pid" 2>/dev/null && [ "$SECONDS" -lt "$deadline" ]; do sleep 0.1; done
+    kill -9 "$pid" 2>/dev/null || true
+    wait "$pid" 2>/dev/null || true
+  done
 }
 trap cleanup EXIT
 
