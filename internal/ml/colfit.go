@@ -48,9 +48,9 @@ type frame struct {
 	lvalBuf []float64
 }
 
-// maxLevels is the most values a feature of a leveled frame may have:
-// a level fits a uint8, and a node's level × class count histogram
-// stays small enough to clear for every feature it scans.
+// maxLevels is the most values a feature of a leveled frame may have,
+// so that a node's level × class count histogram stays small enough to
+// clear for every feature it scans.
 const maxLevels = 16
 
 // takeFrame pops a frame off the scratch's free list, or makes one.

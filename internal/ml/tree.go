@@ -130,7 +130,6 @@ func (ws *treeScratch) ensureGrow(nf, n int) {
 		ws.partR = make([]int32, n)
 		ws.zeroY = make([]float64, n)
 		ws.oneY = make([]float64, n)
-		ws.cls = make([]int32, n)
 	}
 	if cap(ws.workBuf) < nf*n {
 		ws.workBuf = make([]int32, nf*n)
@@ -597,6 +596,9 @@ func (ws *treeScratch) prepareLevels(y []float64, nClass int) {
 	}
 	if cap(ws.hist) < maxLevels*nClass {
 		ws.hist = make([]float64, maxLevels*nClass)
+	}
+	if cap(ws.cls) < len(y) {
+		ws.cls = make([]int32, len(y))
 	}
 	cls := ws.cls[:len(y)]
 	for p, v := range y {
