@@ -21,44 +21,60 @@ import (
 // change that means to move outputs updates them (the failure message
 // prints the new table) and says so.
 var pinnedFingerprints = map[string]string{
-	"fisher/data":                    "e2d013e99dc94c1a",
-	"forestclf-levels-3class/fit":    "6b4959d1b15120e6",
-	"forestclf-levels-minleaf1/data": "3be11bfec4e5c7f6",
-	"forestclf-levels-minleaf1/fit":  "05a98c02e91fafe2",
-	"forestclf-levels/data":          "aef2e038dfa025c5",
-	"forestclf-levels/fit":           "7f54dab979073f9a",
-	"forestclf/data":                 "ff5b4eb9cedff1f0",
-	"forestclf/fit":                  "a70d96a1ea228799",
-	"forestreg/data":                 "cafc796dd585a483",
-	"forestreg/fit":                  "8596d588e0c4df39",
-	"gbmclf-sub0.7/data":             "efea7f419c26d5fe",
-	"gbmclf-sub0.7/fit":              "8fce7f43a9f9fafc",
-	"gbmclf/data":                    "90c20c4d25f4e40f",
-	"gbmclf/fit":                     "d782617c116e1811",
-	"gbmreg-minleaf4/data":           "666200f520f436fb",
-	"gbmreg-minleaf4/fitcols":        "12d883a6bf55db12",
-	"gbmreg/data":                    "04516efa1788b919",
-	"gbmreg/fit":                     "011feb01ba938fe1",
-	"histgbm/data":                   "0e89e5547f71e7e8",
-	"histgbm/fit":                    "d36835273f0a1852",
-	"mi/data":                        "9e1d5725ad28ba98",
-	"mi/data-continuous":             "1d5418912bbf0ecc",
-	"mi/rows":                        "4a3240cbc801c231",
-	"mogbm/fit":                      "5f2edaa10b141067",
-	"mogbm/fitcols":                  "5f2edaa10b141067",
-	"treeclf-levels-3class/fit":      "fe94d266f188e14f",
-	"treeclf-levels-minleaf1/data":   "96005e58045a7b78",
-	"treeclf-levels-minleaf1/fit":    "11a7e6f2a1193e55",
-	"treeclf-levels-minleaf7/data":   "bba4b7331178590b",
-	"treeclf-levels-minleaf7/fit":    "144aaa81b71cc181",
-	"treeclf-levels/data":            "492da08ce09be7c7",
-	"treeclf-levels/fit":             "82ef8d7a5e132bd7",
-	"treeclf/data":                   "e5f4d83043d87f4b",
-	"treeclf/fit":                    "5cb2a9f7c6daf1f0",
-	"treereg-minleaf5/fit":           "4900260312b6e920",
-	"treereg-tie/fit":                "9d9bc8ffe313f57f",
-	"treereg/data":                   "0acfd825b57c3b3d",
-	"treereg/fit":                    "966b38cf0f3e8ca6",
+	"fisher/data":                     "e2d013e99dc94c1a",
+	"forestclf-levels-3class/fit":     "6b4959d1b15120e6",
+	"forestclf-levels-3class/predict": "74cf57e692a162e2",
+	"forestclf-levels-minleaf1/data":  "3be11bfec4e5c7f6",
+	"forestclf-levels-minleaf1/fit":   "05a98c02e91fafe2",
+	"forestclf-levels/data":           "aef2e038dfa025c5",
+	"forestclf-levels/fit":            "7f54dab979073f9a",
+	"forestclf/data":                  "ff5b4eb9cedff1f0",
+	"forestclf/fit":                   "a70d96a1ea228799",
+	"forestreg-levels/data":           "5c5815f8ffd805ef",
+	"forestreg-levels/fit":            "684df90db6d0f356",
+	"forestreg/data":                  "cafc796dd585a483",
+	"forestreg/fit":                   "8596d588e0c4df39",
+	"gbmclf-levels/data":              "972788b79c88d30e",
+	"gbmclf-levels/fit":               "b0d25507288ce15e",
+	"gbmclf-sub0.7/data":              "efea7f419c26d5fe",
+	"gbmclf-sub0.7/fit":               "8fce7f43a9f9fafc",
+	"gbmclf/data":                     "90c20c4d25f4e40f",
+	"gbmclf/fit":                      "d782617c116e1811",
+	"gbmreg-levels/data":              "0a454ea4d1c1b52a",
+	"gbmreg-levels/fit":               "6287abffe2488012",
+	"gbmreg-minleaf4/data":            "666200f520f436fb",
+	"gbmreg-minleaf4/fitcols":         "12d883a6bf55db12",
+	"gbmreg/data":                     "04516efa1788b919",
+	"gbmreg/fit":                      "011feb01ba938fe1",
+	"histgbm-bins16/data":             "75c40591270d3cee",
+	"histgbm-bins16/fit":              "a21ce3a39b1728d2",
+	"histgbm-bins16/predict":          "46516dff0d3fa427",
+	"histgbm/data":                    "0e89e5547f71e7e8",
+	"histgbm/fit":                     "d36835273f0a1852",
+	"mi/data":                         "9e1d5725ad28ba98",
+	"mi/data-continuous":              "1d5418912bbf0ecc",
+	"mi/rows":                         "4a3240cbc801c231",
+	"mogbm/fit":                       "5f2edaa10b141067",
+	"mogbm/fitcols":                   "5f2edaa10b141067",
+	"treeclf-levels-3class/fit":       "fe94d266f188e14f",
+	"treeclf-levels-minleaf1/data":    "96005e58045a7b78",
+	"treeclf-levels-minleaf1/fit":     "11a7e6f2a1193e55",
+	"treeclf-levels-minleaf7/data":    "bba4b7331178590b",
+	"treeclf-levels-minleaf7/fit":     "144aaa81b71cc181",
+	"treeclf-levels/data":             "492da08ce09be7c7",
+	"treeclf-levels/fit":              "82ef8d7a5e132bd7",
+	"treeclf/data":                    "e5f4d83043d87f4b",
+	"treeclf/fit":                     "5cb2a9f7c6daf1f0",
+	"treereg-levels-minleaf1/data":    "56cf8e77eea5b59f",
+	"treereg-levels-minleaf1/fit":     "e94ae762150eb561",
+	"treereg-levels-minleaf7/data":    "b9e74d7486cabf75",
+	"treereg-levels-minleaf7/fit":     "7f949aae3a14a293",
+	"treereg-levels/data":             "94ead15f6b1d1ec4",
+	"treereg-levels/fit":              "4121ac1ea692046f",
+	"treereg-minleaf5/fit":            "4900260312b6e920",
+	"treereg-tie/fit":                 "9d9bc8ffe313f57f",
+	"treereg/data":                    "0acfd825b57c3b3d",
+	"treereg/fit":                     "966b38cf0f3e8ca6",
 }
 
 // fingerprintTable is a seeded 160-row table full of ties: a few-level
@@ -158,7 +174,8 @@ func fingerprintOutputs() map[string]string {
 	// levels (a 5, b 9, s 3, z 4 with ±0 as one level), the shape of
 	// every exact fit in the datagen tasks.
 	encL := NewTableEncoderSkip(u, "yc", "id", "yr", "c")
-	dsR, dsC, dsL := encR.Encode(u), encC.Encode(u), encL.Encode(u)
+	encLR := NewTableEncoderSkip(u, "yr", "id", "yc", "c")
+	dsR, dsC, dsL, dsLR := encR.Encode(u), encC.Encode(u), encL.Encode(u), encLR.Encode(u)
 	var sub []int
 	for i := 0; i < u.NumRows(); i++ {
 		if i%5 != 2 {
@@ -166,6 +183,7 @@ func fingerprintOutputs() map[string]string {
 		}
 	}
 	vR, vC, vL := encR.Matrix().View(sub, nil), encC.Matrix().View(sub, nil), encL.Matrix().View(sub, nil)
+	vLR := encLR.Matrix().View(sub, nil)
 
 	out := map[string]string{}
 	predictAll := func(X [][]float64, f func([]float64) float64) string {
@@ -229,6 +247,19 @@ func fingerprintOutputs() map[string]string {
 	both("histgbm", dsC, vC, func() model {
 		return &HistGBMClassifier{Config: HistGBMConfig{GBM: GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 1}, NumBins: 8}}
 	}, proba)
+	// Regression over at most 16 value levels: the regression target on
+	// the encoding without c, and HistGBM's at most 16 bins.
+	both("treereg-levels", dsLR, vLR, func() model { return &TreeRegressor{Config: TreeConfig{MaxDepth: 6}} }, predict)
+	both("treereg-levels-minleaf1", dsLR, vLR, func() model { return &TreeRegressor{Config: TreeConfig{MaxDepth: 8, MinLeaf: 1}} }, predict)
+	both("treereg-levels-minleaf7", dsLR, vLR, func() model { return &TreeRegressor{Config: TreeConfig{MaxDepth: 8, MinLeaf: 7}} }, predict)
+	both("gbmreg-levels", dsLR, vLR, func() model { return &GBMRegressor{Config: GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 1}} }, predict)
+	both("gbmclf-levels", dsL, vL, func() model { return &GBMClassifier{Config: GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 1}} }, proba)
+	both("forestreg-levels", dsLR, vLR, func() model {
+		return &ForestRegressor{Config: ForestConfig{NumTrees: 10, MaxDepth: 6, Seed: 2}}
+	}, predict)
+	both("histgbm-bins16", dsC, vC, func() model {
+		return &HistGBMClassifier{Config: HistGBMConfig{GBM: GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 1}, NumBins: 16}}
+	}, proba)
 	// Three classes plus a label of -1, which split search clamps to
 	// class 0 and leaf probabilities ignore.
 	y3 := make([]float64, len(dsL.Y))
@@ -242,6 +273,11 @@ func fingerprintOutputs() map[string]string {
 	fc := &ForestClassifier{Config: ForestConfig{NumTrees: 6, MaxDepth: 6, Seed: 3}, NumClass: 3}
 	fc.Fit(dsL.X, y3)
 	out["forestclf-levels-3class/fit"] = predictAll(dsL.X, func(x []float64) float64 { return proba3(fc.PredictProba(x)) })
+	out["forestclf-levels-3class/predict"] = predictAll(dsL.X, fc.Predict)
+	// Hard labels of HistGBM, which bin each predicted row.
+	hg := &HistGBMClassifier{Config: HistGBMConfig{GBM: GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 1}, NumBins: 16}}
+	hg.FitData(vC)
+	out["histgbm-bins16/predict"] = predictAll(dsC.X, hg.Predict)
 	// Large leaves make the k < MinLeaf abort common.
 	tm := &TreeRegressor{Config: TreeConfig{MaxDepth: 8, MinLeaf: 5}}
 	tm.Fit(dsR.X, dsR.Y)
