@@ -11,8 +11,8 @@ import "sort"
 // dataset fit of the same numbers grow bit-identical trees by
 // construction: (value, position) is a total order, hence every correct
 // construction yields the same permutation, and all downstream growth is
-// shared code. A classification fit then reads value levels off the
-// orders (readLevels); a leveled frame is grown from its levels alone.
+// shared code. Tree fits then read value levels off the orders
+// (readLevels); a leveled frame is grown from its levels alone.
 type frame struct {
 	cols [][]float64 // [feature][position]
 	y    []float64   // [position]
@@ -27,12 +27,13 @@ type frame struct {
 	// ascending position segment (see bestSplitBinary). Its cols alias
 	// the caller's columns.
 	binary bool
-	// leveled marks a classification frame whose every feature has at
-	// most maxLevels values: lv[f][p] is the value level of position p
-	// and lvals[f][l] the value of level l, ascending. Growth reads
-	// only lv and lvals, never base or cols, so it copies and
-	// partitions no orders (see bestSplitLevels); a leveled bootstrap
-	// resample leaves base and cols unfilled.
+	// leveled marks a frame whose every feature has at most maxLevels
+	// values: lv[f][p] is the value level of position p and lvals[f][l]
+	// the value of level l, ascending. Growth reads only lv and lvals,
+	// never base or cols, so it copies and partitions no orders (see
+	// bestSplitLevels for classification, bestSplitRuns for
+	// regression); a leveled bootstrap resample leaves base and cols
+	// unfilled.
 	leveled bool
 	lv      [][]uint8
 	lvals   [][]float64
@@ -50,7 +51,8 @@ type frame struct {
 
 // maxLevels is the most values a feature of a leveled frame may have,
 // so that a node's level × class count histogram stays small enough to
-// clear for every feature it scans.
+// clear for every feature it scans, and a regression node's level runs
+// take at most maxLevels times its size.
 const maxLevels = 16
 
 // takeFrame pops a frame off the scratch's free list, or makes one.

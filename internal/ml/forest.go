@@ -132,6 +132,7 @@ type ForestRegressor struct {
 func (f *ForestRegressor) Fit(X [][]float64, y []float64) {
 	ws := getScratch()
 	fr := frameFromRows(X, y, ws)
+	fr.readLevels()
 	f.fitFrame(fr, ws)
 	ws.putFrame(fr)
 	putScratch(ws)
@@ -141,6 +142,7 @@ func (f *ForestRegressor) Fit(X [][]float64, y []float64) {
 func (f *ForestRegressor) FitData(d Data) {
 	ws := getScratch()
 	fr := d.buildFrame(ws)
+	fr.readLevels()
 	f.fitFrame(fr, ws)
 	ws.putFrame(fr)
 	putScratch(ws)

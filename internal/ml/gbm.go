@@ -67,6 +67,9 @@ func (g *GBMRegressor) FitData(d Data) {
 // per stage.
 func (g *GBMRegressor) fitFrame(fr *frame, ws *treeScratch) {
 	cfg := g.Config.withDefaults()
+	if !fr.binary && cfg.Subsample == 1 {
+		fr.readLevels()
+	}
 	g.lr = cfg.LearningRate
 	g.bias = mean(fr.y)
 	g.trees = g.trees[:0]
@@ -191,6 +194,9 @@ func (g *GBMClassifier) FitData(d Data) {
 
 func (g *GBMClassifier) fitFrame(fr *frame, ws *treeScratch) {
 	cfg := g.Config.withDefaults()
+	if !fr.binary && cfg.Subsample == 1 {
+		fr.readLevels()
+	}
 	g.lr = cfg.LearningRate
 	g.trees = g.trees[:0]
 	if fr.n == 0 {

@@ -357,6 +357,64 @@ func levelRows(rng *rand.Rand, n int, levels []int, nClass int, mirror bool) (X 
 	return X, y
 }
 
+// walkSegments visits node segments the way growth leaves them: the
+// root [0, n), then up to three times a random stable partition of the
+// current segment (idx and every order in orders) and a descent into
+// one side.
+func walkSegments(rng *rand.Rand, ws *treeScratch, idx []int32, orders [][]int32, visit func(lo, hi int)) {
+	lo, hi := 0, len(idx)
+	for cut := rng.Intn(4); ; cut-- {
+		visit(lo, hi)
+		if cut == 0 || hi-lo < 2 {
+			return
+		}
+		seg := idx[lo:hi]
+		k := 0
+		for _, p := range seg {
+			ws.left[p] = uint8(rng.Intn(2))
+			k += int(ws.left[p])
+		}
+		stablePartition(seg, k, ws.left, ws.partL, ws.partR)
+		for _, o := range orders {
+			stablePartition(o[lo:hi], k, ws.left, ws.partL, ws.partR)
+		}
+		if rng.Intn(2) == 0 {
+			hi = lo + k
+		} else {
+			lo += k
+		}
+	}
+}
+
+// orderedTwin returns the frame the ordered scan reads for a leveled
+// frame lfr: fr itself, or for a bootstrap resample of fr (boot non-nil)
+// the resample's columns with sorted orders; and working copies of its
+// orders plus the ascending position slice growth starts from.
+func orderedTwin(fr, lfr *frame, boot []int32) (ord *frame, orders [][]int32, idx []int32) {
+	n, nf := lfr.n, fr.nf
+	ord = fr
+	if boot != nil {
+		ord = &frame{y: lfr.y, n: n, nf: nf, cols: make([][]float64, nf), base: make([][]int32, nf)}
+		for f := 0; f < nf; f++ {
+			ord.cols[f] = make([]float64, n)
+			for i, p := range boot {
+				ord.cols[f][i] = fr.cols[f][p]
+			}
+			ord.base[f] = make([]int32, n)
+			sortOrder(ord.cols[f], ord.base[f])
+		}
+	}
+	orders = make([][]int32, nf)
+	for f := range orders {
+		orders[f] = append([]int32(nil), ord.base[f]...)
+	}
+	idx = make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return ord, orders, idx
+}
+
 // TestLevelSplitMatchesOrdered checks bestSplitLevels against
 // bestSplitOrdered bit for bit — gain, threshold and ok — on random
 // leveled frames: 1 to 16 levels, 2 to 4 classes with out-of-range
@@ -387,34 +445,18 @@ func TestLevelSplitMatchesOrdered(t *testing.T) {
 		if !fr.leveled {
 			t.Fatalf("trial %d: levels %v not leveled", trial, levels)
 		}
-		// ord is the frame the ordered scan reads: fr itself, or for a
-		// bootstrap draw the resample's columns with sorted orders.
-		lfr, ord := fr, fr
+		lfr, ord, orders, idx := fr, fr, [][]int32(nil), []int32(nil)
+		var bs *bootstrapper
 		if trial%3 == 1 {
-			bs := newBootstrapper(fr, ws)
+			bs = newBootstrapper(fr, ws)
 			lfr = bs.resample(rng)
-			ord = &frame{y: lfr.y, n: n, nf: nf, cols: make([][]float64, nf), base: make([][]int32, nf)}
-			for f := 0; f < nf; f++ {
-				ord.cols[f] = make([]float64, n)
-				for i, p := range bs.boot {
-					ord.cols[f][i] = fr.cols[f][p]
-				}
-				ord.base[f] = make([]int32, n)
-				sortOrder(ord.cols[f], ord.base[f])
-			}
+			ord, orders, idx = orderedTwin(fr, lfr, bs.boot)
+		} else {
+			ord, orders, idx = orderedTwin(fr, lfr, nil)
 		}
 		ws.ensureGrow(0, n)
 		ws.prepareLevels(lfr.y, nClass)
-		idx := make([]int32, n)
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		orders := make([][]int32, nf)
-		for f := range orders {
-			orders[f] = append([]int32(nil), ord.base[f]...)
-		}
-		lo, hi := 0, n
-		for cut := rng.Intn(4); ; cut-- {
+		walkSegments(rng, ws, idx, orders, func(lo, hi int) {
 			seg := idx[lo:hi]
 			for _, minLeaf := range []int{1, 2, 3, 4} {
 				parentImp := impurity(lfr.y, seg, true, nClass, ws)
@@ -428,24 +470,9 @@ func TestLevelSplitMatchesOrdered(t *testing.T) {
 					checks++
 				}
 			}
-			if cut == 0 || hi-lo < 2 {
-				break
-			}
-			// Partition the node at random and descend into one side.
-			k := 0
-			for _, p := range seg {
-				ws.left[p] = uint8(rng.Intn(2))
-				k += int(ws.left[p])
-			}
-			stablePartition(seg, k, ws.left, ws.partL, ws.partR)
-			for _, o := range orders {
-				stablePartition(o[lo:hi], k, ws.left, ws.partL, ws.partR)
-			}
-			if rng.Intn(2) == 0 {
-				hi = lo + k
-			} else {
-				lo += k
-			}
+		})
+		if bs != nil {
+			ws.putFrame(bs.out)
 		}
 		ws.putFrame(fr)
 	}
@@ -454,11 +481,123 @@ func TestLevelSplitMatchesOrdered(t *testing.T) {
 	}
 }
 
-// TestLeveledTreesMatchOrdered grows classification trees and forests
-// over the same frame twice, on its levels and on its presorted orders,
-// and requires bit-identical predictions. One feature's levels are
-// adjacent floats whose midpoints round onto the upper value, so a
-// split can send a whole level the other way or be abandoned.
+// regressionTargets draws n targets of mixed magnitude, ±1e16 beside
+// small values and ±0, so a sum taken in any order other than the
+// ordered scan's loses or keeps different bits. With mirror set, the
+// targets are symmetric in the first feature's level, as levelRows
+// mirrors its labels.
+func regressionTargets(rng *rand.Rand, n, levels0 int, mirror bool) []float64 {
+	negZero := math.Copysign(0, -1)
+	y := make([]float64, n)
+	for i := range y {
+		switch rng.Intn(6) {
+		case 0:
+			y[i] = 1e16 * float64(1-2*rng.Intn(2))
+		case 1:
+			y[i] = negZero
+		case 2:
+			y[i] = float64(rng.Intn(7) - 3)
+		default:
+			y[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-2))
+		}
+	}
+	if mirror {
+		vals := []float64{1e16, 0.1, -3, 7.25, 1e-3, 0, 2, -1e16}
+		for i := range y {
+			l := i % levels0
+			y[i] = vals[min(l, levels0-1-l)%len(vals)]
+		}
+	}
+	return y
+}
+
+// TestRunSplitMatchesOrdered checks bestSplitRuns against the ordered
+// regression scan bit for bit — gain, threshold and ok — on random
+// leveled frames: 1 to 16 levels, ±0 as one level, adjacent-float
+// levels, targets of mixed magnitude that cancel, mirrored ties, every
+// MinLeaf from 1 to 4, node segments left by up to three partitions,
+// and bootstrap resamples with duplicate rows. Segments of up to 200
+// positions take both scatters.
+func TestRunSplitMatchesOrdered(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ws := new(treeScratch)
+	a := math.Nextafter(1, 2)
+	adjacent := []float64{1, a, math.Nextafter(a, 2)}
+	checks, small := 0, 0
+	for trial := 0; trial < 500; trial++ {
+		nf := 1 + rng.Intn(3)
+		levels := make([]int, nf)
+		for f := range levels {
+			levels[f] = 1 + rng.Intn(maxLevels)
+			if trial%2 == 0 {
+				levels[f] = 1 + rng.Intn(4)
+			}
+		}
+		n := 1 + rng.Intn(200)
+		mirror := trial%5 == 0
+		if mirror {
+			for f := range levels {
+				levels[f] = levels[0]
+			}
+			n = levels[0] * (1 + rng.Intn(4))
+		}
+		X, _ := levelRows(rng, n, levels, 2, mirror)
+		if trial%4 == 3 {
+			for i := range X {
+				X[i] = append(X[i], adjacent[rng.Intn(3)])
+			}
+			nf++
+		}
+		y := regressionTargets(rng, n, levels[0], mirror)
+		fr := frameFromRows(X, y, ws)
+		fr.readLevels()
+		if !fr.leveled {
+			t.Fatalf("trial %d: levels %v not leveled", trial, levels)
+		}
+		lfr := fr
+		var bs *bootstrapper
+		var boot []int32
+		if trial%3 == 1 {
+			bs = newBootstrapper(fr, ws)
+			lfr = bs.resample(rng)
+			boot = bs.boot
+		}
+		ord, orders, idx := orderedTwin(fr, lfr, boot)
+		ws.ensureGrow(0, n)
+		walkSegments(rng, ws, idx, orders, func(lo, hi int) {
+			seg := idx[lo:hi]
+			for _, minLeaf := range []int{1, 2, 3, 4} {
+				parentImp := impurity(lfr.y, seg, false, 0, ws)
+				for f := 0; f < nf; f++ {
+					wg, wt, wok := bestSplitOrdered(ord, orders[f][lo:hi], f, minLeaf, parentImp, false, 0, ws)
+					gg, gt, gok := bestSplitRuns(lfr, f, seg, minLeaf, parentImp, ws)
+					if math.Float64bits(gg) != math.Float64bits(wg) || math.Float64bits(gt) != math.Float64bits(wt) || gok != wok {
+						t.Fatalf("trial %d feature %d (%d levels) segment [%d,%d) minLeaf %d: runs (%v, %v, %v), ordered (%v, %v, %v)",
+							trial, f, len(lfr.lvals[f]), lo, hi, minLeaf, gg, gt, gok, wg, wt, wok)
+					}
+					checks++
+					if len(lfr.lvals[f]) <= 4 {
+						small++
+					}
+				}
+			}
+		})
+		if bs != nil {
+			ws.putFrame(bs.out)
+		}
+		ws.putFrame(fr)
+	}
+	if checks < 5000 || small < checks/4 || checks-small < checks/4 {
+		t.Fatalf("%d kernel comparisons, %d of them over at most four levels", checks, small)
+	}
+}
+
+// TestLeveledTreesMatchOrdered grows classification and regression
+// trees and forests over the same frame twice, on its levels and on its
+// presorted orders, and requires bit-identical predictions. One
+// feature's levels are adjacent floats whose midpoints round onto the
+// upper value, so a split can send a whole level the other way or be
+// abandoned.
 func TestLeveledTreesMatchOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ws := new(treeScratch)
@@ -478,6 +617,8 @@ func TestLeveledTreesMatchOrdered(t *testing.T) {
 		cfg := TreeConfig{MaxDepth: 1 + rng.Intn(7), MinLeaf: 1 + rng.Intn(4)}
 		fcfg := ForestConfig{NumTrees: 3, MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, Seed: int64(trial)}
 
+		yr := regressionTargets(rng, n, levels[0], false)
+
 		fr := frameFromRows(X, y, ws)
 		ordTree := &TreeClassifier{Config: cfg, NumClass: nClass}
 		ordTree.fitFrame(fr, ws)
@@ -493,14 +634,27 @@ func TestLeveledTreesMatchOrdered(t *testing.T) {
 		lvForest.fitFrame(fr, ws)
 		ws.putFrame(fr)
 
+		fr = frameFromRows(X, yr, ws)
+		ordReg := &TreeRegressor{Config: cfg}
+		ordReg.fitFrame(fr, ws)
+		ordRegForest := &ForestRegressor{Config: fcfg}
+		ordRegForest.fitFrame(fr, ws)
+		fr.readLevels()
+		lvReg := &TreeRegressor{Config: cfg}
+		lvReg.fitFrame(fr, ws)
+		lvRegForest := &ForestRegressor{Config: fcfg}
+		lvRegForest.fitFrame(fr, ws)
+		ws.putFrame(fr)
+
 		for i, x := range X {
 			for _, pair := range [][2][]float64{
 				{lvTree.PredictProba(x), ordTree.PredictProba(x)},
 				{lvForest.PredictProba(x), ordForest.PredictProba(x)},
+				{{lvReg.Predict(x), lvRegForest.Predict(x)}, {ordReg.Predict(x), ordRegForest.Predict(x)}},
 			} {
 				for c := range pair[1] {
 					if math.Float64bits(pair[0][c]) != math.Float64bits(pair[1][c]) {
-						t.Fatalf("trial %d row %d class %d: leveled %v, ordered %v", trial, i, c, pair[0], pair[1])
+						t.Fatalf("trial %d row %d output %d: leveled %v, ordered %v", trial, i, c, pair[0], pair[1])
 					}
 				}
 			}
@@ -511,7 +665,8 @@ func TestLeveledTreesMatchOrdered(t *testing.T) {
 // TestLevelsKeepOrderedPath: a frame is leveled only when every feature
 // has at most maxLevels values, none NaN, in a (level, position)-sorted
 // base order; any other frame, and every resample of it, keeps its
-// orders.
+// orders. Boosting reads levels itself, and only without row
+// subsampling: a subsampled fit and its sub-frames keep their orders.
 func TestLevelsKeepOrderedPath(t *testing.T) {
 	ws := new(treeScratch)
 	build := func(col []float64) *frame {
@@ -569,5 +724,28 @@ func TestLevelsKeepOrderedPath(t *testing.T) {
 		}
 		ws.putFrame(bs.out)
 		ws.putFrame(fr)
+
+		for _, sub := range []float64{1, 0.7} {
+			fr := build(tc.col)
+			if tc.unsort {
+				o := fr.base[1]
+				o[0], o[1] = o[1], o[0]
+			}
+			for i := range fr.y {
+				fr.y[i] = float64(i % 3)
+			}
+			g := &GBMRegressor{Config: GBMConfig{NumTrees: 2, Subsample: sub}}
+			g.fitFrame(fr, ws)
+			if want := tc.leveled && sub == 1; fr.leveled != want {
+				t.Fatalf("%s: boosting with subsample %v leveled %v, want %v", tc.name, sub, fr.leveled, want)
+			}
+			fr.readLevels()
+			s := subFrame(fr, []int{0, 2, 4, 6, 8}, ws)
+			if s.leveled {
+				t.Fatalf("%s: a sub-frame is leveled", tc.name)
+			}
+			ws.putFrame(s)
+			ws.putFrame(fr)
+		}
 	}
 }

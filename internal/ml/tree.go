@@ -40,10 +40,10 @@ func (c TreeConfig) withDefaults() TreeConfig {
 
 // treeScratch holds the buffers reused across every node of a fit —
 // node position slices, per-feature working orders (none for a leveled
-// or binary frame), partition, class-count and level-histogram scratch
-// — so growing a tree allocates only its leaf probability vectors and,
-// in slab-sized chunks, its persistent nodes. Ensemble fits share one
-// scratch across all their trees.
+// or binary frame), partition, class-count, level-histogram and
+// level-run scratch — so growing a tree allocates only its leaf
+// probability vectors and, in slab-sized chunks, its persistent nodes.
+// Ensemble fits share one scratch across all their trees.
 type treeScratch struct {
 	feats    []int
 	leftCnt  []float64
@@ -79,6 +79,9 @@ type treeScratch struct {
 	// serve leveled frames only.
 	cls  []int32
 	hist []float64
+	// runs holds a node's targets by value level for bestSplitRuns:
+	// level l's run starts at l times the segment length.
+	runs []float64
 
 	// frameFree recycles fitting frames (column/order slabs) across the
 	// fits sharing this scratch — see getFrame/putFrame in colfit.go.
@@ -150,6 +153,7 @@ type TreeRegressor struct {
 func (t *TreeRegressor) Fit(X [][]float64, y []float64) {
 	ws := getScratch()
 	fr := frameFromRows(X, y, ws)
+	fr.readLevels()
 	t.fitFrame(fr, ws)
 	ws.putFrame(fr)
 	putScratch(ws)
@@ -159,12 +163,14 @@ func (t *TreeRegressor) Fit(X [][]float64, y []float64) {
 func (t *TreeRegressor) FitData(d Data) {
 	ws := getScratch()
 	fr := d.buildFrame(ws)
+	fr.readLevels()
 	t.fitFrame(fr, ws)
 	ws.putFrame(fr)
 	putScratch(ws)
 }
 
-// fitFrame grows the tree over the frame's presorted feature orders.
+// fitFrame grows the tree over the frame's value levels or presorted
+// feature orders.
 func (t *TreeRegressor) fitFrame(fr *frame, ws *treeScratch) {
 	cfg := t.Config.withDefaults()
 	t.root = growFit(fr, cfg, featureRNG(cfg, fr.nf), false, 0, ws)
@@ -291,11 +297,12 @@ func asLeaf(node *treeNode, y []float64, idx []int32, clf bool, nClass int, ws *
 
 // growFit prepares the per-fit growth state (position slice, working
 // copies of the frame's presorted feature orders) and grows the tree.
-// Orders are nil for binary and leveled frames: there are none to copy,
-// and growth reads each node off its ascending position segment.
+// Orders are nil for binary and leveled frames, classification or
+// regression: there are none to copy, and growth reads each node off
+// its ascending position segment.
 func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws *treeScratch) *treeNode {
-	if fr.binary && clf || fr.leveled && !clf {
-		panic("ml: binary frames are for regression fits, leveled frames for classification fits")
+	if fr.binary && clf {
+		panic("ml: binary frames are for regression fits")
 	}
 	n := fr.n
 	var orders [][]int32
@@ -308,7 +315,7 @@ func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws
 		}
 		orders = ws.work
 	}
-	if fr.leveled {
+	if fr.leveled && clf {
 		ws.prepareLevels(fr.y, nClass)
 	}
 	idx := ws.idx[:n]
@@ -360,8 +367,10 @@ func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg 
 		switch {
 		case fr.binary:
 			gain, thresh, ok = bestSplitBinary(fr.cols[f], fr.y, seg, cfg.MinLeaf, parentImp, ws)
-		case fr.leveled:
+		case fr.leveled && clf:
 			gain, thresh, ok = bestSplitLevels(fr, f, seg, cfg.MinLeaf, parentImp, nClass, ws)
+		case fr.leveled:
+			gain, thresh, ok = bestSplitRuns(fr, f, seg, cfg.MinLeaf, parentImp, ws)
 		default:
 			gain, thresh, ok = bestSplitOrdered(fr, orders[f][lo:hi], f, cfg.MinLeaf, parentImp, clf, nClass, ws)
 		}
@@ -663,6 +672,121 @@ func bestSplitLevels(fr *frame, f int, seg []int32, minLeaf int, parentImp float
 		return 0, 0, false
 	}
 	return best, thresh, true
+}
+
+// bestSplitRuns is bestSplitOrdered's regression scan over a leveled
+// frame, bit for bit. The node's ascending segment seg is scattered
+// into per-level runs: run l holds level l's targets in position
+// order, so the runs laid end to end in level order are the targets in
+// the feature's presorted order over the node, and the float operations
+// of the ordered scan are replayed on them in that order. rs/rs2 fold
+// every run; ls/ls2 at a boundary are the same fold's prefix up to it,
+// so they are recorded during the fold, not summed again; then each run
+// but the last non-empty one is subtracted from rs/rs2. Candidates are
+// the boundaries between non-empty runs, where lw and rw are the exact
+// integer counts the ordered scan reaches by ±1 steps. The threshold is
+// the midpoint of the two level values, as in bestSplitLevels.
+func bestSplitRuns(fr *frame, f int, seg []int32, minLeaf int, parentImp float64, ws *treeScratch) (gain, thresh float64, ok bool) {
+	lv, vals, y := fr.lv[f], fr.lvals[f], fr.y
+	n, nl := len(seg), len(vals)
+	if cap(ws.runs) < nl*n {
+		ws.runs = make([]float64, nl*n)
+	}
+	runs := ws.runs[:nl*n]
+	var end [maxLevels]int
+	for l := range nl {
+		end[l] = l * n
+	}
+	if nl <= 4 && 4*n < 1<<16 {
+		scatterRuns4(runs, &end, lv, y, seg)
+	} else {
+		scatterRuns(runs, &end, lv, y, seg)
+	}
+	var cnt [maxLevels]int
+	for l := range nl {
+		cnt[l] = end[l] - l*n
+	}
+	// Fold rs/rs2 over the runs in level order; lsum/lsum2[l] is the
+	// fold before run l.
+	var lsum, lsum2 [maxLevels]float64
+	var rs, rs2 float64
+	last := -1
+	for l := 0; l < nl; l++ {
+		lsum[l], lsum2[l] = rs, rs2
+		for _, v := range runs[l*n : l*n+cnt[l]] {
+			rs += v
+			rs2 += v * v
+		}
+		if cnt[l] > 0 {
+			last = l
+		}
+	}
+	var lw float64
+	rw := float64(n)
+	best := -1.0
+	prev := -1
+	for l := 0; l <= last; l++ {
+		m := cnt[l]
+		if m == 0 {
+			continue
+		}
+		if prev >= 0 && lw >= float64(minLeaf) && rw >= float64(minLeaf) {
+			g := parentImp - (lw*varFromSums(lsum[l], lsum2[l], lw)+rw*varFromSums(rs, rs2, rw))/(lw+rw)
+			if g > best {
+				best = g
+				thresh = (vals[prev] + vals[l]) / 2
+			}
+		}
+		if l == last {
+			break
+		}
+		for _, v := range runs[l*n : l*n+m] {
+			rs -= v
+			rs2 -= v * v
+		}
+		lw += float64(m)
+		rw -= float64(m)
+		prev = l
+	}
+	if best <= 0 {
+		return 0, 0, false
+	}
+	return best, thresh, true
+}
+
+// scatterRuns appends each position's target to its level's run:
+// end[l] is the next free slot of run l.
+//
+//go:noinline
+func scatterRuns(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, seg []int32) {
+	for _, p := range seg {
+		l := lv[p] & (maxLevels - 1)
+		runs[end[l]] = y[p]
+		end[l]++
+	}
+}
+
+// scatterRuns4 is scatterRuns for at most four levels whose runs end
+// below 1<<16: the cursors are the 16-bit fields of one register, so no
+// cursor makes a round trip through memory between positions.
+//
+// Both scatters are kept out of line: inlined into bestSplitRuns, the
+// cursors spill to the stack on every position.
+//
+//go:noinline
+func scatterRuns4(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, seg []int32) {
+	var c uint64
+	for l := 3; l >= 0; l-- {
+		c = c<<16 | uint64(end[l])
+	}
+	for _, p := range seg {
+		sh := uint(lv[p]&3) * 16
+		runs[uint16(c>>sh)] = y[p]
+		c += 1 << sh
+	}
+	for l := range 4 {
+		end[l] = int(uint16(c >> (16 * l)))
+	}
 }
 
 // bestSplitBinary is bestSplitOrdered's regression scan for a 0/1
