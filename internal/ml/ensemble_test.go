@@ -315,3 +315,28 @@ func TestMultiOutputGBMFitColsEmpty(t *testing.T) {
 		t.Error("empty columnar fit should produce no outputs")
 	}
 }
+
+// TestPredictAllocFree: a forest's class vote and a HistGBM prediction
+// allocate nothing per row, and agree with the allocating paths.
+func TestPredictAllocFree(t *testing.T) {
+	X, y := xorData(200, 12)
+	f := &ForestClassifier{Config: ForestConfig{NumTrees: 5, MaxDepth: 4, Seed: 1}}
+	f.Fit(X, y)
+	h := &HistGBMClassifier{Config: HistGBMConfig{GBM: GBMConfig{NumTrees: 5, MaxDepth: 3, Seed: 1}, NumBins: 8}}
+	h.Fit(X, y)
+	x := X[3]
+	if n := testing.AllocsPerRun(50, func() { f.Predict(x) }); n != 0 {
+		t.Errorf("ForestClassifier.Predict allocates %v times per row", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { h.Predict(x); h.PredictProba(x) }); n != 0 {
+		t.Errorf("HistGBMClassifier predictions allocate %v times per row", n)
+	}
+	for _, x := range X {
+		if got, want := f.Predict(x), float64(argmax(f.PredictProba(x))); got != want {
+			t.Fatalf("forest Predict %v, argmax of PredictProba %v", got, want)
+		}
+		if got, want := h.PredictProba(x), h.inner.PredictProba(binRow(x, h.bins)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("HistGBM PredictProba %v, on binRow %v", got, want)
+		}
+	}
+}

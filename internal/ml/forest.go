@@ -89,7 +89,12 @@ func (f *ForestClassifier) fitFrame(fr *frame, ws *treeScratch) {
 
 // PredictProba returns averaged class probabilities.
 func (f *ForestClassifier) PredictProba(x []float64) []float64 {
-	p := make([]float64, f.NumClass)
+	return f.probaInto(make([]float64, f.NumClass), x)
+}
+
+// probaInto averages the trees' class probabilities into p, which holds
+// NumClass zeros.
+func (f *ForestClassifier) probaInto(p, x []float64) []float64 {
 	for _, t := range f.trees {
 		tp := t.PredictProba(x)
 		for c := range p {
@@ -104,9 +109,16 @@ func (f *ForestClassifier) PredictProba(x []float64) []float64 {
 	return p
 }
 
-// Predict returns the majority class.
+// Predict returns the majority class. The probabilities are averaged
+// on the stack when there are at most eight classes: the model is
+// shared by concurrent readers, so it holds no buffer of its own.
 func (f *ForestClassifier) Predict(x []float64) float64 {
-	return float64(argmax(f.PredictProba(x)))
+	var buf [8]float64
+	p := buf[:]
+	if f.NumClass > len(buf) {
+		p = make([]float64, f.NumClass)
+	}
+	return float64(argmax(f.probaInto(p[:f.NumClass], x)))
 }
 
 // Importances averages per-tree split importances.

@@ -95,12 +95,27 @@ func binFrame(fr *frame, bins [][]float64, cntBuf *[]int32) {
 
 // PredictProba returns P(y=1 | x).
 func (h *HistGBMClassifier) PredictProba(x []float64) float64 {
-	return h.inner.PredictProba(binRow(x, h.bins))
+	var buf [binRowStack]float64
+	return h.inner.PredictProba(binRowInto(rowBuf(buf[:], len(x)), x, h.bins))
 }
 
 // Predict returns the hard 0/1 label.
 func (h *HistGBMClassifier) Predict(x []float64) float64 {
-	return h.inner.Predict(binRow(x, h.bins))
+	var buf [binRowStack]float64
+	return h.inner.Predict(binRowInto(rowBuf(buf[:], len(x)), x, h.bins))
+}
+
+// binRowStack is the widest row predictions bin on the stack; wider
+// rows take a heap buffer. The model is shared by concurrent readers,
+// so it holds no buffer of its own.
+const binRowStack = 32
+
+// rowBuf returns buf[:n], or a new slice when buf is too short.
+func rowBuf(buf []float64, n int) []float64 {
+	if n > len(buf) {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // Importances proxies the inner model's importances.
@@ -188,7 +203,11 @@ func binAll(X [][]float64, bins [][]float64) [][]float64 {
 
 // binRow maps a raw row to bin indexes (as floats, so trees split on them).
 func binRow(x []float64, bins [][]float64) []float64 {
-	out := make([]float64, len(x))
+	return binRowInto(make([]float64, len(x)), x, bins)
+}
+
+// binRowInto is binRow into out, which has len(x) slots.
+func binRowInto(out, x []float64, bins [][]float64) []float64 {
 	for f, v := range x {
 		if f >= len(bins) {
 			out[f] = v
