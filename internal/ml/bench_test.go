@@ -44,3 +44,30 @@ func BenchmarkGBMFitLeveled(b *testing.B) {
 		(&GBMRegressor{Config: GBMConfig{NumTrees: 30, MaxDepth: 3, Seed: 1}}).FitData(v)
 	}
 }
+
+// BenchmarkSurrogateRefit times one refit of the MO-GBM surrogate's
+// shape: FitCols over 400 observations of 24 0/1 features and three
+// targets, 40 trees of depth 3 per target.
+func BenchmarkSurrogateRefit(b *testing.B) {
+	const n, nf = 400, 24
+	rng := rand.New(rand.NewSource(8))
+	cols := make([][]float64, nf)
+	for f := range cols {
+		cols[f] = make([]float64, n)
+		for i := range cols[f] {
+			cols[f][i] = float64(rng.Intn(2))
+		}
+	}
+	targets := make([][]float64, 3)
+	for j := range targets {
+		targets[j] = make([]float64, n)
+		for i := range targets[j] {
+			targets[j][i] = cols[j][i] + 0.5*cols[j+3][i]*cols[j+6][i] + 0.1*rng.NormFloat64()
+		}
+	}
+	cfg := GBMConfig{NumTrees: 40, MaxDepth: 3, LearningRate: 0.15, Seed: 7}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		(&MultiOutputGBM{Config: cfg}).FitCols(n, cols, targets)
+	}
+}

@@ -21,19 +21,14 @@ type frame struct {
 	// base[f] holds positions 0..n-1 sorted ascending by
 	// (cols[f][p], p); growth works on copies it partitions in place.
 	base [][]int32
-	// binary marks a frame whose every value is 0 or 1. It has no
-	// orders (base is unused): a feature's presorted order over a node
-	// is its zeros then its ones, which growth reads off the node's
-	// ascending position segment (see bestSplitBinary). Its cols alias
-	// the caller's columns.
-	binary bool
 	// leveled marks a frame whose every feature has at most maxLevels
 	// values: lv[f][p] is the value level of position p and lvals[f][l]
-	// the value of level l, ascending. Growth reads only lv and lvals,
-	// never base or cols, so it copies and partitions no orders (see
-	// bestSplitLevels for classification, bestSplitRuns for
-	// regression); a leveled bootstrap resample leaves base and cols
-	// unfilled.
+	// the value of level l, ascending; a level may hold no position.
+	// Growth reads only lv and lvals, never base or cols, so it copies
+	// and partitions no orders (see bestSplitLevels for
+	// classification, bestSplitRuns for regression); a leveled
+	// bootstrap resample leaves base and cols unfilled, and a 0/1 frame
+	// (frameFromCols) has no orders and aliases the caller's columns.
 	leveled bool
 	lv      [][]uint8
 	lvals   [][]float64
@@ -72,7 +67,7 @@ func (ws *treeScratch) takeFrame() *frame {
 // allocation of a discovery run.
 func (ws *treeScratch) getFrame(nf, n int) *frame {
 	fr := ws.takeFrame()
-	fr.n, fr.nf, fr.binary = n, nf, false
+	fr.n, fr.nf = n, nf
 	if need := nf * n; cap(fr.colBuf) < need {
 		fr.colBuf = make([]float64, need)
 		fr.ordBuf = make([]int32, need)
@@ -95,16 +90,16 @@ func (ws *treeScratch) getFrame(nf, n int) *frame {
 
 // putFrame returns a frame to the scratch's free list once its fit is
 // done. Aliases of the caller's data are dropped first: frames built
-// by frameFromRows alias the caller's y, binary frames its columns
-// too, and the pool must not retain another fit's data.
+// by frameFromRows alias the caller's y, 0/1 frames its columns too,
+// and the pool must not retain another fit's data. (getFrame reslices
+// every column from the slab, so clearing them costs a pooled frame
+// nothing.)
 func (ws *treeScratch) putFrame(fr *frame) {
 	if fr == nil {
 		return
 	}
 	fr.y = nil
-	if fr.binary {
-		clear(fr.cols)
-	}
+	clear(fr.cols)
 	ws.frameFree = append(ws.frameFree, fr)
 }
 
@@ -216,20 +211,28 @@ func frameFromRowsRaw(X [][]float64, y []float64, ws *treeScratch) *frame {
 // presorted orders are derived the same way, so a column fit and a row
 // fit of the same numbers grow bit-identical trees. Columns that hold
 // only 0 and 1 (bitmap literals, the surrogate's features) make a
-// binary frame instead: no copy, no orders, and growth's binary split
-// kernel reproduces the generic scan's trees bit for bit. frameFromRows
-// never makes one, so Fit stays the generic reference FitCols is
-// tested against.
+// leveled frame with levels 0 and 1 instead, read straight off the
+// columns: no copy and no orders. frameFromRows never takes this
+// route, so Fit stays the generic reference FitCols is tested against.
 func frameFromCols(cols [][]float64, y []float64, ws *treeScratch) *frame {
 	nf := len(cols)
 	n := len(y)
 	if binaryCols(cols, n) {
 		fr := ws.takeFrame()
-		fr.n, fr.nf, fr.binary, fr.y = n, nf, true, y
+		fr.n, fr.nf, fr.y = n, nf, y
 		fr.cols = fr.cols[:0]
 		for _, c := range cols {
 			fr.cols = append(fr.cols, c[:n])
 		}
+		fr.carveLevels()
+		for f, c := range fr.cols {
+			lv := fr.lv[f]
+			for p, x := range c {
+				lv[p] = uint8(x)
+			}
+			fr.lvals[f] = append(fr.lvals[f], 0, 1)
+		}
+		fr.leveled = true
 		return fr
 	}
 	fr := ws.getFrame(nf, n)

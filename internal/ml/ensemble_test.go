@@ -166,9 +166,9 @@ func TestBinRowMonotone(t *testing.T) {
 // FitCols on column-major data must grow the exact trees Fit grows on
 // the row-major equivalent. On real-valued columns frameFromCols and
 // frameFromRows construct the same frame and everything downstream is
-// shared code; on 0/1 columns FitCols takes the binary split kernel
-// while Fit stays on the generic presorted scan, so the 0/1 cases pin
-// the kernel to the reference, including its edge cases.
+// shared code; on 0/1 columns FitCols reads levels 0 and 1 straight
+// off the columns while Fit reads them off the presorted orders, so the
+// 0/1 cases pin that route to the reference, including its edge cases.
 func TestMultiOutputGBMFitColsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	// column returns a 0/1 column of n values with exactly zeros zeros.
@@ -199,7 +199,7 @@ func TestMultiOutputGBMFitColsParity(t *testing.T) {
 		name    string
 		X, Y    [][]float64
 		minLeaf int
-		binary  bool // every feature is 0/1, so FitCols takes the binary kernel
+		binary  bool // every feature is 0/1, so FitCols reads levels off the columns
 	}
 	var cases []parityCase
 
@@ -266,11 +266,11 @@ func TestMultiOutputGBMFitColsParity(t *testing.T) {
 			}
 			ws := getScratch()
 			fr := frameFromCols(cols, tgts[0], ws)
-			binary := fr.binary
+			binary := fr.leveled
 			ws.putFrame(fr)
 			putScratch(ws)
 			if binary != tc.binary {
-				t.Fatalf("binary frame = %v, want %v", binary, tc.binary)
+				t.Fatalf("0/1 frame = %v, want %v", binary, tc.binary)
 			}
 			m := &MultiOutputGBM{Config: cfg}
 			m.FitCols(len(tc.X), cols, tgts)

@@ -67,7 +67,7 @@ func (g *GBMRegressor) FitData(d Data) {
 // per stage.
 func (g *GBMRegressor) fitFrame(fr *frame, ws *treeScratch) {
 	cfg := g.Config.withDefaults()
-	if !fr.binary && cfg.Subsample == 1 {
+	if !fr.leveled && cfg.Subsample == 1 {
 		fr.readLevels()
 	}
 	g.lr = cfg.LearningRate
@@ -194,7 +194,7 @@ func (g *GBMClassifier) FitData(d Data) {
 
 func (g *GBMClassifier) fitFrame(fr *frame, ws *treeScratch) {
 	cfg := g.Config.withDefaults()
-	if !fr.binary && cfg.Subsample == 1 {
+	if !fr.leveled && cfg.Subsample == 1 {
 		fr.readLevels()
 	}
 	g.lr = cfg.LearningRate

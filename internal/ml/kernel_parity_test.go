@@ -264,8 +264,8 @@ func checkLeafValues(t *testing.T, name string, fr *frame, tree *TreeRegressor, 
 
 // TestLeafValuesMatchPredictCols: the leaf value growth records for a
 // row is the value a walk of the finished tree returns for it, on
-// generic frames with ties, on binary frames, and on a root the
-// k < MinLeaf abort turns into a leaf.
+// generic frames with ties, on the same frames leveled, on 0/1 frames,
+// and on a root the k < MinLeaf abort turns into a leaf.
 func TestLeafValuesMatchPredictCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ws := new(treeScratch)
@@ -284,6 +284,12 @@ func TestLeafValuesMatchPredictCols(t *testing.T) {
 		fr := frameFromRows(X, y, ws)
 		tree, leafv := leafValues(fr, cfg, ws)
 		checkLeafValues(t, "generic", fr, tree, leafv)
+		fr.readLevels()
+		if !fr.leveled {
+			t.Fatal("a frame of at most 14 levels should be leveled")
+		}
+		tree, leafv = leafValues(fr, cfg, ws)
+		checkLeafValues(t, "leveled", fr, tree, leafv)
 		ws.putFrame(fr)
 
 		cols := make([][]float64, nf)
@@ -294,11 +300,11 @@ func TestLeafValuesMatchPredictCols(t *testing.T) {
 			}
 		}
 		fr = frameFromCols(cols, y, ws)
-		if !fr.binary {
-			t.Fatal("0/1 columns should make a binary frame")
+		if !fr.leveled {
+			t.Fatal("0/1 columns should make a leveled frame")
 		}
 		tree, leafv = leafValues(fr, cfg, ws)
-		checkLeafValues(t, "binary", fr, tree, leafv)
+		checkLeafValues(t, "0/1", fr, tree, leafv)
 		ws.putFrame(fr)
 	}
 

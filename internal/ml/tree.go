@@ -40,7 +40,7 @@ func (c TreeConfig) withDefaults() TreeConfig {
 
 // treeScratch holds the buffers reused across every node of a fit —
 // node position slices, per-feature working orders (none for a leveled
-// or binary frame), partition, class-count, level-histogram and
+// frame), partition, class-count, level-histogram and
 // level-run scratch — so growing a tree allocates only its leaf
 // probability vectors and, in slab-sized chunks, its persistent nodes.
 // Ensemble fits share one scratch across all their trees.
@@ -68,10 +68,6 @@ type treeScratch struct {
 	// predictions without walking the new tree again; leafBuf backs it.
 	leafv   []float64
 	leafBuf []float64
-	// zeroY and oneY gather a node's targets by side of a 0/1 feature
-	// for bestSplitBinary.
-	zeroY []float64
-	oneY  []float64
 	// cnt backs counting sorts over presorted value ranks.
 	cnt []int32
 	// cls[p] is position p's class, clamped, and hist the level × class
@@ -131,8 +127,6 @@ func (ws *treeScratch) ensureGrow(nf, n int) {
 		ws.left = make([]uint8, n)
 		ws.partL = make([]int32, n)
 		ws.partR = make([]int32, n)
-		ws.zeroY = make([]float64, n)
-		ws.oneY = make([]float64, n)
 	}
 	if cap(ws.workBuf) < nf*n {
 		ws.workBuf = make([]int32, nf*n)
@@ -297,16 +291,13 @@ func asLeaf(node *treeNode, y []float64, idx []int32, clf bool, nClass int, ws *
 
 // growFit prepares the per-fit growth state (position slice, working
 // copies of the frame's presorted feature orders) and grows the tree.
-// Orders are nil for binary and leveled frames, classification or
-// regression: there are none to copy, and growth reads each node off
-// its ascending position segment.
+// Orders are nil for leveled frames, classification or regression:
+// there are none to copy, and growth reads each node off its ascending
+// position segment.
 func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws *treeScratch) *treeNode {
-	if fr.binary && clf {
-		panic("ml: binary frames are for regression fits")
-	}
 	n := fr.n
 	var orders [][]int32
-	if fr.binary || fr.leveled {
+	if fr.leveled {
 		ws.ensureGrow(0, n)
 	} else {
 		ws.ensureGrow(fr.nf, n)
@@ -335,8 +326,8 @@ func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws
 // leaves read it; the orders only when a child can split again (its
 // depth is below MaxDepth and it holds at least 2*MinLeaf rows), since
 // only split search reads them. idx[lo:hi] is always ascending, since it
-// starts as 0..n-1 and every partition is stable; binary and leveled
-// frames (nil orders) rely on that.
+// starts as 0..n-1 and every partition is stable; leveled frames (nil
+// orders) rely on that.
 func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws *treeScratch) *treeNode {
 	node := ws.newNode(hi - lo)
 	seg := idx[lo:hi]
@@ -365,8 +356,6 @@ func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg 
 		var gain, thresh float64
 		var ok bool
 		switch {
-		case fr.binary:
-			gain, thresh, ok = bestSplitBinary(fr.cols[f], fr.y, seg, cfg.MinLeaf, parentImp, ws)
 		case fr.leveled && clf:
 			gain, thresh, ok = bestSplitLevels(fr, f, seg, cfg.MinLeaf, parentImp, nClass, ws)
 		case fr.leveled:
@@ -676,48 +665,52 @@ func bestSplitLevels(fr *frame, f int, seg []int32, minLeaf int, parentImp float
 
 // bestSplitRuns is bestSplitOrdered's regression scan over a leveled
 // frame, bit for bit. The node's ascending segment seg is scattered
-// into per-level runs: run l holds level l's targets in position
-// order, so the runs laid end to end in level order are the targets in
-// the feature's presorted order over the node, and the float operations
-// of the ordered scan are replayed on them in that order. rs/rs2 fold
-// every run; ls/ls2 at a boundary are the same fold's prefix up to it,
-// so they are recorded during the fold, not summed again; then each run
-// but the last non-empty one is subtracted from rs/rs2. Candidates are
-// the boundaries between non-empty runs, where lw and rw are the exact
-// integer counts the ordered scan reaches by ±1 steps. The threshold is
-// the midpoint of the two level values, as in bestSplitLevels.
+// into per-level runs: run l holds level l's targets in position order,
+// so the runs laid end to end in level order are the targets in the
+// feature's presorted order over the node, and the ordered scan's float
+// operations are replayed on them in that order. rs/rs2 fold every run;
+// the fold's value before a run is ls/ls2 at that run's boundary, since
+// the ordered scan's ls/ls2 add the same targets in the same order from
+// the same zero. Then each run but the last non-empty one is subtracted
+// from rs/rs2. Candidates are the boundaries between non-empty runs, where
+// lw and rw are the exact integer counts the ordered scan reaches by ±1
+// steps. The threshold is the midpoint of the two level values, as in
+// bestSplitLevels.
 func bestSplitRuns(fr *frame, f int, seg []int32, minLeaf int, parentImp float64, ws *treeScratch) (gain, thresh float64, ok bool) {
 	lv, vals, y := fr.lv[f], fr.lvals[f], fr.y
 	n, nl := len(seg), len(vals)
+	if nl < 2 {
+		return 0, 0, false
+	}
 	if cap(ws.runs) < nl*n {
 		ws.runs = make([]float64, nl*n)
 	}
 	runs := ws.runs[:nl*n]
+	// Run l is runs[l*n:end[l]].
 	var end [maxLevels]int
 	for l := range nl {
 		end[l] = l * n
 	}
-	if nl <= 4 && 4*n < 1<<16 {
+	switch {
+	case nl == 2:
+		scatterRuns2(runs, &end, lv, y, seg)
+	case nl <= 4 && 4*n < 1<<16:
 		scatterRuns4(runs, &end, lv, y, seg)
-	} else {
+	default:
 		scatterRuns(runs, &end, lv, y, seg)
 	}
-	var cnt [maxLevels]int
-	for l := range nl {
-		cnt[l] = end[l] - l*n
-	}
-	// Fold rs/rs2 over the runs in level order; lsum/lsum2[l] is the
-	// fold before run l.
+	// lsum/lsum2[l] is the fold before run l: ls/ls2 at its boundary.
 	var lsum, lsum2 [maxLevels]float64
 	var rs, rs2 float64
 	last := -1
-	for l := 0; l < nl; l++ {
+	for l := range nl {
 		lsum[l], lsum2[l] = rs, rs2
-		for _, v := range runs[l*n : l*n+cnt[l]] {
+		run := runs[l*n : end[l]]
+		for _, v := range run {
 			rs += v
 			rs2 += v * v
 		}
-		if cnt[l] > 0 {
+		if len(run) > 0 {
 			last = l
 		}
 	}
@@ -726,8 +719,8 @@ func bestSplitRuns(fr *frame, f int, seg []int32, minLeaf int, parentImp float64
 	best := -1.0
 	prev := -1
 	for l := 0; l <= last; l++ {
-		m := cnt[l]
-		if m == 0 {
+		run := runs[l*n : end[l]]
+		if len(run) == 0 {
 			continue
 		}
 		if prev >= 0 && lw >= float64(minLeaf) && rw >= float64(minLeaf) {
@@ -740,12 +733,12 @@ func bestSplitRuns(fr *frame, f int, seg []int32, minLeaf int, parentImp float64
 		if l == last {
 			break
 		}
-		for _, v := range runs[l*n : l*n+m] {
+		for _, v := range run {
 			rs -= v
 			rs2 -= v * v
 		}
-		lw += float64(m)
-		rw -= float64(m)
+		lw += float64(len(run))
+		rw -= float64(len(run))
 		prev = l
 	}
 	if best <= 0 {
@@ -755,7 +748,9 @@ func bestSplitRuns(fr *frame, f int, seg []int32, minLeaf int, parentImp float64
 }
 
 // scatterRuns appends each position's target to its level's run:
-// end[l] is the next free slot of run l.
+// end[l] is the next free slot of run l. It and its two- and
+// four-level forms are kept out of line: inlined into bestSplitRuns,
+// their cursors spill to the stack on every position.
 //
 //go:noinline
 func scatterRuns(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, seg []int32) {
@@ -766,12 +761,27 @@ func scatterRuns(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, s
 	}
 }
 
+// scatterRuns2 is scatterRuns for two levels, branch-free: both runs
+// take every target and only the cursor of its level advances.
+//
+//go:noinline
+func scatterRuns2(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, seg []int32) {
+	n := len(seg)
+	zeros, ones := runs[:n], runs[n:2*n]
+	nz, no := 0, 0
+	for _, p := range seg {
+		v, b := y[p], int(lv[p]&1)
+		zeros[nz] = v
+		ones[no] = v
+		nz += 1 - b
+		no += b
+	}
+	end[0], end[1] = nz, n+no
+}
+
 // scatterRuns4 is scatterRuns for at most four levels whose runs end
 // below 1<<16: the cursors are the 16-bit fields of one register, so no
 // cursor makes a round trip through memory between positions.
-//
-// Both scatters are kept out of line: inlined into bestSplitRuns, the
-// cursors spill to the stack on every position.
 //
 //go:noinline
 func scatterRuns4(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, seg []int32) {
@@ -787,56 +797,6 @@ func scatterRuns4(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, 
 	for l := range 4 {
 		end[l] = int(uint16(c >> (16 * l)))
 	}
-}
-
-// bestSplitBinary is bestSplitOrdered's regression scan for a 0/1
-// column, bit for bit. The node's segment seg is ascending, so the
-// column's presorted order over it is the segment's zeros followed by
-// its ones, and the generic scan's only candidate is the boundary
-// between them, at threshold (0+1)/2. The float operations are replayed
-// in the generic order: rs/rs2 sum the zeros then the ones, then each
-// zero is added to ls/ls2 and subtracted from rs/rs2. The running sums
-// over the zeros alone are the same for rs and ls, so they are summed
-// once.
-func bestSplitBinary(col, y []float64, seg []int32, minLeaf int, parentImp float64, ws *treeScratch) (gain, thresh float64, ok bool) {
-	// Branch-free gather: both buffers take every target and only the
-	// cursor of the bit's side advances.
-	zeros, ones := ws.zeroY[:len(seg)], ws.oneY[:len(seg)]
-	nz, no := 0, 0
-	for _, p := range seg {
-		v, b := y[p], int(col[p])
-		zeros[nz] = v
-		ones[no] = v
-		nz += 1 - b
-		no += b
-	}
-	zeros, ones = zeros[:nz], ones[:no]
-	if len(zeros) < minLeaf || len(ones) < minLeaf {
-		return 0, 0, false
-	}
-	var ls, ls2 float64
-	for _, v := range zeros {
-		ls += v
-		ls2 += v * v
-	}
-	rs, rs2 := ls, ls2
-	for _, v := range ones {
-		rs += v
-		rs2 += v * v
-	}
-	for _, v := range zeros {
-		rs -= v
-		rs2 -= v * v
-	}
-	lw, rw := float64(len(zeros)), float64(len(ones))
-	best := -1.0
-	if g := parentImp - (lw*varFromSums(ls, ls2, lw)+rw*varFromSums(rs, rs2, rw))/(lw+rw); g > best {
-		best = g
-	}
-	if best <= 0 {
-		return 0, 0, false
-	}
-	return best, 0.5, true
 }
 
 // clampClass maps out-of-range labels into [0, nClass): a fixed model

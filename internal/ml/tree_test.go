@@ -141,12 +141,12 @@ func TestTreeImportancesNormalized(t *testing.T) {
 	}
 }
 
-// bestSplitBinary must return bestSplitOrdered's gain bit for bit, not
-// only the same split: a gain one ulp off can flip a later comparison
-// between features. Segments are random ascending subsets of the
-// positions, with zero counts at every minLeaf edge and constant
-// targets mixed in.
-func TestBestSplitBinaryMatchesOrdered(t *testing.T) {
+// On a 0/1 frame built by frameFromCols, bestSplitRuns must return
+// bestSplitOrdered's gain bit for bit, not only the same split: a gain
+// one ulp off can flip a later comparison between features. Segments
+// are random ascending subsets of the positions, with zero counts at
+// every minLeaf edge and constant targets mixed in.
+func TestZeroOneSplitMatchesOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const n, minLeaf = 40, 3
 	ws := new(treeScratch)
@@ -189,9 +189,14 @@ func TestBestSplitBinaryMatchesOrdered(t *testing.T) {
 		fr := &frame{cols: [][]float64{col}, y: y, n: n, nf: 1}
 		parentImp := impurity(y, seg, false, 0, ws)
 		wantGain, wantThresh, wantOK := bestSplitOrdered(fr, order, 0, minLeaf, parentImp, false, 0, ws)
-		gain, thresh, ok := bestSplitBinary(col, y, seg, minLeaf, parentImp, ws)
+		lfr := frameFromCols([][]float64{col}, y, ws)
+		if !lfr.leveled {
+			t.Fatal("0/1 columns should make a leveled frame")
+		}
+		gain, thresh, ok := bestSplitRuns(lfr, 0, seg, minLeaf, parentImp, ws)
+		ws.putFrame(lfr)
 		if math.Float64bits(gain) != math.Float64bits(wantGain) || thresh != wantThresh || ok != wantOK {
-			t.Fatalf("trial %d (%d zeros of %d): binary = (%v, %v, %v), ordered = (%v, %v, %v)",
+			t.Fatalf("trial %d (%d zeros of %d): runs = (%v, %v, %v), ordered = (%v, %v, %v)",
 				trial, zeros, m, gain, thresh, ok, wantGain, wantThresh, wantOK)
 		}
 	}
