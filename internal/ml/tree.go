@@ -754,6 +754,7 @@ func bestSplitRuns(fr *frame, f int, seg []int32, minLeaf int, parentImp float64
 //
 //go:noinline
 func scatterRuns(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, seg []int32) {
+	y = y[:len(lv)]
 	for _, p := range seg {
 		l := lv[p] & (maxLevels - 1)
 		runs[end[l]] = y[p]
@@ -769,6 +770,7 @@ func scatterRuns2(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, 
 	n := len(seg)
 	zeros, ones := runs[:n], runs[n:2*n]
 	nz, no := 0, 0
+	y = y[:len(lv)]
 	for _, p := range seg {
 		v, b := y[p], int(lv[p]&1)
 		zeros[nz] = v
@@ -789,15 +791,19 @@ func scatterRuns4(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, 
 	for l := 3; l >= 0; l-- {
 		c = c<<16 | uint64(end[l])
 	}
+	y = y[:len(lv)] // one bounds check covers lv[p] and y[p]
 	for _, p := range seg {
-		sh := uint(lv[p]&3) * 16
-		runs[uint16(c>>sh)] = y[p]
-		c += 1 << sh
+		l := lv[p] & 3
+		runs[uint16(c>>(l*16))] = y[p]
+		c += cursorStep[l]
 	}
 	for l := range 4 {
 		end[l] = int(uint16(c >> (16 * l)))
 	}
 }
+
+// cursorStep[l] advances level l's cursor in scatterRuns4.
+var cursorStep = [4]uint64{1, 1 << 16, 1 << 32, 1 << 48}
 
 // clampClass maps out-of-range labels into [0, nClass): a fixed model
 // must tolerate noisy inputs (e.g. synthetic rows with labels outside the
