@@ -114,11 +114,7 @@ func (f *ForestClassifier) probaInto(p, x []float64) []float64 {
 // shared by concurrent readers, so it holds no buffer of its own.
 func (f *ForestClassifier) Predict(x []float64) float64 {
 	var buf [8]float64
-	p := buf[:]
-	if f.NumClass > len(buf) {
-		p = make([]float64, f.NumClass)
-	}
-	return float64(argmax(f.probaInto(p[:f.NumClass], x)))
+	return float64(argmax(f.probaInto(withLen(buf[:], f.NumClass), x)))
 }
 
 // Importances averages per-tree split importances.

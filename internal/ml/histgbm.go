@@ -96,13 +96,13 @@ func binFrame(fr *frame, bins [][]float64, cntBuf *[]int32) {
 // PredictProba returns P(y=1 | x).
 func (h *HistGBMClassifier) PredictProba(x []float64) float64 {
 	var buf [binRowStack]float64
-	return h.inner.PredictProba(binRowInto(rowBuf(buf[:], len(x)), x, h.bins))
+	return h.inner.PredictProba(binRowInto(withLen(buf[:], len(x)), x, h.bins))
 }
 
 // Predict returns the hard 0/1 label.
 func (h *HistGBMClassifier) Predict(x []float64) float64 {
 	var buf [binRowStack]float64
-	return h.inner.Predict(binRowInto(rowBuf(buf[:], len(x)), x, h.bins))
+	return h.inner.Predict(binRowInto(withLen(buf[:], len(x)), x, h.bins))
 }
 
 // binRowStack is the widest row predictions bin on the stack; wider
@@ -110,8 +110,8 @@ func (h *HistGBMClassifier) Predict(x []float64) float64 {
 // so it holds no buffer of its own.
 const binRowStack = 32
 
-// rowBuf returns buf[:n], or a new slice when buf is too short.
-func rowBuf(buf []float64, n int) []float64 {
+// withLen returns buf[:n], or a new slice when buf is too short.
+func withLen(buf []float64, n int) []float64 {
 	if n > len(buf) {
 		return make([]float64, n)
 	}

@@ -40,10 +40,10 @@ func (c TreeConfig) withDefaults() TreeConfig {
 
 // treeScratch holds the buffers reused across every node of a fit —
 // node position slices, per-feature working orders (none for a leveled
-// frame), partition, class-count, level-histogram and
-// level-run scratch — so growing a tree allocates only its leaf
-// probability vectors and, in slab-sized chunks, its persistent nodes.
-// Ensemble fits share one scratch across all their trees.
+// frame), partition, class-count, level-histogram and level-run scratch
+// — so growing a tree allocates only its leaf probability vectors and,
+// in slab-sized chunks, its persistent nodes. Ensemble fits share one
+// scratch across all their trees.
 type treeScratch struct {
 	feats    []int
 	leftCnt  []float64
