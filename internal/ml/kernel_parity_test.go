@@ -596,6 +596,25 @@ func TestRunSplitMatchesOrdered(t *testing.T) {
 	if checks < 5000 || small < checks/4 || checks-small < checks/4 {
 		t.Fatalf("%d kernel comparisons, %d of them over at most four levels", checks, small)
 	}
+
+	// A node too large for four 16-bit run cursors takes the generic
+	// scatter.
+	n := 1<<15 + 5
+	X, _ := levelRows(rng, n, []int{3, 4}, 2, false)
+	y := regressionTargets(rng, n, 3, false)
+	fr := frameFromRows(X, y, ws)
+	fr.readLevels()
+	ord, orders, idx := orderedTwin(fr, fr, nil)
+	ws.ensureGrow(0, n)
+	parentImp := impurity(y, idx, false, 0, ws)
+	for f := range orders {
+		wg, wt, wok := bestSplitOrdered(ord, orders[f], f, 3, parentImp, false, 0, ws)
+		gg, gt, gok := bestSplitRuns(fr, f, idx, 3, parentImp, ws)
+		if math.Float64bits(gg) != math.Float64bits(wg) || math.Float64bits(gt) != math.Float64bits(wt) || gok != wok {
+			t.Fatalf("%d positions, feature %d: runs (%v, %v, %v), ordered (%v, %v, %v)", n, f, gg, gt, gok, wg, wt, wok)
+		}
+	}
+	ws.putFrame(fr)
 }
 
 // TestLeveledTreesMatchOrdered grows classification and regression
