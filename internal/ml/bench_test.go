@@ -40,7 +40,7 @@ func leveledView(n, nf, L int) *View {
 func BenchmarkGBMFitLeveled(b *testing.B) {
 	v := leveledView(600, 10, 4)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		(&GBMRegressor{Config: GBMConfig{NumTrees: 30, MaxDepth: 3, Seed: 1}}).FitData(v)
 	}
 }
@@ -67,7 +67,7 @@ func BenchmarkSurrogateRefit(b *testing.B) {
 	}
 	cfg := GBMConfig{NumTrees: 40, MaxDepth: 3, LearningRate: 0.15, Seed: 7}
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		(&MultiOutputGBM{Config: cfg}).FitCols(n, cols, targets)
 	}
 }

@@ -451,15 +451,15 @@ func TestLevelSplitMatchesOrdered(t *testing.T) {
 		if !fr.leveled {
 			t.Fatalf("trial %d: levels %v not leveled", trial, levels)
 		}
-		lfr, ord, orders, idx := fr, fr, [][]int32(nil), []int32(nil)
+		lfr := fr
 		var bs *bootstrapper
+		var boot []int32
 		if trial%3 == 1 {
 			bs = newBootstrapper(fr, ws)
 			lfr = bs.resample(rng)
-			ord, orders, idx = orderedTwin(fr, lfr, bs.boot)
-		} else {
-			ord, orders, idx = orderedTwin(fr, lfr, nil)
+			boot = bs.boot
 		}
+		ord, orders, idx := orderedTwin(fr, lfr, boot)
 		ws.ensureGrow(0, n)
 		ws.prepareLevels(lfr.y, nClass)
 		walkSegments(rng, ws, idx, orders, func(lo, hi int) {
@@ -522,8 +522,8 @@ func regressionTargets(rng *rand.Rand, n, levels0 int, mirror bool) []float64 {
 // leveled frames: 1 to 16 levels, ±0 as one level, adjacent-float
 // levels, targets of mixed magnitude that cancel, mirrored ties, every
 // MinLeaf from 1 to 4, node segments left by up to three partitions,
-// and bootstrap resamples with duplicate rows. Segments of up to 200
-// positions take both scatters.
+// and bootstrap resamples with duplicate rows. Features of two, of three
+// or four, and of more levels take each of the three scatters.
 func TestRunSplitMatchesOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ws := new(treeScratch)
