@@ -62,9 +62,11 @@ func (g *GBMRegressor) FitData(d Data) {
 }
 
 // fitFrame boosts over a columnar frame. Because the feature columns
-// never change across stages, the frame's presorted orders are computed
-// once and reused by every tree — only the residual target is refreshed
-// per stage.
+// never change across stages, the frame's presorted orders, and its
+// value levels when it qualifies, are computed once and reused by every
+// tree — only the residual target is refreshed per stage. Levels are
+// read only without row subsampling: each subsampled stage grows on a
+// sub-frame with orders of its own.
 func (g *GBMRegressor) fitFrame(fr *frame, ws *treeScratch) {
 	cfg := g.Config.withDefaults()
 	if !fr.leveled && cfg.Subsample == 1 {
