@@ -748,11 +748,7 @@ func bestSplitRuns(fr *frame, f int, seg []int32, minLeaf int, parentImp float64
 }
 
 // scatterRuns appends each position's target to its level's run:
-// end[l] is the next free slot of run l. It and its two- and
-// four-level forms are kept out of line: inlined into bestSplitRuns,
-// their cursors spill to the stack on every position.
-//
-//go:noinline
+// end[l] is the next free slot of run l.
 func scatterRuns(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, seg []int32) {
 	y = y[:len(lv)]
 	for _, p := range seg {
@@ -764,8 +760,6 @@ func scatterRuns(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, s
 
 // scatterRuns2 is scatterRuns for two levels, branch-free: both runs
 // take every target and only the cursor of its level advances.
-//
-//go:noinline
 func scatterRuns2(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, seg []int32) {
 	n := len(seg)
 	zeros, ones := runs[:n], runs[n:2*n]
@@ -783,7 +777,9 @@ func scatterRuns2(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, 
 
 // scatterRuns4 is scatterRuns for at most four levels whose runs end
 // below 1<<16: the cursors are the 16-bit fields of one register, so no
-// cursor makes a round trip through memory between positions.
+// cursor makes a round trip through memory between positions. It is
+// kept out of line: inlined into bestSplitRuns, the cursor register
+// spilled to the stack on every position.
 //
 //go:noinline
 func scatterRuns4(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, seg []int32) {
