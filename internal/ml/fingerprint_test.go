@@ -30,8 +30,6 @@ var pinnedFingerprints = map[string]string{
 	"forestclf-levels/fit":            "7f54dab979073f9a",
 	"forestclf/data":                  "ff5b4eb9cedff1f0",
 	"forestclf/fit":                   "a70d96a1ea228799",
-	"forestreg-levels/data":           "5c5815f8ffd805ef",
-	"forestreg-levels/fit":            "684df90db6d0f356",
 	"forestreg/data":                  "cafc796dd585a483",
 	"forestreg/fit":                   "8596d588e0c4df39",
 	"gbmclf-levels/data":              "972788b79c88d30e",
@@ -254,9 +252,6 @@ func fingerprintOutputs() map[string]string {
 	both("treereg-levels-minleaf7", dsLR, vLR, func() model { return &TreeRegressor{Config: TreeConfig{MaxDepth: 8, MinLeaf: 7}} }, predict)
 	both("gbmreg-levels", dsLR, vLR, func() model { return &GBMRegressor{Config: GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 1}} }, predict)
 	both("gbmclf-levels", dsL, vL, func() model { return &GBMClassifier{Config: GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 1}} }, proba)
-	both("forestreg-levels", dsLR, vLR, func() model {
-		return &ForestRegressor{Config: ForestConfig{NumTrees: 10, MaxDepth: 6, Seed: 2}}
-	}, predict)
 	both("histgbm-bins16", dsC, vC, func() model {
 		return &HistGBMClassifier{Config: HistGBMConfig{GBM: GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 1}, NumBins: 16}}
 	}, proba)

@@ -140,7 +140,6 @@ type ForestRegressor struct {
 func (f *ForestRegressor) Fit(X [][]float64, y []float64) {
 	ws := getScratch()
 	fr := frameFromRows(X, y, ws)
-	fr.readLevels()
 	f.fitFrame(fr, ws)
 	ws.putFrame(fr)
 	putScratch(ws)
@@ -150,7 +149,6 @@ func (f *ForestRegressor) Fit(X [][]float64, y []float64) {
 func (f *ForestRegressor) FitData(d Data) {
 	ws := getScratch()
 	fr := d.buildFrame(ws)
-	fr.readLevels()
 	f.fitFrame(fr, ws)
 	ws.putFrame(fr)
 	putScratch(ws)
