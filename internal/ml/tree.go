@@ -691,12 +691,9 @@ func bestSplitRuns(fr *frame, f int, seg []int32, minLeaf int, parentImp float64
 	for l := range nl {
 		end[l] = l * n
 	}
-	switch {
-	case nl == 2:
+	if nl == 2 {
 		scatterRuns2(runs, &end, lv, y, seg)
-	case nl <= 4 && 4*n < 1<<16:
-		scatterRuns4(runs, &end, lv, y, seg)
-	default:
+	} else {
 		scatterRuns(runs, &end, lv, y, seg)
 	}
 	// lsum/lsum2[l] is the fold before run l: ls/ls2 at its boundary.
@@ -774,32 +771,6 @@ func scatterRuns2(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, 
 	}
 	end[0], end[1] = nz, n+no
 }
-
-// scatterRuns4 is scatterRuns for at most four levels whose runs end
-// below 1<<16: the cursors are the 16-bit fields of one register, so no
-// cursor makes a round trip through memory between positions. It is
-// kept out of line: inlined into bestSplitRuns, the cursor register
-// spilled to the stack on every position.
-//
-//go:noinline
-func scatterRuns4(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, seg []int32) {
-	var c uint64
-	for l := 3; l >= 0; l-- {
-		c = c<<16 | uint64(end[l])
-	}
-	y = y[:len(lv)] // one bounds check covers lv[p] and y[p]
-	for _, p := range seg {
-		l := lv[p] & 3
-		runs[uint16(c>>(l*16))] = y[p]
-		c += cursorStep[l]
-	}
-	for l := range 4 {
-		end[l] = int(uint16(c >> (16 * l)))
-	}
-}
-
-// cursorStep[l] advances level l's cursor in scatterRuns4.
-var cursorStep = [4]uint64{1, 1 << 16, 1 << 32, 1 << 48}
 
 // clampClass maps out-of-range labels into [0, nClass): a fixed model
 // must tolerate noisy inputs (e.g. synthetic rows with labels outside the
