@@ -11,8 +11,9 @@ import "sort"
 // dataset fit of the same numbers grow bit-identical trees by
 // construction: (value, position) is a total order, hence every correct
 // construction yields the same permutation, and all downstream growth is
-// shared code. Tree fits then read value levels off the orders
-// (readLevels); a leveled frame is grown from its levels alone.
+// shared code. Trees, classification forests and boosting then read
+// value levels off the orders (readLevels); a leveled frame is grown
+// from its levels alone.
 type frame struct {
 	cols [][]float64 // [feature][position]
 	y    []float64   // [position]
