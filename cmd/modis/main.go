@@ -223,8 +223,8 @@ func runRemote(addr, workload, algo string, n int, eps float64, maxl, k int, alp
 		fatal(fmt.Errorf("job %s ended %s: %s", st.JobID, final.Status, final.Error))
 	}
 	rep := final.Report
-	fmt.Fprintf(info, "valuated %d states (%d exact model calls) in %v (queued %v, batched=%v); skyline size %d\n",
-		rep.Valuated, rep.ExactCalls, rep.Wall.Round(1e6), rep.Queued.Round(1e6), rep.Batched, len(rep.Skyline))
+	fmt.Fprintf(info, "valuated %d states (%d exact model calls) in %v (queued %v); skyline size %d\n",
+		rep.Valuated, rep.ExactCalls, rep.Wall.Round(1e6), rep.Queued.Round(1e6), len(rep.Skyline))
 	for i, c := range rep.Skyline {
 		fmt.Fprintf(info, "  candidate %02d: perf=%v entries=%d\n", i+1, c.Perf, c.Ones)
 	}

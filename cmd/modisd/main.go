@@ -3,9 +3,10 @@
 // submit with POST /v1/jobs, observe with GET /v1/jobs/{id} and the
 // /events SSE stream, cancel with DELETE — or over JSONL on
 // stdin/stdout for scripting (-jsonl). Concurrent jobs over one
-// workload share an engine (memoized valuations) and align their
-// frontier valuation windows into batched exact-inference passes; see
-// docs/serving.md for the protocol and curl examples.
+// workload share an engine (memoized valuations, single-flighted
+// while in flight) and run their exact inferences on the workload's
+// queue in one daemon-wide worker pool; see docs/serving.md for the
+// protocol and curl examples.
 //
 // Every workload is registered under its canonical descriptor
 // (repro/modis/workload): the descriptor's content hash is the shard
@@ -62,7 +63,6 @@ func main() {
 		surrogate = flag.Bool("surrogate", true, "use the MO-GBM performance estimator")
 		workers   = flag.Int("workers", 0, "fixed worker count of the daemon-global inference pool (0 = all CPUs)")
 		parallel  = flag.Int("parallel", 0, "max pool workers one workload shard may occupy at once (0 = whole pool)")
-		align     = flag.Duration("align", 0, "frontier alignment window (0 = default 2ms)")
 		maxJobs   = flag.Int("max-concurrent", 0, "max searches executing at once; excess jobs queue (0 = unbounded)")
 		maxQueue  = flag.Int("max-queue", 0, "admission-queue depth past which submits shed with 503 + Retry-After (0 = unbounded; needs -max-concurrent)")
 		maxQWait  = flag.Duration("max-queue-wait", 0, "max time a queued job waits for an execution slot before it is shed (0 = forever)")
@@ -102,7 +102,6 @@ func main() {
 	}
 
 	sched := serve.NewScheduler(serve.SchedulerOptions{
-		AlignWindow:     *align,
 		Workers:         *workers,
 		Parallelism:     *parallel,
 		MaxConcurrent:   *maxJobs,

@@ -1,8 +1,8 @@
 // Example serve: the asynchronous job API end to end, in process.
 // Two discovery jobs run concurrently over one workload through a
 // serve.Scheduler — sharing the workload engine's memoized valuations
-// and aligning their frontier windows into batched exact-inference
-// passes — while the main goroutine streams one job's progress events
+// and its queue in the scheduler's inference pool — while the main
+// goroutine streams one job's progress events
 // as they happen. The same Submit/Events/Result flow is what modisd
 // serves over HTTP; see docs/serving.md.
 package main
@@ -27,9 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sched := serve.NewScheduler(serve.SchedulerOptions{
-		AlignWindow: 10 * time.Millisecond,
-	})
+	sched := serve.NewScheduler(serve.SchedulerOptions{})
 	if err := sched.Register(built.Desc, built.Cfg); err != nil {
 		log.Fatal(err)
 	}
@@ -65,13 +63,13 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, rep := range []*modis.Report{biRep, apxRep} {
-		fmt.Printf("%s: %d skyline members, %d valuated, %d exact calls, wall %v, batched=%v\n",
+		fmt.Printf("%s: %d skyline members, %d valuated, %d exact calls, wall %v\n",
 			rep.Algorithm, len(rep.Skyline), rep.Valuated, rep.ExactCalls,
-			rep.Wall.Round(time.Millisecond), rep.Batched)
+			rep.Wall.Round(time.Millisecond))
 	}
 	// The two searches traverse overlapping states; the shared engine
 	// valuates each state once, so the exact calls summed stay well
 	// below two isolated runs.
-	fmt.Printf("exact calls total: %d (shared memo + single-flight + aligned passes)\n",
+	fmt.Printf("exact calls total: %d (shared memo + single-flight)\n",
 		biRep.ExactCalls+apxRep.ExactCalls)
 }

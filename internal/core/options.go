@@ -61,11 +61,11 @@ type Options struct {
 	Parallelism int
 	// ExactRunner, when non-nil, executes each valuation window's exact
 	// model inferences in place of the run's built-in worker pool — the
-	// batch-aware valuation entry point the serving layer uses to align
-	// the frontier windows of concurrent runs over one configuration
-	// (modis/serve). Results are unchanged by construction: planning and
-	// commits stay on the run goroutine in child order, whoever executes
-	// the inferences.
+	// entry point the serving layer (modis/serve) uses to run every
+	// job's inferences on its shard's queue in one node-wide pool.
+	// Results are unchanged by construction: planning and commits stay
+	// on the run goroutine in child order, whoever executes the
+	// inferences.
 	ExactRunner fst.ExactRunner
 	// RecordGraph captures the running graph G_T (nodes and transition
 	// edges) in the result, for analysis and the MOSP reduction.

@@ -54,20 +54,19 @@ type Valuator struct {
 }
 
 // ExactRunner executes the exact-inference tasks of one valuation
-// window on behalf of a Valuator — the window-alignment hook of the
-// serving layer. A scheduler installs one runner handle per run
-// (SetExactRunner) and may hold a submitted window briefly so the
-// windows of concurrent runs over the same configuration execute as
-// one pooled pass; overlapping states then share a single model
-// inference through the test set's single-flight instead of merely
-// meeting in the memo later.
+// window on behalf of a Valuator — the serving layer's hook into
+// execution. A scheduler installs a runner on each run
+// (SetExactRunner) that sends the window's tasks to the shard's queue
+// in its own worker pool. Concurrent runs over one configuration need
+// nothing more from the runner to share work: a state two runs need at
+// once is inferred once through the test set's single-flight.
 //
 // The contract is simple: RunExact must call every task exactly once,
 // in any order and on any goroutines, return only when all calls have
 // completed, and not retain the task slice afterwards (the valuator
 // reuses it across windows). Each task is self-contained (it carries its run's
 // context and writes only its own job slot), so any compliant runner —
-// sequential, pooled, or merged across runs — leaves the run's
+// sequential or pooled — leaves the run's
 // results byte-identical: planning and committing stay in child order
 // on the run's own goroutine.
 type ExactRunner interface {
@@ -248,8 +247,7 @@ func (v *Valuator) ValuateWindow(ctx context.Context, states []*State, budget in
 // the total inference concurrency of the process stays bounded by one
 // fixed worker set however many runs are in flight. An installed
 // ExactRunner replaces both paths: the window's tasks are handed over
-// as one batch so a scheduler can align them with the windows of
-// concurrent runs (and route them into its own pool). Tasks observe
+// as one batch so a scheduler can route them into its own pool. Tasks observe
 // ctx: once cancelled, remaining jobs are marked with ctx.Err() and
 // the window drains quickly.
 func (v *Valuator) runExact(ctx context.Context, jobs []valJob, exact []int) {

@@ -36,10 +36,10 @@
 // Reports carry the job linkage and timing ([Report].JobID, Queued,
 // Wall). The serving layer (package modis/serve and the modisd
 // daemon) builds on Submit: a scheduler pools engines per workload,
-// queues admissions ([WithAdmission]), and aligns the valuation
-// windows of concurrent runs into shared exact-inference passes
-// ([WithExactRunner]) — batching that never changes results, only who
-// pays for them.
+// queues admissions ([WithAdmission]), and runs every job's exact
+// inferences on the workload's queue in one node-wide worker pool
+// ([WithExactRunner]) — which changes who executes them, never the
+// results.
 //
 // Valuation — the search bottleneck — parallelizes two ways. Within a
 // run, [WithParallelism] fans the exact model inferences of each
@@ -144,7 +144,6 @@ type prepared struct {
 	resolved  RunOptions
 	copts     core.Options
 	admit     func(context.Context) error
-	runner    any // the installed ExactRunner, for the Batched probe
 }
 
 // prepare resolves the algorithm and options of one run request.
@@ -172,7 +171,6 @@ func (e *Engine) prepare(algorithm string, opts []Option) (prepared, error) {
 		resolved:  resolved,
 		copts:     copts,
 		admit:     s.admit,
-		runner:    s.runner,
 	}, nil
 }
 
@@ -244,11 +242,6 @@ func (e *Engine) execute(ctx context.Context, j *Job, pr prepared) (*Report, err
 		Skyline:    make([]*Candidate, 0, len(res.Skyline)),
 		Graph:      res.Graph,
 	}
-	// A scheduler-installed exact runner knows whether this run's
-	// windows actually shared a pass with a concurrent run.
-	if bp, ok := pr.runner.(interface{ Batched() bool }); ok {
-		rep.Batched = bp.Batched()
-	}
 	for _, c := range res.Skyline {
 		rep.Skyline = append(rep.Skyline, &Candidate{
 			Bits:   c.Bits,
@@ -289,11 +282,6 @@ type Report struct {
 	// Options are the fully resolved knobs of the run (defaults applied,
 	// sentinels eliminated).
 	Options RunOptions `json:"options"`
-	// Batched reports whether any of the run's valuation windows
-	// executed in an exact-inference pass shared with a concurrent run
-	// (modis/serve's frontier alignment). Results are identical either
-	// way; the flag records that the wall time was co-paid by peers.
-	Batched bool `json:"batched,omitempty"`
 	// Queued is how long the job waited between submission and the
 	// search starting — admission-queue time under a scheduler,
 	// scheduling noise otherwise (marshals as nanoseconds).

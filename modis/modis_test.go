@@ -398,8 +398,8 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if decoded.JobID != rep.JobID || decoded.JobID == "" {
 		t.Errorf("round trip lost job id: %q vs %q", decoded.JobID, rep.JobID)
 	}
-	if decoded.Queued != rep.Queued || decoded.Wall != rep.Wall || decoded.Batched != rep.Batched {
-		t.Errorf("round trip lost timing/batching fields: %s", blob)
+	if decoded.Queued != rep.Queued || decoded.Wall != rep.Wall {
+		t.Errorf("round trip lost timing fields: %s", blob)
 	}
 	for i, c := range decoded.Skyline {
 		if len(c.Bitmap) != len(rep.Skyline[i].Bitmap) || len(c.Perf) != len(rep.Skyline[i].Perf) {

@@ -251,15 +251,11 @@ func WithParallelism(n int) Option {
 
 // WithExactRunner installs the run's exact-inference runner: each
 // valuation window's exact model inferences are handed to r as a batch
-// of tasks instead of the run's built-in worker pool. This is the
-// serving layer's frontier-alignment hook — modis/serve's Scheduler
-// installs a per-run handle whose RunExact may merge the window with
-// windows of concurrent runs over the same configuration into one
-// pooled pass. Results are byte-identical with any compliant runner
-// (see fst.ExactRunner for the contract). If the runner additionally
-// implements Batched() bool, the report's Batched field records
-// whether the run actually shared a pass. Most callers never need
-// this option.
+// of tasks instead of the run's built-in worker pool. modis/serve's
+// Scheduler uses it to run every job's inferences on the workload's
+// queue in the node's shared pool. Results are byte-identical with any
+// compliant runner (see fst.ExactRunner for the contract). Most
+// callers never need this option.
 func WithExactRunner(r fst.ExactRunner) Option {
 	return func(s *settings) error {
 		s.runner = r

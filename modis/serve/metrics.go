@@ -19,7 +19,6 @@ type shardMetrics struct {
 	cancelled  atomic.Int64
 	valuations atomic.Int64
 	exactCalls atomic.Int64
-	batched    atomic.Int64
 
 	// Streaming counters, updated by AppendRows under the append gate.
 	// tableVersion and rowCount double as the shard's race-free mirrors
@@ -58,9 +57,6 @@ func (s *Scheduler) observeFinished(sh *shard, rec *JobRecord, job *modis.Job) {
 	if rep != nil {
 		sh.met.valuations.Add(int64(rep.Valuated))
 		sh.met.exactCalls.Add(int64(rep.ExactCalls))
-		if rep.Batched {
-			sh.met.batched.Add(1)
-		}
 	}
 }
 
@@ -120,8 +116,6 @@ func (s *Scheduler) WriteMetrics(w *metrics.Writer) {
 		w.Sample("modis_valuations_total", labels, float64(sh.met.valuations.Load()))
 		w.Header("modis_exact_calls_total", "Exact model inferences paid by completed jobs.", "counter")
 		w.Sample("modis_exact_calls_total", labels, float64(sh.met.exactCalls.Load()))
-		w.Header("modis_batched_runs_total", "Completed runs that shared at least one pass with a peer.", "counter")
-		w.Sample("modis_batched_runs_total", labels, float64(sh.met.batched.Load()))
 
 		if sh.cfg.Tests != nil {
 			ms := sh.cfg.Tests.MemoStats()
@@ -145,16 +139,6 @@ func (s *Scheduler) WriteMetrics(w *metrics.Writer) {
 		w.Sample("modis_table_version", labels, float64(sh.met.tableVersion.Load()))
 		w.Header("modis_table_rows", "The shard's universal-table row count.", "gauge")
 		w.Sample("modis_table_rows", labels, float64(sh.met.rowCount.Load()))
-
-		bs := sh.batch.stats()
-		w.Header("modis_batch_windows_total", "Valuation windows submitted to the shard batcher.", "counter")
-		w.Sample("modis_batch_windows_total", labels, float64(bs.windows))
-		w.Header("modis_batch_merged_windows_total", "Windows that executed in a pass shared across runs.", "counter")
-		w.Sample("modis_batch_merged_windows_total", labels, float64(bs.mergedWindows))
-		w.Header("modis_batch_passes_total", "Executed exact-inference passes.", "counter")
-		w.Sample("modis_batch_passes_total", labels, float64(bs.passes))
-		w.Header("modis_batch_merged_passes_total", "Passes that merged windows of two or more runs.", "counter")
-		w.Sample("modis_batch_merged_passes_total", labels, float64(bs.mergedPasses))
 
 		qs := sh.queue.Stats()
 		w.Header("modis_pool_tasks_total", "Inference tasks the shard completed on the pool.", "counter")

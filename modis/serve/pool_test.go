@@ -122,9 +122,9 @@ func TestSkylineDeterminismAcrossPoolSizes(t *testing.T) {
 		}
 		sched.Close()
 
-		// Batched submissions: all five algorithms in flight at once,
-		// windows merging across runs.
-		sched = serve.NewScheduler(serve.SchedulerOptions{Workers: workers, AlignWindow: 10 * time.Millisecond})
+		// Concurrent submissions: all five algorithms in flight at once,
+		// sharing the memo and the shard's pool queue.
+		sched = serve.NewScheduler(serve.SchedulerOptions{Workers: workers})
 		registerShape(t, sched, newShapeConfig(t, 20*time.Microsecond))
 		jobs := map[string]*modis.Job{}
 		for _, algo := range allAlgorithms() {
@@ -136,7 +136,7 @@ func TestSkylineDeterminismAcrossPoolSizes(t *testing.T) {
 		}
 		for _, algo := range allAlgorithms() {
 			if got := skylineJSON(t, mustResult(t, jobs[algo])); got != want[algo] {
-				t.Errorf("workers=%d batched %s: skyline diverges\n want: %s\n got:  %s", workers, algo, want[algo], got)
+				t.Errorf("workers=%d concurrent %s: skyline diverges\n want: %s\n got:  %s", workers, algo, want[algo], got)
 			}
 		}
 		sched.Close()
@@ -146,7 +146,7 @@ func TestSkylineDeterminismAcrossPoolSizes(t *testing.T) {
 // TestPoolBoundsInferenceConcurrency is the saturation property: two
 // workloads flooding one scheduler must never have more model
 // inferences executing at once than the pool has workers — however
-// many shards, runs, and merged passes are in flight — and both
+// many shards and runs are in flight — and both
 // workloads must make progress to completion.
 func TestPoolBoundsInferenceConcurrency(t *testing.T) {
 	const workers = 2

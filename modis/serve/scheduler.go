@@ -1,6 +1,6 @@
 // Package serve is the serving layer of the modis engine: a
 // [Scheduler] that runs concurrently submitted jobs over shared
-// per-workload engines with frontier-aligned valuation batching, a
+// per-workload engines and one bounded inference pool, a
 // [Server] exposing the job API over HTTP (JSON + server-sent events)
 // and over JSONL stdin/stdout for scripting, and a [Client] for
 // driving a remote daemon programmatically. Command modisd wires a
@@ -37,11 +37,6 @@ var ErrUnknownWorkload = errors.New("serve: unknown workload")
 
 // SchedulerOptions tune a Scheduler. The zero value is ready to use.
 type SchedulerOptions struct {
-	// AlignWindow is how long a run's valuation window may wait for
-	// concurrent runs' windows before executing (default 2ms). Larger
-	// windows align more at the cost of latency on runs with nothing to
-	// share.
-	AlignWindow time.Duration
 	// Workers is the fixed worker count of the scheduler's inference
 	// pool (default GOMAXPROCS) — the hard bound on exact model
 	// inferences executing at once across every shard; modisd's
@@ -96,12 +91,14 @@ type SchedulerOptions struct {
 // the descriptor's content hash is the shard identity: jobs submitted
 // for the same hash — under any catalog name, from any process that
 // derived the same descriptor — share one engine (hence one memoized
-// test set: overlapping runs share valuations) and one frontier
-// batcher (concurrently in-flight runs align their valuation windows
-// into shared passes). Jobs for different shards run side by side
+// test set: overlapping runs share valuations, and a state two runs
+// need at once is inferred once through the memo's single-flight) and
+// one queue in the scheduler's inference pool, which every run's exact
+// inferences go through. Jobs for different shards run side by side
 // independently, and a shard's persisted state lives in its own
-// state-dir/<hash>/ directory, so moving a shard between nodes is a
-// directory copy.
+// state-dir/<hash>/ directory, so moving a shard between nodes built
+// for the same GOARCH is a directory copy (floating-point results, and
+// so the persisted memo, are not yet portable across architectures).
 //
 // A Scheduler is safe for concurrent use. It also keeps the record of
 // every job it accepted, so wire layers can resolve job ids.
@@ -151,7 +148,6 @@ type shard struct {
 	canon  string // canonical descriptor JSON — the collision-guard witness
 	cfg    *fst.Config
 	engine *modis.Engine
-	batch  *batcher
 	queue  *workpool.Queue // the shard's lane into the scheduler's pool
 	met    *shardMetrics
 	names  []string // catalog names registered onto this shard, sorted
@@ -359,7 +355,6 @@ func (s *Scheduler) register(desc *workload.Descriptor, cfg *fst.Config, hash st
 		canon:  canon,
 		cfg:    cfg,
 		engine: modis.NewEngine(cfg),
-		batch:  newBatcher(s.opts.AlignWindow, queue),
 		queue:  queue,
 		met:    &shardMetrics{},
 		names:  []string{desc.Name},
@@ -579,17 +574,12 @@ func (s *Scheduler) SubmitKeyed(ctx context.Context, workloadName, algorithm, id
 		s.idem[idemKey] = entry
 	}
 	s.mu.Unlock()
-	h := sh.batch.newRun()
 
 	// The scheduler's hooks come after the caller's options so they
-	// cannot be overridden into an unmanaged run. The admission hook
-	// joins the batcher quorum only once the run may actually execute:
-	// a job waiting in the queue produces no valuation windows, and
-	// counting it would make running peers wait out the full alignment
-	// window on every pass.
+	// cannot be overridden into an unmanaged run.
 	all := make([]modis.Option, 0, len(opts)+2)
 	all = append(all, opts...)
-	all = append(all, modis.WithExactRunner(h))
+	all = append(all, modis.WithExactRunner(queueRunner{sh.queue}))
 	// entered tracks whether the run passed the shard's append gate, so
 	// the completion goroutine releases exactly what was taken.
 	var entered atomic.Bool
@@ -607,13 +597,11 @@ func (s *Scheduler) SubmitKeyed(ctx context.Context, workloadName, algorithm, id
 			return err
 		}
 		entered.Store(true)
-		h.join()
 		return nil
 	}))
 
 	job, err := sh.engine.Submit(ctx, algorithm, all...)
 	if err != nil {
-		h.close()
 		s.unqueue()
 		s.finishJob()
 		if entry != nil {
@@ -641,10 +629,8 @@ func (s *Scheduler) SubmitKeyed(ctx context.Context, workloadName, algorithm, id
 
 	go func() {
 		<-job.Done()
-		// Deregister from the batcher first so peers stop waiting,
-		// then leave the append gate and release the admission slot
-		// for the next queued job.
-		h.close()
+		// Leave the append gate, then release the admission slot for
+		// the next queued job.
 		if entered.Load() {
 			sh.gate.endRun()
 		}
@@ -657,6 +643,16 @@ func (s *Scheduler) SubmitKeyed(ctx context.Context, workloadName, algorithm, id
 	}()
 	return rec, false, nil
 }
+
+// queueRunner is every run's fst.ExactRunner: a valuation window's
+// exact-inference tasks execute on the shard's queue in the scheduler's
+// pool, where they interleave fairly with other shards' tasks and the
+// node's inference concurrency stays bounded by the pool's workers.
+// Concurrent runs of one shard share inference through the memo's
+// single-flight, not through the runner.
+type queueRunner struct{ q *workpool.Queue }
+
+func (r queueRunner) RunExact(_ context.Context, tasks []func()) { r.q.Run(tasks) }
 
 // acquireSlot is the admission hook's wait for an execution slot,
 // bounded by MaxQueueWait — overload shedding, part two: a job that

@@ -18,7 +18,7 @@ import (
 
 func newTestServer(tb testing.TB, sleep time.Duration) (*serve.Server, *httptest.Server) {
 	tb.Helper()
-	sched := serve.NewScheduler(serve.SchedulerOptions{AlignWindow: 5 * time.Millisecond})
+	sched := serve.NewScheduler(serve.SchedulerOptions{})
 	registerShape(tb, sched, newShapeConfig(tb, sleep))
 	srv := serve.NewServer(sched, serve.ServerOptions{})
 	hs := httptest.NewServer(srv)

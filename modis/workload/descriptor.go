@@ -4,7 +4,7 @@
 // schema, task, model family, measures, encoder options, UDF registry
 // fingerprint — and hashes it into a stable content address
 // ([Descriptor.Hash]). The hash is what the fleet routes on: the
-// serving scheduler keys engines, batchers, and persisted state by it
+// serving scheduler keys engines, pool queues, and persisted state by it
 // (state-dir/<hash>/…), and the modisproxy consistent-hashes it across
 // nodes, so two daemons that build the same workload agree on its
 // identity without sharing a process.

@@ -6,9 +6,9 @@
 # SIGKILL durability check fails, and pipefail carries that exit through
 # the pipe. Its result line (the last line of stdout) then goes through
 # the gates in scripts/perf_smoke.jq:
-#   serve-append  windows merged, the memo kept answering the states an
-#                 append did not touch, and the restart replayed the
-#                 memo without re-running inference;
+#   serve-append  the memo kept answering the states an append did not
+#                 touch, and the restart replayed the memo without
+#                 re-running inference;
 #   serve-warm    every job answered from the memo, no exact inference.
 # About 40 s on two CPUs, most of it building modisd and modisperf.
 set -euo pipefail
