@@ -137,22 +137,6 @@ func TestHistGBMClassifier(t *testing.T) {
 	}
 }
 
-func TestHistGBMRegressor(t *testing.T) {
-	X, y := linearData(300, 19)
-	h := &HistGBMRegressor{Config: HistGBMConfig{
-		GBM:     GBMConfig{NumTrees: 50, MaxDepth: 3, Seed: 1},
-		NumBins: 24,
-	}}
-	h.Fit(X, y)
-	pred := make([]float64, len(y))
-	for i, x := range X {
-		pred[i] = h.Predict(x)
-	}
-	if r2 := R2(y, pred); r2 < 0.8 {
-		t.Errorf("hist-GBM regressor R2 = %v, want >= 0.8", r2)
-	}
-}
-
 func TestBinRowMonotone(t *testing.T) {
 	bins := [][]float64{{1, 2, 3}}
 	lo := binRow([]float64{0.5}, bins)[0]

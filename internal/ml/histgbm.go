@@ -121,30 +121,6 @@ func withLen(buf []float64, n int) []float64 {
 // Importances proxies the inner model's importances.
 func (h *HistGBMClassifier) Importances(nf int) []float64 { return h.inner.Importances(nf) }
 
-// HistGBMRegressor is a binned gradient-boosted regressor.
-type HistGBMRegressor struct {
-	Config HistGBMConfig
-	inner  GBMRegressor
-	bins   [][]float64
-}
-
-// Fit quantizes X then trains the boosted regressor.
-func (h *HistGBMRegressor) Fit(X [][]float64, y []float64) {
-	nb := h.Config.NumBins
-	if nb <= 0 {
-		nb = 32
-	}
-	h.bins = computeBins(X, nb)
-	bx := binAll(X, h.bins)
-	h.inner = GBMRegressor{Config: h.Config.GBM}
-	h.inner.Fit(bx, y)
-}
-
-// Predict returns the boosted prediction for one example.
-func (h *HistGBMRegressor) Predict(x []float64) float64 {
-	return h.inner.Predict(binRow(x, h.bins))
-}
-
 // computeBins derives per-feature quantile bin edges.
 func computeBins(X [][]float64, nb int) [][]float64 {
 	if len(X) == 0 {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/fst"
 	"repro/internal/wal"
+	"repro/modis"
 	"repro/modis/serve"
 )
 
@@ -538,5 +539,63 @@ func TestLedgerWindowEvictsWithoutPersistence(t *testing.T) {
 	}
 	if st.Status != serve.StatusDone || st.Report != nil {
 		t.Fatalf("evicted job = status %q, report %v; want done without a report", st.Status, st.Report != nil)
+	}
+}
+
+// TestLedgerReplaysRetiredReportField pins lenient report decoding: a
+// ledger written by an older build, whose reports carry a field this
+// build no longer has ("batched", from the retired frontier batcher),
+// still replays, and the job's report reads back with every other
+// field intact.
+func TestLedgerReplaysRetiredReportField(t *testing.T) {
+	dir := t.TempDir()
+	hash := shapeHash(t)
+	rep, err := modis.NewEngine(newShapeConfig(t, 0)).Run(context.Background(), "bi", runOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old map[string]any
+	if err := json.Unmarshal(want, &old); err != nil {
+		t.Fatal(err)
+	}
+	old["batched"] = true
+	entry, err := json.Marshal(map[string]any{
+		"kind": "finished", "id": "old-job", "workload": "shape", "algorithm": "bi",
+		"submitted": time.Now(), "status": serve.StatusDone, "report": old,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := wal.OpenStore(wal.OsFS{}, filepath.Join(dir, hash, "jobs"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Append(entry); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	p := openPersist(t, dir, nil)
+	defer p.Close()
+	sched := serve.NewScheduler(serve.SchedulerOptions{Persist: p})
+	defer sched.Close()
+	registerShape(t, sched, newShapeConfig(t, 0))
+	got, ok := p.ReadReport("old-job")
+	if !ok {
+		t.Fatal("a report holding a retired field did not read back")
+	}
+	blob, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(blob) != string(want) {
+		t.Fatalf("replayed report changed:\nwant %s\ngot  %s", want, blob)
 	}
 }
