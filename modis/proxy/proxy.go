@@ -718,7 +718,7 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves the proxy's own Prometheus text exposition:
 // the fleet view — per-node liveness, breaker position, in-flight
 // jobs, exchange counters — plus how many shards each node advertises.
-// Per-shard serving series (latency quantiles, merge rate, memo hits)
+// Per-shard serving series (latency quantiles, memo hits, pool time)
 // live on the nodes' own /metrics; the proxy's /healthz lists their
 // addresses.
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -544,7 +544,7 @@ func TestLedgerWindowEvictsWithoutPersistence(t *testing.T) {
 
 // TestLedgerReplaysRetiredReportField pins lenient report decoding: a
 // ledger written by an older build, whose reports carry a field this
-// build no longer has ("batched", from the retired frontier batcher),
+// build no longer has ("batched", from the retired frontier alignment),
 // still replays, and the job's report reads back with every other
 // field intact.
 func TestLedgerReplaysRetiredReportField(t *testing.T) {
