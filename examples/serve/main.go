@@ -2,9 +2,9 @@
 // Two discovery jobs run concurrently over one workload through a
 // serve.Scheduler — sharing the workload engine's memoized valuations
 // and its queue in the scheduler's inference pool — while the main
-// goroutine streams one job's progress events
-// as they happen. The same Submit/Events/Result flow is what modisd
-// serves over HTTP; see docs/serving.md.
+// goroutine streams one job's progress events as they happen. The
+// same Submit/Events/Result flow is what modisd serves over HTTP; see
+// docs/serving.md.
 package main
 
 import (

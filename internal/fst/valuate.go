@@ -66,9 +66,9 @@ type Valuator struct {
 // completed, and not retain the task slice afterwards (the valuator
 // reuses it across windows). Each task is self-contained (it carries its run's
 // context and writes only its own job slot), so any compliant runner —
-// sequential or pooled — leaves the run's
-// results byte-identical: planning and committing stay in child order
-// on the run's own goroutine.
+// sequential or pooled — leaves the run's results byte-identical:
+// planning and committing stay in child order on the run's own
+// goroutine.
 type ExactRunner interface {
 	RunExact(ctx context.Context, tasks []func())
 }
@@ -247,9 +247,9 @@ func (v *Valuator) ValuateWindow(ctx context.Context, states []*State, budget in
 // the total inference concurrency of the process stays bounded by one
 // fixed worker set however many runs are in flight. An installed
 // ExactRunner replaces both paths: the window's tasks are handed over
-// as one batch so a scheduler can route them into its own pool. Tasks observe
-// ctx: once cancelled, remaining jobs are marked with ctx.Err() and
-// the window drains quickly.
+// as one batch so a scheduler can route them into its own pool. Tasks
+// observe ctx: once cancelled, remaining jobs are marked with ctx.Err()
+// and the window drains quickly.
 func (v *Valuator) runExact(ctx context.Context, jobs []valJob, exact []int) {
 	if len(exact) == 0 {
 		return
