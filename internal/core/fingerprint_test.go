@@ -44,6 +44,7 @@ var pinnedSearches = map[string]string{
 	"t1-narrow/n60/surrogate/div":   "a96696ec5fc1ed5f v60 x25 l3 p0",
 	"t1-narrow/n60/surrogate/exact": "719ac3ae84ee847a v60 x25 l2 p0",
 	"t1-narrow/n60/surrogate/nobi":  "6d0c74283666046b v60 x25 l3 p0",
+	"t2-append/l1/exact/exact":      "49a84f76bb4966f9 v46 x46 l1 p0",
 	"t2-narrow/l2/exact/apx":        "5c24afabd7a02aeb v79 x79 l2 p0",
 	"t2-narrow/l2/exact/bi":         "4f2e1baeae11ca93 v26 x26 l2 p0",
 	"t2-narrow/l2/exact/div":        "53f3161fd78a57f7 v80 x80 l2 p0",
@@ -197,6 +198,18 @@ func fingerprintCells(t *testing.T) []fingerprintCell {
 			}
 		}
 	}
+	// The cold job of serve-append: t2 at 60 rows on its default
+	// attribute mix, swept exhaustively without the surrogate, so every
+	// valuation fits the task's forest on a small table. The job sweeps
+	// to level 2; the cell stops at level 1, which keeps it under a
+	// second at parallelism 1 and 2.
+	appendShape := datagen.T2House(datagen.TaskConfig{Rows: 60})
+	level1 := unbudgeted
+	level1.MaxLevel = 1
+	cells = append(cells, fingerprintCell{
+		name: "t2-append/l1/exact/exact",
+		cfg:  appendShape.NewConfig, run: ExactMODis, opts: level1,
+	})
 	return cells
 }
 

@@ -2,22 +2,28 @@ package ml
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/table"
 )
 
-// leveledView is a t1-shaped training view: a matrix view of 70 % of n
-// rows over nf integer features of L value levels each, with a noisy
-// float target.
-func leveledView(n, nf, L int) *View {
+// leveledTable is a seeded table of n rows over nf integer features
+// of L value levels each, with a noisy float target y, or with y cut
+// into classes 0..classes-1 (⌊y⌋ mod classes) when classes > 0; rows is a seeded 70 %
+// subset of its rows, the training split of a search state.
+func leveledTable(n, nf, L, classes int) (u *table.Table, rows []int) {
 	schema := table.Schema{}
 	for f := 0; f < nf; f++ {
 		schema = append(schema, table.Column{Name: fmt.Sprintf("f%d", f), Kind: table.KindInt})
 	}
-	schema = append(schema, table.Column{Name: "y", Kind: table.KindFloat})
-	u := table.New("D_U", schema)
+	yKind := table.KindFloat
+	if classes > 0 {
+		yKind = table.KindInt
+	}
+	schema = append(schema, table.Column{Name: "y", Kind: yKind})
+	u = table.New("D_U", schema)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < n; i++ {
 		row := make(table.Row, 0, nf+1)
@@ -27,11 +33,29 @@ func leveledView(n, nf, L int) *View {
 			y += float64(l*(f%3)) * 0.3
 			row = append(row, table.Int(int64(l)))
 		}
-		row = append(row, table.Float(y))
+		if classes > 0 {
+			c := int(math.Floor(y)) % classes
+			row = append(row, table.Int(int64((c+classes)%classes)))
+		} else {
+			row = append(row, table.Float(y))
+		}
 		u.MustAppend(row)
 	}
-	rows := rng.Perm(n)[:n*7/10]
+	return u, rng.Perm(n)[:n*7/10]
+}
+
+// leveledView is a t1-shaped training view: a matrix view of 70 % of n
+// rows over nf integer features of L value levels each, with a noisy
+// float target.
+func leveledView(n, nf, L int) *View {
+	u, rows := leveledTable(n, nf, L, 0)
 	return NewTableEncoder(u, "y").Matrix().View(rows, nil)
+}
+
+// t2Forest is the model of task t2: a forest of 12 depth-6 trees under
+// seed 1 that samples √nf features per split.
+func t2Forest() *ForestClassifier {
+	return &ForestClassifier{Config: ForestConfig{NumTrees: 12, MaxDepth: 6, Seed: 1}, NumClass: 3}
 }
 
 // BenchmarkGBMFitLeveled times one t1-shaped boosting fit on the
@@ -69,5 +93,18 @@ func BenchmarkSurrogateRefit(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		(&MultiOutputGBM{Config: cfg}).FitCols(n, cols, targets)
+	}
+}
+
+// BenchmarkForestFitSmall times one t2-shaped forest fit at the size of
+// a serve-append valuation: FitData over a 60-row matrix view of eight
+// four-level features and three classes. At this size seeding the
+// trees' sources is a visible share of the fit.
+func BenchmarkForestFitSmall(b *testing.B) {
+	u, rows := leveledTable(86, 8, 4, 3)
+	v := NewTableEncoder(u, "y").Matrix().View(rows, nil)
+	b.ReportAllocs()
+	for b.Loop() {
+		t2Forest().FitData(v)
 	}
 }

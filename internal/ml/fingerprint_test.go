@@ -28,8 +28,10 @@ var pinnedFingerprints = map[string]string{
 	"forestclf-levels-minleaf1/fit":   "05a98c02e91fafe2",
 	"forestclf-levels/data":           "aef2e038dfa025c5",
 	"forestclf-levels/fit":            "7f54dab979073f9a",
+	"forestclf-t2-60rows/data":        "28c662099764f11b",
 	"forestclf/data":                  "ff5b4eb9cedff1f0",
 	"forestclf/fit":                   "a70d96a1ea228799",
+	"forestreg-levels-60rows/data":    "a3b41e98a2e3d206",
 	"forestreg/data":                  "cafc796dd585a483",
 	"forestreg/fit":                   "8596d588e0c4df39",
 	"gbmclf-levels/data":              "972788b79c88d30e",
@@ -54,6 +56,7 @@ var pinnedFingerprints = map[string]string{
 	"mi/rows":                         "4a3240cbc801c231",
 	"mogbm/fit":                       "5f2edaa10b141067",
 	"mogbm/fitcols":                   "5f2edaa10b141067",
+	"splitperm/n1-200":                "35c90ce9d01e0e78",
 	"treeclf-levels-3class/fit":       "fe94d266f188e14f",
 	"treeclf-levels-minleaf1/data":    "96005e58045a7b78",
 	"treeclf-levels-minleaf1/fit":     "11a7e6f2a1193e55",
@@ -314,6 +317,31 @@ func fingerprintOutputs() map[string]string {
 	ws.putFrame(fr)
 	putScratch(ws)
 	out["gbmreg-minleaf4/fitcols"] = predictAll(X, gb.Predict)
+
+	// Task t2's forest at the size of a serve-append valuation: twelve
+	// trees, each seeding a source of its own, over a 60-row view of
+	// eight four-level features.
+	u2, rows2 := leveledTable(86, 8, 4, 3)
+	enc2 := NewTableEncoder(u2, "y")
+	ds2 := enc2.Encode(u2)
+	f2 := t2Forest()
+	f2.FitData(enc2.Matrix().View(rows2, nil))
+	out["forestclf-t2-60rows/data"] = predictAll(ds2.X, func(x []float64) float64 { return proba3(f2.PredictProba(x)) })
+	uR, rowsR := leveledTable(86, 8, 4, 0)
+	encR2 := NewTableEncoder(uR, "y")
+	fr2 := &ForestRegressor{Config: ForestConfig{NumTrees: 8, MaxDepth: 6, Seed: 7}}
+	fr2.FitData(encR2.Matrix().View(rowsR, nil))
+	out["forestreg-levels-60rows/data"] = predictAll(encR2.Encode(uR).X, fr2.Predict)
+	// The train/test shuffle of every valuation, at every size up to 200.
+	var perms []float64
+	for n := 1; n <= 200; n++ {
+		perm, nTest := splitPerm(n, 0.3, 42)
+		perms = append(perms, float64(nTest))
+		for _, p := range perm {
+			perms = append(perms, float64(p))
+		}
+	}
+	out["splitperm/n1-200"] = hashBits(perms)
 
 	out["fisher/data"] = hashBits(FisherScoreData(vC, Labels(vC)))
 	out["mi/data"] = hashBits(MutualInformationData(vC, Labels(vC), 8))
