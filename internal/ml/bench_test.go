@@ -108,3 +108,24 @@ func BenchmarkForestFitSmall(b *testing.B) {
 		t2Forest().FitData(v)
 	}
 }
+
+// BenchmarkSeedSource times one seeding of randSource, reused in place
+// as a tree scratch's source is, against math/rand's source.
+func BenchmarkSeedSource(b *testing.B) {
+	b.Run("randSource", func(b *testing.B) {
+		var src randSource
+		seed := int64(0)
+		for b.Loop() {
+			seed++
+			src.Seed(seed)
+		}
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		src := rand.NewSource(0)
+		seed := int64(0)
+		for b.Loop() {
+			seed++
+			src.Seed(seed)
+		}
+	})
+}

@@ -7,7 +7,6 @@ package ml
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/table"
@@ -141,7 +140,7 @@ func (d *Dataset) Split(testFrac float64, seed int64) (train, test *Dataset) {
 // matrix view of the same state split identically by construction —
 // a load-bearing invariant of the columnar fast path.
 func splitPerm(n int, testFrac float64, seed int64) (perm []int, nTest int) {
-	perm = rand.New(rand.NewSource(seed)).Perm(n)
+	perm = newRand(seed).Perm(n)
 	nTest = int(float64(n) * testFrac)
 	if nTest < 1 && n > 1 {
 		nTest = 1

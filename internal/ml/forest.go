@@ -67,7 +67,7 @@ func (f *ForestClassifier) fitFrame(fr *frame, ws *treeScratch) {
 			mf = 1
 		}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := newRand(cfg.Seed)
 	f.trees = make([]*TreeClassifier, cfg.NumTrees)
 	bs := newBootstrapper(fr, ws)
 	for t := 0; t < cfg.NumTrees; t++ {
@@ -163,7 +163,7 @@ func (f *ForestRegressor) fitFrame(fr *frame, ws *treeScratch) {
 			mf = 1
 		}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := newRand(cfg.Seed)
 	f.trees = make([]*TreeRegressor, cfg.NumTrees)
 	bs := newBootstrapper(fr, ws)
 	for t := 0; t < cfg.NumTrees; t++ {

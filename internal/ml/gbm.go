@@ -118,10 +118,11 @@ func (g *GBMRegressor) Importances(nf int) []float64 {
 
 // stageRNG returns the source row subsampling draws from, or nil
 // without subsampling: boosting trees scan every feature, so nothing
-// else would read it.
+// else would read it, and a fit that draws nothing skips the source's
+// 4.9 KB and its ~3.5 µs seeding.
 func stageRNG(cfg GBMConfig) *rand.Rand {
 	if cfg.Subsample < 1 {
-		return rand.New(rand.NewSource(cfg.Seed))
+		return newRand(cfg.Seed)
 	}
 	return nil
 }
