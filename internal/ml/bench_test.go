@@ -11,8 +11,9 @@ import (
 
 // leveledTable is a seeded table of n rows over nf integer features
 // of L value levels each, with a noisy float target y, or with y cut
-// into classes 0..classes-1 (⌊y⌋ mod classes) when classes > 0; rows is a seeded 70 %
-// subset of its rows, the training split of a search state.
+// into classes 0..classes-1 (⌊y⌋ mod classes) when classes > 0. rows
+// is a seeded 70 % subset of its rows, the training split of a search
+// state.
 func leveledTable(n, nf, L, classes int) (u *table.Table, rows []int) {
 	schema := table.Schema{}
 	for f := 0; f < nf; f++ {
