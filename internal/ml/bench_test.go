@@ -71,30 +71,43 @@ func BenchmarkGBMFitLeveled(b *testing.B) {
 }
 
 // BenchmarkSurrogateRefit times one refit of the MO-GBM surrogate's
-// shape: FitCols over 400 observations of 24 0/1 features and three
-// targets, 40 trees of depth 3 per target.
+// shape: FitCols over n observations of 24 0/1 features and three
+// targets, 40 trees of depth 3 per target. At n=60 (an early refit)
+// nodes are small and a split search's fixed cost shows; n=400 is a
+// refit late in a long search.
 func BenchmarkSurrogateRefit(b *testing.B) {
-	const n, nf = 400, 24
+	for _, n := range []int{60, 400} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			cols, targets := surrogateObservations(n, 24)
+			cfg := GBMConfig{NumTrees: 40, MaxDepth: 3, LearningRate: 0.15, Seed: 7}
+			b.ReportAllocs()
+			for b.Loop() {
+				(&MultiOutputGBM{Config: cfg}).FitCols(n, cols, targets)
+			}
+		})
+	}
+}
+
+// surrogateObservations is a seeded surrogate history: n observations
+// of nf 0/1 features and three noisy targets that depend on the first
+// nine features.
+func surrogateObservations(n, nf int) (cols, targets [][]float64) {
 	rng := rand.New(rand.NewSource(8))
-	cols := make([][]float64, nf)
+	cols = make([][]float64, nf)
 	for f := range cols {
 		cols[f] = make([]float64, n)
 		for i := range cols[f] {
 			cols[f][i] = float64(rng.Intn(2))
 		}
 	}
-	targets := make([][]float64, 3)
+	targets = make([][]float64, 3)
 	for j := range targets {
 		targets[j] = make([]float64, n)
 		for i := range targets[j] {
 			targets[j][i] = cols[j][i] + 0.5*cols[j+3][i]*cols[j+6][i] + 0.1*rng.NormFloat64()
 		}
 	}
-	cfg := GBMConfig{NumTrees: 40, MaxDepth: 3, LearningRate: 0.15, Seed: 7}
-	b.ReportAllocs()
-	for b.Loop() {
-		(&MultiOutputGBM{Config: cfg}).FitCols(n, cols, targets)
-	}
+	return cols, targets
 }
 
 // BenchmarkForestFitSmall times one t2-shaped forest fit at the size of

@@ -491,11 +491,13 @@ func (s *Scheduler) Shards() []ShardInfo {
 }
 
 // Submit schedules one job: the named algorithm over the registered
-// workload, on the workload shard's shared engine, with its valuation
-// windows aligned against the shard's other in-flight jobs.
-// Submission errors (unknown workload, unknown algorithm, invalid
-// options, draining scheduler, overload) surface synchronously;
-// everything later is observed through the returned job handle.
+// workload, on the workload shard's shared engine. Its valuation
+// windows go to the shard's pool queue, and states it shares with the
+// shard's other in-flight jobs are inferred once, through the memo's
+// single-flight. Submission errors (unknown workload, unknown
+// algorithm, invalid options, draining scheduler, overload) surface
+// synchronously; everything later is observed through the returned job
+// handle.
 func (s *Scheduler) Submit(ctx context.Context, workloadName string, algorithm string, opts ...modis.Option) (*modis.Job, error) {
 	rec, _, err := s.SubmitKeyed(ctx, workloadName, algorithm, "", opts...)
 	if err != nil {
