@@ -27,7 +27,7 @@ type frame struct {
 	// the value of level l, ascending; a level may hold no position.
 	// Growth reads only lv and lvals, never base or cols, so it copies
 	// and partitions no orders (see bestSplitLevels for
-	// classification, bestSplitRuns for regression); a leveled
+	// classification, bestSplitHist for regression); a leveled
 	// bootstrap resample leaves base and cols unfilled, and a 0/1 frame
 	// (frameFromCols) has no orders and aliases the caller's columns.
 	leveled bool
@@ -46,9 +46,8 @@ type frame struct {
 }
 
 // maxLevels is the most values a feature of a leveled frame may have,
-// so that a node's level × class count histogram stays small enough to
-// clear for every feature it scans, and a regression node's level runs
-// take at most maxLevels times its size.
+// so that a node's level × class count histogram, and its level target
+// sums, stay small enough to clear for every feature it scans.
 const maxLevels = 16
 
 // takeFrame pops a frame off the scratch's free list, or makes one.

@@ -32,7 +32,7 @@ var pinnedFingerprints = map[string]string{
 	"forestclf/data":                  "ff5b4eb9cedff1f0",
 	"forestclf/fit":                   "a70d96a1ea228799",
 	"forestreg-levels-60rows/data":    "a3b41e98a2e3d206",
-	"forestreg/data":                  "cafc796dd585a483",
+	"forestreg/data":                  "7303d9865d4f1ced",
 	"forestreg/fit":                   "8596d588e0c4df39",
 	"gbmclf-levels/data":              "972788b79c88d30e",
 	"gbmclf-levels/fit":               "b0d25507288ce15e",

@@ -465,7 +465,7 @@ func TestLevelSplitMatchesOrdered(t *testing.T) {
 		walkSegments(rng, ws, idx, orders, func(lo, hi int) {
 			seg := idx[lo:hi]
 			for _, minLeaf := range []int{1, 2, 3, 4} {
-				parentImp := impurity(lfr.y, seg, true, nClass, ws)
+				parentImp := giniAt(lfr.y, seg, nClass, ws)
 				for f := 0; f < nf; f++ {
 					wg, wt, wok := bestSplitOrdered(ord, orders[f][lo:hi], f, minLeaf, parentImp, true, nClass, ws)
 					gg, gt, gok := bestSplitLevels(lfr, f, seg, minLeaf, parentImp, nClass, ws)
@@ -487,18 +487,20 @@ func TestLevelSplitMatchesOrdered(t *testing.T) {
 	}
 }
 
-// regressionTargets draws n targets of mixed magnitude, ±1e16 beside
-// small values and ±0, so a sum taken in any order other than the
-// ordered scan's loses or keeps different bits. With mirror set, the
-// targets are symmetric in the first feature's level, as levelRows
-// mirrors its labels.
-func regressionTargets(rng *rand.Rand, n, levels0 int, mirror bool) []float64 {
+// regressionTargets draws n targets of mixed magnitude, ±huge beside
+// small values and ±0. At huge = 1e16 a float sum taken in any order
+// loses or keeps different bits, and quantising against max|y| erases
+// the small targets (see quantize), so many rows quantise to 0 and
+// candidate sums tie; at huge = 1e3 the small targets keep most of
+// their bits. With mirror set, the targets are symmetric in the first
+// feature's level, as levelRows mirrors its labels.
+func regressionTargets(rng *rand.Rand, n, levels0 int, huge float64, mirror bool) []float64 {
 	negZero := math.Copysign(0, -1)
 	y := make([]float64, n)
 	for i := range y {
 		switch rng.Intn(6) {
 		case 0:
-			y[i] = 1e16 * float64(1-2*rng.Intn(2))
+			y[i] = huge * float64(1-2*rng.Intn(2))
 		case 1:
 			y[i] = negZero
 		case 2:
@@ -508,7 +510,7 @@ func regressionTargets(rng *rand.Rand, n, levels0 int, mirror bool) []float64 {
 		}
 	}
 	if mirror {
-		vals := []float64{1e16, 0.1, -3, 7.25, 1e-3, 0, 2, -1e16}
+		vals := []float64{huge, 0.1, -3, 7.25, 1e-3, 0, 2, -huge}
 		for i := range y {
 			l := i % levels0
 			y[i] = vals[min(l, levels0-1-l)%len(vals)]
@@ -517,15 +519,15 @@ func regressionTargets(rng *rand.Rand, n, levels0 int, mirror bool) []float64 {
 	return y
 }
 
-// TestRunSplitMatchesOrdered checks bestSplitRuns against the ordered
+// TestHistSplitMatchesOrdered checks bestSplitHist against the ordered
 // regression scan bit for bit — gain, threshold and ok — on random
 // leveled frames: 1 to 16 levels, ±0 as one level, adjacent-float
-// levels, targets of mixed magnitude that cancel, mirrored ties, every
-// MinLeaf from 1 to 4, node segments left by up to three partitions,
-// and bootstrap resamples with duplicate rows. Half the trials have
-// at most four levels per feature, as the task encoders produce, so
-// two-level features often take the two-level scatter.
-func TestRunSplitMatchesOrdered(t *testing.T) {
+// levels, targets of mixed magnitude (±1e16 or ±1e3 beside small
+// values, see regressionTargets), mirrored ties, every MinLeaf from 1
+// to 4, node segments left by up to three partitions, and bootstrap
+// resamples with duplicate rows. Half the trials have at most four
+// levels per feature, as the task encoders produce.
+func TestHistSplitMatchesOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ws := new(treeScratch)
 	a := math.Nextafter(1, 2)
@@ -555,7 +557,7 @@ func TestRunSplitMatchesOrdered(t *testing.T) {
 			}
 			nf++
 		}
-		y := regressionTargets(rng, n, levels[0], mirror)
+		y := regressionTargets(rng, n, levels[0], []float64{1e16, 1e3}[trial%2], mirror)
 		fr := frameFromRows(X, y, ws)
 		fr.readLevels()
 		if !fr.leveled {
@@ -571,15 +573,17 @@ func TestRunSplitMatchesOrdered(t *testing.T) {
 		}
 		ord, orders, idx := orderedTwin(fr, lfr, boot)
 		ws.ensureGrow(0, n)
+		if !ws.quantize(lfr.y) {
+			t.Fatalf("trial %d: finite targets not quantised", trial)
+		}
 		walkSegments(rng, ws, idx, orders, func(lo, hi int) {
 			seg := idx[lo:hi]
 			for _, minLeaf := range []int{1, 2, 3, 4} {
-				parentImp := impurity(lfr.y, seg, false, 0, ws)
 				for f := 0; f < nf; f++ {
-					wg, wt, wok := bestSplitOrdered(ord, orders[f][lo:hi], f, minLeaf, parentImp, false, 0, ws)
-					gg, gt, gok := bestSplitRuns(lfr, f, seg, minLeaf, parentImp, ws)
+					wg, wt, wok := bestSplitOrdered(ord, orders[f][lo:hi], f, minLeaf, 0, false, 0, ws)
+					gg, gt, gok := bestSplitHist(lfr, f, seg, minLeaf, ws)
 					if math.Float64bits(gg) != math.Float64bits(wg) || math.Float64bits(gt) != math.Float64bits(wt) || gok != wok {
-						t.Fatalf("trial %d feature %d (%d levels) segment [%d,%d) minLeaf %d: runs (%v, %v, %v), ordered (%v, %v, %v)",
+						t.Fatalf("trial %d feature %d (%d levels) segment [%d,%d) minLeaf %d: hist (%v, %v, %v), ordered (%v, %v, %v)",
 							trial, f, len(lfr.lvals[f]), lo, hi, minLeaf, gg, gt, gok, wg, wt, wok)
 					}
 					checks++
@@ -621,7 +625,7 @@ func TestLeveledTreesMatchOrdered(t *testing.T) {
 		cfg := TreeConfig{MaxDepth: 1 + rng.Intn(7), MinLeaf: 1 + rng.Intn(4)}
 		fcfg := ForestConfig{NumTrees: 3, MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, Seed: int64(trial)}
 
-		yr := regressionTargets(rng, n, levels[0], false)
+		yr := regressionTargets(rng, n, levels[0], 1e16, false)
 
 		fr := frameFromRows(X, y, ws)
 		ordTree := &TreeClassifier{Config: cfg, NumClass: nClass}

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -40,10 +41,11 @@ func (c TreeConfig) withDefaults() TreeConfig {
 
 // treeScratch holds the buffers reused across every node of a fit —
 // node position slices, per-feature working orders (none for a leveled
-// frame), partition, class-count, level-histogram and level-run scratch,
-// and the feature-sampling source — so growing a tree allocates only its
-// leaf probability vectors and, in slab-sized chunks, its persistent
-// nodes. Ensemble fits share one scratch across all their trees.
+// frame), partition, class-count and level-histogram scratch, the
+// quantised regression targets, and the feature-sampling source — so
+// growing a tree allocates only its leaf probability vectors and, in
+// slab-sized chunks, its persistent nodes. Ensemble fits share one
+// scratch across all their trees.
 type treeScratch struct {
 	feats    []int
 	leftCnt  []float64
@@ -75,9 +77,10 @@ type treeScratch struct {
 	// serve leveled frames only.
 	cls  []int32
 	hist []float64
-	// runs holds a node's targets by value level for bestSplitRuns:
-	// level l's run starts at l times the segment length.
-	runs []float64
+	// yq[p] is position p's regression target quantised for the tree
+	// being grown, and qshift its scale's exponent (see quantize).
+	yq     []int64
+	qshift int
 
 	// frameFree recycles fitting frames (column/order slabs) across the
 	// fits sharing this scratch — see getFrame/putFrame in colfit.go.
@@ -302,7 +305,8 @@ func asLeaf(node *treeNode, y []float64, idx []int32, clf bool, nClass int, ws *
 }
 
 // growFit prepares the per-fit growth state (position slice, working
-// copies of the frame's presorted feature orders) and grows the tree.
+// copies of the frame's presorted feature orders, the quantised
+// regression targets or the cached classes) and grows the tree.
 // Orders are nil for leveled frames, classification or regression:
 // there are none to copy, and growth reads each node off its ascending
 // position segment.
@@ -318,12 +322,17 @@ func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws
 		}
 		orders = ws.work
 	}
-	if fr.leveled && clf {
-		ws.prepareLevels(fr.y, nClass)
-	}
 	idx := ws.idx[:n]
 	for i := range idx {
 		idx[i] = int32(i)
+	}
+	switch {
+	case clf && fr.leveled:
+		ws.prepareLevels(fr.y, nClass)
+	case !clf && !ws.quantize(fr.y):
+		// A NaN or infinite target: every gain would be NaN, as the
+		// root's variance is, so the tree is one leaf.
+		return asLeaf(ws.newNode(n), fr.y, idx, clf, nClass, ws)
 	}
 	return growFrame(fr, orders, idx, 0, n, 0, cfg, rng, clf, nClass, ws)
 }
@@ -363,7 +372,10 @@ func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg 
 
 	bestGain := 0.0
 	bestFeat, bestThresh := -1, 0.0
-	parentImp := impurity(fr.y, seg, clf, nClass, ws)
+	var parentImp float64
+	if clf {
+		parentImp = giniAt(fr.y, seg, nClass, ws)
+	}
 	for _, f := range feats {
 		var gain, thresh float64
 		var ok bool
@@ -371,7 +383,7 @@ func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg 
 		case fr.leveled && clf:
 			gain, thresh, ok = bestSplitLevels(fr, f, seg, cfg.MinLeaf, parentImp, nClass, ws)
 		case fr.leveled:
-			gain, thresh, ok = bestSplitRuns(fr, f, seg, cfg.MinLeaf, parentImp, ws)
+			gain, thresh, ok = bestSplitHist(fr, f, seg, cfg.MinLeaf, ws)
 		default:
 			gain, thresh, ok = bestSplitOrdered(fr, orders[f][lo:hi], f, cfg.MinLeaf, parentImp, clf, nClass, ws)
 		}
@@ -490,28 +502,18 @@ func classProbaInto(p []float64, y []float64, idx []int32) []float64 {
 	return p
 }
 
-func impurity(y []float64, idx []int32, clf bool, nClass int, ws *treeScratch) float64 {
-	if clf {
-		if cap(ws.counts) < nClass {
-			ws.counts = make([]float64, nClass)
-		}
-		p := classProbaInto(zeroed(ws.counts[:nClass]), y, idx)
-		g := 1.0
-		for _, pc := range p {
-			g -= pc * pc
-		}
-		return g
+// giniAt is the Gini impurity of the class labels at the positions in
+// idx.
+func giniAt(y []float64, idx []int32, nClass int, ws *treeScratch) float64 {
+	if cap(ws.counts) < nClass {
+		ws.counts = make([]float64, nClass)
 	}
-	m := meanAt(y, idx)
-	var s float64
-	for _, i := range idx {
-		d := y[i] - m
-		s += d * d
+	p := classProbaInto(zeroed(ws.counts[:nClass]), y, idx)
+	g := 1.0
+	for _, pc := range p {
+		g -= pc * pc
 	}
-	if len(idx) == 0 {
-		return 0
-	}
-	return s / float64(len(idx))
+	return g
 }
 
 func zeroed(xs []float64) []float64 {
@@ -523,7 +525,10 @@ func zeroed(xs []float64) []float64 {
 
 // bestSplitOrdered scans the node's presorted order of feature f for
 // the impurity-gain maximizing threshold, in a single pass with running
-// statistics — no sort, no pair materialization.
+// statistics — no sort, no pair materialization. A classification gain
+// is the Gini drop below parentImp; a regression gain is scored from
+// exact sums of the tree's quantised targets (splitScore), and
+// parentImp is not read.
 func bestSplitOrdered(fr *frame, order []int32, f, minLeaf int, parentImp float64, clf bool, nClass int, ws *treeScratch) (gain, thresh float64, ok bool) {
 	col := fr.cols[f]
 	y := fr.y
@@ -563,30 +568,21 @@ func bestSplitOrdered(fr *frame, order []int32, f, minLeaf int, parentImp float6
 		return best, thresh, true
 	}
 
-	// Regression: incremental variance via running sums.
-	var ls, ls2, lw float64
-	var rs, rs2, rw float64
+	// Regression: exact sums of the quantised targets.
+	yq := ws.yq
+	var t int64
 	for _, p := range order {
-		rs += y[p]
-		rs2 += y[p] * y[p]
-		rw++
+		t += yq[p]
 	}
-	best := -1.0
+	var l int64
+	best := 0.0
 	for j := 0; j < n-1; j++ {
 		p := order[j]
-		ls += y[p]
-		ls2 += y[p] * y[p]
-		lw++
-		rs -= y[p]
-		rs2 -= y[p] * y[p]
-		rw--
+		l += yq[p]
 		if col[p] == col[order[j+1]] || j+1 < minLeaf || n-j-1 < minLeaf {
 			continue
 		}
-		lv := varFromSums(ls, ls2, lw)
-		rv := varFromSums(rs, rs2, rw)
-		g := parentImp - (lw*lv+rw*rv)/(lw+rw)
-		if g > best {
+		if g := splitScore(l, t, j+1, n); g > best {
 			best = g
 			thresh = (col[p] + col[order[j+1]]) / 2
 		}
@@ -594,7 +590,7 @@ func bestSplitOrdered(fr *frame, order []int32, f, minLeaf int, parentImp float6
 	if best <= 0 {
 		return 0, 0, false
 	}
-	return best, thresh, true
+	return ws.varianceGain(best, n), thresh, true
 }
 
 // prepareLevels sizes the class-count scratch for a leveled fit and
@@ -675,113 +671,119 @@ func bestSplitLevels(fr *frame, f int, seg []int32, minLeaf int, parentImp float
 	return best, thresh, true
 }
 
-// bestSplitRuns is bestSplitOrdered's regression scan over a leveled
-// frame, bit for bit. The node's ascending segment seg is scattered
-// into per-level runs: run l holds level l's targets in position order,
-// so the runs laid end to end in level order are the targets in the
-// feature's presorted order over the node, and the ordered scan's float
-// operations are replayed on them in that order. rs/rs2 fold every run;
-// the fold's value before a run is ls/ls2 at that run's boundary, since
-// the ordered scan's ls/ls2 add the same targets in the same order from
-// the same zero. Then each run but the last non-empty one is subtracted
-// from rs/rs2. Candidates are the boundaries between non-empty runs, where
-// lw and rw are the exact integer counts the ordered scan reaches by ±1
-// steps. The threshold is the midpoint of the two level values, as in
+// bestSplitHist is bestSplitOrdered's regression scan over a leveled
+// frame, bit for bit. One pass over the node's segment seg adds each
+// position's quantised target and a count into its value level's slot;
+// the non-empty levels are then scanned in ascending order. The ordered
+// scan's candidates are exactly the boundaries between non-empty
+// levels, where its running sum and count equal the cumulative level
+// sums and counts here. Integer sums are exact in any order, so every
+// candidate's score, and with it the first-best choice, comes out the
+// same. The threshold is the midpoint of the two level values, as in
 // bestSplitLevels.
-func bestSplitRuns(fr *frame, f int, seg []int32, minLeaf int, parentImp float64, ws *treeScratch) (gain, thresh float64, ok bool) {
-	lv, vals, y := fr.lv[f], fr.lvals[f], fr.y
-	n, nl := len(seg), len(vals)
-	if nl < 2 {
-		return 0, 0, false
+func bestSplitHist(fr *frame, f int, seg []int32, minLeaf int, ws *treeScratch) (gain, thresh float64, ok bool) {
+	lv, vals := fr.lv[f], fr.lvals[f]
+	yq := ws.yq[:len(lv)]
+	var sum [maxLevels]int64
+	var cnt [maxLevels]int
+	for _, p := range seg {
+		l := lv[p] & (maxLevels - 1)
+		sum[l] += yq[p]
+		cnt[l]++
 	}
-	if cap(ws.runs) < nl*n {
-		ws.runs = make([]float64, nl*n)
+	var t int64
+	for _, s := range sum {
+		t += s
 	}
-	runs := ws.runs[:nl*n]
-	// Run l is runs[l*n:end[l]].
-	var end [maxLevels]int
-	for l := range nl {
-		end[l] = l * n
-	}
-	if nl == 2 {
-		scatterRuns2(runs, &end, lv, y, seg)
-	} else {
-		scatterRuns(runs, &end, lv, y, seg)
-	}
-	// lsum/lsum2[l] is the fold before run l: ls/ls2 at its boundary.
-	var lsum, lsum2 [maxLevels]float64
-	var rs, rs2 float64
-	last := -1
-	for l := range nl {
-		lsum[l], lsum2[l] = rs, rs2
-		run := runs[l*n : end[l]]
-		for _, v := range run {
-			rs += v
-			rs2 += v * v
-		}
-		if len(run) > 0 {
-			last = l
-		}
-	}
-	var lw float64
-	rw := float64(n)
-	best := -1.0
+	n := len(seg)
+	var l int64
+	nl := 0
+	best := 0.0
 	prev := -1
-	for l := 0; l <= last; l++ {
-		run := runs[l*n : end[l]]
-		if len(run) == 0 {
+	for lev := range vals {
+		if cnt[lev] == 0 {
 			continue
 		}
-		if prev >= 0 && lw >= float64(minLeaf) && rw >= float64(minLeaf) {
-			g := parentImp - (lw*varFromSums(lsum[l], lsum2[l], lw)+rw*varFromSums(rs, rs2, rw))/(lw+rw)
-			if g > best {
+		if prev >= 0 && nl >= minLeaf && n-nl >= minLeaf {
+			if g := splitScore(l, t, nl, n); g > best {
 				best = g
-				thresh = (vals[prev] + vals[l]) / 2
+				thresh = (vals[prev] + vals[lev]) / 2
 			}
 		}
-		if l == last {
-			break
-		}
-		for _, v := range run {
-			rs -= v
-			rs2 -= v * v
-		}
-		lw += float64(len(run))
-		rw -= float64(len(run))
-		prev = l
+		l += sum[lev]
+		nl += cnt[lev]
+		prev = lev
 	}
 	if best <= 0 {
 		return 0, 0, false
 	}
-	return best, thresh, true
+	return ws.varianceGain(best, n), thresh, true
 }
 
-// scatterRuns appends each position's target to its level's run:
-// end[l] is the next free slot of run l.
-func scatterRuns(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, seg []int32) {
-	y = y[:len(lv)]
-	for _, p := range seg {
-		l := lv[p] & (maxLevels - 1)
-		runs[end[l]] = y[p]
-		end[l]++
-	}
+// splitScore scores a regression split from exact quantised target
+// sums: the left side holds nl of the node's n rows and sums to l, the
+// node sums to t. It returns L²/n_L + R²/n_R − T²/n, which is n times the variance
+// the split removes, in squared quantised units (Σy² cancels; this is
+// LightGBM's G²/H gain with unit hessians, Ke et al., NeurIPS 2017).
+// It depends only on which rows fall on each side, never on an order.
+func splitScore(l, t int64, nl, n int) float64 {
+	fl, fr, ft := float64(l), float64(t-l), float64(t)
+	return fl*fl/float64(nl) + fr*fr/float64(n-nl) - ft*ft/float64(n)
 }
 
-// scatterRuns2 is scatterRuns for two levels, branch-free: both runs
-// take every target and only the cursor of its level advances.
-func scatterRuns2(runs []float64, end *[maxLevels]int, lv []uint8, y []float64, seg []int32) {
-	n := len(seg)
-	zeros, ones := runs[:n], runs[n:2*n]
-	nz, no := 0, 0
-	y = y[:len(lv)]
-	for _, p := range seg {
-		v, b := y[p], int(lv[p]&1)
-		zeros[nz] = v
-		ones[no] = v
-		nz += 1 - b
-		no += b
+// quantize converts the tree's regression targets to integers once,
+// into ws.yq: yq = round(y·2^qshift), where qshift = k − e, e is the
+// binary exponent of max|y| (2^e ≤ max|y| < 2^(e+1)) and k is 40, less
+// one per doubling of len(y) past 2^22 (quantBits). Then |y·2^qshift| <
+// 2^(k+1), the multiplies by powers of two are exact wherever the
+// product can round to a nonzero integer, and
+//
+//	|yq·2^-qshift − y| ≤ 2^-(qshift+1) ≤ 2^-(k+1)·max|y|,
+//
+// that is 2^-41·max|y| below 2^22 rows. Any sum of up to len(y)
+// quantised targets is below 2^63 in magnitude, so every node's sums
+// are exact. It reports false, converting nothing, when a target is
+// NaN or infinite: the conversion of a non-finite float to an integer
+// is implementation-defined in Go.
+func (ws *treeScratch) quantize(y []float64) bool {
+	m := 0.0
+	for _, v := range y {
+		m = max(m, math.Abs(v)) // NaN if any v is NaN
 	}
-	end[0], end[1] = nz, n+no
+	if math.IsNaN(m) || math.IsInf(m, 0) {
+		return false
+	}
+	if cap(ws.yq) < len(y) {
+		ws.yq = make([]int64, len(y))
+	}
+	ws.yq = ws.yq[:len(y)]
+	yq := ws.yq
+	ws.qshift = quantBits(len(y))
+	if m > 0 {
+		ws.qshift -= math.Ilogb(m)
+	}
+	// 2^qshift as two normal factors: 2^qshift alone overflows when
+	// max|y| < 2^-983.
+	s1 := math.Ldexp(1, ws.qshift/2)
+	s2 := math.Ldexp(1, ws.qshift-ws.qshift/2)
+	for p, v := range y {
+		yq[p] = int64(math.Round(v * s1 * s2))
+	}
+	return true
+}
+
+// quantBits is k in quantize for n targets: 40, or 62 − bits.Len(n)
+// once n reaches 2^22, so that n·2^(k+1) < 2^63.
+func quantBits(n int) int {
+	return min(40, 62-bits.Len(uint(n)))
+}
+
+// varianceGain converts a node's best split score to the variance it
+// removes, in the targets' units: score/n scaled back by 2^-2·qshift.
+// Gains compared across features, and against growFrame's 1e-12
+// margin, are in these units.
+func (ws *treeScratch) varianceGain(score float64, n int) float64 {
+	return math.Ldexp(score/float64(n), -2*ws.qshift)
 }
 
 // clampClass maps out-of-range labels into [0, nClass): a fixed model
@@ -807,18 +809,6 @@ func gini(cnt []float64, total float64) float64 {
 		g -= p * p
 	}
 	return g
-}
-
-func varFromSums(s, s2, w float64) float64 {
-	if w == 0 {
-		return 0
-	}
-	m := s / w
-	v := s2/w - m*m
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 func argmax(xs []float64) int {

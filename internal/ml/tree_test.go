@@ -141,7 +141,7 @@ func TestTreeImportancesNormalized(t *testing.T) {
 	}
 }
 
-// On a 0/1 frame built by frameFromCols, bestSplitRuns must return
+// On a 0/1 frame built by frameFromCols, bestSplitHist must return
 // bestSplitOrdered's gain bit for bit, not only the same split: a gain
 // one ulp off can flip a later comparison between features. Segments
 // are random ascending subsets of the positions, with zero counts at
@@ -187,16 +187,16 @@ func TestZeroOneSplitMatchesOrdered(t *testing.T) {
 			}
 		}
 		fr := &frame{cols: [][]float64{col}, y: y, n: n, nf: 1}
-		parentImp := impurity(y, seg, false, 0, ws)
-		wantGain, wantThresh, wantOK := bestSplitOrdered(fr, order, 0, minLeaf, parentImp, false, 0, ws)
+		ws.quantize(y)
+		wantGain, wantThresh, wantOK := bestSplitOrdered(fr, order, 0, minLeaf, 0, false, 0, ws)
 		lfr := frameFromCols([][]float64{col}, y, ws)
 		if !lfr.leveled {
 			t.Fatal("0/1 columns should make a leveled frame")
 		}
-		gain, thresh, ok := bestSplitRuns(lfr, 0, seg, minLeaf, parentImp, ws)
+		gain, thresh, ok := bestSplitHist(lfr, 0, seg, minLeaf, ws)
 		ws.putFrame(lfr)
 		if math.Float64bits(gain) != math.Float64bits(wantGain) || thresh != wantThresh || ok != wantOK {
-			t.Fatalf("trial %d (%d zeros of %d): runs = (%v, %v, %v), ordered = (%v, %v, %v)",
+			t.Fatalf("trial %d (%d zeros of %d): hist = (%v, %v, %v), ordered = (%v, %v, %v)",
 				trial, zeros, m, gain, thresh, ok, wantGain, wantThresh, wantOK)
 		}
 	}
