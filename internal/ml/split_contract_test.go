@@ -362,7 +362,7 @@ func TestNonFiniteTargetIsOneLeaf(t *testing.T) {
 		for _, v := range bad {
 			y[rng.Intn(n)] = v
 		}
-		ws.yq = append(ws.yq[:0], make([]int64, n)...)
+		ws.yq = make([]int64, n)
 		for i := range ws.yq {
 			ws.yq[i] = 7
 		}

@@ -12,8 +12,7 @@
 # Runs on any host with no emulator: it only compiles for arm64 and
 # reads the assembly listing (go build -gcflags=-S). Prints one
 # "package count baseline" line per package.
-#   bash scripts/fma_count.sh            check against the baseline
-#   bash scripts/fma_count.sh -print     print "package count" lines only
+#   bash scripts/fma_count.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,7 +23,10 @@ listing=$(mktemp)
 trap 'rm -f "$listing"' EXIT
 args=()
 for p in "${pkgs[@]}"; do args+=("./internal/$p"); done
-GOARCH=arm64 go build -gcflags=-S "${args[@]}" 2>"$listing"
+if ! GOARCH=arm64 go build -gcflags=-S "${args[@]}" 2>"$listing"; then
+  grep -v '^[[:space:]]' "$listing" >&2
+  exit 1
+fi
 
 # The listing opens each package's section with "# repro/internal/<p>";
 # an instruction line holds its mnemonic between tabs.
@@ -35,11 +37,6 @@ counts=$(awk '
 ' "$listing")
 
 count() { awk -v p="$1" '$1 == p { print $2; found = 1 } END { if (!found) print 0 }' <<<"$counts"; }
-
-if [ "${1:-}" = "-print" ]; then
-  for p in "${pkgs[@]}"; do echo "$p $(count "$p")"; done
-  exit 0
-fi
 
 fail=0
 for p in "${pkgs[@]}"; do
