@@ -152,7 +152,7 @@ func ciIndexWorkload(lake *datagen.Lake) *datagen.Workload {
 			}
 			train, test := ds.Split(0.3, 42)
 			m := &ml.ForestRegressor{Config: ml.ForestConfig{NumTrees: 12, MaxDepth: 7, Seed: 1}}
-			m.Fit(train.X, train.Y)
+			m.FitData(train)
 			pred := make([]float64, len(test.Y))
 			for i, x := range test.X {
 				pred[i] = m.Predict(x)

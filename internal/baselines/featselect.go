@@ -20,7 +20,7 @@ func SkSFM(w *datagen.Workload) (*Output, error) {
 	keep := []string{w.Lake.Target}
 	if ds.NumRows() > 0 && ds.NumFeatures() > 0 {
 		g := &ml.GBMRegressor{Config: ml.GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 3}}
-		g.Fit(ds.X, ds.Y)
+		g.FitData(ds)
 		imp := g.Importances(ds.NumFeatures())
 		keep = append(keep, selectAboveMean(ds.Features, imp)...)
 	}
@@ -45,7 +45,7 @@ func H2O(w *datagen.Workload) (*Output, error) {
 		// For regression targets, binarize around the median so the
 		// linear filter still ranks features.
 		y := binarizeMedian(ds.Y)
-		lr.Fit(ds.X, y)
+		lr.FitData(&ml.Dataset{X: ds.X, Y: y})
 		keep = append(keep, selectAboveMean(ds.Features, lr.AbsWeights())...)
 	}
 	out := u.Project(dedup(keep)...)

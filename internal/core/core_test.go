@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/fst"
@@ -217,6 +218,43 @@ func TestDisSymmetricAndZeroOnSelf(t *testing.T) {
 	}
 	if Dis(a, a, 0.5, 1) > 1e-12 {
 		t.Error("Dis(a,a) must be 0")
+	}
+}
+
+// TestDisMatchesEquation2 checks dis against a hand computation of
+// α·(1-cos(Li, Lj))/2 + (1-α)·euc(Pi, Pj)/eucm: the bitmaps share one
+// of their two set entries (cos 1/2, content term 1/4), the vectors are
+// 5 apart and eucm is 10 (performance term 1/2), so at α = 0.3 dis is
+// 0.3·0.25 + 0.7·0.5 = 0.425.
+func TestDisMatchesEquation2(t *testing.T) {
+	a := &Candidate{Bits: fst.BitmapOf(true, true, false, false), Perf: skyline.Vector{0, 0}}
+	b := &Candidate{Bits: fst.BitmapOf(true, false, true, false), Perf: skyline.Vector{3, 4}}
+	if got := Dis(a, b, 0.3, 10); math.Abs(got-0.425) > 1e-12 {
+		t.Errorf("Dis = %v, want 0.425", got)
+	}
+}
+
+// TestMaxEucIsPairwiseMax checks the normalizer eucm against a brute
+// force over every pair of recorded vectors. The closest pair (√2
+// apart) comes first and the farthest (10 apart) is neither first nor
+// last.
+func TestMaxEucIsPairwiseMax(t *testing.T) {
+	perfs := []skyline.Vector{{1, 1}, {0, 0}, {3, 4}, {6, 8}}
+	ts := fst.NewTestSet()
+	for i, p := range perfs {
+		ts.Put(&fst.Test{Key: fst.StateKey(i + 1), Perf: p})
+	}
+	want := 0.0
+	for i := range perfs {
+		for j := range perfs {
+			want = math.Max(want, math.Hypot(perfs[i][0]-perfs[j][0], perfs[i][1]-perfs[j][1]))
+		}
+	}
+	if want != 10 {
+		t.Fatalf("brute-force maximum = %v, want 10", want)
+	}
+	if got := maxEuc(ts); math.Abs(got-want) > 1e-12 {
+		t.Errorf("maxEuc = %v, want %v", got, want)
 	}
 }
 

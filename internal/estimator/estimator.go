@@ -33,7 +33,7 @@ type MOGBM struct {
 
 	// The training history is stored column-major — featCols[f] and
 	// tgtCols[j] each list one dimension over all n observations — which
-	// is exactly the layout MultiOutputGBM.FitCols trains on: a refit
+	// is exactly the layout MultiOutputGBM.FitColsTasks trains on: a refit
 	// reuses the accumulated columns as-is, with no per-fit transpose or
 	// per-observation row copies. The feature width is fixed by the
 	// space's bitmap, so every Observe appends one value per column.

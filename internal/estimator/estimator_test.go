@@ -108,10 +108,11 @@ func TestExactNeverAnswers(t *testing.T) {
 }
 
 // The column-major history, refit through a worker pool, must reproduce
-// the estimates of the former row-major path exactly: a reference
-// MultiOutputGBM fit inline on row-major copies of the same
-// observations predicts identically, after every refit and whatever
-// the pool's worker count.
+// the estimates of the row-major path exactly: one reference
+// GBMRegressor per output, fit inline on a row-major ml.Dataset of the
+// same observations and seeded as MultiOutputGBM seeds that output,
+// predicts identically, after every refit and whatever the pool's
+// worker count.
 func TestMOGBMColumnarMatchesRowMajorFit(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -134,8 +135,7 @@ func TestMOGBMColumnarMatchesRowMajorFit(t *testing.T) {
 				feats = append(feats, append([]float64(nil), f...))
 				targets = append(targets, append([]float64(nil), v...))
 			}
-			ref := &ml.MultiOutputGBM{Config: e.Config}
-			ref.Fit(feats, targets)
+			ref := rowMajorMOGBM(e.Config, feats, targets)
 			for i := 0; i < 20; i++ {
 				f := make([]float64, dim)
 				for j := range f {
@@ -145,10 +145,12 @@ func TestMOGBMColumnarMatchesRowMajorFit(t *testing.T) {
 				if !ok {
 					t.Fatal("estimator should be ready")
 				}
-				want := ref.Predict(f)
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("GOMAXPROCS %d, refit %d: estimate[%d] = %v, want %v", procs, round, j, got[j], want[j])
+				if len(got) != len(ref) {
+					t.Fatalf("estimate has %d outputs, want %d", len(got), len(ref))
+				}
+				for j, g := range ref {
+					if want := g.Predict(f); got[j] != want {
+						t.Fatalf("GOMAXPROCS %d, refit %d: estimate[%d] = %v, want %v", procs, round, j, got[j], want)
 					}
 				}
 			}
@@ -166,4 +168,22 @@ func TestMOGBMObserveShapeGuard(t *testing.T) {
 	if n := e.NumObservations(); n != 1 {
 		t.Fatalf("observations = %d, want 1 (strays dropped)", n)
 	}
+}
+
+// rowMajorMOGBM fits one GBMRegressor per output of the row-major
+// observations through ml.Dataset, output j seeded with cfg.Seed+7919j
+// as MultiOutputGBM.FitColsTasks seeds it.
+func rowMajorMOGBM(cfg ml.GBMConfig, feats, targets [][]float64) []*ml.GBMRegressor {
+	out := make([]*ml.GBMRegressor, len(targets[0]))
+	for j := range out {
+		y := make([]float64, len(targets))
+		for i, v := range targets {
+			y[i] = v[j]
+		}
+		g := &ml.GBMRegressor{Config: cfg}
+		g.Config.Seed = cfg.Seed + int64(j)*7919
+		g.FitData(&ml.Dataset{X: feats, Y: y})
+		out[j] = g
+	}
+	return out
 }

@@ -3,6 +3,7 @@ package fst
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -170,6 +171,45 @@ func TestValuateUsesSurrogateAfterWarmup(t *testing.T) {
 	}
 	if v[0] != 0.5 {
 		t.Errorf("surrogate answer not used: %v", v)
+	}
+}
+
+// TestExactEveryPhase pins the phase of the ExactEvery audit: with an
+// estimator that always answers, two warm-up valuations and an audit
+// every fourth, valuations 1 and 2 (warm-up), then 4, 8 and 12 run the
+// model, counting valuations from 1.
+func TestExactEveryPhase(t *testing.T) {
+	m := &countingModel{}
+	cfg := testConfig(m)
+	cfg.Est = &stubEstimator{answer: skyline.Vector{0.5, 0.5}}
+	cfg.WarmupExact = 2
+	cfg.ExactEvery = 4
+	cfg.Validate()
+	val := cfg.NewValuator(1)
+	full := cfg.Space.FullBitmap()
+	var exactAt []int
+	for k := 1; k <= 12; k++ {
+		// State k clears the entries set in the binary form of k-1, so
+		// all twelve states are distinct.
+		b := full.Clone()
+		for i := 0; i < b.Len(); i++ {
+			if (k-1)>>i&1 == 1 {
+				b.Clear(i)
+			}
+		}
+		before := m.calls.Load()
+		if _, err := val.Valuate(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+		if m.calls.Load() != before {
+			exactAt = append(exactAt, k)
+		}
+	}
+	if n := val.Stats.Valuations(); n != 12 {
+		t.Fatalf("valuations = %d, want 12 distinct states", n)
+	}
+	if want := []int{1, 2, 4, 8, 12}; fmt.Sprint(exactAt) != fmt.Sprint(want) {
+		t.Errorf("model ran at valuations %v, want %v", exactAt, want)
 	}
 }
 

@@ -71,7 +71,7 @@ func BenchmarkGBMFitLeveled(b *testing.B) {
 }
 
 // BenchmarkSurrogateRefit times one refit of the MO-GBM surrogate's
-// shape: FitCols over n observations of 24 0/1 features and three
+// shape: FitColsTasks, run inline, over n observations of 24 0/1 features and three
 // targets, 40 trees of depth 3 per target. At n=60 (an early refit)
 // nodes are small and a split search's fixed cost shows; n=400 is a
 // refit late in a long search.
@@ -82,7 +82,7 @@ func BenchmarkSurrogateRefit(b *testing.B) {
 			cfg := GBMConfig{NumTrees: 40, MaxDepth: 3, LearningRate: 0.15, Seed: 7}
 			b.ReportAllocs()
 			for b.Loop() {
-				(&MultiOutputGBM{Config: cfg}).FitCols(n, cols, targets)
+				fitCols(&MultiOutputGBM{Config: cfg}, n, cols, targets)
 			}
 		})
 	}

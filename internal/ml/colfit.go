@@ -5,7 +5,7 @@ import "sort"
 // frame is the columnar fitting substrate every learner trains on: the
 // feature matrix in column-major form, the target vector, and one
 // presorted position order per feature. Both data routes converge here —
-// the row-major Fit(X, y) API transposes and sorts once per fit, the
+// a row-major *Dataset transposes and sorts once per fit, the
 // Matrix/View fast path gathers encoded columns and derives the orders
 // from the space-level presorted ranks by counting — so a view fit and a
 // dataset fit of the same numbers grow bit-identical trees by
@@ -213,7 +213,8 @@ func frameFromRowsRaw(X [][]float64, y []float64, ws *treeScratch) *frame {
 // only 0 and 1 (bitmap literals, the surrogate's features) make a
 // leveled frame with levels 0 and 1 instead, read straight off the
 // columns: no copy and no orders. frameFromRows never takes this
-// route, so Fit stays the generic reference FitCols is tested against.
+// route, so FitData on a *Dataset stays the generic reference
+// MultiOutputGBM.FitColsTasks is tested against.
 func frameFromCols(cols [][]float64, y []float64, ws *treeScratch) *frame {
 	nf := len(cols)
 	n := len(y)

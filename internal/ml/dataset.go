@@ -23,8 +23,14 @@ type Dataset struct {
 // NumRows returns the number of examples.
 func (d *Dataset) NumRows() int { return len(d.X) }
 
-// NumFeatures returns the number of columns in X.
-func (d *Dataset) NumFeatures() int { return len(d.Features) }
+// NumFeatures returns the number of columns in X, or the number of
+// named features when X has no rows.
+func (d *Dataset) NumFeatures() int {
+	if len(d.X) > 0 {
+		return len(d.X[0])
+	}
+	return len(d.Features)
+}
 
 // Clone deep-copies the dataset.
 func (d *Dataset) Clone() *Dataset {

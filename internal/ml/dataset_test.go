@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/table"
@@ -117,5 +118,99 @@ func TestCloneIndependence(t *testing.T) {
 	cp.Y[0] = 99
 	if ds.X[0][0] == 99 || ds.Y[0] == 99 {
 		t.Error("Clone must deep-copy")
+	}
+}
+
+// A *Dataset's width is its rows' width, whether or not its features
+// are named: every learner and score gives the same bits on X with and
+// without Features.
+func TestDatasetWidthWithoutFeatures(t *testing.T) {
+	Xc, yc := xorData(120, 21)
+	Xr, yr := linearData(120, 22)
+	names := []string{"a", "b"}
+	type fitter func(d *Dataset) []float64
+	// predictAll fits through fit and predicts every row of X.
+	predictAll := func(X [][]float64, fit func(*Dataset) func([]float64) float64) fitter {
+		return func(d *Dataset) []float64 {
+			pred := fit(d)
+			out := make([]float64, len(X))
+			for i, x := range X {
+				out[i] = pred(x)
+			}
+			return out
+		}
+	}
+	cases := []struct {
+		name string
+		X    [][]float64
+		y    []float64
+		run  fitter
+	}{
+		{"tree", Xr, yr, predictAll(Xr, func(d *Dataset) func([]float64) float64 {
+			m := &TreeRegressor{Config: TreeConfig{MaxDepth: 4}}
+			m.FitData(d)
+			return m.Predict
+		})},
+		{"treeclf", Xc, yc, predictAll(Xc, func(d *Dataset) func([]float64) float64 {
+			m := &TreeClassifier{Config: TreeConfig{MaxDepth: 4}}
+			m.FitData(d)
+			return func(x []float64) float64 { return m.PredictProba(x)[1] }
+		})},
+		{"gbm", Xr, yr, predictAll(Xr, func(d *Dataset) func([]float64) float64 {
+			m := &GBMRegressor{Config: GBMConfig{NumTrees: 8, Seed: 1}}
+			m.FitData(d)
+			return m.Predict
+		})},
+		{"gbmclf", Xc, yc, predictAll(Xc, func(d *Dataset) func([]float64) float64 {
+			m := &GBMClassifier{Config: GBMConfig{NumTrees: 8, Subsample: 0.7, Seed: 1}}
+			m.FitData(d)
+			return m.PredictProba
+		})},
+		{"forest", Xc, yc, predictAll(Xc, func(d *Dataset) func([]float64) float64 {
+			m := &ForestClassifier{Config: ForestConfig{NumTrees: 4, Seed: 2}}
+			m.FitData(d)
+			return func(x []float64) float64 { return m.PredictProba(x)[1] }
+		})},
+		{"forestreg", Xr, yr, predictAll(Xr, func(d *Dataset) func([]float64) float64 {
+			m := &ForestRegressor{Config: ForestConfig{NumTrees: 4, Seed: 2}}
+			m.FitData(d)
+			return m.Predict
+		})},
+		{"histgbm", Xc, yc, predictAll(Xc, func(d *Dataset) func([]float64) float64 {
+			m := &HistGBMClassifier{Config: HistGBMConfig{GBM: GBMConfig{NumTrees: 8, Seed: 1}, NumBins: 8}}
+			m.FitData(d)
+			return m.PredictProba
+		})},
+		{"linear", Xr, yr, predictAll(Xr, func(d *Dataset) func([]float64) float64 {
+			m := &LinearRegression{}
+			m.FitData(d)
+			return m.Predict
+		})},
+		{"logistic", Xc, yc, predictAll(Xc, func(d *Dataset) func([]float64) float64 {
+			m := &LogisticRegression{Iterations: 30}
+			m.FitData(d)
+			return m.PredictProba
+		})},
+		{"fisher", Xc, yc, func(d *Dataset) []float64 { return FisherScoreData(d, d.Y) }},
+		{"mi", Xr, yr, func(d *Dataset) []float64 { return MutualInformationData(d, d.Y, 6) }},
+	}
+	for _, tc := range cases {
+		named := &Dataset{X: tc.X, Y: tc.y, Features: names}
+		bare := &Dataset{X: tc.X, Y: tc.y}
+		if named.NumFeatures() != 2 || bare.NumFeatures() != 2 {
+			t.Fatalf("NumFeatures = %d named, %d bare, want 2", named.NumFeatures(), bare.NumFeatures())
+		}
+		want, got := tc.run(named), tc.run(bare)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d outputs without Features, %d with", tc.name, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: output %d = %v without Features, %v with", tc.name, i, got[i], want[i])
+			}
+		}
+	}
+	if n := (&Dataset{Features: names}).NumFeatures(); n != 2 {
+		t.Errorf("row-less NumFeatures = %d, want the 2 named features", n)
 	}
 }

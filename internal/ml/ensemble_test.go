@@ -9,7 +9,7 @@ import (
 func TestForestClassifierBeatsChance(t *testing.T) {
 	X, y := xorData(400, 7)
 	f := &ForestClassifier{Config: ForestConfig{NumTrees: 10, MaxDepth: 5, Seed: 1}}
-	f.Fit(X, y)
+	f.FitData(dsOf(X, y))
 	Xt, yt := xorData(200, 8)
 	pred := make([]float64, len(yt))
 	for i, x := range Xt {
@@ -23,7 +23,7 @@ func TestForestClassifierBeatsChance(t *testing.T) {
 func TestForestRegressor(t *testing.T) {
 	X, y := linearData(300, 9)
 	f := &ForestRegressor{Config: ForestConfig{NumTrees: 10, MaxDepth: 7, Seed: 1}}
-	f.Fit(X, y)
+	f.FitData(dsOf(X, y))
 	Xt, yt := linearData(150, 10)
 	pred := make([]float64, len(yt))
 	for i, x := range Xt {
@@ -38,8 +38,8 @@ func TestForestDeterministic(t *testing.T) {
 	X, y := xorData(150, 11)
 	f1 := &ForestClassifier{Config: ForestConfig{NumTrees: 5, Seed: 3}}
 	f2 := &ForestClassifier{Config: ForestConfig{NumTrees: 5, Seed: 3}}
-	f1.Fit(X, y)
-	f2.Fit(X, y)
+	f1.FitData(dsOf(X, y))
+	f2.FitData(dsOf(X, y))
 	for _, x := range X[:20] {
 		if f1.Predict(x) != f2.Predict(x) {
 			t.Fatal("same-seed forests must agree")
@@ -52,9 +52,9 @@ func TestGBMRegressorBeatsSingleTree(t *testing.T) {
 	Xt, yt := linearData(150, 13)
 
 	tree := &TreeRegressor{Config: TreeConfig{MaxDepth: 2}}
-	tree.Fit(X, y)
+	tree.FitData(dsOf(X, y))
 	gbm := &GBMRegressor{Config: GBMConfig{NumTrees: 60, MaxDepth: 2, Seed: 1}}
-	gbm.Fit(X, y)
+	gbm.FitData(dsOf(X, y))
 
 	msTree, msGBM := 0.0, 0.0
 	predT := make([]float64, len(yt))
@@ -73,7 +73,7 @@ func TestGBMRegressorBeatsSingleTree(t *testing.T) {
 func TestGBMClassifier(t *testing.T) {
 	X, y := xorData(400, 14)
 	g := &GBMClassifier{Config: GBMConfig{NumTrees: 50, MaxDepth: 3, Seed: 1}}
-	g.Fit(X, y)
+	g.FitData(dsOf(X, y))
 	Xt, yt := xorData(200, 15)
 	pred := make([]float64, len(yt))
 	for i, x := range Xt {
@@ -95,7 +95,7 @@ func TestMultiOutputGBM(t *testing.T) {
 		Y[i] = []float64{x[0] + x[1], x[0] - x[1], 2 * x[0]}
 	}
 	m := &MultiOutputGBM{Config: GBMConfig{NumTrees: 40, MaxDepth: 3, Seed: 1}}
-	m.Fit(X, Y)
+	fitCols(m, len(X), columns(X), columns(Y))
 	if m.NumOutputs() != 3 {
 		t.Fatalf("outputs = %d, want 3", m.NumOutputs())
 	}
@@ -112,12 +112,48 @@ func TestMultiOutputGBM(t *testing.T) {
 	}
 }
 
+// Outputs over zero observations fit nothing.
 func TestMultiOutputGBMEmpty(t *testing.T) {
 	m := &MultiOutputGBM{}
-	m.Fit(nil, nil)
+	if tasks := m.FitColsTasks(0, [][]float64{{}}, [][]float64{{}, {}}); len(tasks) != 0 {
+		t.Errorf("empty fit made %d tasks", len(tasks))
+	}
 	if m.NumOutputs() != 0 {
 		t.Error("empty fit should produce no outputs")
 	}
+}
+
+// fitCols runs every FitColsTasks task inline, in output order.
+func fitCols(m *MultiOutputGBM, n int, cols, targets [][]float64) {
+	for _, fit := range m.FitColsTasks(n, cols, targets) {
+		fit()
+	}
+}
+
+// columns transposes row-major vectors into one slice per dimension.
+func columns(rows [][]float64) [][]float64 {
+	cols := make([][]float64, len(rows[0]))
+	for f := range cols {
+		cols[f] = make([]float64, len(rows))
+		for i, r := range rows {
+			cols[f][i] = r[f]
+		}
+	}
+	return cols
+}
+
+// rowMajorMOGBM is the reference MO-GBM: one GBMRegressor.FitData per
+// output over the row-major *Dataset route, output j seeded as
+// FitColsTasks seeds it.
+func rowMajorMOGBM(cfg GBMConfig, X, Y [][]float64) *MultiOutputGBM {
+	m := &MultiOutputGBM{Config: cfg}
+	for j, y := range columns(Y) {
+		g := &GBMRegressor{Config: cfg}
+		g.Config.Seed = cfg.Seed + int64(j)*7919
+		g.FitData(dsOf(X, y))
+		m.models = append(m.models, g)
+	}
+	return m
 }
 
 func TestHistGBMClassifier(t *testing.T) {
@@ -126,7 +162,7 @@ func TestHistGBMClassifier(t *testing.T) {
 		GBM:     GBMConfig{NumTrees: 40, MaxDepth: 3, Seed: 1},
 		NumBins: 16,
 	}}
-	h.Fit(X, y)
+	h.FitData(dsOf(X, y))
 	Xt, yt := xorData(200, 18)
 	pred := make([]float64, len(yt))
 	for i, x := range Xt {
@@ -139,20 +175,21 @@ func TestHistGBMClassifier(t *testing.T) {
 
 func TestBinRowMonotone(t *testing.T) {
 	bins := [][]float64{{1, 2, 3}}
-	lo := binRow([]float64{0.5}, bins)[0]
-	mid := binRow([]float64{2.5}, bins)[0]
-	hi := binRow([]float64{9}, bins)[0]
+	bin := func(v float64) float64 { return binRowInto(make([]float64, 1), []float64{v}, bins)[0] }
+	lo, mid, hi := bin(0.5), bin(2.5), bin(9)
 	if !(lo < mid && mid < hi) {
 		t.Errorf("binning not monotone: %v %v %v", lo, mid, hi)
 	}
 }
 
-// FitCols on column-major data must grow the exact trees Fit grows on
-// the row-major equivalent. On real-valued columns frameFromCols and
-// frameFromRows construct the same frame and everything downstream is
-// shared code; on 0/1 columns FitCols reads levels 0 and 1 straight
-// off the columns while Fit reads them off the presorted orders, so the
-// 0/1 cases pin that route to the reference, including its edge cases.
+// FitColsTasks on column-major data must grow the exact trees one
+// GBMRegressor.FitData per output grows on the row-major *Dataset
+// equivalent. On real-valued columns frameFromCols and frameFromRows
+// construct the same frame and everything downstream is shared code;
+// on 0/1 columns FitColsTasks reads levels 0 and 1 straight off the
+// columns while the *Dataset route reads them off the presorted orders,
+// so the 0/1 cases pin that route to the reference, including its edge
+// cases.
 func TestMultiOutputGBMFitColsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	// column returns a 0/1 column of n values with exactly zeros zeros.
@@ -183,7 +220,7 @@ func TestMultiOutputGBMFitColsParity(t *testing.T) {
 		name    string
 		X, Y    [][]float64
 		minLeaf int
-		binary  bool // every feature is 0/1, so FitCols reads levels off the columns
+		binary  bool // every feature is 0/1, so FitColsTasks reads levels off the columns
 	}
 	var cases []parityCase
 
@@ -230,24 +267,8 @@ func TestMultiOutputGBMFitColsParity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := GBMConfig{NumTrees: 30, MaxDepth: 3, MinLeaf: tc.minLeaf, Seed: 5}
-			ref := &MultiOutputGBM{Config: cfg}
-			ref.Fit(tc.X, tc.Y)
-
-			nf := len(tc.X[0])
-			cols := make([][]float64, nf)
-			for f := 0; f < nf; f++ {
-				cols[f] = make([]float64, len(tc.X))
-				for i, x := range tc.X {
-					cols[f][i] = x[f]
-				}
-			}
-			tgts := make([][]float64, len(tc.Y[0]))
-			for j := range tgts {
-				tgts[j] = make([]float64, len(tc.Y))
-				for i := range tc.Y {
-					tgts[j][i] = tc.Y[i][j]
-				}
-			}
+			ref := rowMajorMOGBM(cfg, tc.X, tc.Y)
+			cols, tgts := columns(tc.X), columns(tc.Y)
 			ws := getScratch()
 			fr := frameFromCols(cols, tgts[0], ws)
 			binary := fr.leveled
@@ -257,7 +278,7 @@ func TestMultiOutputGBMFitColsParity(t *testing.T) {
 				t.Fatalf("0/1 frame = %v, want %v", binary, tc.binary)
 			}
 			m := &MultiOutputGBM{Config: cfg}
-			m.FitCols(len(tc.X), cols, tgts)
+			fitCols(m, len(tc.X), cols, tgts)
 
 			if m.NumOutputs() != ref.NumOutputs() {
 				t.Fatalf("outputs = %d, want %d", m.NumOutputs(), ref.NumOutputs())
@@ -294,7 +315,7 @@ func sameTree(a, b *treeNode) bool {
 
 func TestMultiOutputGBMFitColsEmpty(t *testing.T) {
 	m := &MultiOutputGBM{}
-	m.FitCols(0, nil, nil)
+	fitCols(m, 0, nil, nil)
 	if m.NumOutputs() != 0 {
 		t.Error("empty columnar fit should produce no outputs")
 	}
@@ -305,9 +326,9 @@ func TestMultiOutputGBMFitColsEmpty(t *testing.T) {
 func TestPredictAllocFree(t *testing.T) {
 	X, y := xorData(200, 12)
 	f := &ForestClassifier{Config: ForestConfig{NumTrees: 5, MaxDepth: 4, Seed: 1}}
-	f.Fit(X, y)
+	f.FitData(dsOf(X, y))
 	h := &HistGBMClassifier{Config: HistGBMConfig{GBM: GBMConfig{NumTrees: 5, MaxDepth: 3, Seed: 1}, NumBins: 8}}
-	h.Fit(X, y)
+	h.FitData(dsOf(X, y))
 	x := X[3]
 	if n := testing.AllocsPerRun(50, func() { f.Predict(x) }); n != 0 {
 		t.Errorf("ForestClassifier.Predict allocates %v times per row", n)
@@ -319,8 +340,8 @@ func TestPredictAllocFree(t *testing.T) {
 		if got, want := f.Predict(x), float64(argmax(f.PredictProba(x))); got != want {
 			t.Fatalf("forest Predict %v, argmax of PredictProba %v", got, want)
 		}
-		if got, want := h.PredictProba(x), h.inner.PredictProba(binRow(x, h.bins)); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("HistGBM PredictProba %v, on binRow %v", got, want)
+		if got, want := h.PredictProba(x), h.inner.PredictProba(binRowInto(make([]float64, len(x)), x, h.bins)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("HistGBM PredictProba %v, on a heap-binned row %v", got, want)
 		}
 	}
 }

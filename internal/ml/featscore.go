@@ -6,30 +6,12 @@ import (
 	"sync"
 )
 
-// FisherScore returns the Fisher score of each feature for a labelled
-// dataset (classification): the ratio of between-class variance to
-// within-class variance [Li et al., Feature Selection: A Data
-// Perspective]. Higher is more discriminative. p_Fsc in Table 3.
-func FisherScore(X [][]float64, y []float64) []float64 {
-	if len(X) == 0 {
-		return nil
-	}
-	nf := len(X[0])
-	out := make([]float64, nf)
-	classes, byClass := classIndex(y)
-	col := make([]float64, len(X))
-	for f := 0; f < nf; f++ {
-		for i := range X {
-			col[i] = X[i][f]
-		}
-		out[f] = fisherScoreCol(col, classes, byClass)
-	}
-	return out
-}
-
-// FisherScoreData computes the Fisher scores of a columnar data view
-// against the given (possibly discretized) labels, summing in the same
-// row order as the row-major API.
+// FisherScoreData returns the Fisher score of each feature of a data
+// view against the given (possibly discretized) class labels: the ratio
+// of between-class variance to within-class variance [Li et al.,
+// Feature Selection: A Data Perspective]. Higher is more
+// discriminative. p_Fsc in Table 3. Sums run in row order, so a
+// dataset and a matrix view of the same numbers agree bit for bit.
 func FisherScoreData(d Data, y []float64) []float64 {
 	n := d.NumRows()
 	if n == 0 {
@@ -91,35 +73,9 @@ func fisherScoreCol(col []float64, classes []int, byClass map[int][]int) float64
 	return 0
 }
 
-// MutualInformation estimates I(X_f; Y) per feature by equal-frequency
-// discretization into bins (default 10) of both the feature and, when
-// continuous, the target. p_MI in Table 3.
-func MutualInformation(X [][]float64, y []float64, bins int) []float64 {
-	if len(X) == 0 {
-		return nil
-	}
-	if bins <= 0 {
-		bins = 10
-	}
-	s := miPool.Get().(*miScratch)
-	defer miPool.Put(s)
-	nf := len(X[0])
-	s.yd = s.discretize(y, bins, s.yd)
-	out := make([]float64, nf)
-	s.col = resizeFloats(s.col, len(X))
-	for f := 0; f < nf; f++ {
-		for i := range X {
-			s.col[i] = X[i][f]
-		}
-		s.xd = s.discretize(s.col, bins, s.xd)
-		out[f] = s.discreteMI(s.xd, s.yd)
-	}
-	return out
-}
-
-// MutualInformationData estimates per-feature mutual information of a
-// columnar data view against the given labels — same discretization
-// and summation order as the row-major API.
+// MutualInformationData estimates I(X_f; Y) per feature of a data view
+// by equal-frequency discretization into bins (default 10) of both the
+// feature and, when continuous, the given labels. p_MI in Table 3.
 func MutualInformationData(d Data, y []float64, bins int) []float64 {
 	n := d.NumRows()
 	if n == 0 {

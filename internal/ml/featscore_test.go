@@ -20,7 +20,7 @@ func discriminativeData(n int, seed int64) ([][]float64, []float64) {
 
 func TestFisherScoreRanksInformativeFirst(t *testing.T) {
 	X, y := discriminativeData(300, 1)
-	fs := FisherScore(X, y)
+	fs := FisherScoreData(dsOf(X, y), y)
 	if len(fs) != 2 {
 		t.Fatalf("scores = %v", fs)
 	}
@@ -33,14 +33,14 @@ func TestFisherScoreRanksInformativeFirst(t *testing.T) {
 }
 
 func TestFisherScoreEmpty(t *testing.T) {
-	if FisherScore(nil, nil) != nil {
+	if FisherScoreData(dsOf(nil, nil), nil) != nil {
 		t.Error("empty input should yield nil")
 	}
 }
 
 func TestMutualInformationRanksInformativeFirst(t *testing.T) {
 	X, y := discriminativeData(300, 2)
-	mi := MutualInformation(X, y, 8)
+	mi := MutualInformationData(dsOf(X, y), y, 8)
 	if mi[0] <= mi[1] {
 		t.Errorf("informative MI %v should exceed noise MI %v", mi[0], mi[1])
 	}
@@ -54,7 +54,7 @@ func TestMutualInformationNonNegative(t *testing.T) {
 		X[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		y[i] = rng.Float64()
 	}
-	for _, v := range MutualInformation(X, y, 6) {
+	for _, v := range MutualInformationData(dsOf(X, y), y, 6) {
 		if v < 0 {
 			t.Fatalf("MI must be non-negative, got %v", v)
 		}

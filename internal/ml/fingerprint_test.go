@@ -163,10 +163,11 @@ func hashBits(xs []float64) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
-// fingerprintOutputs fits every family through Fit (row-major) and
-// FitData (a matrix view of a row subset), predicts every row of the
-// full table, and computes the feature scores; it returns each output
-// vector's hash by name.
+// fingerprintOutputs fits every family through FitData on the
+// row-major *Dataset of the full table (the "/fit" entries) and on a
+// matrix view of a row subset (the "/data" entries), predicts every row
+// of the full table, and computes the feature scores; it returns each
+// output vector's hash by name.
 func fingerprintOutputs() map[string]string {
 	u := fingerprintTable()
 	encR := NewTableEncoderSkip(u, "yr", "id", "yc")
@@ -195,14 +196,13 @@ func fingerprintOutputs() map[string]string {
 		return hashBits(p)
 	}
 	type model interface {
-		Fit(X [][]float64, y []float64)
 		FitData(d Data)
 	}
-	// both fits a fresh model through Fit on ds and through FitData on
-	// v, and records the hashes of pred over ds's rows.
+	// both fits a fresh model on ds and another on v, and records the
+	// hashes of pred over ds's rows.
 	both := func(name string, ds *Dataset, v *View, mk func() model, pred func(model) func([]float64) float64) {
 		m := mk()
-		m.Fit(ds.X, ds.Y)
+		m.FitData(ds)
 		out[name+"/fit"] = predictAll(ds.X, pred(m))
 		m = mk()
 		m.FitData(v)
@@ -266,10 +266,10 @@ func fingerprintOutputs() map[string]string {
 	}
 	proba3 := func(p []float64) float64 { return p[1] + 4*p[2] }
 	tc := &TreeClassifier{Config: TreeConfig{MaxDepth: 6, MinLeaf: 1}, NumClass: 3}
-	tc.Fit(dsL.X, y3)
+	tc.FitData(dsOf(dsL.X, y3))
 	out["treeclf-levels-3class/fit"] = predictAll(dsL.X, func(x []float64) float64 { return proba3(tc.PredictProba(x)) })
 	fc := &ForestClassifier{Config: ForestConfig{NumTrees: 6, MaxDepth: 6, Seed: 3}, NumClass: 3}
-	fc.Fit(dsL.X, y3)
+	fc.FitData(dsOf(dsL.X, y3))
 	out["forestclf-levels-3class/fit"] = predictAll(dsL.X, func(x []float64) float64 { return proba3(fc.PredictProba(x)) })
 	out["forestclf-levels-3class/predict"] = predictAll(dsL.X, fc.Predict)
 	// Hard labels of HistGBM, which bin each predicted row.
@@ -278,7 +278,7 @@ func fingerprintOutputs() map[string]string {
 	out["histgbm-bins16/predict"] = predictAll(dsC.X, hg.Predict)
 	// Large leaves make the k < MinLeaf abort common.
 	tm := &TreeRegressor{Config: TreeConfig{MaxDepth: 8, MinLeaf: 5}}
-	tm.Fit(dsR.X, dsR.Y)
+	tm.FitData(dsR)
 	out["treereg-minleaf5/fit"] = predictAll(dsR.X, tm.Predict)
 	// A mirror-symmetric stump: isolating either end row gains exactly
 	// the same, and the first candidate must win.
@@ -289,7 +289,7 @@ func fingerprintOutputs() map[string]string {
 	}
 	tieY[0], tieY[9] = 3, 3
 	ts := &TreeRegressor{Config: TreeConfig{MaxDepth: 1, MinLeaf: 1}}
-	ts.Fit(tieX, tieY)
+	ts.FitData(dsOf(tieX, tieY))
 	out["treereg-tie/fit"] = predictAll(tieX, ts.Predict)
 	gm := &GBMRegressor{Config: GBMConfig{NumTrees: 15, MaxDepth: 4, MinLeaf: 4, Seed: 3}}
 	gm.FitData(vR)
@@ -297,8 +297,7 @@ func fingerprintOutputs() map[string]string {
 
 	X, cols, Y, targets := fingerprintBits()
 	moCfg := GBMConfig{NumTrees: 20, MaxDepth: 3, LearningRate: 0.15, Seed: 9}
-	mo := &MultiOutputGBM{Config: moCfg}
-	mo.Fit(X, Y)
+	mo := rowMajorMOGBM(moCfg, X, Y)
 	moHash := func(m *MultiOutputGBM) string {
 		var p []float64
 		for _, x := range X {
@@ -308,7 +307,7 @@ func fingerprintOutputs() map[string]string {
 	}
 	out["mogbm/fit"] = moHash(mo)
 	mo = &MultiOutputGBM{Config: moCfg}
-	mo.FitCols(len(X), cols, targets)
+	fitCols(mo, len(X), cols, targets)
 	out["mogbm/fitcols"] = moHash(mo)
 	gb := &GBMRegressor{Config: GBMConfig{NumTrees: 15, MaxDepth: 4, MinLeaf: 4, Seed: 3}}
 	ws := getScratch()
@@ -346,7 +345,7 @@ func fingerprintOutputs() map[string]string {
 	out["fisher/data"] = hashBits(FisherScoreData(vC, Labels(vC)))
 	out["mi/data"] = hashBits(MutualInformationData(vC, Labels(vC), 8))
 	out["mi/data-continuous"] = hashBits(MutualInformationData(vR, Labels(vR), 4))
-	out["mi/rows"] = hashBits(MutualInformation(dsR.X, dsR.Y, 6))
+	out["mi/rows"] = hashBits(MutualInformationData(dsR, dsR.Y, 6))
 	return out
 }
 

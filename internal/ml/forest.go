@@ -35,16 +35,6 @@ type ForestClassifier struct {
 	trees    []*TreeClassifier
 }
 
-// Fit trains the forest.
-func (f *ForestClassifier) Fit(X [][]float64, y []float64) {
-	ws := getScratch()
-	fr := frameFromRows(X, y, ws)
-	fr.readLevels()
-	f.fitFrame(fr, ws)
-	ws.putFrame(fr)
-	putScratch(ws)
-}
-
 // FitData trains the forest on a columnar data view.
 func (f *ForestClassifier) FitData(d Data) {
 	ws := getScratch()
@@ -134,15 +124,6 @@ func (f *ForestClassifier) Importances(nf int) []float64 {
 type ForestRegressor struct {
 	Config ForestConfig
 	trees  []*TreeRegressor
-}
-
-// Fit trains the forest.
-func (f *ForestRegressor) Fit(X [][]float64, y []float64) {
-	ws := getScratch()
-	fr := frameFromRows(X, y, ws)
-	f.fitFrame(fr, ws)
-	ws.putFrame(fr)
-	putScratch(ws)
 }
 
 // FitData trains the forest on a columnar data view.

@@ -43,15 +43,6 @@ type GBMRegressor struct {
 	lr     float64
 }
 
-// Fit trains the boosted ensemble on (X, y).
-func (g *GBMRegressor) Fit(X [][]float64, y []float64) {
-	ws := getScratch()
-	fr := frameFromRows(X, y, ws)
-	g.fitFrame(fr, ws)
-	ws.putFrame(fr)
-	putScratch(ws)
-}
-
 // FitData trains the boosted ensemble on a columnar data view.
 func (g *GBMRegressor) FitData(d Data) {
 	ws := getScratch()
@@ -177,16 +168,8 @@ type GBMClassifier struct {
 	lr     float64
 }
 
-// Fit trains the boosted classifier on (X, y) with y in {0, 1}.
-func (g *GBMClassifier) Fit(X [][]float64, y []float64) {
-	ws := getScratch()
-	fr := frameFromRows(X, y, ws)
-	g.fitFrame(fr, ws)
-	ws.putFrame(fr)
-	putScratch(ws)
-}
-
-// FitData trains the boosted classifier on a columnar data view.
+// FitData trains the boosted classifier on a data view whose labels
+// are 0 or 1.
 func (g *GBMClassifier) FitData(d Data) {
 	ws := getScratch()
 	fr := d.buildFrame(ws)
@@ -262,46 +245,18 @@ type MultiOutputGBM struct {
 	models []*GBMRegressor
 }
 
-// Fit trains on targets Y where Y[i] is the output vector of example i.
-func (m *MultiOutputGBM) Fit(X [][]float64, Y [][]float64) {
-	if len(Y) == 0 {
-		m.models = nil
-		return
-	}
-	d := len(Y[0])
-	m.models = make([]*GBMRegressor, d)
-	col := make([]float64, len(Y))
-	for j := 0; j < d; j++ {
-		for i := range Y {
-			col[i] = Y[i][j]
-		}
-		g := &GBMRegressor{Config: m.Config}
-		g.Config.Seed = m.Config.Seed + int64(j)*7919
-		g.Fit(X, append([]float64(nil), col...))
-		m.models[j] = g
-	}
-}
-
-// FitCols trains on column-major data: cols[f] lists feature f over
-// all n examples, targets[j] lists output j. The transpose Fit pays
-// per refit disappears, and per-output target columns are used as-is
-// instead of being gathered from row vectors; the grown trees are
-// bit-identical to Fit on the same numbers (see frameFromCols).
+// FitColsTasks trains on column-major data: cols[f] lists feature f
+// over all n examples, targets[j] lists output j. It returns one
+// self-contained task per output, for callers that run them on a worker
+// pool. Task j fits output j with its fixed seed on its own scratch and
+// writes only model slot j, so the tasks may run in any order, on any
+// goroutines, and the model is the same. The model is ready once every
+// task has returned; cols and targets must not change before then.
 // Callers that accumulate observations incrementally — the MO-GBM
 // estimator — keep their history in this layout and refit without any
-// per-fit reshaping. The per-output fits run inline, in output order.
-func (m *MultiOutputGBM) FitCols(n int, cols [][]float64, targets [][]float64) {
-	for _, fit := range m.FitColsTasks(n, cols, targets) {
-		fit()
-	}
-}
-
-// FitColsTasks prepares FitCols as one self-contained task per output,
-// for callers that run them on a worker pool. Task j fits output j with
-// its fixed seed on its own scratch and writes only model slot j, so
-// the tasks may run in any order, on any goroutines, and the model is
-// the one FitCols grows. The model is ready once every task has
-// returned; cols and targets must not change before then.
+// per-fit reshaping; the grown trees are bit-identical to one
+// GBMRegressor.FitData per output on the row-major equivalent (see
+// frameFromCols).
 func (m *MultiOutputGBM) FitColsTasks(n int, cols [][]float64, targets [][]float64) []func() {
 	if len(targets) == 0 || n == 0 {
 		m.models = nil

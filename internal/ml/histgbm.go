@@ -20,24 +20,11 @@ type HistGBMClassifier struct {
 	bins   [][]float64 // per-feature bin upper edges
 }
 
-// Fit quantizes X then trains the boosted classifier.
-func (h *HistGBMClassifier) Fit(X [][]float64, y []float64) {
-	nb := h.Config.NumBins
-	if nb <= 0 {
-		nb = 32
-	}
-	h.bins = computeBins(X, nb)
-	bx := binAll(X, h.bins)
-	h.inner = GBMClassifier{Config: h.Config.GBM}
-	h.inner.Fit(bx, y)
-}
-
-// FitData quantizes a columnar data view then trains the boosted
-// classifier, never materializing row-major input: bin edges come from
-// the raw gathered columns (no presort — binning would discard it),
-// and the binned frame's presorted orders are the unique (value,
-// position) sort of the bin ids — identical to what Fit produces on
-// the same numbers.
+// FitData quantizes a data view then trains the boosted classifier,
+// never materializing row-major input: bin edges come from the raw
+// gathered columns (no presort — binning would discard it), and the
+// binned frame's presorted orders are the unique (value, position)
+// sort of the bin ids, derived by counting.
 func (h *HistGBMClassifier) FitData(d Data) {
 	nb := h.Config.NumBins
 	if nb <= 0 {
@@ -60,13 +47,6 @@ func (h *HistGBMClassifier) FitData(d Data) {
 func binFrame(fr *frame, bins [][]float64, cntBuf *[]int32) {
 	for f := 0; f < fr.nf; f++ {
 		col := fr.cols[f]
-		if f >= len(bins) {
-			// Unbinned column (caller supplied a short bins slice, as
-			// binRow tolerates): its order must still be derived, or
-			// growth would scan an all-zero order.
-			sortOrder(col, fr.base[f])
-			continue
-		}
 		nBins := len(bins[f]) + 1
 		if cap(*cntBuf) < nBins+1 {
 			*cntBuf = make([]int32, nBins+1)
@@ -121,25 +101,8 @@ func withLen(buf []float64, n int) []float64 {
 // Importances proxies the inner model's importances.
 func (h *HistGBMClassifier) Importances(nf int) []float64 { return h.inner.Importances(nf) }
 
-// computeBins derives per-feature quantile bin edges.
-func computeBins(X [][]float64, nb int) [][]float64 {
-	if len(X) == 0 {
-		return nil
-	}
-	nf := len(X[0])
-	bins := make([][]float64, nf)
-	col := make([]float64, len(X))
-	for f := 0; f < nf; f++ {
-		for i := range X {
-			col[i] = X[i][f]
-		}
-		bins[f] = quantileEdges(col, nb)
-	}
-	return bins
-}
-
-// computeBinsCols is computeBins over column-major input; identical
-// edges since each column holds the same values in the same row order.
+// computeBinsCols derives per-feature quantile bin edges, one slice
+// per column.
 func computeBinsCols(cols [][]float64, nb int) [][]float64 {
 	bins := make([][]float64, len(cols))
 	for f, col := range cols {
@@ -169,20 +132,9 @@ func quantileEdges(col []float64, nb int) []float64 {
 // searchBins maps a raw value to its bin id.
 func searchBins(edges []float64, v float64) int { return sort.SearchFloat64s(edges, v) }
 
-func binAll(X [][]float64, bins [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
-	for i, r := range X {
-		out[i] = binRow(r, bins)
-	}
-	return out
-}
-
-// binRow maps a raw row to bin indexes (as floats, so trees split on them).
-func binRow(x []float64, bins [][]float64) []float64 {
-	return binRowInto(make([]float64, len(x)), x, bins)
-}
-
-// binRowInto is binRow into out, which has len(x) slots.
+// binRowInto maps a raw row to bin indexes (as floats, so trees split
+// on them) in out, which has len(x) slots. Features past the trained
+// width keep their raw values.
 func binRowInto(out, x []float64, bins [][]float64) []float64 {
 	for f, v := range x {
 		if f >= len(bins) {

@@ -11,29 +11,13 @@ type LinearRegression struct {
 	Bias    float64
 }
 
-// Fit solves (X'X + λI) w = X'y.
-func (l *LinearRegression) Fit(X [][]float64, y []float64) {
-	nf := 0
-	if len(X) > 0 {
-		nf = len(X[0])
-	}
-	l.fitNormalEqs(len(X), nf, func(i int, dst []float64) []float64 {
-		copy(dst, X[i])
-		return dst
-	}, func(i int) float64 { return y[i] })
-}
-
-// FitData trains on a columnar data view through one reused gather
-// buffer — same accumulation per normal-equation cell, and so the same
-// solution, as Fit on the equivalent row-major input.
+// FitData solves (X'X + λI) w = X'y over a data view. X'X and X'y are
+// accumulated row by row through one reused gather buffer (every cell
+// sums in row order, so a dataset and a matrix view of the same numbers
+// agree bit for bit), then the diagonal is damped and the system
+// eliminated.
 func (l *LinearRegression) FitData(d Data) {
-	l.fitNormalEqs(d.NumRows(), d.NumFeatures(), d.Row, d.Label)
-}
-
-// fitNormalEqs is the shared solver core: accumulate X'X and X'y row
-// by row (every cell sums in row order, so both entry points agree
-// bit for bit), damp the diagonal, eliminate.
-func (l *LinearRegression) fitNormalEqs(n, nf int, rowAt func(i int, dst []float64) []float64, label func(i int) float64) {
+	n, nf := d.NumRows(), d.NumFeatures()
 	if n == 0 {
 		l.Weights = nil
 		l.Bias = 0
@@ -44,27 +28,27 @@ func (l *LinearRegression) fitNormalEqs(n, nf int, rowAt func(i int, dst []float
 		lam = 1e-6
 	}
 	// Augment with a bias column.
-	d := nf + 1
-	A := make([][]float64, d)
+	m := nf + 1
+	A := make([][]float64, m)
 	for i := range A {
-		A[i] = make([]float64, d+1)
+		A[i] = make([]float64, m+1)
 	}
-	row := make([]float64, d)
+	row := make([]float64, m)
 	for i := 0; i < n; i++ {
-		rowAt(i, row[:nf])
+		d.Row(i, row[:nf])
 		row[nf] = 1
-		yi := label(i)
-		for a := 0; a < d; a++ {
-			for b := 0; b < d; b++ {
+		yi := d.Label(i)
+		for a := 0; a < m; a++ {
+			for b := 0; b < m; b++ {
 				A[a][b] += row[a] * row[b]
 			}
-			A[a][d] += row[a] * yi
+			A[a][m] += row[a] * yi
 		}
 	}
-	for i := 0; i < d; i++ {
+	for i := 0; i < m; i++ {
 		A[i][i] += lam
 	}
-	w := solveGauss(A, d)
+	w := solveGauss(A, m)
 	l.Weights = w[:nf]
 	l.Bias = w[nf]
 }
@@ -128,8 +112,15 @@ type LogisticRegression struct {
 	mu, sigma    []float64
 }
 
-// Fit trains on y in {0, 1}.
-func (l *LogisticRegression) Fit(X [][]float64, y []float64) {
+// FitData trains on a data view whose labels are 0 or 1: rows are
+// gathered once into a single slab for fitRows, whose math only reads
+// the values.
+func (l *LogisticRegression) FitData(d Data) {
+	l.fitRows(gatherRows(d), Labels(d))
+}
+
+// fitRows runs the fixed-budget gradient descent over row-major X.
+func (l *LogisticRegression) fitRows(X [][]float64, y []float64) {
 	if len(X) == 0 {
 		l.Weights = nil
 		return
@@ -168,12 +159,6 @@ func (l *LogisticRegression) Fit(X [][]float64, y []float64) {
 		}
 		l.Bias -= lr * gb / n
 	}
-}
-
-// FitData trains on a columnar data view: rows are gathered once into a
-// single slab and fed to Fit, whose math only reads the values.
-func (l *LogisticRegression) FitData(d Data) {
-	l.Fit(gatherRows(d), Labels(d))
 }
 
 // PredictProba returns P(y=1 | x).

@@ -16,7 +16,7 @@ func TestLinearRegressionRecoversWeights(t *testing.T) {
 		y[i] = 2*a - 3*b + 1
 	}
 	lr := &LinearRegression{}
-	lr.Fit(X, y)
+	lr.FitData(dsOf(X, y))
 	if math.Abs(lr.Weights[0]-2) > 0.01 || math.Abs(lr.Weights[1]+3) > 0.01 {
 		t.Errorf("weights = %v, want [2 -3]", lr.Weights)
 	}
@@ -27,7 +27,7 @@ func TestLinearRegressionRecoversWeights(t *testing.T) {
 
 func TestLinearRegressionEmpty(t *testing.T) {
 	lr := &LinearRegression{}
-	lr.Fit(nil, nil)
+	lr.FitData(dsOf(nil, nil))
 	if lr.Predict([]float64{1, 2}) != 0 {
 		t.Error("empty-fit model should predict 0")
 	}
@@ -38,7 +38,7 @@ func TestLinearRegressionCollinear(t *testing.T) {
 	X := [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}
 	y := []float64{2, 4, 6, 8}
 	lr := &LinearRegression{Ridge: 1e-3}
-	lr.Fit(X, y)
+	lr.FitData(dsOf(X, y))
 	for i, x := range X {
 		if math.Abs(lr.Predict(x)-y[i]) > 0.1 {
 			t.Errorf("collinear fit: pred %v want %v", lr.Predict(x), y[i])
@@ -58,7 +58,7 @@ func TestLogisticRegressionSeparable(t *testing.T) {
 		}
 	}
 	lr := &LogisticRegression{Iterations: 300}
-	lr.Fit(X, y)
+	lr.FitData(dsOf(X, y))
 	pred := make([]float64, len(y))
 	for i, x := range X {
 		pred[i] = lr.Predict(x)
@@ -72,7 +72,7 @@ func TestLogisticRegressionProbaRange(t *testing.T) {
 	X := [][]float64{{0}, {1}, {2}, {3}}
 	y := []float64{0, 0, 1, 1}
 	lr := &LogisticRegression{}
-	lr.Fit(X, y)
+	lr.FitData(dsOf(X, y))
 	for _, x := range X {
 		p := lr.PredictProba(x)
 		if p < 0 || p > 1 {

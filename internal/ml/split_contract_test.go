@@ -388,7 +388,7 @@ func TestNonFiniteTargetIsOneLeaf(t *testing.T) {
 			}
 		}
 		g := &GBMRegressor{Config: GBMConfig{NumTrees: 3}}
-		g.Fit(X, y)
+		g.FitData(dsOf(X, y))
 		for i, tr := range g.trees {
 			if !tr.root.leaf {
 				t.Fatalf("%v: boosting stage %d split", bad, i)

@@ -152,16 +152,6 @@ type TreeRegressor struct {
 	root   *treeNode
 }
 
-// Fit grows the tree on (X, y).
-func (t *TreeRegressor) Fit(X [][]float64, y []float64) {
-	ws := getScratch()
-	fr := frameFromRows(X, y, ws)
-	fr.readLevels()
-	t.fitFrame(fr, ws)
-	ws.putFrame(fr)
-	putScratch(ws)
-}
-
 // FitData grows the tree on a columnar data view.
 func (t *TreeRegressor) FitData(d Data) {
 	ws := getScratch()
@@ -207,17 +197,8 @@ type TreeClassifier struct {
 	root     *treeNode
 }
 
-// Fit grows the tree on (X, y) where y holds class ids 0..NumClass-1.
-func (t *TreeClassifier) Fit(X [][]float64, y []float64) {
-	ws := getScratch()
-	fr := frameFromRows(X, y, ws)
-	fr.readLevels()
-	t.fitFrame(fr, ws)
-	ws.putFrame(fr)
-	putScratch(ws)
-}
-
-// FitData grows the tree on a columnar data view.
+// FitData grows the tree on a data view whose labels are class ids
+// 0..NumClass-1.
 func (t *TreeClassifier) FitData(d Data) {
 	ws := getScratch()
 	fr := d.buildFrame(ws)

@@ -22,6 +22,10 @@ func xorData(n int, seed int64) ([][]float64, []float64) {
 	return X, y
 }
 
+// dsOf wraps row-major examples as a *Dataset, the row-major training
+// route every learner's FitData takes.
+func dsOf(X [][]float64, y []float64) *Dataset { return &Dataset{X: X, Y: y} }
+
 func linearData(n int, seed int64) ([][]float64, []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	X := make([][]float64, n)
@@ -37,7 +41,7 @@ func linearData(n int, seed int64) ([][]float64, []float64) {
 func TestTreeRegressorFitsLinear(t *testing.T) {
 	X, y := linearData(300, 1)
 	tr := &TreeRegressor{Config: TreeConfig{MaxDepth: 8}}
-	tr.Fit(X, y)
+	tr.FitData(dsOf(X, y))
 	pred := make([]float64, len(y))
 	for i, x := range X {
 		pred[i] = tr.Predict(x)
@@ -50,7 +54,7 @@ func TestTreeRegressorFitsLinear(t *testing.T) {
 func TestTreeClassifierLearnsXOR(t *testing.T) {
 	X, y := xorData(400, 2)
 	tc := &TreeClassifier{Config: TreeConfig{MaxDepth: 4}}
-	tc.Fit(X, y)
+	tc.FitData(dsOf(X, y))
 	pred := make([]float64, len(y))
 	for i, x := range X {
 		pred[i] = tc.Predict(x)
@@ -63,7 +67,7 @@ func TestTreeClassifierLearnsXOR(t *testing.T) {
 func TestTreeClassifierProbaSumsToOne(t *testing.T) {
 	X, y := xorData(100, 3)
 	tc := &TreeClassifier{Config: TreeConfig{MaxDepth: 3}}
-	tc.Fit(X, y)
+	tc.FitData(dsOf(X, y))
 	for _, x := range X[:10] {
 		p := tc.PredictProba(x)
 		var s float64
@@ -83,7 +87,7 @@ func TestTreePureLeafStopsEarly(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}, {4}}
 	y := []float64{5, 5, 5, 5}
 	tr := &TreeRegressor{Config: TreeConfig{MaxDepth: 5}}
-	tr.Fit(X, y)
+	tr.FitData(dsOf(X, y))
 	if !tr.root.leaf {
 		t.Error("constant target should produce a single leaf")
 	}
@@ -95,7 +99,7 @@ func TestTreePureLeafStopsEarly(t *testing.T) {
 func TestTreeMinLeafRespected(t *testing.T) {
 	X, y := linearData(50, 4)
 	tr := &TreeRegressor{Config: TreeConfig{MaxDepth: 20, MinLeaf: 10}}
-	tr.Fit(X, y)
+	tr.FitData(dsOf(X, y))
 	var check func(n *treeNode) bool
 	check = func(n *treeNode) bool {
 		if n == nil {
@@ -115,8 +119,8 @@ func TestTreeDeterministic(t *testing.T) {
 	X, y := linearData(200, 5)
 	t1 := &TreeRegressor{Config: TreeConfig{MaxDepth: 6, Seed: 9}}
 	t2 := &TreeRegressor{Config: TreeConfig{MaxDepth: 6, Seed: 9}}
-	t1.Fit(X, y)
-	t2.Fit(X, y)
+	t1.FitData(dsOf(X, y))
+	t2.FitData(dsOf(X, y))
 	for _, x := range X[:20] {
 		if t1.Predict(x) != t2.Predict(x) {
 			t.Fatal("same seed must give identical trees")
@@ -127,7 +131,7 @@ func TestTreeDeterministic(t *testing.T) {
 func TestTreeImportancesNormalized(t *testing.T) {
 	X, y := linearData(200, 6)
 	tr := &TreeRegressor{Config: TreeConfig{MaxDepth: 6}}
-	tr.Fit(X, y)
+	tr.FitData(dsOf(X, y))
 	imp := tr.Importances(2)
 	var s float64
 	for _, v := range imp {
