@@ -12,11 +12,13 @@ import (
 // TableModel adapts a learner family to the fst.Model interface: a
 // fixed, deterministic model whose Evaluate trains on the dataset's
 // train split and reports raw metrics on the test split. Models built
-// by this package supply both routes to the same evaluation body:
-// Eval receives the materialized child table (the reference path) and
-// EvalRows receives the state's selected-row view over the universal
-// table (the zero-materialization columnar fast path). The two must
-// return bit-identical metrics — a property the tests enforce.
+// by this package supply both routes to the same evaluation body, and
+// both encode through one Matrix construction (ml.TableEncoder): Eval
+// receives the materialized child table, which UDFs may have
+// transformed, and encodes it as the View of a Matrix built over the
+// child; EvalRows receives the state's selected rows and views the
+// universal table's Matrix at them, with no materialization. The two
+// must return bit-identical metrics — a property the tests enforce.
 type TableModel struct {
 	ModelName string
 	Eval      func(d *table.Table) ([]float64, error)

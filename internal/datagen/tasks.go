@@ -62,8 +62,8 @@ func taskEncoder(l *Lake) *ml.TableEncoder {
 }
 
 // taskModel wires one Data-generic evaluation body into both valuation
-// routes of a TableModel: the reference path encodes the materialized
-// child through the shared encoder, the fast path views the frozen
+// routes of a TableModel: the table route encodes the materialized
+// child through the shared encoder, the rows route views the frozen
 // matrix at the state's selected rows. Each task's metrics are
 // computed once, in one body, so the routes cannot drift.
 func taskModel(name string, enc *ml.TableEncoder, eval func(ml.Data) ([]float64, error)) *TableModel {

@@ -2,32 +2,37 @@ package fst
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/table"
 )
 
 // This file is the streaming side of the space lifecycle: rows arrive
-// after construction, every frozen structure — the universal table,
-// the column source's matrix, the per-literal row bitmaps — is
-// extended in place, and the version counter advances so the memo
+// after construction and are appended to the universal table; the
+// structures derived from it — the column source's matrix, the
+// per-literal row bitmaps — are dropped and built again from the grown
+// table on next use; and the version counter advances so the memo
 // (TestSet) can invalidate exactly the states whose selected row set
 // the new tuples changed. The entry layout (Entries, attrEntry,
 // litEntries) is frozen forever: appended rows never add literal
 // clusters, so every StateKey keeps meaning the same state and the
 // Zobrist keys never need rehashing. The determinism contract: a run
 // after Append is byte-identical to a cold run over the concatenated
-// table through a space sharing the same entry layout (Rebuild).
+// table through a space sharing the same entry layout (Rebuild), and
+// it holds by construction, since every derived structure is built
+// cold.
 //
 // Append must not race runs. The serving layer enforces that with a
 // per-shard drain gate (modis/serve); library users sequence Append
 // between Engine runs themselves.
 
-// AppendableColumns is the optional delta interface of a ColumnSource:
-// sources that can extend their decoded columns in place (the ML
-// encoder's matrix) implement it, and Space.Append calls it before
-// touching any space structure — a source that rejects the rows (e.g.
-// a string value outside its frozen domain) aborts the append with
-// nothing mutated.
+// AppendableColumns is the optional append interface of a
+// ColumnSource: sources whose decoded columns follow the universal
+// table (the ML encoder's matrix) implement it, and Space.Append calls
+// it before touching any space structure — a source that rejects the
+// rows (e.g. a string value outside its frozen domain) aborts the
+// append with nothing mutated; one that accepts them drops its decoded
+// columns, to be decoded again from the grown table.
 type AppendableColumns interface {
 	ColumnSource
 	AppendRows(rows []table.Row) error
@@ -47,12 +52,11 @@ func (sp *Space) RowsAtVersion(v uint64) int {
 }
 
 // Append commits a batch of rows to the universal table and advances
-// the table version, extending every already-built structure in place:
-// the column source's decoded columns (when it implements
-// AppendableColumns), the per-literal removed-row bitmaps of the row
-// index, and the version→row-count history. The entry layout is
-// untouched — new rows match the existing literals or none. It
-// returns the new version.
+// the table version. The column source (when it implements
+// AppendableColumns) and the row index are dropped, so the next use
+// builds both cold over the grown table; the version→row-count history
+// grows by one entry. The entry layout is untouched — new rows match
+// the existing literals or none. It returns the new version.
 //
 // Append is not safe against concurrent runs: callers must quiesce
 // Materialize/RowsFor/valuation traffic first (the serving layer's
@@ -67,56 +71,27 @@ func (sp *Space) Append(rows []table.Row) (uint64, error) {
 			return sp.version, fmt.Errorf("fst: append row %d has %d cells, schema has %d", ri, len(r), width)
 		}
 	}
-	// The column source validates and extends first: its frozen string
-	// domains are the one thing an append can violate, and rejecting
-	// here leaves the universal table and row index untouched.
+	// The column source validates first: its frozen string domains are
+	// the one thing an append can violate, and rejecting here leaves the
+	// universal table and row index untouched.
 	if ac, ok := sp.colSrc.(AppendableColumns); ok {
 		if err := ac.AppendRows(rows); err != nil {
 			return sp.version, err
 		}
 	}
-	old := len(sp.Universal.Rows)
 	if len(sp.verRows) == 0 {
-		sp.verRows = append(sp.verRows, old)
+		sp.verRows = append(sp.verRows, len(sp.Universal.Rows))
 	}
 	for _, r := range rows {
 		sp.Universal.MustAppend(r)
 	}
-	if sp.idx != nil {
-		sp.extendRowIndex(old)
-	}
+	// Append never races runs, so no Materialize or RowsFor is inside
+	// the once being reset.
+	sp.idxOnce = sync.Once{}
+	sp.idx = nil
 	sp.version++
 	sp.verRows = append(sp.verRows, len(sp.Universal.Rows))
 	return sp.version, nil
-}
-
-// extendRowIndex grows the built row index to the universal table's
-// new row count and matches only the appended rows [oldRows, len)
-// against each attribute's literals — the delta pass of buildRowIndex,
-// sharing its column fast path and cell-compare fallback.
-func (sp *Space) extendRowIndex(oldRows int) {
-	ix := sp.idx
-	newRows := len(sp.Universal.Rows)
-	words := (newRows + wordBits - 1) / wordBits
-	for i := range ix.litRows {
-		if ix.litRows[i] == nil || len(ix.litRows[i]) >= words {
-			continue
-		}
-		grown := make([]uint64, words)
-		copy(grown, ix.litRows[i])
-		ix.litRows[i] = grown
-	}
-	ix.words = words
-	ix.rows = newRows
-	for _, entries := range sp.litEntries {
-		if len(entries) == 0 {
-			continue
-		}
-		if sp.indexAttrColumns(ix, entries, oldRows) {
-			continue
-		}
-		sp.indexAttrScan(ix, entries, oldRows)
-	}
 }
 
 // SelectionUnchanged reports whether a state's selected row set is
@@ -187,8 +162,8 @@ func (sp *Space) Rebuild(u *table.Table, cols ColumnSource) *Space {
 	}
 }
 
-// Append commits rows through the configuration: the space extends
-// its structures and bumps the table version, then the memo advances
+// Append commits rows through the configuration: the space appends
+// them and bumps the table version, then the memo advances
 // to that version, dropping exactly the tests whose selected row set
 // the new tuples changed (SelectionUnchanged) and carrying every
 // other valuation forward. It returns the new version and the number

@@ -92,7 +92,7 @@ func TestAppendRejectsBadBatches(t *testing.T) {
 	}
 }
 
-// The incremental row index after Append answers row selection
+// The row index after Append answers row selection
 // bit-identically to a cold index built over the concatenated table
 // through Rebuild — for every state, across random batch sequences,
 // whether the index existed before the append or not.
@@ -108,7 +108,7 @@ func TestAppendRowIndexMatchesRebuild(t *testing.T) {
 				sp := newAppendSpace(20)
 				if preBuild {
 					// Force the index (and its word layout) to exist before
-					// any row arrives, so Append exercises the extend path.
+					// any row arrives, so Append must drop the stale one.
 					v, _ := sp.RowsFor(sp.FullBitmap())
 					sp.ReleaseRows(v)
 				}

@@ -75,24 +75,23 @@ func (sp *Space) buildRowIndex() {
 		if len(entries) == 0 {
 			continue
 		}
-		if sp.indexAttrColumns(ix, entries, 0) {
+		if sp.indexAttrColumns(ix, entries) {
 			continue
 		}
-		sp.indexAttrScan(ix, entries, 0)
+		sp.indexAttrScan(ix, entries)
 	}
 	sp.idx = ix
 }
 
-// indexAttrColumns fills one attribute's literal bitmaps for rows
-// [from, len) from the column source's frozen floats, returning false
+// indexAttrColumns fills one attribute's literal bitmaps from the
+// column source's frozen floats, returning false
 // (nothing written) when the attribute or its literals are not
 // float-comparable. Float equality against the decoded column is
 // exactly Value.Equal for numeric cells — Equal compares int/float
 // pairs via AsFloat, and Value.Key collapses numerically equal ints
 // and floats the same way — so the fast path and the scan agree bit
-// for bit. A nonzero from is the delta pass of Space.Append: only the
-// freshly appended rows are matched.
-func (sp *Space) indexAttrColumns(ix *rowIndex, entries []int, from int) bool {
+// for bit.
+func (sp *Space) indexAttrColumns(ix *rowIndex, entries []int) bool {
 	if sp.colSrc == nil {
 		return false
 	}
@@ -108,11 +107,10 @@ func (sp *Space) indexAttrColumns(ix *rowIndex, entries []int, from int) bool {
 		}
 		lits[k] = v.AsFloat()
 	}
-	for ri := from; ri < len(vals); ri++ {
+	for ri, f := range vals {
 		if null != nil && null[ri] {
 			continue
 		}
-		f := vals[ri]
 		for k, i := range entries {
 			if f == lits[k] {
 				ix.litRows[i][ri/wordBits] |= 1 << (uint(ri) % wordBits)
@@ -122,14 +120,13 @@ func (sp *Space) indexAttrColumns(ix *rowIndex, entries []int, from int) bool {
 	return true
 }
 
-// indexAttrScan fills one attribute's literal bitmaps for rows
-// [from, len) by comparing universal cells — the reference path, and
-// the only one for string attributes and spaces without a column
-// source.
-func (sp *Space) indexAttrScan(ix *rowIndex, entries []int, from int) {
+// indexAttrScan fills one attribute's literal bitmaps by comparing
+// universal cells — the reference path, and the only one for string
+// attributes and spaces without a column source.
+func (sp *Space) indexAttrScan(ix *rowIndex, entries []int) {
 	ci := ix.colOf[entries[0]]
-	for ri := from; ri < len(sp.Universal.Rows); ri++ {
-		cell := sp.Universal.Rows[ri][ci]
+	for ri, r := range sp.Universal.Rows {
+		cell := r[ci]
 		if cell.IsNull() {
 			continue
 		}

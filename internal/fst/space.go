@@ -56,7 +56,7 @@ type Space struct {
 
 	// idx is the lazily-built row index backing incremental
 	// materialization (see rowindex.go); immutable once built, so
-	// concurrent Materialize calls share it freely.
+	// concurrent Materialize calls share it freely. Append drops it.
 	idxOnce sync.Once
 	idx     *rowIndex
 	// colSrc, when set, supplies pre-decoded numeric columns the row

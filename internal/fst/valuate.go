@@ -90,9 +90,6 @@ func (c *Config) NewValuator(parallelism int) *Valuator {
 	return &Valuator{cfg: c, par: parallelism, Stats: &ValuationStats{}}
 }
 
-// Parallelism returns the configured worker count.
-func (v *Valuator) Parallelism() int { return v.par }
-
 // Valuate valuates a single state bitmap against this run's counters —
 // the start-state path; frontiers of children go through ValuateWindow.
 // It is the single-state window, so the policy (memo adoption, warmup

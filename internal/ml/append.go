@@ -2,33 +2,25 @@ package ml
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"sync"
 
 	"repro/internal/table"
 )
 
-// AppendRows extends the encoder's frozen columnar state with a batch
-// of rows about to be appended to its universal table — the delta
-// counterpart of buildMatrix, and the ml side of the space streaming
-// lifecycle (fst.AppendableColumns). The matrix is built (from the
-// pre-append table) if it wasn't yet, then every column is extended in
-// place: decoded values and lazily-allocated null masks grow by the
-// batch, numeric dense ranks merge the new values into the sorted
-// distinct set (re-ranking old rows when the merge shifts positions —
-// only the relative order matters downstream, and that is preserved),
-// and the target vector grows with the same null/NaN handling as the
-// cold build. String domains are frozen at construction: a row
-// carrying a string value outside a column's universal active domain
-// (or a new string target class) is rejected, and rejection is atomic
-// — nothing is mutated on error. The result is bit-identical to a
-// cold encoder built over the concatenated table, which the parity
-// tests assert.
+// AppendRows admits a batch of rows about to be appended to the
+// encoder's universal table — the ml side of the space streaming
+// lifecycle (fst.AppendableColumns). String domains are frozen at
+// construction: a row of the wrong width, or one carrying a string
+// value outside a column's universal active domain (or a new string
+// target class), fails the whole batch, and nothing is changed. An
+// accepted batch drops the built matrix, so the next use builds it cold
+// over the grown table: after AppendRows and the table append, the
+// encoder is a cold encoder over the concatenated table by
+// construction.
 //
 // AppendRows must not race valuations reading the matrix; the caller
 // (Space.Append behind the serving drain gate) sequences it.
 func (e *TableEncoder) AppendRows(rows []table.Row) error {
-	m := e.Matrix()
 	u := e.u
 	tIdx := u.Schema.Index(e.target)
 	for ri, r := range rows {
@@ -55,128 +47,7 @@ func (e *TableEncoder) AppendRows(rows []table.Row) error {
 			}
 		}
 	}
-	oldN := m.nRows
-	n := oldN + len(rows)
-	k := 0
-	for ci, c := range u.Schema {
-		if ci == tIdx || e.skip[c.Name] {
-			continue
-		}
-		col := &m.cols[k]
-		k++
-		if col.name != c.Name {
-			return fmt.Errorf("ml: matrix column %d is %q, schema says %q", k-1, col.name, c.Name)
-		}
-		if col.null != nil {
-			col.null = append(col.null, make([]bool, len(rows))...)
-		}
-		setNull := func(i int) {
-			if col.null == nil {
-				col.null = make([]bool, n)
-			}
-			col.null[oldN+i] = true
-		}
-		if col.isStr {
-			codec := e.cols[c.Name]
-			for i, r := range rows {
-				v := r[ci]
-				if v.IsNull() {
-					setNull(i)
-					col.vals = append(col.vals, 0)
-					col.rank = append(col.rank, -1)
-					continue
-				}
-				pos := codec.index[v.Key()]
-				col.vals = append(col.vals, float64(pos))
-				col.rank = append(col.rank, int32(pos))
-			}
-			continue
-		}
-		var fresh []float64
-		for i, r := range rows {
-			v := r[ci]
-			if v.IsNull() {
-				setNull(i)
-				col.vals = append(col.vals, 0)
-				col.rank = append(col.rank, -1)
-				continue
-			}
-			f := v.AsFloat()
-			col.vals = append(col.vals, f)
-			col.rank = append(col.rank, 0) // ranked below
-			fresh = append(fresh, f)
-		}
-		if len(fresh) > 0 {
-			sort.Float64s(fresh)
-			merged := mergeDistinct(col.distinct, fresh)
-			if len(merged) != len(col.distinct) {
-				// New distinct values shift positions: remap the old rows'
-				// ranks. The remap is strictly increasing, so the relative
-				// rank order — all countingOrder consumes — is unchanged.
-				remap := make([]int32, len(col.distinct))
-				for i, v := range col.distinct {
-					remap[i] = int32(sort.SearchFloat64s(merged, v))
-				}
-				for ri := 0; ri < oldN; ri++ {
-					if col.rank[ri] >= 0 {
-						col.rank[ri] = remap[col.rank[ri]]
-					}
-				}
-				// The cold build's distinct aliases its sort scratch;
-				// merged is fresh storage either way.
-				col.distinct = merged
-				col.nRank = int32(len(merged))
-			}
-			for ri := oldN; ri < n; ri++ {
-				if col.null != nil && col.null[ri] {
-					continue
-				}
-				col.rank[ri] = int32(sort.SearchFloat64s(col.distinct, col.vals[ri]))
-			}
-		}
-	}
-	for _, r := range rows {
-		if tIdx < 0 {
-			m.yvals = append(m.yvals, 0)
-			m.ynull = append(m.ynull, true)
-			continue
-		}
-		v := r[tIdx]
-		if v.IsNull() {
-			m.yvals = append(m.yvals, 0)
-			m.ynull = append(m.ynull, true)
-			continue
-		}
-		if m.ystr {
-			m.yvals = append(m.yvals, float64(e.tgt.index[v.Key()]))
-			m.ynull = append(m.ynull, false)
-			continue
-		}
-		f := v.AsFloat()
-		m.yvals = append(m.yvals, f)
-		m.ynull = append(m.ynull, math.IsNaN(f))
-	}
-	m.nRows = n
+	e.mxOnce = sync.Once{}
+	e.mx = nil
 	return nil
-}
-
-// mergeDistinct merges a sorted distinct slice with a sorted
-// (possibly duplicated) batch into fresh sorted-distinct storage.
-func mergeDistinct(a, b []float64) []float64 {
-	out := make([]float64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v float64
-		if j >= len(b) || (i < len(a) && a[i] <= b[j]) {
-			v = a[i]
-			i++
-		} else {
-			v = b[j]
-			j++
-		}
-		if len(out) == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -9,8 +9,8 @@ import (
 
 // streamRow synthesizes row i over encoderUniversal's schema, cycling
 // the frozen string domains and mixing fresh float values (some new
-// distinct, some repeats, occasional nulls) so appends exercise the
-// dense-rank merge and the null-mask growth.
+// distinct, some repeats, occasional nulls), so the grown table has new
+// dense ranks and new nulls.
 func streamRow(i int) table.Row {
 	seasons := []string{"spring", "summer", "fall", "winter"}
 	grades := []string{"a", "b", "c"}
@@ -177,10 +177,13 @@ func TestAppendRowsRejectsForeignStringsAtomically(t *testing.T) {
 		}
 	}
 
-	// Null strings are fine — they assert no domain membership.
-	if err := enc.AppendRows([]table.Row{{table.Null, table.Float(1), table.Null}}); err != nil {
+	// Null strings are fine — they assert no domain membership. The
+	// accepted row lands in the table, as Space.Append sequences it.
+	ok := table.Row{table.Null, table.Float(1), table.Null}
+	if err := enc.AppendRows([]table.Row{ok}); err != nil {
 		t.Fatalf("null cells rejected: %v", err)
 	}
+	u.MustAppend(ok)
 	if enc.Matrix().nRows != before+1 {
 		t.Fatal("accepted batch did not land")
 	}
@@ -206,7 +209,7 @@ func TestEncodeAfterAppendMatchesFromTable(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		child := randomChild(u, rng)
 		want := FromTable(child, "target")
-		got := enc.Encode(child)
+		got := gathered(enc.Encode(child))
 		if len(got.X) != len(want.X) {
 			t.Fatalf("trial %d: row count %d != %d", trial, len(got.X), len(want.X))
 		}

@@ -260,7 +260,7 @@ func binaryCols(cols [][]float64, n int) bool {
 
 // sortOrder fills order with positions 0..n-1 sorted by
 // (vals[p], p) — the unique total order every frame construction must
-// agree on.
+// agree on. NaN sorts after every number, as the Matrix ranks it.
 func sortOrder(vals []float64, order []int32) {
 	for i := range order {
 		order[i] = int32(i)
@@ -279,30 +279,20 @@ type posSorter struct {
 func (s *posSorter) Len() int { return len(s.pos) }
 func (s *posSorter) Less(i, j int) bool {
 	vi, vj := s.vals[s.pos[i]], s.vals[s.pos[j]]
-	if vi != vj {
-		return vi < vj
+	switch {
+	case vi < vj:
+		return true
+	case vi > vj:
+		return false
+	}
+	// Equal, or a NaN: NaN sorts after every number, and ties (two
+	// NaNs included) go by position.
+	if iNaN, jNaN := vi != vi, vj != vj; iNaN != jNaN {
+		return jNaN
 	}
 	return s.pos[i] < s.pos[j]
 }
 func (s *posSorter) Swap(i, j int) { s.pos[i], s.pos[j] = s.pos[j], s.pos[i] }
-
-// subFrame gathers the positions ps of a parent frame into a pooled
-// frame (used by row-subsampling ensembles); orders are re-derived on
-// the gathered columns. The caller releases it with putFrame.
-func subFrame(fr *frame, ps []int, ws *treeScratch) *frame {
-	out := ws.getFrame(fr.nf, len(ps))
-	out.ownY(len(ps))
-	for i, p := range ps {
-		out.y[i] = fr.y[p]
-		for f := 0; f < fr.nf; f++ {
-			out.cols[f][i] = fr.cols[f][p]
-		}
-	}
-	for f := 0; f < fr.nf; f++ {
-		sortOrder(out.cols[f], out.base[f])
-	}
-	return out
-}
 
 // Data is the fitting-facing view of a dataset: the row/column
 // accessors metrics need plus the columnar frame learners train on.

@@ -162,7 +162,7 @@ func TestDatasetWidthWithoutFeatures(t *testing.T) {
 			return m.Predict
 		})},
 		{"gbmclf", Xc, yc, predictAll(Xc, func(d *Dataset) func([]float64) float64 {
-			m := &GBMClassifier{Config: GBMConfig{NumTrees: 8, Subsample: 0.7, Seed: 1}}
+			m := &GBMClassifier{Config: GBMConfig{NumTrees: 8, Seed: 1}}
 			m.FitData(d)
 			return m.PredictProba
 		})},

@@ -1,30 +1,31 @@
 package ml
 
 import (
-	"math"
 	"sync"
 
 	"repro/internal/table"
 )
 
-// TableEncoder precomputes the expensive parts of FromTable against a
-// space's universal table so every valuation of the same space encodes
-// its materialized dataset without rebuilding per-column active
-// domains: string columns get one key→domain-position map up front, and
-// a child's ordinal codes are recovered by ranking the positions
-// present in the child. Because any materialized child's column values
-// are a subset of the universal table's (and subsets preserve sorted
-// order), Encode produces byte-identical datasets to FromTable — a
-// property the tests assert — while skipping the per-call map builds
-// and domain sorts.
+// TableEncoder holds the frozen encoding state of a space's universal
+// table: one key→domain-position map per string column, built once, and
+// the universal table's Matrix, built on first use. Every dataset the
+// space valuates is a selection over that table, so both valuation
+// routes encode through one Matrix construction: the rows route views
+// the universal Matrix at a state's rows (Matrix.View), and Encode
+// builds a Matrix over a materialized child with the same string
+// domains and views all of its rows. Any child's string values are a
+// subset of the universal domain, and subsets preserve sorted order, so
+// the view's child-local ordinals are exactly FromTable's — a property
+// the tests assert.
 //
 // Skipped columns (NewTableEncoderSkip) are excluded from the encoding
 // as if the caller had dropped them first: task models hand Encode the
 // materialized child directly instead of cloning it through
 // DropColumn("id").
 //
-// The encoder is immutable after construction, so concurrent
-// valuations (worker pools, parallel engine runs) share one instance.
+// Apart from AppendRows, which the caller sequences between runs, the
+// encoder is read-only, so concurrent valuations (worker pools,
+// parallel engine runs) share one instance.
 type TableEncoder struct {
 	target string
 	cols   map[string]*stringCodec
@@ -51,7 +52,8 @@ func newStringCodec(u *table.Table, name string) *stringCodec {
 }
 
 // NewTableEncoder builds the shared encoder of a universal table. Pass
-// the same table that materialized children derive from.
+// the same table that materialized children derive from and that
+// appends grow, so the matrix built after AppendRows holds the new rows.
 func NewTableEncoder(u *table.Table, target string) *TableEncoder {
 	return NewTableEncoderSkip(u, target)
 }
@@ -80,9 +82,10 @@ func NewTableEncoderSkip(u *table.Table, target string, skip ...string) *TableEn
 }
 
 // Matrix returns the frozen columnar encoding of the universal table,
-// built once on first use and shared by all concurrent valuations.
+// built on first use (and again after AppendRows) and shared by all
+// concurrent valuations.
 func (e *TableEncoder) Matrix() *Matrix {
-	e.mxOnce.Do(func() { e.mx = e.buildMatrix() })
+	e.mxOnce.Do(func() { e.mx, _ = e.buildMatrix(e.u) })
 	return e.mx
 }
 
@@ -95,131 +98,23 @@ func (e *TableEncoder) Column(name string) (vals []float64, null []bool, ok bool
 	return e.Matrix().Column(name)
 }
 
-// fallback re-encodes the child from scratch when a value falls outside
-// the universal domain, honoring the skip set.
-func (e *TableEncoder) fallback(t *table.Table) *Dataset {
-	for name := range e.skip {
-		t = t.DropColumn(name)
+// Encode converts a materialized child table into the Data FromTable(t,
+// target) would produce — same ordinal codes, same mean imputation,
+// same row filtering — as the View of every row of a Matrix built over
+// t with the universal string domains. A child carrying a string value
+// outside those domains (a UDF may synthesize one) is encoded by
+// FromTable instead.
+func (e *TableEncoder) Encode(t *table.Table) Data {
+	m, ok := e.buildMatrix(t)
+	if !ok {
+		for name := range e.skip {
+			t = t.DropColumn(name)
+		}
+		return FromTable(t, e.target)
 	}
-	return FromTable(t, e.target)
-}
-
-// childRanks recovers the child table's ordinal encoding of one string
-// column: rank[i] is the child-local ordinal of the universal domain
-// position i, computed from which positions actually occur in the
-// child. ok reports whether every child value was found in the
-// universal domain (UDFs may in principle synthesize new values; the
-// caller then falls back to FromTable).
-func (e *TableEncoder) childRanks(codec *stringCodec, t *table.Table, ci int) (rank []float64, ok bool) {
-	present := make([]bool, len(codec.index))
-	for _, r := range t.Rows {
-		v := r[ci]
-		if v.IsNull() {
-			continue
-		}
-		i, found := codec.index[v.Key()]
-		if !found {
-			return nil, false
-		}
-		present[i] = true
+	rows := make([]int, m.nRows)
+	for i := range rows {
+		rows[i] = i
 	}
-	rank = make([]float64, len(present))
-	next := 0.0
-	for i, p := range present {
-		if p {
-			rank[i] = next
-			next++
-		}
-	}
-	return rank, true
-}
-
-// Encode converts a materialized child table into a Dataset exactly as
-// FromTable(t, target) would — same ordinal codes, same mean
-// imputation, same row filtering — reusing the precomputed universal
-// domains. Columns with values outside the universal domain fall back
-// to FromTable transparently.
-func (e *TableEncoder) Encode(t *table.Table) *Dataset {
-	tIdx := t.Schema.Index(e.target)
-	d := &Dataset{}
-	type colEnc struct {
-		idx   int
-		codec *stringCodec
-		rank  []float64
-		mean  float64
-	}
-	var encs []colEnc
-	for i, c := range t.Schema {
-		if i == tIdx || e.skip[c.Name] {
-			continue
-		}
-		enc := colEnc{idx: i}
-		if c.Kind == table.KindString {
-			enc.codec = e.cols[c.Name]
-			if enc.codec == nil {
-				return e.fallback(t)
-			}
-			rank, ok := e.childRanks(enc.codec, t, i)
-			if !ok {
-				return e.fallback(t)
-			}
-			enc.rank = rank
-		} else {
-			var sum float64
-			var n int
-			for _, r := range t.Rows {
-				if !r[i].IsNull() {
-					sum += r[i].AsFloat()
-					n++
-				}
-			}
-			if n > 0 {
-				enc.mean = sum / float64(n)
-			}
-		}
-		encs = append(encs, enc)
-		d.Features = append(d.Features, c.Name)
-	}
-	var tgtRank []float64
-	var tgtCodec *stringCodec
-	if tIdx >= 0 && t.Schema[tIdx].Kind == table.KindString {
-		tgtCodec = e.tgt
-		if tgtCodec == nil {
-			return e.fallback(t)
-		}
-		rank, ok := e.childRanks(tgtCodec, t, tIdx)
-		if !ok {
-			return e.fallback(t)
-		}
-		tgtRank = rank
-	}
-	for _, r := range t.Rows {
-		if tIdx < 0 || r[tIdx].IsNull() {
-			continue
-		}
-		x := make([]float64, len(encs))
-		for j, enc := range encs {
-			v := r[enc.idx]
-			switch {
-			case v.IsNull():
-				x[j] = enc.mean
-			case enc.codec != nil:
-				x[j] = enc.rank[enc.codec.index[v.Key()]]
-			default:
-				x[j] = v.AsFloat()
-			}
-		}
-		var y float64
-		if tgtCodec != nil {
-			y = tgtRank[tgtCodec.index[r[tIdx].Key()]]
-		} else {
-			y = r[tIdx].AsFloat()
-		}
-		if math.IsNaN(y) {
-			continue
-		}
-		d.X = append(d.X, x)
-		d.Y = append(d.Y, y)
-	}
-	return d
+	return m.View(rows, nil)
 }

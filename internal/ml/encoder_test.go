@@ -48,6 +48,19 @@ func randomChild(u *table.Table, rng *rand.Rand) *table.Table {
 	return out
 }
 
+// gathered copies Encode's result into a row-major Dataset, so a test
+// can compare it with FromTable cell by cell.
+func gathered(d Data) *Dataset {
+	ds := &Dataset{X: gatherRows(d), Y: Labels(d)}
+	switch d := d.(type) {
+	case *View:
+		ds.Features = d.FeatureNames()
+	case *Dataset:
+		ds.Features = d.Features
+	}
+	return ds
+}
+
 // The encoder's contract: Encode reproduces FromTable byte for byte on
 // any child of the universal table it was built from — same ordinal
 // codes from the shrunken domains, same mean imputation, same row
@@ -58,7 +71,7 @@ func TestEncoderMatchesFromTable(t *testing.T) {
 	f := func(seed int64) bool {
 		child := randomChild(u, rand.New(rand.NewSource(seed)))
 		want := FromTable(child, "target")
-		got := enc.Encode(child)
+		got := gathered(enc.Encode(child))
 		if len(got.X) != len(want.X) || len(got.Features) != len(want.Features) {
 			return false
 		}
@@ -102,7 +115,7 @@ func TestEncoderStringTarget(t *testing.T) {
 			continue
 		}
 		want := FromTable(child, "label")
-		got := enc.Encode(child)
+		got := gathered(enc.Encode(child))
 		if len(got.Y) != len(want.Y) {
 			t.Fatalf("row count %d != %d", len(got.Y), len(want.Y))
 		}
@@ -122,7 +135,7 @@ func TestEncoderFallsBackOnForeignValues(t *testing.T) {
 	child := u.Clone()
 	child.Rows[0][0] = table.Str("monsoon") // not in the universal domain
 	want := FromTable(child, "target")
-	got := enc.Encode(child)
+	got := gathered(enc.Encode(child))
 	if len(got.X) != len(want.X) {
 		t.Fatalf("fallback row count %d != %d", len(got.X), len(want.X))
 	}

@@ -321,15 +321,21 @@ func TestMultiOutputGBMFitColsEmpty(t *testing.T) {
 	}
 }
 
-// TestPredictAllocFree: a forest's class vote and a HistGBM prediction
-// allocate nothing per row, and agree with the allocating paths.
+// TestPredictAllocFree: a forest's class vote, a HistGBM prediction
+// and a logistic probability allocate nothing per row, and agree with
+// the allocating paths.
 func TestPredictAllocFree(t *testing.T) {
 	X, y := xorData(200, 12)
 	f := &ForestClassifier{Config: ForestConfig{NumTrees: 5, MaxDepth: 4, Seed: 1}}
 	f.FitData(dsOf(X, y))
 	h := &HistGBMClassifier{Config: HistGBMConfig{GBM: GBMConfig{NumTrees: 5, MaxDepth: 3, Seed: 1}, NumBins: 8}}
 	h.FitData(dsOf(X, y))
+	lg := &LogisticRegression{Iterations: 30}
+	lg.FitData(dsOf(X, y))
 	x := X[3]
+	if n := testing.AllocsPerRun(50, func() { lg.Predict(x); lg.PredictProba(x) }); n != 0 {
+		t.Errorf("LogisticRegression predictions allocate %v times per row", n)
+	}
 	if n := testing.AllocsPerRun(50, func() { f.Predict(x) }); n != 0 {
 		t.Errorf("ForestClassifier.Predict allocates %v times per row", n)
 	}
@@ -342,6 +348,9 @@ func TestPredictAllocFree(t *testing.T) {
 		}
 		if got, want := h.PredictProba(x), h.inner.PredictProba(binRowInto(make([]float64, len(x)), x, h.bins)); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("HistGBM PredictProba %v, on a heap-binned row %v", got, want)
+		}
+		if got, want := lg.PredictProba(x), sigmoid(dot(lg.Weights, standardizeRow(x, lg.mu, lg.sigma))+lg.Bias); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("logistic PredictProba %v, on a standardized copy %v", got, want)
 		}
 	}
 }

@@ -36,8 +36,6 @@ var pinnedFingerprints = map[string]string{
 	"forestreg/fit":                   "8596d588e0c4df39",
 	"gbmclf-levels/data":              "972788b79c88d30e",
 	"gbmclf-levels/fit":               "b0d25507288ce15e",
-	"gbmclf-sub0.7/data":              "efea7f419c26d5fe",
-	"gbmclf-sub0.7/fit":               "8fce7f43a9f9fafc",
 	"gbmclf/data":                     "90c20c4d25f4e40f",
 	"gbmclf/fit":                      "d782617c116e1811",
 	"gbmreg-levels/data":              "0a454ea4d1c1b52a",
@@ -163,6 +161,16 @@ func hashBits(xs []float64) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
+// fromTableSkip is FromTable over t without the skipped columns: the
+// reference encoding of NewTableEncoderSkip(t, target, skip...), built
+// independently of the encoder.
+func fromTableSkip(t *table.Table, target string, skip ...string) *Dataset {
+	for _, name := range skip {
+		t = t.DropColumn(name)
+	}
+	return FromTable(t, target)
+}
+
 // fingerprintOutputs fits every family through FitData on the
 // row-major *Dataset of the full table (the "/fit" entries) and on a
 // matrix view of a row subset (the "/data" entries), predicts every row
@@ -177,7 +185,8 @@ func fingerprintOutputs() map[string]string {
 	// every exact fit in the datagen tasks.
 	encL := NewTableEncoderSkip(u, "yc", "id", "yr", "c")
 	encLR := NewTableEncoderSkip(u, "yr", "id", "yc", "c")
-	dsR, dsC, dsL, dsLR := encR.Encode(u), encC.Encode(u), encL.Encode(u), encLR.Encode(u)
+	dsR, dsC := fromTableSkip(u, "yr", "id", "yc"), fromTableSkip(u, "yc", "id", "yr")
+	dsL, dsLR := fromTableSkip(u, "yc", "id", "yr", "c"), fromTableSkip(u, "yr", "id", "yc", "c")
 	var sub []int
 	for i := 0; i < u.NumRows(); i++ {
 		if i%5 != 2 {
@@ -227,9 +236,6 @@ func fingerprintOutputs() map[string]string {
 	both("treeclf", dsC, vC, func() model { return &TreeClassifier{Config: TreeConfig{MaxDepth: 6}} }, proba)
 	both("gbmreg", dsR, vR, func() model { return &GBMRegressor{Config: GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 1}} }, predict)
 	both("gbmclf", dsC, vC, func() model { return &GBMClassifier{Config: GBMConfig{NumTrees: 25, MaxDepth: 3, Seed: 1}} }, proba)
-	both("gbmclf-sub0.7", dsC, vC, func() model {
-		return &GBMClassifier{Config: GBMConfig{NumTrees: 25, MaxDepth: 3, Subsample: 0.7, Seed: 5}}
-	}, proba)
 	both("forestclf", dsC, vC, func() model {
 		return &ForestClassifier{Config: ForestConfig{NumTrees: 10, MaxDepth: 6, Seed: 2}}
 	}, proba)
@@ -322,7 +328,7 @@ func fingerprintOutputs() map[string]string {
 	// eight four-level features.
 	u2, rows2 := leveledTable(86, 8, 4, 3)
 	enc2 := NewTableEncoder(u2, "y")
-	ds2 := enc2.Encode(u2)
+	ds2 := FromTable(u2, "y")
 	f2 := t2Forest()
 	f2.FitData(enc2.Matrix().View(rows2, nil))
 	out["forestclf-t2-60rows/data"] = predictAll(ds2.X, func(x []float64) float64 { return proba3(f2.PredictProba(x)) })
@@ -330,7 +336,7 @@ func fingerprintOutputs() map[string]string {
 	encR2 := NewTableEncoder(uR, "y")
 	fr2 := &ForestRegressor{Config: ForestConfig{NumTrees: 8, MaxDepth: 6, Seed: 7}}
 	fr2.FitData(encR2.Matrix().View(rowsR, nil))
-	out["forestreg-levels-60rows/data"] = predictAll(encR2.Encode(uR).X, fr2.Predict)
+	out["forestreg-levels-60rows/data"] = predictAll(FromTable(uR, "y").X, fr2.Predict)
 	// The train/test shuffle of every valuation, at every size up to 200.
 	var perms []float64
 	for n := 1; n <= 200; n++ {

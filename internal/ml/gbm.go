@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // GBMConfig controls gradient boosting.
 type GBMConfig struct {
@@ -11,7 +8,6 @@ type GBMConfig struct {
 	MaxDepth     int     // default 3
 	MinLeaf      int     // default 2
 	LearningRate float64 // default 0.1
-	Subsample    float64 // row subsample fraction per tree, default 1
 	Seed         int64
 }
 
@@ -27,9 +23,6 @@ func (c GBMConfig) withDefaults() GBMConfig {
 	}
 	if c.LearningRate <= 0 {
 		c.LearningRate = 0.1
-	}
-	if c.Subsample <= 0 || c.Subsample > 1 {
-		c.Subsample = 1
 	}
 	return c
 }
@@ -55,12 +48,10 @@ func (g *GBMRegressor) FitData(d Data) {
 // fitFrame boosts over a columnar frame. Because the feature columns
 // never change across stages, the frame's presorted orders, and its
 // value levels when it qualifies, are computed once and reused by every
-// tree — only the residual target is refreshed per stage. Levels are
-// read only without row subsampling: each subsampled stage grows on a
-// sub-frame with orders of its own.
+// tree — only the residual target is refreshed per stage.
 func (g *GBMRegressor) fitFrame(fr *frame, ws *treeScratch) {
 	cfg := g.Config.withDefaults()
-	if !fr.leveled && cfg.Subsample == 1 {
+	if !fr.leveled {
 		fr.readLevels()
 	}
 	g.lr = cfg.LearningRate
@@ -69,7 +60,6 @@ func (g *GBMRegressor) fitFrame(fr *frame, ws *treeScratch) {
 	if fr.n == 0 {
 		return
 	}
-	rng := stageRNG(cfg)
 	pred := make([]float64, fr.n)
 	for i := range pred {
 		pred[i] = g.bias
@@ -80,7 +70,7 @@ func (g *GBMRegressor) fitFrame(fr *frame, ws *treeScratch) {
 		for i := range resid {
 			resid[i] = target[i] - pred[i]
 		}
-		g.trees = append(g.trees, fitStage(cfg, fr, resid, pred, rng, ws))
+		g.trees = append(g.trees, fitStage(cfg, fr, resid, pred, ws))
 	}
 	fr.y = target
 }
@@ -107,55 +97,22 @@ func (g *GBMRegressor) Importances(nf int) []float64 {
 	return acc
 }
 
-// stageRNG returns the source row subsampling draws from, or nil
-// without subsampling: boosting trees scan every feature, so nothing
-// else would read it, and a fit that draws nothing skips the source's
-// 4.9 KB and its ~3.5 µs seeding.
-func stageRNG(cfg GBMConfig) *rand.Rand {
-	if cfg.Subsample < 1 {
-		return newRand(cfg.Seed)
-	}
-	return nil
-}
-
 // fitStage grows the next boosting tree on the frame with the stage's
 // pseudo-target and adds LearningRate times its output to every row's
-// running prediction pred. Without subsampling (nil rng) growth records
-// each row's leaf value and pred is updated from those; with it, the
-// tree grows on a row subset and pred is updated by walking the tree.
-// Both read the same leaf values, so the sums are the same bits.
-func fitStage(cfg GBMConfig, fr *frame, target, pred []float64, rng *rand.Rand, ws *treeScratch) *TreeRegressor {
+// running prediction pred, taking each row's output from the leaf value
+// growth records for it rather than walking the finished tree.
+func fitStage(cfg GBMConfig, fr *frame, target, pred []float64, ws *treeScratch) *TreeRegressor {
 	tree := &TreeRegressor{Config: TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf}}
-	if rng == nil {
-		fr.y = target
-		if cap(ws.leafBuf) < fr.n {
-			ws.leafBuf = make([]float64, fr.n)
-		}
-		ws.leafv = ws.leafBuf[:fr.n]
-		tree.fitFrame(fr, ws)
-		for i, v := range ws.leafv {
-			pred[i] += cfg.LearningRate * v
-		}
-		ws.leafv = nil
-		return tree
-	}
-	// No tree reads its seed, but drawing it before each subsample keeps
-	// the draws rng.Perm makes, and so the subsamples, where they are.
-	tree.Config.Seed = rng.Int63()
-	n := int(float64(fr.n) * cfg.Subsample)
-	if n < 1 {
-		n = 1
-	}
-	ps := rng.Perm(fr.n)[:n]
-	saved := fr.y
 	fr.y = target
-	sub := subFrame(fr, ps, ws)
-	fr.y = saved
-	tree.fitFrame(sub, ws)
-	ws.putFrame(sub)
-	for i := range pred {
-		pred[i] += cfg.LearningRate * predictCols(tree.root, fr.cols, i)
+	if cap(ws.leafBuf) < fr.n {
+		ws.leafBuf = make([]float64, fr.n)
 	}
+	ws.leafv = ws.leafBuf[:fr.n]
+	tree.fitFrame(fr, ws)
+	for i, v := range ws.leafv {
+		pred[i] += cfg.LearningRate * v
+	}
+	ws.leafv = nil
 	return tree
 }
 
@@ -180,7 +137,7 @@ func (g *GBMClassifier) FitData(d Data) {
 
 func (g *GBMClassifier) fitFrame(fr *frame, ws *treeScratch) {
 	cfg := g.Config.withDefaults()
-	if !fr.leveled && cfg.Subsample == 1 {
+	if !fr.leveled {
 		fr.readLevels()
 	}
 	g.lr = cfg.LearningRate
@@ -191,7 +148,6 @@ func (g *GBMClassifier) fitFrame(fr *frame, ws *treeScratch) {
 	p := mean(fr.y)
 	p = clamp(p, 1e-6, 1-1e-6)
 	g.bias = math.Log(p / (1 - p))
-	rng := stageRNG(cfg)
 	raw := make([]float64, fr.n)
 	for i := range raw {
 		raw[i] = g.bias
@@ -202,7 +158,7 @@ func (g *GBMClassifier) fitFrame(fr *frame, ws *treeScratch) {
 		for i := range grad {
 			grad[i] = target[i] - sigmoid(raw[i])
 		}
-		g.trees = append(g.trees, fitStage(cfg, fr, grad, raw, rng, ws))
+		g.trees = append(g.trees, fitStage(cfg, fr, grad, raw, ws))
 	}
 	fr.y = target
 }

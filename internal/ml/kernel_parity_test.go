@@ -238,6 +238,25 @@ func TestDiscreteMIMatchesReference(t *testing.T) {
 	}
 }
 
+// descendCols walks the tree for example i of a column-major matrix,
+// the reference walk leaf values are checked against.
+func descendCols(n *treeNode, cols [][]float64, i int) *treeNode {
+	for !n.leaf {
+		if cols[n.feature][i] <= n.thresh {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return n
+}
+
+// predictCols returns the regression output for example i of a
+// column-major matrix.
+func predictCols(root *treeNode, cols [][]float64, i int) float64 {
+	return descendCols(root, cols, i).value
+}
+
 // leafValues grows a regression tree on fr with leaf recording on and
 // returns the tree and each row's recorded leaf value.
 func leafValues(fr *frame, cfg TreeConfig, ws *treeScratch) (*TreeRegressor, []float64) {
@@ -669,8 +688,7 @@ func TestLeveledTreesMatchOrdered(t *testing.T) {
 // TestLevelsKeepOrderedPath: a frame is leveled only when every feature
 // has at most maxLevels values, none NaN, in a (level, position)-sorted
 // base order; any other frame, and every resample of it, keeps its
-// orders. Boosting reads levels itself, and only without row
-// subsampling: a subsampled fit and its sub-frames keep their orders.
+// orders. Boosting reads levels itself.
 func TestLevelsKeepOrderedPath(t *testing.T) {
 	ws := new(treeScratch)
 	build := func(col []float64) *frame {
@@ -729,27 +747,19 @@ func TestLevelsKeepOrderedPath(t *testing.T) {
 		ws.putFrame(bs.out)
 		ws.putFrame(fr)
 
-		for _, sub := range []float64{1, 0.7} {
-			fr := build(tc.col)
-			if tc.unsort {
-				o := fr.base[1]
-				o[0], o[1] = o[1], o[0]
-			}
-			for i := range fr.y {
-				fr.y[i] = float64(i % 3)
-			}
-			g := &GBMRegressor{Config: GBMConfig{NumTrees: 2, Subsample: sub}}
-			g.fitFrame(fr, ws)
-			if want := tc.leveled && sub == 1; fr.leveled != want {
-				t.Fatalf("%s: boosting with subsample %v leveled %v, want %v", tc.name, sub, fr.leveled, want)
-			}
-			fr.readLevels()
-			s := subFrame(fr, []int{0, 2, 4, 6, 8}, ws)
-			if s.leveled {
-				t.Fatalf("%s: a sub-frame is leveled", tc.name)
-			}
-			ws.putFrame(s)
-			ws.putFrame(fr)
+		fr = build(tc.col)
+		if tc.unsort {
+			o := fr.base[1]
+			o[0], o[1] = o[1], o[0]
 		}
+		for i := range fr.y {
+			fr.y[i] = float64(i % 3)
+		}
+		g := &GBMRegressor{Config: GBMConfig{NumTrees: 2}}
+		g.fitFrame(fr, ws)
+		if fr.leveled != tc.leveled {
+			t.Fatalf("%s: boosting leveled %v, want %v", tc.name, fr.leveled, tc.leveled)
+		}
+		ws.putFrame(fr)
 	}
 }

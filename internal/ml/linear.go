@@ -161,10 +161,19 @@ func (l *LogisticRegression) fitRows(X [][]float64, y []float64) {
 	}
 }
 
-// PredictProba returns P(y=1 | x).
+// PredictProba returns P(y=1 | x). It standardizes x inside the dot
+// product, so a prediction allocates nothing: each term rounds as the
+// standardized copy fitRows trains on would.
 func (l *LogisticRegression) PredictProba(x []float64) float64 {
-	z := standardizeRow(x, l.mu, l.sigma)
-	return sigmoid(dot(l.Weights, z) + l.Bias)
+	s := 0.0
+	for j, w := range l.Weights[:min(len(l.Weights), len(l.mu))] {
+		var z float64
+		if j < len(x) {
+			z = (x[j] - l.mu[j]) / l.sigma[j]
+		}
+		s += w * z
+	}
+	return sigmoid(s + l.Bias)
 }
 
 // Predict returns the hard 0/1 label.

@@ -8,15 +8,17 @@ import (
 	"repro/internal/table"
 )
 
-// Matrix is the frozen columnar encoding of a universal table: every
-// feature column decoded once into floats (string columns as their
-// universal active-domain position), null masks, the target vector, and
-// one presorted ordering per feature in dense-rank form — rank[row] is
-// the row's position among the column's sorted distinct values, so any
-// row subset can be enumerated value-ascending by counting instead of
-// sorting. Built once per space by TableEncoder.Matrix and immutable
-// afterwards, it lets every valuation fit models on bitmap row views
-// without rebuilding a child table or re-encoding a Dataset.
+// Matrix is the frozen columnar encoding of a table: every feature
+// column decoded once into floats (string columns as their universal
+// active-domain position), null masks, the target vector, and one
+// presorted ordering per feature in dense-rank form — rank[row] is the
+// row's position among the column's sorted distinct values, so any row
+// subset can be enumerated value-ascending by counting instead of
+// sorting. TableEncoder.Matrix builds the universal table's once per
+// space (and again after an append), so every valuation of the rows
+// route fits models on bitmap row views without building a child
+// table; TableEncoder.Encode builds one over a materialized child.
+// A Matrix is immutable once built.
 type Matrix struct {
 	names []string
 	cols  []matCol
@@ -42,7 +44,7 @@ type matCol struct {
 	isStr bool
 	vals  []float64 // numeric value, or universal domain position
 	null  []bool    // nil when the column has no nulls
-	rank  []int32   // dense rank among sorted distinct non-null values; -1 for nulls
+	rank  []int32   // dense rank among sorted distinct non-null values; -1 for nulls, nRank for NaN
 	nRank int32
 	// distinct holds the sorted distinct non-null values (rank → value).
 	distinct []float64
@@ -72,13 +74,15 @@ func (m *Matrix) Column(name string) (vals []float64, null []bool, ok bool) {
 // FeatureNames returns the encoded feature columns in schema order.
 func (m *Matrix) FeatureNames() []string { return m.names }
 
-// buildMatrix encodes the encoder's universal table column by column.
-func (e *TableEncoder) buildMatrix() *Matrix {
-	u := e.u
-	n := len(u.Rows)
-	m := &Matrix{nRows: n}
-	tIdx := u.Schema.Index(e.target)
-	for ci, c := range u.Schema {
+// buildMatrix encodes t column by column with the encoder's frozen
+// string domains: string cells become their universal domain position.
+// ok is false, and nothing is returned, when a string column or the
+// target has no universal domain or a cell lies outside it.
+func (e *TableEncoder) buildMatrix(t *table.Table) (m *Matrix, ok bool) {
+	n := len(t.Rows)
+	m = &Matrix{nRows: n}
+	tIdx := t.Schema.Index(e.target)
+	for ci, c := range t.Schema {
 		if ci == tIdx || e.skip[c.Name] {
 			continue
 		}
@@ -87,12 +91,15 @@ func (e *TableEncoder) buildMatrix() *Matrix {
 		col.rank = make([]int32, n)
 		if col.isStr {
 			codec := e.cols[c.Name]
+			if codec == nil {
+				return nil, false
+			}
 			col.nRank = int32(len(codec.index))
 			col.distinct = make([]float64, col.nRank)
 			for i := range col.distinct {
 				col.distinct[i] = float64(i)
 			}
-			for i, r := range u.Rows {
+			for i, r := range t.Rows {
 				v := r[ci]
 				if v.IsNull() {
 					if col.null == nil {
@@ -102,13 +109,16 @@ func (e *TableEncoder) buildMatrix() *Matrix {
 					col.rank[i] = -1
 					continue
 				}
-				pos := codec.index[v.Key()]
+				pos, found := codec.index[v.Key()]
+				if !found {
+					return nil, false
+				}
 				col.vals[i] = float64(pos)
 				col.rank[i] = int32(pos)
 			}
 		} else {
 			var nonNull []float64
-			for i, r := range u.Rows {
+			for i, r := range t.Rows {
 				v := r[ci]
 				if v.IsNull() {
 					if col.null == nil {
@@ -129,7 +139,7 @@ func (e *TableEncoder) buildMatrix() *Matrix {
 				}
 			}
 			col.nRank = int32(len(col.distinct))
-			for i := range u.Rows {
+			for i := range t.Rows {
 				if col.null != nil && col.null[i] {
 					continue
 				}
@@ -145,20 +155,27 @@ func (e *TableEncoder) buildMatrix() *Matrix {
 		for i := range m.ynull {
 			m.ynull[i] = true
 		}
-		return m
+		return m, true
 	}
-	m.ystr = u.Schema[tIdx].Kind == table.KindString
+	m.ystr = t.Schema[tIdx].Kind == table.KindString
 	if m.ystr {
+		if e.tgt == nil {
+			return nil, false
+		}
 		m.ynRank = int32(len(e.tgt.index))
 	}
-	for i, r := range u.Rows {
+	for i, r := range t.Rows {
 		v := r[tIdx]
 		if v.IsNull() {
 			m.ynull[i] = true
 			continue
 		}
 		if m.ystr {
-			m.yvals[i] = float64(e.tgt.index[v.Key()])
+			pos, found := e.tgt.index[v.Key()]
+			if !found {
+				return nil, false
+			}
+			m.yvals[i] = float64(pos)
 		} else {
 			m.yvals[i] = v.AsFloat()
 			if math.IsNaN(m.yvals[i]) {
@@ -166,22 +183,21 @@ func (e *TableEncoder) buildMatrix() *Matrix {
 			}
 		}
 	}
-	return m
+	return m, true
 }
 
-// View is a state's dataset as a row selection over the frozen Matrix —
-// the zero-materialization equivalent of Materialize + Encode. It
-// reproduces the child-local Dataset encoding exactly: string columns
-// re-rank the universal domain positions present among the selected
-// rows, numeric nulls impute the mean over the selected rows, masked
-// attributes drop their feature, and null-target rows are excluded from
-// the example set (but still contribute to the encoding statistics,
-// as Encode's child-table scans do).
+// View is a state's dataset as a row selection over the frozen Matrix.
+// It reproduces FromTable's encoding of the selected child exactly:
+// string columns re-rank the universal domain positions present among
+// the selected rows, numeric nulls impute the mean over the selected
+// rows, masked attributes drop their feature, and null-target rows are
+// excluded from the example set (but still contribute to the encoding
+// statistics, as FromTable's child-table scans do).
 type View struct {
 	m    *Matrix
 	rows []int32 // example rows (target non-null), in dataset order
 	// Encoding state, shared by Split children (fixed by the full
-	// child, exactly like Encode before Dataset.Split):
+	// child, exactly like FromTable before Dataset.Split):
 	feats   []int32     // active matrix columns
 	remap   [][]float64 // per active feature: rank → child ordinal (string cols)
 	mean    []float64   // per active feature: imputation value (numeric cols)
@@ -248,7 +264,7 @@ func (m *Matrix) View(rows []int, masked []string) *View {
 			v.present = present
 		} else if c.null != nil {
 			// Mean over the child's non-null cells, summed in row order
-			// like Encode.
+			// like FromTable.
 			var sum float64
 			var cnt int
 			for _, r := range rows {
@@ -344,7 +360,7 @@ func resizeSlices(buf [][]float64, n int) [][]float64 {
 }
 
 // valueAt returns the child-encoded value of active feature k at
-// universal row r — exactly what Encode would have written into X.
+// universal row r — exactly what FromTable would have written into X.
 func (v *View) valueAt(k int, r int32) float64 {
 	c := &v.m.cols[v.feats[k]]
 	if c.null != nil && c.null[r] {

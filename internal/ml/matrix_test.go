@@ -105,7 +105,7 @@ func TestViewMatchesEncode(t *testing.T) {
 		enc := NewTableEncoderSkip(u, "target", "id")
 		mx := enc.Matrix()
 		for si, st := range sampleStates(u.NumRows()) {
-			ds := enc.Encode(childOf(u, st.rows, st.masked))
+			ds := gathered(enc.Encode(childOf(u, st.rows, st.masked)))
 			v := mx.View(st.rows, st.masked)
 			if ds.NumRows() != v.NumRows() || ds.NumFeatures() != v.NumFeatures() {
 				t.Fatalf("state %d (nullTarget=%v): shape (%d,%d) vs view (%d,%d)",
@@ -134,13 +134,13 @@ func TestViewMatchesEncode(t *testing.T) {
 }
 
 // TestViewSplitMatchesDatasetSplit: the deterministic shuffle must
-// partition view rows exactly like the encoded dataset's rows.
+// partition view rows exactly like the rows of the FromTable dataset.
 func TestViewSplitMatchesDatasetSplit(t *testing.T) {
 	u := matrixUniversal(true)
 	enc := NewTableEncoderSkip(u, "target", "id")
 	mx := enc.Matrix()
 	for si, st := range sampleStates(u.NumRows()) {
-		ds := enc.Encode(childOf(u, st.rows, st.masked))
+		ds := FromTable(childOf(u, st.rows, st.masked).DropColumn("id"), "target")
 		v := mx.View(st.rows, st.masked)
 		dtr, dte := ds.Split(0.3, 42)
 		vtr, vte := v.SplitData(0.3, 42)
@@ -169,7 +169,7 @@ func assertSameData(t *testing.T, si int, part string, d *Dataset, v Data) {
 }
 
 // TestFitParityAcrossRoutes: every learner family must produce
-// bit-identical predictions whether fitted on the encoded dataset or on
+// bit-identical predictions whether fitted on the FromTable dataset or on
 // the matrix view of the same state — the frame inputs are equal and
 // the (value, position) presort is unique, so the grown models must be
 // too.
@@ -231,7 +231,7 @@ func TestFitParityAcrossRoutes(t *testing.T) {
 	for _, ft := range fitters {
 		t.Run(ft.name, func(t *testing.T) {
 			for si, st := range states[:6] {
-				ds := enc.Encode(childOf(u, st.rows, st.masked))
+				ds := FromTable(childOf(u, st.rows, st.masked).DropColumn("id"), "target")
 				v := mx.View(st.rows, st.masked)
 				if ds.NumRows() == 0 {
 					continue
@@ -254,6 +254,59 @@ func TestFitParityAcrossRoutes(t *testing.T) {
 	}
 }
 
+// TestNaNFeatureFitParity: a feature holding NaN cells grows the same
+// trees from the row-major dataset as from the matrix view of the same
+// table. The view ranks NaN after every number; the dataset's presort
+// must order it the same way, and split search must never place a
+// threshold beside it.
+func TestNaNFeatureFitParity(t *testing.T) {
+	u := table.New("D_U", table.Schema{
+		{Name: "a", Kind: table.KindFloat},
+		{Name: "b", Kind: table.KindFloat},
+		{Name: "target", Kind: table.KindFloat},
+	})
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 40; i++ {
+		a := rng.Float64()
+		y := math.Floor(4*a) + rng.Float64()/10
+		if i == 5 || i == 23 {
+			a, y = math.NaN(), 3
+		}
+		u.MustAppend(table.Row{table.Float(a), table.Float(float64(rng.Intn(30))), table.Float(y)})
+	}
+	ds := FromTable(u, "target")
+	rows := make([]int, u.NumRows())
+	for i := range rows {
+		rows[i] = i
+	}
+	v := NewTableEncoder(u, "target").Matrix().View(rows, nil)
+	fits := map[string]func(Data) func([]float64) float64{
+		"tree": func(d Data) func([]float64) float64 {
+			m := &TreeRegressor{Config: TreeConfig{MaxDepth: 4, MinLeaf: 1}}
+			m.FitData(d)
+			return m.Predict
+		},
+		"gbm": func(d Data) func([]float64) float64 {
+			m := &GBMRegressor{Config: GBMConfig{NumTrees: 6, MaxDepth: 3, Seed: 1}}
+			m.FitData(d)
+			return m.Predict
+		},
+		"treeclf": func(d Data) func([]float64) float64 {
+			m := &TreeClassifier{Config: TreeConfig{MaxDepth: 4, MinLeaf: 1}, NumClass: 4}
+			m.FitData(d)
+			return func(x []float64) float64 { return m.PredictProba(x)[3] }
+		},
+	}
+	for name, fit := range fits {
+		pd, pv := fit(ds), fit(v)
+		for i, x := range ds.X {
+			if a, b := pd(x), pv(x); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s row %d: dataset fit %v, view fit %v", name, i, a, b)
+			}
+		}
+	}
+}
+
 // TestEncoderSkipMatchesDropColumn: Encode with a skip set must equal
 // FromTable on the child with the column dropped — the clone the skip
 // option eliminates.
@@ -262,7 +315,7 @@ func TestEncoderSkipMatchesDropColumn(t *testing.T) {
 	enc := NewTableEncoderSkip(u, "target", "id")
 	for si, st := range sampleStates(u.NumRows()) {
 		child := childOf(u, st.rows, st.masked)
-		got := enc.Encode(child)
+		got := gathered(enc.Encode(child))
 		want := FromTable(child.DropColumn("id"), "target")
 		if len(got.X) != len(want.X) || len(got.Features) != len(want.Features) {
 			t.Fatalf("state %d: shape mismatch", si)
@@ -405,7 +458,7 @@ func TestStringTargetViewParity(t *testing.T) {
 	enc := NewTableEncoder(u, "label")
 	mx := enc.Matrix()
 	rows := []int{0, 1, 2, 5, 6, 9, 13, 17, 21, 22, 30, 33, 38}
-	ds := enc.Encode(childOf(u, rows, nil))
+	ds := FromTable(childOf(u, rows, nil), "label")
 	v := mx.View(rows, nil)
 	if ds.NumRows() != v.NumRows() {
 		t.Fatalf("rows %d vs %d", ds.NumRows(), v.NumRows())

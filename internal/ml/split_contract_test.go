@@ -196,7 +196,9 @@ func TestHistSplitMatchesBigReference(t *testing.T) {
 // meets tied values in another position order, and the leveled scan
 // another segment order), and a leveled node's segment is also shuffled
 // in place. Features have ties and, in half the trials, more than
-// maxLevels values, so the frame takes the ordered path.
+// maxLevels values, so the frame takes the ordered path. Every third
+// trial adds a feature with NaN cells, which sort after every number
+// and never border a threshold.
 func TestSplitPermutationInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ws := new(treeScratch)
@@ -210,11 +212,18 @@ func TestSplitPermutationInvariant(t *testing.T) {
 		if trial%2 == 1 {
 			L = maxLevels + 1 + rng.Intn(30)
 		}
+		withNaN := trial%3 == 0
+		if withNaN {
+			nf++
+		}
 		X := make([][]float64, n)
 		for i := range X {
 			X[i] = make([]float64, nf)
 			for f := range X[i] {
 				X[i][f] = float64(rng.Intn(L)) * 0.25
+			}
+			if withNaN && rng.Intn(5) == 0 {
+				X[i][nf-1] = math.NaN()
 			}
 		}
 		y := regressionTargets(rng, n, 1, []float64{1e16, 1e3}[trial%2], false)
@@ -278,6 +287,28 @@ func TestSplitPermutationInvariant(t *testing.T) {
 				t.Fatalf("trial %d split %d: %+v, permuted %+v", trial, i, w, g)
 			}
 		}
+	}
+}
+
+// TestSplitNeverBesideNaN: NaN rows sort last and always go right, so
+// the ordered scan offers no threshold between the last number and the
+// first NaN — where the best split of this node would otherwise lie,
+// with a NaN threshold that sends every row right.
+func TestSplitNeverBesideNaN(t *testing.T) {
+	ws := new(treeScratch)
+	nan := math.NaN()
+	X := [][]float64{{0}, {nan}, {1}, {2}, {nan}, {3}}
+	y := []float64{0, 1, 0, 0, 1, 0}
+	for _, clf := range []bool{true, false} {
+		fr := frameFromRows(X, y, ws)
+		if !clf && !ws.quantize(fr.y) {
+			t.Fatal("finite targets not quantised")
+		}
+		_, th, ok := bestSplitOrdered(fr, fr.base[0], 0, 1, giniAt(fr.y, fr.base[0], 2, ws), clf, 2, ws)
+		if math.IsNaN(th) || (ok && th > 3) {
+			t.Fatalf("clf=%v: threshold %v, ok %v", clf, th, ok)
+		}
+		ws.putFrame(fr)
 	}
 }
 

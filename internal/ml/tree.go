@@ -247,25 +247,6 @@ func descend(n *treeNode, x []float64) *treeNode {
 	return n
 }
 
-// descendCols walks the tree for example i of a column-major matrix,
-// the boosting-loop twin of descend that needs no row vector.
-func descendCols(n *treeNode, cols [][]float64, i int) *treeNode {
-	for !n.leaf {
-		if cols[n.feature][i] <= n.thresh {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n
-}
-
-// predictCols returns the regression output for example i of a
-// column-major matrix.
-func predictCols(root *treeNode, cols [][]float64, i int) float64 {
-	return descendCols(root, cols, i).value
-}
-
 // asLeaf finalizes a node as a leaf: the prediction payload (mean value
 // or class probabilities) is only materialized here, since descend never
 // reads it off internal nodes. A regression leaf also writes its value
@@ -509,7 +490,9 @@ func zeroed(xs []float64) []float64 {
 // statistics — no sort, no pair materialization. A classification gain
 // is the Gini drop below parentImp; a regression gain is scored from
 // exact sums of the tree's quantised targets (splitScore), and
-// parentImp is not read.
+// parentImp is not read. NaN sorts last and the scan ends at the first
+// one: a threshold beside NaN would itself be NaN, and descend sends
+// NaN right under any threshold.
 func bestSplitOrdered(fr *frame, order []int32, f, minLeaf int, parentImp float64, clf bool, nClass int, ws *treeScratch) (gain, thresh float64, ok bool) {
 	col := fr.cols[f]
 	y := fr.y
@@ -528,19 +511,22 @@ func bestSplitOrdered(fr *frame, order []int32, f, minLeaf int, parentImp float6
 		}
 		best := -1.0
 		for j := 0; j < n-1; j++ {
-			p := order[j]
+			p, next := order[j], col[order[j+1]]
+			if next != next {
+				break
+			}
 			c := clampClass(int(y[p]), nClass)
 			leftCnt[c]++
 			rightCnt[c]--
 			lw++
 			rw--
-			if col[p] == col[order[j+1]] || j+1 < minLeaf || n-j-1 < minLeaf {
+			if col[p] == next || j+1 < minLeaf || n-j-1 < minLeaf {
 				continue
 			}
 			g := parentImp - (lw*gini(leftCnt, lw)+rw*gini(rightCnt, rw))/(lw+rw)
 			if g > best {
 				best = g
-				thresh = (col[p] + col[order[j+1]]) / 2
+				thresh = (col[p] + next) / 2
 			}
 		}
 		if best <= 0 {
@@ -558,14 +544,17 @@ func bestSplitOrdered(fr *frame, order []int32, f, minLeaf int, parentImp float6
 	var l int64
 	best := 0.0
 	for j := 0; j < n-1; j++ {
-		p := order[j]
+		p, next := order[j], col[order[j+1]]
+		if next != next {
+			break
+		}
 		l += yq[p]
-		if col[p] == col[order[j+1]] || j+1 < minLeaf || n-j-1 < minLeaf {
+		if col[p] == next || j+1 < minLeaf || n-j-1 < minLeaf {
 			continue
 		}
 		if g := splitScore(l, t, j+1, n); g > best {
 			best = g
-			thresh = (col[p] + col[order[j+1]]) / 2
+			thresh = (col[p] + next) / 2
 		}
 	}
 	if best <= 0 {

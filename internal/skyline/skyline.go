@@ -73,9 +73,6 @@ type Bounds struct {
 // positive lower bound.
 func DefaultBounds() Bounds { return Bounds{Lower: 1e-3, Upper: 1} }
 
-// Within reports whether x satisfies the bounds.
-func (b Bounds) Within(x float64) bool { return x >= b.Lower && x <= b.Upper }
-
 // GridPos computes the discretized position of Equation (1): for the
 // first |P|-1 measures, pos_i = floor(log_{1+eps}(v_i / lower_i)). The
 // last measure is the decisive measure and is excluded, per the paper.

@@ -152,9 +152,6 @@ func (p *Pool) NewQueue(label string, limit int) *Queue {
 	return &Queue{pool: p, label: label, limit: limit}
 }
 
-// Label returns the queue's stats label.
-func (q *Queue) Label() string { return q.label }
-
 // QueueStats is a point-in-time view of one queue.
 type QueueStats struct {
 	Label string

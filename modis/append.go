@@ -25,10 +25,10 @@ type AppendResult struct {
 	Retained    int
 }
 
-// Append commits rows to the engine's universal table, extending the
-// frozen discovery structures in place — decoded matrix columns,
-// per-literal row bitmaps, dense rank orders — and advancing the
-// versioned memo so exactly the valuations the new rows touched are
+// Append commits rows to the engine's universal table, dropping the
+// structures derived from it — the decoded matrix and the per-literal
+// row bitmaps, rebuilt from the grown table on next use — and advancing
+// the versioned memo so exactly the valuations the new rows touched are
 // dropped. The entry layout is frozen: appended rows join existing
 // literal clusters or none, and a run after Append is byte-identical
 // to a cold run over the concatenated table (the standing determinism

@@ -149,8 +149,8 @@ func memoAcceptor(cfg *fst.Config) func(*fst.Test) bool {
 // AppendRows commits a batch of rows to the named workload's shard:
 // new searches hold at the gate, in-flight ones drain (bounded by
 // AppendDrainWait — a shard that cannot quiesce in time rejects with
-// ErrOverloaded, the explicitly retryable failure), the engine extends
-// its frozen structures and advances the versioned memo, and the batch
+// ErrOverloaded, the explicitly retryable failure), the engine appends
+// the rows and advances the versioned memo, and the batch
 // spills to the shard's durable rows log. The descriptor hash is
 // untouched — appends change a shard's serving state, not its
 // identity — so routing and memo keying stay stable across the stream.

@@ -789,24 +789,6 @@ func (s *Scheduler) Jobs() []*JobRecord {
 	return out
 }
 
-// Workloads lists the distinct workload names of accepted jobs,
-// sorted (a debugging aid; the authoritative catalog is
-// WorkloadInfos).
-func (s *Scheduler) Workloads() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := map[string]bool{}
-	var out []string
-	for _, rec := range s.jobs {
-		if rec.Workload != "" && !seen[rec.Workload] {
-			seen[rec.Workload] = true
-			out = append(out, rec.Workload)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Drain stops accepting new jobs and waits for the in-flight ones to
 // finish, or until ctx expires — the graceful-shutdown path modisd
 // takes on SIGTERM. It returns ctx.Err() (with the number of jobs

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Perf smoke: two short modisperf measurements of the serving layer,
-# gated on the numbers that are stable at that length.
+# Perf smoke: three short modisperf measurements, two of the serving
+# layer and one of the UDF valuation route, gated on the numbers that
+# are stable at that length.
 #
 # modisperf exits non-zero when an op's skyline digest check or the
 # SIGKILL durability check fails, and pipefail carries that exit through
@@ -9,8 +10,9 @@
 #   serve-append  the memo kept answering the states an append did not
 #                 touch, and the restart replayed the memo without
 #                 re-running inference;
-#   serve-warm    every job answered from the memo, no exact inference.
-# About 40 s on two CPUs, most of it building modisd and modisperf.
+#   serve-warm    every job answered from the memo, no exact inference;
+#   discover-udf  every valuation took the materialise-and-encode route.
+# About 50 s on two CPUs, most of it building modisd and modisperf.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 out=$(mktemp -d)
@@ -24,4 +26,5 @@ measure() {
 
 measure serve-append 4
 measure serve-warm 3
+measure discover-udf 3
 echo "perf smoke passed" >&2
