@@ -105,20 +105,16 @@ func canPrune(members []*Candidate, lo skyline.Vector, eps float64) bool {
 // forward frontier reduces from the universal state s_U while a backward
 // frontier augments from the back state s_b (procedure BackSt); both
 // update the shared ε-skyline set via UPareto, and the search stops
-// when the frontiers meet. Correlation-based pruning (unless
-// DisablePrune) skips valuating states whose parameterized range —
-// derived from the test set, refreshed between valuation windows — is
-// already ε-dominated. Each expansion's surviving children valuate in
-// progressive windows through the run's Valuator: exact inferences fan
-// across the worker pool and results commit in child order, so any
-// parallelism degree reproduces the sequential skyline. The context is
-// checked at frontier-pop and window granularity: cancellation or
-// deadline expiry drains the pool and returns ctx.Err() with no partial
-// result.
+// when the frontiers meet. Correlation-based pruning skips valuating
+// states whose parameterized range — derived from the test set,
+// refreshed between valuation windows — is already ε-dominated. Each
+// expansion's surviving children valuate in progressive windows through
+// the run's Valuator: exact inferences fan across the worker pool and
+// results commit in child order, so any parallelism degree reproduces
+// the sequential skyline. The context is checked at frontier-pop and
+// window granularity: cancellation or deadline expiry drains the pool
+// and returns ctx.Err() with no partial result.
 func BiMODis(ctx context.Context, cfg *fst.Config, opts Options) (*Result, error) {
-	if opts.DisablePrune {
-		return NOBiMODis(ctx, cfg, opts)
-	}
 	return search(ctx, cfg, opts, spec{algo: "bi", backward: true, meet: true, prune: true})
 }
 

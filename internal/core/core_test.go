@@ -68,9 +68,17 @@ func newTestConfig(t *testing.T, nMeasures int) *fst.Config {
 	return &fst.Config{Space: sp, Model: m, Measures: measures}
 }
 
+// tuned is DefaultOptions for the two-measure test configuration with
+// the budget N, ε and level cap maxl set.
+func tuned(n int, eps float64, maxl int) Options {
+	o := DefaultOptions(2)
+	o.N, o.Eps, o.MaxLevel = n, eps, maxl
+	return o
+}
+
 func TestApxMODisProducesEpsSkyline(t *testing.T) {
 	cfg := newTestConfig(t, 2)
-	res, err := ApxMODis(context.Background(), cfg, Options{N: 80, Eps: 0.2, MaxLevel: 4})
+	res, err := ApxMODis(context.Background(), cfg, tuned(80, 0.2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +107,7 @@ func TestApxMODisProducesEpsSkyline(t *testing.T) {
 
 func TestApxMODisRespectsBudget(t *testing.T) {
 	cfg := newTestConfig(t, 2)
-	res, err := ApxMODis(context.Background(), cfg, Options{N: 10, Eps: 0.2})
+	res, err := ApxMODis(context.Background(), cfg, tuned(10, 0.2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +118,7 @@ func TestApxMODisRespectsBudget(t *testing.T) {
 
 func TestApxMODisRespectsMaxLevel(t *testing.T) {
 	cfg := newTestConfig(t, 2)
-	res, err := ApxMODis(context.Background(), cfg, Options{N: 10000, Eps: 0.2, MaxLevel: 2})
+	res, err := ApxMODis(context.Background(), cfg, tuned(10000, 0.2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +129,7 @@ func TestApxMODisRespectsMaxLevel(t *testing.T) {
 
 func TestApxMODisFindsTradeoff(t *testing.T) {
 	cfg := newTestConfig(t, 2)
-	res, err := ApxMODis(context.Background(), cfg, Options{N: 200, Eps: 0.1, MaxLevel: 5})
+	res, err := ApxMODis(context.Background(), cfg, tuned(200, 0.1, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +144,7 @@ func TestApxMODisFindsTradeoff(t *testing.T) {
 
 func TestBiMODisProducesEpsSkyline(t *testing.T) {
 	cfg := newTestConfig(t, 2)
-	res, err := BiMODis(context.Background(), cfg, Options{N: 120, Eps: 0.2, MaxLevel: 4})
+	res, err := BiMODis(context.Background(), cfg, tuned(120, 0.2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +164,7 @@ func TestBiMODisProducesEpsSkyline(t *testing.T) {
 
 func TestNOBiMODisNeverPrunes(t *testing.T) {
 	cfg := newTestConfig(t, 2)
-	res, err := NOBiMODis(context.Background(), cfg, Options{N: 100, Eps: 0.2, MaxLevel: 3})
+	res, err := NOBiMODis(context.Background(), cfg, tuned(100, 0.2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +175,7 @@ func TestNOBiMODisNeverPrunes(t *testing.T) {
 
 func TestBiMODisBackwardReachesSmallStates(t *testing.T) {
 	cfg := newTestConfig(t, 2)
-	res, err := BiMODis(context.Background(), cfg, Options{N: 150, Eps: 0.15, MaxLevel: 4})
+	res, err := BiMODis(context.Background(), cfg, tuned(150, 0.15, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +196,9 @@ func TestBiMODisBackwardReachesSmallStates(t *testing.T) {
 
 func TestDivMODisRespectsK(t *testing.T) {
 	cfg := newTestConfig(t, 2)
-	res, err := DivMODis(context.Background(), cfg, Options{N: 150, Eps: 0.05, MaxLevel: 4, K: 3, Alpha: 0.5, Seed: 1})
+	opts := tuned(150, 0.05, 4)
+	opts.K, opts.Seed = 3, 1
+	res, err := DivMODis(context.Background(), cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +244,16 @@ func TestDisMatchesEquation2(t *testing.T) {
 	}
 }
 
+// TestDisZeroAlphaIgnoresContent: with α = 0 the content term vanishes,
+// so two disjoint bitmaps with equal vectors are at distance 0.
+func TestDisZeroAlphaIgnoresContent(t *testing.T) {
+	a := &Candidate{Bits: fst.BitmapOf(true, false), Perf: skyline.Vector{0.3, 0.3}}
+	b := &Candidate{Bits: fst.BitmapOf(false, true), Perf: skyline.Vector{0.3, 0.3}}
+	if Dis(a, b, 0, 1) != 0 {
+		t.Error("α = 0 must ignore content distance")
+	}
+}
+
 // TestMaxEucIsPairwiseMax checks the normalizer eucm against a brute
 // force over every pair of recorded vectors. The closest pair (√2
 // apart) comes first and the farthest (10 apart) is neither first nor
@@ -258,38 +278,16 @@ func TestMaxEucIsPairwiseMax(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Eps != 0.1 || o.Theta != 0.8 || o.K != 5 || o.Alpha != 0.5 {
-		t.Errorf("defaults = %+v", o)
-	}
-	if o.decisiveIdx(3) != 2 {
-		t.Error("default decisive measure should be the last")
-	}
-	o.Decisive = 1
-	if o.decisiveIdx(3) != 1 {
-		t.Error("explicit decisive index ignored")
-	}
-}
-
-func TestOptionsSentinels(t *testing.T) {
-	o := Options{Decisive: DecisiveFirst, Alpha: AlphaZero}.withDefaults()
-	if o.decisiveIdx(3) != 0 {
-		t.Error("DecisiveFirst should select measure 0")
-	}
-	if o.Alpha != 0 {
-		t.Errorf("AlphaZero should yield α = 0, got %v", o.Alpha)
-	}
-	// Out-of-range explicit indexes fall back to the last measure.
-	if (Options{Decisive: 7}.withDefaults()).decisiveIdx(3) != 2 {
-		t.Error("out-of-range decisive should fall back to the last measure")
-	}
-	// AlphaZero changes DivMODis' distance weighting: with α = 0 the
-	// content term vanishes entirely.
-	a := &Candidate{Bits: fst.BitmapOf(true, false), Perf: skyline.Vector{0.3, 0.3}}
-	b := &Candidate{Bits: fst.BitmapOf(false, true), Perf: skyline.Vector{0.3, 0.3}}
-	if Dis(a, b, 0, 1) != 0 {
-		t.Error("α = 0 must ignore content distance")
+// TestSearchRejectsUnresolvedOptions: search reads its options as given,
+// so a zero ε or a decisive index outside the measures is an error, not
+// a silent default.
+func TestSearchRejectsUnresolvedOptions(t *testing.T) {
+	outOfRange := DefaultOptions(2)
+	outOfRange.Decisive = 2
+	for _, opts := range []Options{{}, outOfRange} {
+		if _, err := ApxMODis(context.Background(), newTestConfig(t, 2), opts); err == nil {
+			t.Errorf("options ε %v, decisive %d over 2 measures: want an error", opts.Eps, opts.Decisive)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 func TestExactMODisComputesTrueSkyline(t *testing.T) {
 	cfg := newTestConfig(t, 2)
-	res, err := ExactMODis(context.Background(), cfg, Options{Eps: 0.1, MaxLevel: 3})
+	res, err := ExactMODis(context.Background(), cfg, tuned(0, 0.1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +38,12 @@ func TestExactMODisComputesTrueSkyline(t *testing.T) {
 func TestApxCoversExactWithinEps(t *testing.T) {
 	eps := 0.2
 	exactCfg := newTestConfig(t, 2)
-	exact, err := ExactMODis(context.Background(), exactCfg, Options{Eps: eps, MaxLevel: 3})
+	exact, err := ExactMODis(context.Background(), exactCfg, tuned(0, eps, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	apxCfg := newTestConfig(t, 2)
-	apx, err := ApxMODis(context.Background(), apxCfg, Options{Eps: eps, MaxLevel: 3})
+	apx, err := ApxMODis(context.Background(), apxCfg, tuned(0, eps, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +65,12 @@ func TestApxCoversExactWithinEps(t *testing.T) {
 // the same bounded space (the point of the approximation).
 func TestApxValuatesNoMoreThanExact(t *testing.T) {
 	exactCfg := newTestConfig(t, 2)
-	exact, err := ExactMODis(context.Background(), exactCfg, Options{Eps: 0.2, MaxLevel: 3})
+	exact, err := ExactMODis(context.Background(), exactCfg, tuned(0, 0.2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	apxCfg := newTestConfig(t, 2)
-	apx, err := ApxMODis(context.Background(), apxCfg, Options{Eps: 0.2, MaxLevel: 3})
+	apx, err := ApxMODis(context.Background(), apxCfg, tuned(0, 0.2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,9 @@ func TestMOSPBridgeTelescopes(t *testing.T) {
 	for _, algo := range algorithmsUnderTest() {
 		t.Run(algo.name, func(t *testing.T) {
 			cfg := newTestConfig(t, 2)
-			res, err := algo.run(context.Background(), cfg, Options{Eps: 0.2, MaxLevel: 3, RecordGraph: true})
+			opts := tuned(0, 0.2, 3)
+			opts.RecordGraph = true
+			res, err := algo.run(context.Background(), cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +133,7 @@ func TestFinalEventCountsQueue(t *testing.T) {
 	for _, tc := range []struct {
 		opts   Options
 		queued bool
-	}{{Options{N: 20, MaxLevel: 4}, true}, {Options{MaxLevel: 2}, false}} {
+	}{{tuned(20, 0.1, 4), true}, {tuned(0, 0.1, 2), false}} {
 		var last ProgressEvent
 		tc.opts.Progress = func(ev ProgressEvent) { last = ev }
 		if _, err := ExactMODis(context.Background(), newTestConfig(t, 2), tc.opts); err != nil {

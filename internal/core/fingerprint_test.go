@@ -134,7 +134,19 @@ type fingerprintCell struct {
 	cfg  func(surrogate bool) *fst.Config
 	run  func(context.Context, *fst.Config, Options) (*Result, error)
 	sur  bool
-	opts Options
+	grid budgetLevel
+}
+
+// budgetLevel is a cell's valuation budget N and level cap maxl.
+type budgetLevel struct{ n, maxLevel int }
+
+// options are the cell's knobs for a configuration with numMeasures
+// measures: the defaults, with ε 0.15, seed 3, k 3 and the cell's
+// budget and level cap.
+func (c fingerprintCell) options(numMeasures int) Options {
+	o := DefaultOptions(numMeasures)
+	o.N, o.MaxLevel, o.Eps, o.Seed, o.K = c.grid.n, c.grid.maxLevel, 0.15, 3, 3
+	return o
 }
 
 // fingerprintCells enumerates the grid. Shapes: the additive unit
@@ -160,30 +172,30 @@ func fingerprintCells(t *testing.T) []fingerprintCell {
 		mk   func(datagen.TaskConfig) *datagen.Workload
 		wide bool
 	}{{"t1", datagen.T1Movie, false}, {"t2", datagen.T2House, true}, {"t4", datagen.T4Mental, true}}
-	budgeted := Options{N: 60, MaxLevel: 5, Eps: 0.15, Seed: 3, K: 3}
-	unbudgeted := Options{MaxLevel: 2, Eps: 0.15, Seed: 3, K: 3}
+	budgeted := budgetLevel{n: 60, maxLevel: 5}
+	unbudgeted := budgetLevel{maxLevel: 2}
 
 	type shape struct {
 		name  string
 		cfg   func(bool) *fst.Config
-		grids map[string]Options
+		grids map[string]budgetLevel
 	}
-	shapes := []shape{{"unit", unit, map[string]Options{
+	shapes := []shape{{"unit", unit, map[string]budgetLevel{
 		"n60":   budgeted,
-		"nocap": {Eps: 0.15, Seed: 3, K: 3},
+		"nocap": {},
 	}}}
 	for _, task := range tasks {
 		narrow := task.mk(datagen.TaskConfig{Rows: 80, InfoAttrs: 2, NoiseAttrs: 1, AdomK: 2})
-		shapes = append(shapes, shape{task.name + "-narrow", narrow.NewConfig, map[string]Options{"n60": budgeted, "l2": unbudgeted}})
+		shapes = append(shapes, shape{task.name + "-narrow", narrow.NewConfig, map[string]budgetLevel{"n60": budgeted, "l2": unbudgeted}})
 		if task.wide {
 			wide := task.mk(datagen.TaskConfig{Rows: 80})
-			shapes = append(shapes, shape{task.name + "-wide", wide.NewConfig, map[string]Options{"n60": budgeted}})
+			shapes = append(shapes, shape{task.name + "-wide", wide.NewConfig, map[string]budgetLevel{"n60": budgeted}})
 		}
 	}
 
 	var cells []fingerprintCell
 	for _, sh := range shapes {
-		for grid, opts := range sh.grids {
+		for grid, bl := range sh.grids {
 			for _, sur := range []bool{false, true} {
 				mode := "exact"
 				if sur {
@@ -192,7 +204,7 @@ func fingerprintCells(t *testing.T) []fingerprintCell {
 				for _, algo := range algorithmsUnderTest() {
 					cells = append(cells, fingerprintCell{
 						name: fmt.Sprintf("%s/%s/%s/%s", sh.name, grid, mode, algo.name),
-						cfg:  sh.cfg, run: algo.run, sur: sur, opts: opts,
+						cfg:  sh.cfg, run: algo.run, sur: sur, grid: bl,
 					})
 				}
 			}
@@ -204,11 +216,9 @@ func fingerprintCells(t *testing.T) []fingerprintCell {
 	// to level 2; the cell stops at level 1, which keeps it under a
 	// second at parallelism 1 and 2.
 	appendShape := datagen.T2House(datagen.TaskConfig{Rows: 60})
-	level1 := unbudgeted
-	level1.MaxLevel = 1
 	cells = append(cells, fingerprintCell{
 		name: "t2-append/l1/exact/exact",
-		cfg:  appendShape.NewConfig, run: ExactMODis, opts: level1,
+		cfg:  appendShape.NewConfig, run: ExactMODis, grid: budgetLevel{maxLevel: 1},
 	})
 	return cells
 }
@@ -249,9 +259,10 @@ func TestPinnedSearchFingerprints(t *testing.T) {
 	pruned := false
 	for _, cell := range fingerprintCells(t) {
 		for _, par := range []int{1, 2} {
-			opts := cell.opts
+			cfg := cell.cfg(cell.sur)
+			opts := cell.options(len(cfg.Measures))
 			opts.Parallelism = par
-			res, err := cell.run(context.Background(), cell.cfg(cell.sur), opts)
+			res, err := cell.run(context.Background(), cfg, opts)
 			if err != nil {
 				t.Fatalf("%s p%d: %v", cell.name, par, err)
 			}

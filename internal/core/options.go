@@ -13,42 +13,29 @@ import (
 	"repro/internal/skyline"
 )
 
-// Sentinel option values. The zero value of an Options field means
-// "unset, use the default", so intents that collide with the zero value
-// need explicit sentinels.
-const (
-	// DecisiveFirst selects measure index 0 as the decisive measure p_d.
-	// Decisive's zero value defaults to the last measure, so index 0 is
-	// requested through this sentinel.
-	DecisiveFirst = -2
-	// AlphaZero requests α = 0 in dis(·,·) — pure performance diversity,
-	// no content term. Alpha's zero value defaults to 0.5, so α = 0 is
-	// requested through this sentinel.
-	AlphaZero = -1.0
-)
-
-// Options are the shared tuning knobs of the MODis algorithms.
+// Options are the shared tuning knobs of the MODis algorithms, in the
+// one resolved form every algorithm reads as given: no field has a
+// zero-value meaning beyond the one documented on it. Start from
+// DefaultOptions and override what differs.
 type Options struct {
 	// N is the valuation budget (the paper's N). 0 means unbounded.
 	N int
-	// Eps is the ε of ε-dominance; must be > 0. Default 0.1.
+	// Eps is the ε of ε-dominance; must be > 0.
 	Eps float64
 	// MaxLevel is the maximum path length maxl. 0 means the full space.
 	MaxLevel int
-	// Decisive is the index of the decisive measure p_d. The zero value
-	// (and any out-of-range index) selects the last measure, the paper's
-	// default; use DecisiveFirst to select measure 0.
+	// Decisive is the index of the decisive measure p_d, the one measure
+	// the UPareto grid compares instead of discretizing; must index a
+	// measure of the configuration.
 	Decisive int
 	// Theta is the Spearman threshold θ of the correlation graph G_C
-	// (BiMODis). Default 0.8.
+	// (BiMODis).
 	Theta float64
-	// DisablePrune turns correlation-based pruning off (NOBiMODis).
-	DisablePrune bool
-	// K is the diversified skyline size (DivMODis). Default 5.
+	// K is the diversified skyline size (DivMODis).
 	K int
 	// Alpha balances content diversity (bitmap cosine) against
-	// performance diversity (vector euclidean) in dis(·,·). Default 0.5;
-	// use AlphaZero for pure performance diversity.
+	// performance diversity (vector euclidean) in dis(·,·); 0 is pure
+	// performance diversity.
 	Alpha float64
 	// Seed drives the diversification initialization.
 	Seed int64
@@ -77,24 +64,39 @@ type Options struct {
 	Progress func(ProgressEvent)
 }
 
+// DefaultOptions are the paper's default knobs for a configuration with
+// numMeasures measures: ε 0.1, θ 0.8, k 5, α 0.5, the last measure
+// decisive, unbounded budget and depth, sequential valuation.
+func DefaultOptions(numMeasures int) Options {
+	return Options{
+		Eps:         0.1,
+		Decisive:    numMeasures - 1,
+		Theta:       0.8,
+		K:           5,
+		Alpha:       0.5,
+		Parallelism: 1,
+	}
+}
+
 // ProgressEvent is a streaming snapshot of a running search, delivered
-// through Options.Progress.
+// through Options.Progress. Its JSON form is the wire form of progress
+// events (modis/serve's SSE and JSONL streams).
 type ProgressEvent struct {
-	// Algorithm is the emitting algorithm ("apx", "bi", "nobi", "div",
-	// "exact").
-	Algorithm string
+	// Algorithm is the emitting algorithm's registry key ("apx", "bi",
+	// "nobi", "div", "exact", or a registered one).
+	Algorithm string `json:"algorithm"`
 	// Level is the deepest operator-path length reached so far.
-	Level int
+	Level int `json:"level"`
 	// Frontier is the number of states currently queued across all
 	// frontiers; in the final event, those left unexpanded.
-	Frontier int
+	Frontier int `json:"frontier"`
 	// Valuated is the number of valuations used so far.
-	Valuated int
+	Valuated int `json:"valuated"`
 	// SkylineSize is the size of the incumbent ε-skyline set; in the
 	// final event, the size of the returned skyline.
-	SkylineSize int
+	SkylineSize int `json:"skyline_size"`
 	// Done marks the final event of a run.
-	Done bool
+	Done bool `json:"done"`
 }
 
 // emit delivers a progress snapshot if a hook is installed.
@@ -110,36 +112,6 @@ func (o *Options) emit(algo string, level, frontier, valuated, skyline int, done
 		SkylineSize: skyline,
 		Done:        done,
 	})
-}
-
-func (o Options) withDefaults() Options {
-	if o.Eps <= 0 {
-		o.Eps = 0.1
-	}
-	if o.Theta <= 0 {
-		o.Theta = 0.8
-	}
-	if o.K <= 0 {
-		o.K = 5
-	}
-	if o.Alpha == AlphaZero {
-		o.Alpha = 0
-	} else if o.Alpha <= 0 {
-		o.Alpha = 0.5
-	}
-	return o
-}
-
-func (o Options) decisiveIdx(numMeasures int) int {
-	if o.Decisive == DecisiveFirst {
-		return 0
-	}
-	// Zero means unset: default to the last measure, as do out-of-range
-	// indexes.
-	if o.Decisive > 0 && o.Decisive < numMeasures {
-		return o.Decisive
-	}
-	return numMeasures - 1
 }
 
 // Candidate is one member of the output skyline set D_F: a state bitmap

@@ -74,7 +74,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 					}
 					return cfg
 				}
-				opts := Options{N: 120, Eps: 0.15, MaxLevel: 4, Seed: 3, K: 3}
+				opts := tuned(120, 0.15, 4)
+				opts.Seed, opts.K = 3, 3
 				seqOpts, parOpts := opts, opts
 				seqOpts.Parallelism = 1
 				parOpts.Parallelism = 4
@@ -98,7 +99,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestParallelDeterministicAcrossRepeats(t *testing.T) {
 	for _, algo := range algorithmsUnderTest() {
 		t.Run(algo.name, func(t *testing.T) {
-			opts := Options{N: 100, Eps: 0.2, MaxLevel: 3, Seed: 5, Parallelism: 4}
+			opts := tuned(100, 0.2, 3)
+			opts.Seed, opts.Parallelism = 5, 4
 			a, err := algo.run(context.Background(), withSurrogate(newTestConfig(t, 2)), opts)
 			if err != nil {
 				t.Fatal(err)

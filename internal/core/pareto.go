@@ -78,8 +78,9 @@ func meanPerf(s *fst.State) float64 {
 }
 
 // grid maintains the ε-skyline set of procedure UPareto: a discretized
-// (|P|-1)-ary position space (Equation 1) holding at most one candidate
-// per cell, replaced when a newcomer wins on the decisive measure.
+// (|P|-1)-ary position space (Equation 1) over every measure but the
+// decisive one, holding at most one candidate per cell, replaced when a
+// newcomer wins on the decisive measure.
 // Cells are keyed by the integer-packed position (PackedPosKey) and the
 // position scratch slice is reused across insertions, so an insert
 // allocates only when a candidate actually enters.
@@ -112,7 +113,7 @@ func newGrid(cfg *fst.Config, eps float64, decisive int) *grid {
 // posKey computes the packed cell key of a vector via the shared
 // scratch buffer.
 func (g *grid) posKey(perf skyline.Vector) uint64 {
-	g.pos = skyline.GridPosInto(g.pos, perf, g.bounds, g.eps)
+	g.pos = skyline.GridPosExcept(g.pos, perf, g.bounds, g.eps, g.decisive)
 	return skyline.PackedPosKey(g.pos)
 }
 

@@ -91,6 +91,23 @@ func TestGridSizeBounded(t *testing.T) {
 	}
 }
 
+// TestGridDiscretizesAllButDecisive: with decisive measure 0, the grid
+// keys cells on measures 1 and 2 and compares measure 0. A and B agree
+// on measure 1 but sit in different cells of measure 2, so both stay;
+// keying on measures 0 and 1 instead would put them in one cell and
+// drop B for its worse measure 0.
+func TestGridDiscretizesAllButDecisive(t *testing.T) {
+	cfg := newTestConfig(t, 3)
+	cfg.Validate()
+	g := newGrid(cfg, 0.1, 0)
+	bits := cfg.Space.FullBitmap()
+	g.upareto(bits, skyline.Vector{0.50, 0.2, 0.9})
+	g.upareto(bits, skyline.Vector{0.51, 0.2, 0.1})
+	if ms := g.members(); len(ms) != 2 {
+		t.Errorf("grid kept %d of two candidates in distinct non-decisive cells", len(ms))
+	}
+}
+
 func TestFrontierPopOrder(t *testing.T) {
 	a := &fst.State{Perf: skyline.Vector{0.9, 0.9}}
 	b := &fst.State{Perf: skyline.Vector{0.1, 0.1}}

@@ -52,17 +52,20 @@ func search(ctx context.Context, cfg *fst.Config, opts Options, sp spec) (*Resul
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts = opts.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", sp.algo, err)
 	}
-	start := time.Now()
 	nm := len(cfg.Measures)
+	if !(opts.Eps > 0) || opts.Decisive < 0 || opts.Decisive >= nm {
+		return nil, fmt.Errorf("core: %s: need ε > 0 and a decisive index below %d measures, got ε %v, decisive %d",
+			sp.algo, nm, opts.Eps, opts.Decisive)
+	}
+	start := time.Now()
 	val := cfg.NewValuator(opts.Parallelism)
 	if opts.ExactRunner != nil {
 		val.SetExactRunner(opts.ExactRunner)
 	}
-	g := newGrid(cfg, opts.Eps, opts.decisiveIdx(nm))
+	g := newGrid(cfg, opts.Eps, opts.Decisive)
 	var rg *fst.RunningGraph
 	if opts.RecordGraph {
 		rg = fst.NewRunningGraph()

@@ -30,7 +30,7 @@ func Case1(ctx context.Context) (*Report, error) {
 		fmt.Sprintf("%.4f", orig[0]), fmt.Sprintf("%.4f", orig[1]), fmt.Sprintf("%.4f", orig[2]),
 		fmt.Sprintf("(%d,%d)", w.Lake.Universal.NumRows(), w.Lake.Universal.NumCols())})
 
-	res, err := modis.NewEngine(w.NewConfig(true)).Run(ctx, "bi", modisOptions(MODisOptions())...)
+	res, err := modis.NewEngine(w.NewConfig(true)).Run(ctx, "bi", MODisOptions()...)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func Case2(ctx context.Context) (*Report, error) {
 	w.Measures[0].Bounds = skyline.Bounds{Lower: 1e-3, Upper: 0.15}
 	w.Measures[5].Bounds = skyline.Bounds{Lower: 1e-3, Upper: 0.5}
 
-	res, err := modis.NewEngine(w.NewConfig(true)).Run(ctx, "bi", modisOptions(MODisOptions())...)
+	res, err := modis.NewEngine(w.NewConfig(true)).Run(ctx, "bi", MODisOptions()...)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/baselines"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/fst"
 	"repro/internal/skyline"
@@ -80,55 +79,16 @@ func (r *Report) String() string {
 var DefaultParallelism = 1
 
 // MODisOptions are the default discovery knobs of the comparison
-// experiments (ε = 0.1, maxl = 6, surrogate on, modest budget).
-func MODisOptions() core.Options {
-	return core.Options{N: 300, Eps: 0.1, MaxLevel: 6, Seed: 1}
-}
-
-// modisOptions bridges the experiment sweeps' core.Options literals
-// (zero value = default, sentinel-encoded extremes) onto the public
-// engine's functional options.
-func modisOptions(o core.Options) []modis.Option {
-	opts := []modis.Option{modis.WithSeed(o.Seed)}
-	if o.N > 0 {
-		opts = append(opts, modis.WithBudget(o.N))
+// experiments (ε = 0.1, maxl = 6, modest budget) at DefaultParallelism.
+// Sweeps append their overrides: a later option wins.
+func MODisOptions() []modis.Option {
+	return []modis.Option{
+		modis.WithBudget(300),
+		modis.WithEpsilon(0.1),
+		modis.WithMaxLevel(6),
+		modis.WithSeed(1),
+		modis.WithParallelism(DefaultParallelism),
 	}
-	if o.Eps > 0 {
-		opts = append(opts, modis.WithEpsilon(o.Eps))
-	}
-	if o.MaxLevel > 0 {
-		opts = append(opts, modis.WithMaxLevel(o.MaxLevel))
-	}
-	if o.K > 0 {
-		opts = append(opts, modis.WithK(o.K))
-	}
-	switch {
-	case o.Alpha == core.AlphaZero:
-		opts = append(opts, modis.WithAlpha(0))
-	case o.Alpha > 0:
-		opts = append(opts, modis.WithAlpha(o.Alpha))
-	}
-	if o.Theta > 0 {
-		opts = append(opts, modis.WithTheta(o.Theta))
-	}
-	if o.DisablePrune {
-		opts = append(opts, modis.WithoutPruning())
-	}
-	switch {
-	case o.Decisive == core.DecisiveFirst:
-		opts = append(opts, modis.WithDecisive(0))
-	case o.Decisive > 0:
-		opts = append(opts, modis.WithDecisive(o.Decisive))
-	}
-	if o.RecordGraph {
-		opts = append(opts, modis.WithRecordGraph())
-	}
-	par := o.Parallelism
-	if par == 0 {
-		par = DefaultParallelism
-	}
-	opts = append(opts, modis.WithParallelism(par))
-	return opts
 }
 
 // runMODis executes one MODis algorithm through the public engine,
@@ -136,9 +96,9 @@ func modisOptions(o core.Options) []modis.Option {
 // paper selects by the task's first measure for cross-method
 // comparison), and re-tests it with real model inference.
 func runMODis(ctx context.Context, w *datagen.Workload, name, key string,
-	opts core.Options, selectIdx int) (*MethodResult, error) {
+	opts []modis.Option, selectIdx int) (*MethodResult, error) {
 
-	rep, err := modis.NewEngine(w.NewConfig(true)).Run(ctx, key, modisOptions(opts)...)
+	rep, err := modis.NewEngine(w.NewConfig(true)).Run(ctx, key, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s on %s: %w", name, w.Name, err)
 	}
@@ -175,7 +135,7 @@ func runMODis(ctx context.Context, w *datagen.Workload, name, key string,
 
 // RunAllMethods evaluates Original, the baselines, and the four MODis
 // algorithms on a workload, the setting of Tables 4-6.
-func RunAllMethods(ctx context.Context, w *datagen.Workload, opts core.Options, selectIdx int) ([]*MethodResult, error) {
+func RunAllMethods(ctx context.Context, w *datagen.Workload, opts []modis.Option, selectIdx int) ([]*MethodResult, error) {
 	var out []*MethodResult
 
 	orig, err := baselines.EvalTable(w, w.Lake.Universal)
@@ -243,7 +203,7 @@ func modisMethods() []modisMethod {
 
 // RunMODisOnly evaluates just the four MODis algorithms (Table 5's
 // setting for T5).
-func RunMODisOnly(ctx context.Context, w *datagen.Workload, opts core.Options, selectIdx int) ([]*MethodResult, error) {
+func RunMODisOnly(ctx context.Context, w *datagen.Workload, opts []modis.Option, selectIdx int) ([]*MethodResult, error) {
 	orig, err := baselines.EvalTable(w, w.Lake.Universal)
 	if err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/fst"
 	"repro/internal/skyline"
@@ -81,7 +80,7 @@ func TestRunMODisOnlySmoke(t *testing.T) {
 		t.Skip("expensive")
 	}
 	w := datagen.T3Avocado(datagen.TaskConfig{Rows: 120})
-	opts := core.Options{N: 60, Eps: 0.2, MaxLevel: 3, Seed: 1}
+	opts := []modis.Option{modis.WithBudget(60), modis.WithEpsilon(0.2), modis.WithMaxLevel(3), modis.WithSeed(1)}
 	rs, err := RunMODisOnly(context.Background(), w, opts, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +100,7 @@ func TestRunAllMethodsSmoke(t *testing.T) {
 		t.Skip("expensive")
 	}
 	w := datagen.T3Avocado(datagen.TaskConfig{Rows: 120})
-	opts := core.Options{N: 60, Eps: 0.2, MaxLevel: 3, Seed: 1}
+	opts := []modis.Option{modis.WithBudget(60), modis.WithEpsilon(0.2), modis.WithMaxLevel(3), modis.WithSeed(1)}
 	rs, err := RunAllMethods(context.Background(), w, opts, 0)
 	if err != nil {
 		t.Fatal(err)

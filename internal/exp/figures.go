@@ -6,23 +6,20 @@ import (
 	"time"
 
 	"repro/internal/baselines"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/modis"
 )
 
 // sweepOptions is the sweep budget: tighter than the comparison runs so
 // the swept knob (ε, maxl) actually binds the search.
-func sweepOptions() core.Options {
-	o := MODisOptions()
-	o.N = 150
-	return o
+func sweepOptions() []modis.Option {
+	return append(MODisOptions(), modis.WithBudget(150))
 }
 
 // sweepMODis runs every MODis algorithm over a parameter sweep and
 // reports rImp on the selected measure (quality sweeps) and wall time
 // (efficiency sweeps).
-func sweepMODis(ctx context.Context, w func() *datagen.Workload, optsFor func(i int) core.Options,
+func sweepMODis(ctx context.Context, w func() *datagen.Workload, optsFor func(i int) []modis.Option,
 	labels []string, selectIdx int) (quality, timing [][]string, err error) {
 
 	methods := modisMethods()
@@ -37,7 +34,7 @@ func sweepMODis(ctx context.Context, w func() *datagen.Workload, optsFor func(i 
 			if err != nil {
 				return nil, nil, err
 			}
-			rep, err := modis.NewEngine(wl.NewConfig(true)).Run(ctx, m.key, modisOptions(optsFor(i))...)
+			rep, err := modis.NewEngine(wl.NewConfig(true)).Run(ctx, m.key, optsFor(i)...)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -75,10 +72,8 @@ func Fig8Epsilon(ctx context.Context) ([]*Report, error) {
 		for i, e := range s.epsSet {
 			labels[i] = fmt.Sprintf("eps=%.2f", e)
 		}
-		q, _, err := sweepMODis(ctx, s.w, func(i int) core.Options {
-			o := sweepOptions()
-			o.Eps = s.epsSet[i]
-			return o
+		q, _, err := sweepMODis(ctx, s.w, func(i int) []modis.Option {
+			return append(sweepOptions(), modis.WithEpsilon(s.epsSet[i]))
 		}, labels, 0)
 		if err != nil {
 			return nil, err
@@ -104,11 +99,8 @@ func Fig8MaxL(ctx context.Context) ([]*Report, error) {
 		{"Figure 8(b): T1, rImp(pAcc) vs maxl", func() *datagen.Workload { return datagen.T1Movie(defaultScale) }},
 		{"Figure 8(d): T2, rImp(pF1) vs maxl", func() *datagen.Workload { return datagen.T2House(defaultScale) }},
 	} {
-		q, _, err := sweepMODis(ctx, s.w, func(i int) core.Options {
-			o := sweepOptions()
-			o.Eps = 0.1
-			o.MaxLevel = maxls[i]
-			return o
+		q, _, err := sweepMODis(ctx, s.w, func(i int) []modis.Option {
+			return append(sweepOptions(), modis.WithEpsilon(0.1), modis.WithMaxLevel(maxls[i]))
 		}, labels, 0)
 		if err != nil {
 			return nil, err
@@ -129,11 +121,11 @@ func Fig9Alpha(ctx context.Context) (*Report, error) {
 	}
 	for _, a := range alphas {
 		w := datagen.T1Movie(defaultScale)
-		opts := MODisOptions()
-		opts.K = 3
-		opts.Eps = 0.05 // finer grid: more cells, so diversification binds
-		opts.Alpha = a
-		rep9, err := modis.NewEngine(w.NewConfig(true)).Run(ctx, "div", modisOptions(opts)...)
+		opts := append(MODisOptions(),
+			modis.WithK(3),
+			modis.WithEpsilon(0.05), // finer grid: more cells, so diversification binds
+			modis.WithAlpha(a))
+		rep9, err := modis.NewEngine(w.NewConfig(true)).Run(ctx, "div", opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -171,10 +163,8 @@ func Fig10Efficiency(ctx context.Context) ([]*Report, error) {
 		labels[i] = fmt.Sprintf("eps=%.1f", e)
 	}
 	_, tim, err := sweepMODis(ctx, func() *datagen.Workload { return datagen.T1Movie(defaultScale) },
-		func(i int) core.Options {
-			o := sweepOptions()
-			o.Eps = epsSet[i]
-			return o
+		func(i int) []modis.Option {
+			return append(sweepOptions(), modis.WithEpsilon(epsSet[i]))
 		}, labels, 0)
 	if err != nil {
 		return nil, err
@@ -195,11 +185,8 @@ func Fig10Efficiency(ctx context.Context) ([]*Report, error) {
 		{"Figure 10(b): T1 discovery time vs maxl (ε=0.2)", func() *datagen.Workload { return datagen.T1Movie(defaultScale) }, 0.2},
 		{"Figure 13(d): T3 discovery time vs maxl (ε=0.1)", func() *datagen.Workload { return datagen.T3Avocado(defaultScale) }, 0.1},
 	} {
-		_, tim, err := sweepMODis(ctx, s.w, func(i int) core.Options {
-			o := sweepOptions()
-			o.Eps = s.eps
-			o.MaxLevel = maxls[i]
-			return o
+		_, tim, err := sweepMODis(ctx, s.w, func(i int) []modis.Option {
+			return append(sweepOptions(), modis.WithEpsilon(s.eps), modis.WithMaxLevel(maxls[i]))
 		}, mlabels, 0)
 		if err != nil {
 			return nil, err
@@ -221,7 +208,7 @@ func Fig10Scalability(ctx context.Context) ([]*Report, error) {
 	}
 	_, tim, err := sweepMODisVariants(ctx, func(i int) *datagen.Workload {
 		return datagen.T1Movie(datagen.TaskConfig{Rows: 200, InfoAttrs: attrCounts[i], NoiseAttrs: 3})
-	}, func(int) core.Options { return MODisOptions() }, labels, 0)
+	}, func(int) []modis.Option { return MODisOptions() }, labels, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +221,7 @@ func Fig10Scalability(ctx context.Context) ([]*Report, error) {
 	}
 	_, tim, err = sweepMODisVariants(ctx, func(i int) *datagen.Workload {
 		return datagen.T1Movie(datagen.TaskConfig{Rows: 200, AdomK: adomKs[i]})
-	}, func(int) core.Options { return MODisOptions() }, klabels, 0)
+	}, func(int) []modis.Option { return MODisOptions() }, klabels, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +231,7 @@ func Fig10Scalability(ctx context.Context) ([]*Report, error) {
 
 // sweepMODisVariants is sweepMODis where the workload itself varies per
 // sweep point (scalability experiments).
-func sweepMODisVariants(ctx context.Context, wFor func(i int) *datagen.Workload, optsFor func(i int) core.Options,
+func sweepMODisVariants(ctx context.Context, wFor func(i int) *datagen.Workload, optsFor func(i int) []modis.Option,
 	labels []string, selectIdx int) (quality, timing [][]string, err error) {
 
 	methods := modisMethods()
@@ -255,7 +242,7 @@ func sweepMODisVariants(ctx context.Context, wFor func(i int) *datagen.Workload,
 		timing[mi] = []string{m.name}
 		for i := range labels {
 			wl := wFor(i)
-			rep, err := modis.NewEngine(wl.NewConfig(true)).Run(ctx, m.key, modisOptions(optsFor(i))...)
+			rep, err := modis.NewEngine(wl.NewConfig(true)).Run(ctx, m.key, optsFor(i)...)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -276,10 +263,8 @@ func Fig13T5(ctx context.Context) ([]*Report, error) {
 		labels[i] = fmt.Sprintf("eps=%.1f", e)
 	}
 	_, tim, err := sweepMODisVariants(ctx, func(int) *datagen.Workload { return datagen.T5Link(datagen.T5Config{}) },
-		func(i int) core.Options {
-			o := sweepOptions()
-			o.Eps = epsSet[i]
-			return o
+		func(i int) []modis.Option {
+			return append(sweepOptions(), modis.WithEpsilon(epsSet[i]))
 		}, labels, 0)
 	if err != nil {
 		return nil, err
@@ -292,10 +277,8 @@ func Fig13T5(ctx context.Context) ([]*Report, error) {
 		mlabels[i] = fmt.Sprintf("maxl=%d", l)
 	}
 	_, tim, err = sweepMODisVariants(ctx, func(int) *datagen.Workload { return datagen.T5Link(datagen.T5Config{}) },
-		func(i int) core.Options {
-			o := sweepOptions()
-			o.MaxLevel = maxls[i]
-			return o
+		func(i int) []modis.Option {
+			return append(sweepOptions(), modis.WithMaxLevel(maxls[i]))
 		}, mlabels, 0)
 	if err != nil {
 		return nil, err
@@ -317,7 +300,7 @@ func Fig14T5(ctx context.Context) ([]*Report, error) {
 	}
 	_, tim, err := sweepMODisVariants(ctx, func(i int) *datagen.Workload {
 		return datagen.T5Link(datagen.T5Config{Users: sizes[i], Items: sizes[i]})
-	}, func(int) core.Options { return MODisOptions() }, labels, 0)
+	}, func(int) []modis.Option { return MODisOptions() }, labels, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +313,7 @@ func Fig14T5(ctx context.Context) ([]*Report, error) {
 	}
 	_, tim, err = sweepMODisVariants(ctx, func(i int) *datagen.Workload {
 		return datagen.T5Link(datagen.T5Config{AdomK: ks[i]})
-	}, func(int) core.Options { return MODisOptions() }, klabels, 0)
+	}, func(int) []modis.Option { return MODisOptions() }, klabels, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -349,10 +332,8 @@ func Fig15T5(ctx context.Context) ([]*Report, error) {
 		labels[i] = fmt.Sprintf("maxl=%d", l)
 	}
 	q, _, err := sweepMODis(ctx, func() *datagen.Workload { return datagen.T5Link(datagen.T5Config{}) },
-		func(i int) core.Options {
-			o := sweepOptions()
-			o.MaxLevel = maxls[i]
-			return o
+		func(i int) []modis.Option {
+			return append(sweepOptions(), modis.WithMaxLevel(maxls[i]))
 		}, labels, 0)
 	if err != nil {
 		return nil, err
@@ -365,10 +346,8 @@ func Fig15T5(ctx context.Context) ([]*Report, error) {
 		elabels[i] = fmt.Sprintf("eps=%.1f", e)
 	}
 	q, _, err = sweepMODis(ctx, func() *datagen.Workload { return datagen.T5Link(datagen.T5Config{}) },
-		func(i int) core.Options {
-			o := sweepOptions()
-			o.Eps = epsSet[i]
-			return o
+		func(i int) []modis.Option {
+			return append(sweepOptions(), modis.WithEpsilon(epsSet[i]))
 		}, elabels, 0)
 	if err != nil {
 		return nil, err

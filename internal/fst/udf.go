@@ -6,11 +6,15 @@ import "repro/internal/table"
 // materialized dataset, the extension point of Section 3: "the operators
 // can be enriched by task-specific UDFs that perform additional data
 // imputation, or pruning operations". UDFs run after the bitmap's
-// Reduct/mask operators, in registration order.
+// Reduct/mask operators, in registration order. A UDF owns the table it
+// is handed: Materialize builds it, rows included, fresh for each call
+// and shares none of it with the universal table, so a UDF may change
+// it in place and return it.
 type UDF func(*table.Table) *table.Table
 
 // RegisterUDF appends a post-materialization UDF to the space. UDFs must
-// be deterministic, or the fixed-model guarantee breaks.
+// be deterministic, or the fixed-model guarantee breaks; each owns the
+// table it is handed (see UDF).
 func (sp *Space) RegisterUDF(f UDF) { sp.udfs = append(sp.udfs, f) }
 
 // UDFCount reports how many UDFs are registered — the workload
@@ -26,19 +30,18 @@ func (sp *Space) applyUDFs(d *table.Table) *table.Table {
 	return d
 }
 
-// ImputeMeansUDF fills null numeric cells with the column mean — the
-// imputation example of Section 3. String and target columns pass
-// through untouched.
+// ImputeMeansUDF fills null numeric cells with the column mean, in
+// place — the imputation example of Section 3. String and target
+// columns pass through untouched.
 func ImputeMeansUDF(target string) UDF {
 	return func(d *table.Table) *table.Table {
-		out := d.Clone()
-		for ci, col := range out.Schema {
+		for ci, col := range d.Schema {
 			if col.Name == target || col.Kind == table.KindString {
 				continue
 			}
 			var sum float64
 			var n int
-			for _, r := range out.Rows {
+			for _, r := range d.Rows {
 				if !r[ci].IsNull() {
 					sum += r[ci].AsFloat()
 					n++
@@ -48,7 +51,7 @@ func ImputeMeansUDF(target string) UDF {
 				continue
 			}
 			mean := sum / float64(n)
-			for _, r := range out.Rows {
+			for _, r := range d.Rows {
 				if r[ci].IsNull() {
 					if col.Kind == table.KindInt {
 						r[ci] = table.Int(int64(mean))
@@ -58,15 +61,15 @@ func ImputeMeansUDF(target string) UDF {
 				}
 			}
 		}
-		return out
+		return d
 	}
 }
 
 // DropSparseRowsUDF removes tuples with more than maxNullFrac of their
-// cells null — the pruning example of Section 3.
+// cells null, in place — the pruning example of Section 3.
 func DropSparseRowsUDF(maxNullFrac float64) UDF {
 	return func(d *table.Table) *table.Table {
-		out := table.New(d.Name, d.Schema)
+		kept := d.Rows[:0]
 		width := float64(len(d.Schema))
 		for _, r := range d.Rows {
 			nulls := 0
@@ -78,8 +81,9 @@ func DropSparseRowsUDF(maxNullFrac float64) UDF {
 			if width > 0 && float64(nulls)/width > maxNullFrac {
 				continue
 			}
-			out.Rows = append(out.Rows, r.Clone())
+			kept = append(kept, r)
 		}
-		return out
+		d.Rows = kept
+		return d
 	}
 }

@@ -66,3 +66,52 @@ func TestUDFChainOrder(t *testing.T) {
 		t.Errorf("UDF order = %v, want [1 2]", order)
 	}
 }
+
+// TestUDFsLeaveUniversalIntact: UDFs modify the table Materialize hands
+// them in place, so that table must share no row with the universal
+// table. Every state one flip from s_U, and s_U itself, materializes
+// through both routes under a row-dropping and an imputing UDF; the
+// universal table's cells, nulls included, must read as before.
+func TestUDFsLeaveUniversalIntact(t *testing.T) {
+	u := table.New("D_U", table.Schema{
+		{Name: "a", Kind: table.KindInt},
+		{Name: "b", Kind: table.KindFloat},
+		{Name: "c", Kind: table.KindInt},
+		{Name: "target", Kind: table.KindInt},
+	})
+	for i := 0; i < 36; i++ {
+		row := table.Row{table.Int(int64(i % 3)), table.Float(float64(i % 4)), table.Int(int64(i % 5)), table.Int(int64(i % 2))}
+		if i%3 == 0 {
+			row[1] = table.Null
+		}
+		if i%4 == 0 {
+			row[2] = table.Null
+		}
+		u.MustAppend(row)
+	}
+	before := u.Clone()
+	sp := NewSpace(u, "target", SpaceConfig{MaxLiteralsPerAttr: 4})
+	sp.RegisterUDF(DropSparseRowsUDF(0.4))
+	sp.RegisterUDF(ImputeMeansUDF("target"))
+	states := []Bitmap{sp.FullBitmap()}
+	for i := range sp.Entries {
+		b := sp.FullBitmap()
+		b.Clear(i)
+		states = append(states, b)
+	}
+	if d := sp.Materialize(sp.FullBitmap()); d.NumRows() != u.NumRows()-3 {
+		t.Fatalf("the dropping UDF kept %d of %d rows, want all but the 3 half-null ones", d.NumRows(), u.NumRows())
+	}
+	for _, b := range states {
+		sp.Materialize(b)
+		sp.materializeScan(b)
+	}
+	for ri, r := range u.Rows {
+		for ci, v := range r {
+			w := before.Rows[ri][ci]
+			if v.IsNull() != w.IsNull() || (!v.IsNull() && !v.Equal(w)) {
+				t.Fatalf("universal cell (%d,%d) is %v after materializing, was %v", ri, ci, v, w)
+			}
+		}
+	}
+}

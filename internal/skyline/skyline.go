@@ -83,25 +83,34 @@ func GridPos(v Vector, bounds []Bounds, eps float64) []int {
 // GridPosInto is GridPos writing into dst (grown as needed), so hot
 // callers can reuse one scratch slice across insertions.
 func GridPosInto(dst []int, v Vector, bounds []Bounds, eps float64) []int {
-	n := len(v) - 1
-	if n < 0 {
-		n = 0
+	return GridPosExcept(dst, v, bounds, eps, len(v)-1)
+}
+
+// GridPosExcept is GridPosInto with the decisive measure at index skip
+// instead of the last: every other measure is discretized, in index
+// order.
+func GridPosExcept(dst []int, v Vector, bounds []Bounds, eps float64, skip int) []int {
+	n := len(v)
+	if skip >= 0 && skip < len(v) {
+		n--
 	}
 	if cap(dst) < n {
 		dst = make([]int, n)
 	}
-	dst = dst[:n]
+	dst = dst[:0]
 	base := math.Log1p(eps)
-	for i := 0; i < n; i++ {
+	for i, x := range v {
+		if i == skip {
+			continue
+		}
 		lo := 1e-3
 		if i < len(bounds) && bounds[i].Lower > 0 {
 			lo = bounds[i].Lower
 		}
-		x := v[i]
 		if x < lo {
 			x = lo
 		}
-		dst[i] = int(math.Floor(math.Log(x/lo) / base))
+		dst = append(dst, int(math.Floor(math.Log(x/lo)/base)))
 	}
 	return dst
 }

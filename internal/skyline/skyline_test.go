@@ -52,6 +52,27 @@ func TestGridPosExcludesDecisive(t *testing.T) {
 	}
 }
 
+func TestGridPosExceptSkipsOnlyTheDecisive(t *testing.T) {
+	v := Vector{0.5, 0.25, 0.9}
+	bounds := []Bounds{{Lower: 0.01}, {Lower: 0.01}, {Lower: 0.01}}
+	all := GridPosExcept(nil, v, bounds, 0.1, -1)
+	if len(all) != 3 {
+		t.Fatalf("no skipped measure: pos dims = %d, want 3", len(all))
+	}
+	for skip := range v {
+		pos := GridPosExcept(nil, v, bounds, 0.1, skip)
+		want := append(append([]int{}, all[:skip]...), all[skip+1:]...)
+		if len(pos) != len(want) {
+			t.Fatalf("skip %d: pos %v, want %v", skip, pos, want)
+		}
+		for i := range want {
+			if pos[i] != want[i] {
+				t.Errorf("skip %d: pos %v, want %v", skip, pos, want)
+			}
+		}
+	}
+}
+
 func TestGridPosMonotone(t *testing.T) {
 	bounds := []Bounds{{Lower: 0.001}, {Lower: 0.001}}
 	lo := GridPos(Vector{0.01, 1}, bounds, 0.2)

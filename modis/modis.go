@@ -7,9 +7,10 @@
 // An [Engine] is constructed once per configuration and reused across
 // runs; the memoized valuation record (the paper's test set T) carries
 // over, so repeated or overlapping runs get cheaper. Algorithms are
-// selected by registry key — "apx", "bi", "nobi", "div", "exact" —
-// and tuned with functional options that validate eagerly instead of
-// silently defaulting:
+// selected by registry key — "apx", "bi", "nobi" (bi without
+// correlation-based pruning), "div", "exact" — and tuned with
+// functional options that validate eagerly instead of silently
+// defaulting:
 //
 //	eng := modis.NewEngine(w.NewConfig(true))
 //	rep, err := eng.Run(ctx, "bi",
@@ -17,6 +18,11 @@
 //		modis.WithEpsilon(0.1),
 //		modis.WithMaxLevel(6),
 //	)
+//
+// A knob no option sets keeps the paper's default (ε 0.1, θ 0.8, k 5,
+// α 0.5, the last measure decisive, unbounded budget and depth); a
+// knob an option sets, zero included, means exactly what it says, and
+// a later option overrides an earlier one.
 //
 // Every run honors its context: cancellation or deadline expiry is
 // checked at frontier-pop granularity inside the search loops and
@@ -152,7 +158,7 @@ func (e *Engine) prepare(algorithm string, opts []Option) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	s := defaultSettings()
+	s := settings{Options: core.DefaultOptions(len(e.cfg.Measures))}
 	for _, o := range opts {
 		if o == nil {
 			continue
@@ -161,7 +167,7 @@ func (e *Engine) prepare(algorithm string, opts []Option) (prepared, error) {
 			return prepared{}, err
 		}
 	}
-	resolved, copts, err := s.resolve(len(e.cfg.Measures))
+	resolved, err := s.resolve(len(e.cfg.Measures))
 	if err != nil {
 		return prepared{}, err
 	}
@@ -169,7 +175,7 @@ func (e *Engine) prepare(algorithm string, opts []Option) (prepared, error) {
 		fn:        fn,
 		canonical: canonical,
 		resolved:  resolved,
-		copts:     copts,
+		copts:     s.Options,
 		admit:     s.admit,
 	}, nil
 }
@@ -199,11 +205,11 @@ func (e *Engine) Submit(ctx context.Context, algorithm string, opts ...Option) (
 	// WithProgress hook keeps firing synchronously on the search
 	// goroutine exactly as before.
 	user := pr.copts.Progress
-	pr.copts.Progress = func(ev core.ProgressEvent) {
+	pr.copts.Progress = func(ev Event) {
 		if user != nil {
 			user(ev)
 		}
-		j.record(Event(ev))
+		j.record(ev)
 	}
 	go func() {
 		defer cancel()
@@ -279,8 +285,9 @@ type Report struct {
 	JobID string `json:"job_id,omitempty"`
 	// Algorithm is the canonical registry key that ran.
 	Algorithm string `json:"algorithm"`
-	// Options are the fully resolved knobs of the run (defaults applied,
-	// sentinels eliminated).
+	// Options are the knobs the run executed with: the defaults (see
+	// the package doc) overridden by the run's options, parallelism 0
+	// resolved to the CPU count.
 	Options RunOptions `json:"options"`
 	// Queued is how long the job waited between submission and the
 	// search starting — admission-queue time under a scheduler,
@@ -310,7 +317,6 @@ type RunOptions struct {
 	MaxLevel int     `json:"max_level"`
 	Decisive int     `json:"decisive"`
 	Theta    float64 `json:"theta"`
-	Prune    bool    `json:"prune"`
 	K        int     `json:"k"`
 	Alpha    float64 `json:"alpha"`
 	Seed     int64   `json:"seed"`

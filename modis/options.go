@@ -19,111 +19,43 @@ type Option func(*settings) error
 // [WithProgress]: one event whenever the search reaches a deeper
 // level, and a final event (Done=true) when the run terminates. The
 // callback runs synchronously on the search goroutine — keep it cheap.
-type Event struct {
-	// Algorithm is the canonical key of the emitting algorithm.
-	Algorithm string `json:"algorithm"`
-	// Level is the deepest operator-path length reached so far.
-	Level int `json:"level"`
-	// Frontier is the number of states currently queued; in the final
-	// event, those left unexpanded.
-	Frontier int `json:"frontier"`
-	// Valuated is the number of valuations used so far.
-	Valuated int `json:"valuated"`
-	// SkylineSize is the incumbent ε-skyline set size; in the final
-	// event, the size of the report's skyline.
-	SkylineSize int `json:"skyline_size"`
-	// Done marks the final event of a run.
-	Done bool `json:"done"`
-}
+// Its fields and JSON names are Algorithm ("algorithm", the canonical
+// key), Level ("level"), Frontier ("frontier", states queued; in the
+// final event, those left unexpanded), Valuated ("valuated"),
+// SkylineSize ("skyline_size", in the final event the report's
+// skyline size) and Done ("done").
+type Event = core.ProgressEvent
 
-// settings accumulates applied options; the zero-value ambiguity of
-// internal/core's Options struct (and its sentinel constants) stops
-// here: every knob has an explicit default and explicit range checks.
+// settings are the run's knobs in their one resolved form — seeded from
+// core.DefaultOptions and overwritten by each applied option — plus
+// the admission hook, the one knob that is not the search's.
 type settings struct {
-	budget      int
-	eps         float64
-	maxLevel    int
-	decisive    int
-	decisiveSet bool
-	theta       float64
-	prune       bool
-	k           int
-	alpha       float64
-	seed        int64
-	parallelism int
-	recordGraph bool
-	progress    func(Event)
-	runner      fst.ExactRunner
-	admit       func(context.Context) error
+	core.Options
+	admit func(context.Context) error
 }
 
-func defaultSettings() settings {
-	return settings{
-		eps:         0.1,
-		theta:       0.8,
-		prune:       true,
-		k:           5,
-		alpha:       0.5,
-		parallelism: 1,
+// resolve range-checks the decisive index against the configuration's
+// measures, resolves parallelism 0 to the CPU count, and reports the
+// knobs the run executes with.
+func (s *settings) resolve(numMeasures int) (RunOptions, error) {
+	if s.Decisive >= numMeasures {
+		return RunOptions{}, fmt.Errorf(
+			"modis: WithDecisive(%d): index out of range for %d measures", s.Decisive, numMeasures)
 	}
-}
-
-// resolve range-checks the knobs that need the configuration (the
-// decisive measure index) and maps the settings onto internal/core's
-// sentinel-encoded Options.
-func (s settings) resolve(numMeasures int) (RunOptions, core.Options, error) {
-	decisive := numMeasures - 1
-	if s.decisiveSet {
-		if s.decisive >= numMeasures {
-			return RunOptions{}, core.Options{}, fmt.Errorf(
-				"modis: WithDecisive(%d): index out of range for %d measures", s.decisive, numMeasures)
-		}
-		decisive = s.decisive
+	if s.Parallelism == 0 {
+		s.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	par := s.parallelism
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	ro := RunOptions{
-		Budget:      s.budget,
-		Epsilon:     s.eps,
-		MaxLevel:    s.maxLevel,
-		Decisive:    decisive,
-		Theta:       s.theta,
-		Prune:       s.prune,
-		K:           s.k,
-		Alpha:       s.alpha,
-		Seed:        s.seed,
-		Parallelism: par,
-	}
-	co := core.Options{
-		N:            s.budget,
-		Eps:          s.eps,
-		MaxLevel:     s.maxLevel,
-		Theta:        s.theta,
-		DisablePrune: !s.prune,
-		K:            s.k,
-		Seed:         s.seed,
-		Parallelism:  par,
-		RecordGraph:  s.recordGraph,
-	}
-	// Resolved values cross into core's sentinel encoding here, so the
-	// zero-value collisions never reach callers.
-	if decisive == 0 {
-		co.Decisive = core.DecisiveFirst
-	} else {
-		co.Decisive = decisive
-	}
-	if s.alpha == 0 {
-		co.Alpha = core.AlphaZero
-	} else {
-		co.Alpha = s.alpha
-	}
-	if p := s.progress; p != nil {
-		co.Progress = func(ev core.ProgressEvent) { p(Event(ev)) }
-	}
-	co.ExactRunner = s.runner
-	return ro, co, nil
+	return RunOptions{
+		Budget:      s.N,
+		Epsilon:     s.Eps,
+		MaxLevel:    s.MaxLevel,
+		Decisive:    s.Decisive,
+		Theta:       s.Theta,
+		K:           s.K,
+		Alpha:       s.Alpha,
+		Seed:        s.Seed,
+		Parallelism: s.Parallelism,
+	}, nil
 }
 
 // WithBudget bounds the run at n valuations (the paper's N). 0 means
@@ -133,7 +65,7 @@ func WithBudget(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("modis: WithBudget(%d): budget must be >= 0 (0 = unbounded)", n)
 		}
-		s.budget = n
+		s.N = n
 		return nil
 	}
 }
@@ -144,7 +76,7 @@ func WithEpsilon(eps float64) Option {
 		if !(eps > 0) || math.IsInf(eps, 1) {
 			return fmt.Errorf("modis: WithEpsilon(%v): epsilon must be a finite value > 0", eps)
 		}
-		s.eps = eps
+		s.Eps = eps
 		return nil
 	}
 }
@@ -156,22 +88,21 @@ func WithMaxLevel(l int) Option {
 		if l < 0 {
 			return fmt.Errorf("modis: WithMaxLevel(%d): level must be >= 0 (0 = unbounded)", l)
 		}
-		s.maxLevel = l
+		s.MaxLevel = l
 		return nil
 	}
 }
 
-// WithDecisive selects the decisive measure p_d by index — including
-// index 0, which the internal options struct can only express through
-// a sentinel. Defaults to the last measure. The index is range-checked
-// against the engine's measures when the run starts.
+// WithDecisive selects the decisive measure p_d by index: the measure
+// the ε-grid compares instead of discretizing. Defaults to the last
+// measure. The index is range-checked against the engine's measures
+// when the run starts.
 func WithDecisive(i int) Option {
 	return func(s *settings) error {
 		if i < 0 {
 			return fmt.Errorf("modis: WithDecisive(%d): index must be >= 0", i)
 		}
-		s.decisive = i
-		s.decisiveSet = true
+		s.Decisive = i
 		return nil
 	}
 }
@@ -183,16 +114,7 @@ func WithTheta(theta float64) Option {
 		if !(theta > 0) || theta > 1 {
 			return fmt.Errorf("modis: WithTheta(%v): threshold must be in (0, 1]", theta)
 		}
-		s.theta = theta
-		return nil
-	}
-}
-
-// WithoutPruning disables correlation-based pruning (the "nobi"
-// ablation, applicable to "bi").
-func WithoutPruning() Option {
-	return func(s *settings) error {
-		s.prune = false
+		s.Theta = theta
 		return nil
 	}
 }
@@ -204,21 +126,20 @@ func WithK(k int) Option {
 		if k < 1 {
 			return fmt.Errorf("modis: WithK(%d): size must be >= 1", k)
 		}
-		s.k = k
+		s.K = k
 		return nil
 	}
 }
 
 // WithAlpha balances content diversity against performance diversity
-// in "div" (default 0.5) — including α = 0, pure performance
-// diversity, which the internal options struct can only express
-// through a sentinel. Must be in [0, 1].
+// in "div" (default 0.5); α = 0 is pure performance diversity. Must be
+// in [0, 1].
 func WithAlpha(alpha float64) Option {
 	return func(s *settings) error {
 		if math.IsNaN(alpha) || alpha < 0 || alpha > 1 {
 			return fmt.Errorf("modis: WithAlpha(%v): balance must be in [0, 1]", alpha)
 		}
-		s.alpha = alpha
+		s.Alpha = alpha
 		return nil
 	}
 }
@@ -226,7 +147,7 @@ func WithAlpha(alpha float64) Option {
 // WithSeed drives the diversification initialization of "div".
 func WithSeed(seed int64) Option {
 	return func(s *settings) error {
-		s.seed = seed
+		s.Seed = seed
 		return nil
 	}
 }
@@ -244,7 +165,7 @@ func WithParallelism(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("modis: WithParallelism(%d): worker count must be >= 0 (0 = all CPUs)", n)
 		}
-		s.parallelism = n
+		s.Parallelism = n
 		return nil
 	}
 }
@@ -258,7 +179,7 @@ func WithParallelism(n int) Option {
 // callers never need this option.
 func WithExactRunner(r fst.ExactRunner) Option {
 	return func(s *settings) error {
-		s.runner = r
+		s.ExactRunner = r
 		return nil
 	}
 }
@@ -281,7 +202,7 @@ func WithAdmission(fn func(ctx context.Context) error) Option {
 // and the MOSP reduction. Every algorithm records it.
 func WithRecordGraph() Option {
 	return func(s *settings) error {
-		s.recordGraph = true
+		s.RecordGraph = true
 		return nil
 	}
 }
@@ -290,7 +211,7 @@ func WithRecordGraph() Option {
 // executes. A nil fn disables streaming.
 func WithProgress(fn func(Event)) Option {
 	return func(s *settings) error {
-		s.progress = fn
+		s.Progress = fn
 		return nil
 	}
 }

@@ -12,9 +12,12 @@ import (
 )
 
 // AlgorithmFunc is a registrable search algorithm: the context is
-// checked at frontier-pop granularity, the options arrive fully
-// resolved (no zero-value sentinels left ambiguous), and the result
-// carries the ε-skyline set plus run stats.
+// checked at frontier-pop granularity, and the result carries the
+// ε-skyline set plus run stats. The options arrive resolved, to be read
+// as given: core.DefaultOptions for the configuration's measures (the
+// last one decisive) overridden by the run's options, the decisive
+// index range-checked, parallelism 0 resolved to the CPU count, and
+// Progress set to the job's event stream.
 type AlgorithmFunc func(ctx context.Context, cfg *fst.Config, opts core.Options) (*core.Result, error)
 
 var (
@@ -41,6 +44,8 @@ func init() {
 
 // Register adds an algorithm under a new key (case-insensitive). It
 // rejects empty keys and keys already taken by an algorithm or alias.
+// Every run of the key calls fn with the resolved options described on
+// AlgorithmFunc.
 func Register(name string, fn AlgorithmFunc) error {
 	key := normalize(name)
 	if key == "" {

@@ -6,6 +6,7 @@ package modis
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,9 +15,14 @@ import (
 	"repro/internal/table"
 )
 
-// echoAlgorithm is a minimal registrable algorithm: it valuates the
-// universal state and returns it as a singleton skyline.
+// echoOptions are the options echoAlgorithm last received.
+var echoOptions core.Options
+
+// echoAlgorithm is a minimal registrable algorithm: it records its
+// options, valuates the universal state and returns it as a singleton
+// skyline.
 func echoAlgorithm(ctx context.Context, cfg *fst.Config, opts core.Options) (*core.Result, error) {
+	echoOptions = opts
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -50,6 +56,7 @@ func registryTestConfig(tb testing.TB) *fst.Config {
 		Model: &shapeCountModel{space: sp},
 		Measures: []fst.Measure{
 			{Name: "p0", Normalize: fst.Identity(1e-3)},
+			{Name: "p1", Normalize: fst.Identity(1e-3)},
 		},
 	}
 }
@@ -59,7 +66,8 @@ type shapeCountModel struct{ space *fst.Space }
 func (m *shapeCountModel) Name() string { return "shape-count" }
 
 func (m *shapeCountModel) Evaluate(d *table.Table) ([]float64, error) {
-	return []float64{0.1 + 0.9*float64(d.NumRows())/float64(m.space.Universal.NumRows())}, nil
+	share := float64(d.NumRows()) / float64(m.space.Universal.NumRows())
+	return []float64{0.1 + 0.9*share, 1 - 0.9*share}, nil
 }
 
 func TestRegisterRejectsBadNames(t *testing.T) {
@@ -82,12 +90,34 @@ func TestRegisterExtendsEngine(t *testing.T) {
 	if err := Register("echo-test", echoAlgorithm); err != nil && !strings.Contains(err.Error(), "already registered") {
 		t.Fatal(err)
 	}
-	rep, err := NewEngine(registryTestConfig(t)).Run(context.Background(), "Echo-Test")
+	eng := NewEngine(registryTestConfig(t)) // two measures
+	rep, err := eng.Run(context.Background(), "Echo-Test")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Algorithm != "echo-test" || len(rep.Skyline) != 1 {
 		t.Errorf("custom algorithm report: algo=%q skyline=%d", rep.Algorithm, len(rep.Skyline))
+	}
+	// With no options the algorithm receives exactly the defaults, the
+	// last measure decisive; only the job's progress tee is added.
+	got, want := echoOptions, core.DefaultOptions(2)
+	if got.Progress == nil {
+		t.Error("the job's progress tee is missing")
+	}
+	got.Progress = nil
+	if !reflect.DeepEqual(got, want) || got.Decisive != 1 {
+		t.Errorf("received options %+v, want the defaults %+v", got, want)
+	}
+	wantReport := RunOptions{Epsilon: want.Eps, Decisive: want.Decisive, Theta: want.Theta,
+		K: want.K, Alpha: want.Alpha, Parallelism: want.Parallelism}
+	if rep.Options != wantReport {
+		t.Errorf("reported options %+v, want the defaults %+v", rep.Options, wantReport)
+	}
+	if _, err := eng.Run(context.Background(), "echo-test", WithDecisive(0), WithAlpha(0)); err != nil {
+		t.Fatal(err)
+	}
+	if echoOptions.Decisive != 0 || echoOptions.Alpha != 0 {
+		t.Errorf("after WithDecisive(0), WithAlpha(0): decisive %d, alpha %v", echoOptions.Decisive, echoOptions.Alpha)
 	}
 	found := false
 	for _, name := range Algorithms() {

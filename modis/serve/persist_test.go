@@ -543,8 +543,9 @@ func TestLedgerWindowEvictsWithoutPersistence(t *testing.T) {
 }
 
 // TestLedgerReplaysRetiredReportField pins lenient report decoding: a
-// ledger written by an older build, whose reports carry a field this
-// build no longer has ("batched", from the retired frontier alignment),
+// ledger written by an older build, whose reports carry fields this
+// build no longer has ("batched", from the retired frontier alignment,
+// and "options.prune", from the retired second spelling of "nobi"),
 // still replays, and the job's report reads back with every other
 // field intact.
 func TestLedgerReplaysRetiredReportField(t *testing.T) {
@@ -563,6 +564,7 @@ func TestLedgerReplaysRetiredReportField(t *testing.T) {
 		t.Fatal(err)
 	}
 	old["batched"] = true
+	old["options"].(map[string]any)["prune"] = true
 	entry, err := json.Marshal(map[string]any{
 		"kind": "finished", "id": "old-job", "workload": "shape", "algorithm": "bi",
 		"submitted": time.Now(), "status": serve.StatusDone, "report": old,

@@ -50,15 +50,15 @@ const ReplayedHeader = "Idempotency-Replayed"
 
 // JobOptions mirrors the engine's functional options field by field.
 // Pointer fields distinguish "absent, keep the default" from genuine
-// zero values (alpha 0, decisive measure 0), exactly like the options
-// themselves eliminate zero-value sentinels.
+// zero values (alpha 0, decisive measure 0). The search without
+// correlation-based pruning is an algorithm of its own: submit
+// "algorithm":"nobi".
 type JobOptions struct {
 	Budget      *int     `json:"budget,omitempty"`
 	Epsilon     *float64 `json:"epsilon,omitempty"`
 	MaxLevel    *int     `json:"max_level,omitempty"`
 	Decisive    *int     `json:"decisive,omitempty"`
 	Theta       *float64 `json:"theta,omitempty"`
-	Prune       *bool    `json:"prune,omitempty"`
 	K           *int     `json:"k,omitempty"`
 	Alpha       *float64 `json:"alpha,omitempty"`
 	Seed        *int64   `json:"seed,omitempty"`
@@ -87,9 +87,6 @@ func (o *JobOptions) toOptions() []modis.Option {
 	}
 	if o.Theta != nil {
 		opts = append(opts, modis.WithTheta(*o.Theta))
-	}
-	if o.Prune != nil && !*o.Prune {
-		opts = append(opts, modis.WithoutPruning())
 	}
 	if o.K != nil {
 		opts = append(opts, modis.WithK(*o.K))

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -187,6 +188,19 @@ func TestDaemonErrorMapping(t *testing.T) {
 		Options: &serve.JobOptions{Epsilon: fp(-1)},
 	}); err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "epsilon") {
 		t.Errorf("invalid option error = %v", err)
+	}
+
+	// The retired prune switch → 400 naming the field: the search
+	// without pruning is requested as "algorithm":"nobi".
+	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"workload":"shape","algorithm":"bi","options":{"prune":false}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "prune") {
+		t.Errorf("retired prune option: %d %s", resp.StatusCode, body)
 	}
 
 	// Unknown job id → 404.
