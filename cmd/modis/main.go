@@ -48,7 +48,7 @@ func main() {
 		k          = flag.Int("k", 5, "diversified set size (div)")
 		alpha      = flag.Float64("alpha", 0.5, "diversification balance (div)")
 		adomK      = flag.Int("adomk", 8, "max cluster literals per attribute")
-		parallel   = flag.Int("parallel", 0, "valuation workers per run: model inferences of independent candidate datasets run concurrently (0 = all CPUs, 1 = sequential; results are identical either way)")
+		parallel   = flag.Int("parallel", 0, "valuation workers per run: model inferences of independent candidate datasets run concurrently (0 = all CPUs, 1 = sequential; results are identical either way; local runs only)")
 		outDir     = flag.String("out", "skyline_out", "output directory for skyline CSVs")
 		surrogate  = flag.Bool("surrogate", true, "use the MO-GBM performance estimator")
 		describe   = flag.Bool("describe", false, "print per-column profiles of the universal table")
@@ -61,7 +61,7 @@ func main() {
 	flag.Parse()
 
 	if *remote != "" {
-		runRemote(*remote, *remoteWl, *algo, *n, *eps, *maxl, *k, *alpha, *parallel, *timeout, *jsonOut, *progress)
+		runRemote(*remote, *remoteWl, *algo, *n, *eps, *maxl, *k, *alpha, *timeout, *jsonOut, *progress)
 		return
 	}
 
@@ -170,9 +170,10 @@ func main() {
 }
 
 // runRemote submits the run to a modisd daemon and reports back: the
-// same algorithm and tuning flags, a named daemon-side workload
-// instead of local CSVs.
-func runRemote(addr, workload, algo string, n int, eps float64, maxl, k int, alpha float64, parallel int, timeout time.Duration, jsonOut, progress bool) {
+// same algorithm and search flags (not -parallel: the daemon's pool
+// runs the inferences), a named daemon-side workload instead of local
+// CSVs.
+func runRemote(addr, workload, algo string, n int, eps float64, maxl, k int, alpha float64, timeout time.Duration, jsonOut, progress bool) {
 	if workload == "" {
 		fmt.Fprintln(os.Stderr, "modis: -remote needs -workload (try GET /v1/workloads on the daemon)")
 		os.Exit(2)
@@ -189,13 +190,12 @@ func runRemote(addr, workload, algo string, n int, eps float64, maxl, k int, alp
 		Workload:  workload,
 		Algorithm: algo,
 		Options: &serve.JobOptions{
-			Budget:      &n,
-			Epsilon:     &eps,
-			MaxLevel:    &maxl,
-			K:           &k,
-			Alpha:       &alpha,
-			Seed:        &seed,
-			Parallelism: &parallel,
+			Budget:   &n,
+			Epsilon:  &eps,
+			MaxLevel: &maxl,
+			K:        &k,
+			Alpha:    &alpha,
+			Seed:     &seed,
 		},
 		TimeoutMS: timeout.Milliseconds(),
 	}

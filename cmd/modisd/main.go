@@ -1,8 +1,7 @@
 // Command modisd is the MODis serving daemon: it loads a catalog of
 // discovery workloads and serves the asynchronous job API over HTTP —
 // submit with POST /v1/jobs, observe with GET /v1/jobs/{id} and the
-// /events SSE stream, cancel with DELETE — or over JSONL on
-// stdin/stdout for scripting (-jsonl). Concurrent jobs over one
+// /events SSE stream, cancel with DELETE. Concurrent jobs over one
 // workload share an engine (memoized valuations, single-flighted
 // while in flight) and run their exact inferences on the workload's
 // queue in one daemon-wide worker pool; see docs/serving.md for the
@@ -25,7 +24,6 @@
 // Usage:
 //
 //	modisd -addr :8080 -tasks t3 -rows 140
-//	modisd -jsonl -tables water.csv -target ci_index -model gbm
 //	modis -remote localhost:8080 -workload t3 -algo bi   # CLI against it
 package main
 
@@ -52,7 +50,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
 		advertise = flag.String("advertise", "", "address peers reach this node on (reported in /healthz; default: -addr)")
-		jsonl     = flag.Bool("jsonl", false, "serve the JSONL protocol on stdin/stdout instead of HTTP")
 		tasks     = flag.String("tasks", "", "comma-separated built-in workloads to serve: t1,t2,t3,t4,t5")
 		rows      = flag.Int("rows", 0, "row scale of built-in tasks (0 = task defaults)")
 		tablesArg = flag.String("tables", "", "comma-separated CSV files of a custom workload")
@@ -129,16 +126,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	if *jsonl {
-		// Scripting mode: requests on stdin, responses on stdout; EOF or
-		// a signal ends the session, after in-flight jobs drained.
-		if err := srv.ServeJSONL(ctx, os.Stdin, os.Stdout); err != nil && !errors.Is(err, context.Canceled) {
-			fatal(err)
-		}
-		drainAndClose(sched, srv, persist, *drain)
-		return
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -176,19 +163,6 @@ func main() {
 		persist.Close()
 	}
 	fmt.Fprintln(os.Stderr, "modisd: bye")
-}
-
-func drainAndClose(sched *serve.Scheduler, srv *serve.Server, persist *serve.Persistence, budget time.Duration) {
-	ctx, cancel := context.WithTimeout(context.Background(), budget)
-	defer cancel()
-	if err := sched.Drain(ctx); err != nil {
-		sched.CancelAll()
-	}
-	srv.Close()
-	sched.Close()
-	if persist != nil {
-		persist.Close()
-	}
 }
 
 // buildCatalog assembles the workloads to register, each with its

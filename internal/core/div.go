@@ -24,9 +24,9 @@ func Dis(a, b *Candidate, alpha, eucMax float64) float64 {
 }
 
 // bitsCosine is the cosine similarity of two bitmaps viewed as 0/1
-// vectors — |a ∧ b| / sqrt(|a|·|b|) by popcount, with the same
-// degenerate-input conventions as stats.Cosine but no float
-// materialization.
+// vectors — |a ∧ b| / sqrt(|a|·|b|) by popcount, computed without
+// float materialization. Degenerate inputs (lengths differ, empty, or
+// either bitmap all zero) give 0.
 func bitsCosine(a, b fst.Bitmap) float64 {
 	if a.Len() != b.Len() || a.Len() == 0 {
 		return 0

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/fst"
+	"repro/internal/workpool"
 )
 
 // pinnedSearches are the output fingerprints of every search algorithm
@@ -247,9 +248,9 @@ func searchFingerprint(res *Result) string {
 
 // TestPinnedSearchFingerprints holds every algorithm's skyline and
 // counters to the values recorded in pinnedSearches, at parallelism 1
-// and 2, so a rewrite of the search loop that claims identical output
-// is checked against the code it replaced rather than only against
-// itself.
+// (inline) and 2 (a two-worker queue of the process-global pool), so
+// a rewrite of the search loop that claims identical output is checked
+// against the code it replaced rather than only against itself.
 func TestPinnedSearchFingerprints(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("fingerprints are pinned on amd64; %s may fuse multiply-adds differently", runtime.GOARCH)
@@ -261,7 +262,9 @@ func TestPinnedSearchFingerprints(t *testing.T) {
 		for _, par := range []int{1, 2} {
 			cfg := cell.cfg(cell.sur)
 			opts := cell.options(len(cfg.Measures))
-			opts.Parallelism = par
+			if par > 1 {
+				opts.ExactRunner = workpool.Global().NewQueue("test", par)
+			}
 			res, err := cell.run(context.Background(), cfg, opts)
 			if err != nil {
 				t.Fatalf("%s p%d: %v", cell.name, par, err)

@@ -39,20 +39,15 @@ type Options struct {
 	Alpha float64
 	// Seed drives the diversification initialization.
 	Seed int64
-	// Parallelism is the valuation worker count: exact model inferences
-	// of independent frontier children fan out across this many
-	// goroutines. Values <= 1 run sequentially. Any degree produces the
-	// same skylines and reports — batches are planned and committed in
-	// deterministic child order — but the model must support concurrent
-	// Evaluate calls when parallelism > 1.
-	Parallelism int
 	// ExactRunner, when non-nil, executes each valuation window's exact
-	// model inferences in place of the run's built-in worker pool — the
-	// entry point the serving layer (modis/serve) uses to run every
-	// job's inferences on its shard's queue in one node-wide pool.
-	// Results are unchanged by construction: planning and commits stay
-	// on the run goroutine in child order, whoever executes the
-	// inferences.
+	// model inferences; nil runs them inline on the search goroutine.
+	// modis runs WithParallelism(n > 1) on a queue of the process-global
+	// pool, and the serving layer (modis/serve) runs every job's
+	// inferences on its shard's queue in one node-wide pool. Results are
+	// unchanged by construction: planning and commits stay on the run
+	// goroutine in child order, whoever executes the inferences. The
+	// model must support concurrent Evaluate calls when the runner runs
+	// tasks concurrently.
 	ExactRunner fst.ExactRunner
 	// RecordGraph captures the running graph G_T (nodes and transition
 	// edges) in the result, for analysis and the MOSP reduction.
@@ -66,21 +61,20 @@ type Options struct {
 
 // DefaultOptions are the paper's default knobs for a configuration with
 // numMeasures measures: ε 0.1, θ 0.8, k 5, α 0.5, the last measure
-// decisive, unbounded budget and depth, sequential valuation.
+// decisive, unbounded budget and depth, inline valuation.
 func DefaultOptions(numMeasures int) Options {
 	return Options{
-		Eps:         0.1,
-		Decisive:    numMeasures - 1,
-		Theta:       0.8,
-		K:           5,
-		Alpha:       0.5,
-		Parallelism: 1,
+		Eps:      0.1,
+		Decisive: numMeasures - 1,
+		Theta:    0.8,
+		K:        5,
+		Alpha:    0.5,
 	}
 }
 
 // ProgressEvent is a streaming snapshot of a running search, delivered
 // through Options.Progress. Its JSON form is the wire form of progress
-// events (modis/serve's SSE and JSONL streams).
+// events (modis/serve's SSE stream).
 type ProgressEvent struct {
 	// Algorithm is the emitting algorithm's registry key ("apx", "bi",
 	// "nobi", "div", "exact", or a registered one).

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/estimator"
 	"repro/internal/fst"
+	"repro/internal/workpool"
 )
 
 // algorithmsUnderTest enumerates every search entry point with its
@@ -77,8 +78,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				opts := tuned(120, 0.15, 4)
 				opts.Seed, opts.K = 3, 3
 				seqOpts, parOpts := opts, opts
-				seqOpts.Parallelism = 1
-				parOpts.Parallelism = 4
+				parOpts.ExactRunner = workpool.Global().NewQueue("test", 4)
 				seq, err := algo.run(context.Background(), mk(), seqOpts)
 				if err != nil {
 					t.Fatal(err)
@@ -100,7 +100,7 @@ func TestParallelDeterministicAcrossRepeats(t *testing.T) {
 	for _, algo := range algorithmsUnderTest() {
 		t.Run(algo.name, func(t *testing.T) {
 			opts := tuned(100, 0.2, 3)
-			opts.Seed, opts.Parallelism = 5, 4
+			opts.Seed, opts.ExactRunner = 5, workpool.Global().NewQueue("test", 4)
 			a, err := algo.run(context.Background(), withSurrogate(newTestConfig(t, 2)), opts)
 			if err != nil {
 				t.Fatal(err)

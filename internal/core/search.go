@@ -41,12 +41,12 @@ type spec struct {
 // when exhaustive — and expands each state below MaxLevel: its unvisited
 // one-flip children valuate in progressive windows (1, 2, 4, ... up to
 // fst.MaxWindow) through the run's Valuator. Memo hits are free, exact
-// inferences fan across the worker pool, and results commit in child
-// order; the schedule is a constant, so any parallelism degree
-// reproduces the sequential run. Between windows the prune inputs
+// inferences go to opts.ExactRunner (inline when nil), and results
+// commit in child order; the schedule is a constant, so any runner
+// reproduces the inline run. Between windows the prune inputs
 // (skyline members, valuated history) refresh, so one window's results
 // prune the next. The context is checked once per round and once per
-// window: cancellation or deadline expiry drains the pool and returns
+// window: cancellation or deadline expiry drains the window and returns
 // ctx.Err() with no partial result.
 func search(ctx context.Context, cfg *fst.Config, opts Options, sp spec) (*Result, error) {
 	if ctx == nil {
@@ -61,10 +61,7 @@ func search(ctx context.Context, cfg *fst.Config, opts Options, sp spec) (*Resul
 			sp.algo, nm, opts.Eps, opts.Decisive)
 	}
 	start := time.Now()
-	val := cfg.NewValuator(opts.Parallelism)
-	if opts.ExactRunner != nil {
-		val.SetExactRunner(opts.ExactRunner)
-	}
+	val := cfg.NewValuator(opts.ExactRunner)
 	g := newGrid(cfg, opts.Eps, opts.Decisive)
 	var rg *fst.RunningGraph
 	if opts.RecordGraph {

@@ -267,17 +267,6 @@ func RImp(orig, out skyline.Vector, idx int) float64 {
 	return orig[idx] / den
 }
 
-// BestOf returns the result with the smallest value on the measure.
-func BestOf(results []*MethodResult, idx int) *MethodResult {
-	var best *MethodResult
-	for _, r := range results {
-		if best == nil || r.Perf[idx] < best.Perf[idx] {
-			best = r
-		}
-	}
-	return best
-}
-
 // adomContribution computes, for a diversified skyline set, the share of
 // surviving literal entries per attribute — the content-diversity
 // heatmap of Fig. 9(b). It returns the per-attribute percentages sorted

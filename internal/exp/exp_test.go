@@ -45,16 +45,6 @@ func TestRImp(t *testing.T) {
 	}
 }
 
-func TestBestOf(t *testing.T) {
-	rs := []*MethodResult{
-		{Method: "a", Perf: skyline.Vector{0.5}},
-		{Method: "b", Perf: skyline.Vector{0.2}},
-	}
-	if BestOf(rs, 0).Method != "b" {
-		t.Error("BestOf wrong")
-	}
-}
-
 func TestAdomContribution(t *testing.T) {
 	w := datagen.T1Movie(datagen.TaskConfig{Rows: 100})
 	full := w.Space.FullBitmap()

@@ -183,7 +183,7 @@ func (c *Config) WithinBounds(v skyline.Vector) bool {
 // their budgets and reports stay independent. Both paths share one
 // policy implementation: a transient valuator's single-state window.
 func (c *Config) Valuate(bits Bitmap) (skyline.Vector, error) {
-	v := &Valuator{cfg: c, par: 1, Stats: &c.selfStats}
+	v := &Valuator{cfg: c, Stats: &c.selfStats}
 	return v.Valuate(context.Background(), bits)
 }
 

@@ -64,7 +64,7 @@ func TestValuateMemoizes(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	val := cfg.NewValuator(1)
+	val := cfg.NewValuator(nil)
 	bits := cfg.Space.FullBitmap()
 	v1, err := val.Valuate(context.Background(), bits)
 	if err != nil {
@@ -151,7 +151,7 @@ func TestValuateUsesSurrogateAfterWarmup(t *testing.T) {
 	cfg.Validate()
 
 	// First valuation: warmup, exact.
-	val := cfg.NewValuator(1)
+	val := cfg.NewValuator(nil)
 	b1 := cfg.Space.FullBitmap()
 	if _, err := val.Valuate(context.Background(), b1); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestExactEveryPhase(t *testing.T) {
 	cfg.WarmupExact = 2
 	cfg.ExactEvery = 4
 	cfg.Validate()
-	val := cfg.NewValuator(1)
+	val := cfg.NewValuator(nil)
 	full := cfg.Space.FullBitmap()
 	var exactAt []int
 	for k := 1; k <= 12; k++ {

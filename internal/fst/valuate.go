@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/skyline"
-	"repro/internal/workpool"
 )
 
 // ValuationStats are the per-run valuation counters (the paper's N
@@ -25,25 +24,22 @@ func (s *ValuationStats) Valuations() int { return int(s.valuations.Load()) }
 func (s *ValuationStats) ExactCalls() int { return int(s.exactCalls.Load()) }
 
 // Valuator drives the valuations of one search run: it owns the run's
-// ValuationStats and fans exact model inferences of independent
-// sibling states across up to parallelism workers of the
-// process-global inference pool.
+// ValuationStats and hands the exact model inferences of each window of
+// independent sibling states to the run's ExactRunner.
 //
-// Results are deterministic in the parallelism degree: each window is
+// Results are deterministic in who runs the inferences: each window is
 // planned sequentially in child order (memo lookups, budget slots,
 // surrogate decisions against the estimator as trained before the
-// window), only the exact model inferences — the expensive part — run
-// on the pool, and every side effect (test-set order, estimator
+// window), only the exact model inferences — the expensive part — go
+// to the runner, and every side effect (test-set order, estimator
 // observations, exact-call counts, the children's Perf vectors) is
 // committed sequentially in child order afterwards. The progressive
-// window schedule (see MaxWindow) is a constant, so a run with
-// parallelism n produces byte-identical skylines and reports to the
-// same run with parallelism 1.
+// window schedule (see MaxWindow) is a constant, so a run through a
+// pooled runner produces byte-identical skylines and reports to the
+// same run inline.
 type Valuator struct {
 	cfg    *Config
-	par    int
 	runner ExactRunner
-	queue  *workpool.Queue // lane into the process-global pool (par > 1, no runner)
 
 	// Stats are this run's counters; read them for budgets and reports.
 	Stats *ValuationStats
@@ -54,12 +50,12 @@ type Valuator struct {
 }
 
 // ExactRunner executes the exact-inference tasks of one valuation
-// window on behalf of a Valuator — the serving layer's hook into
-// execution. A scheduler installs a runner on each run
-// (SetExactRunner) that sends the window's tasks to the shard's queue
-// in its own worker pool. Concurrent runs over one configuration need
-// nothing more from the runner to share work: a state two runs need at
-// once is inferred once through the test set's single-flight.
+// window on behalf of a Valuator. A pool queue (workpool.Queue) is one:
+// modis runs WithParallelism(n > 1) on a queue of the process-global
+// pool, and a scheduler hands each run the queue of its shard in its
+// own pool. Concurrent runs over one configuration need nothing more
+// from the runner to share work: a state two runs need at once is
+// inferred once through the test set's single-flight.
 //
 // The contract is simple: RunExact must call every task exactly once,
 // in any order and on any goroutines, return only when all calls have
@@ -73,21 +69,12 @@ type ExactRunner interface {
 	RunExact(ctx context.Context, tasks []func())
 }
 
-// SetExactRunner installs the run's exact-inference runner, replacing
-// the built-in execution path for every subsequent window. A nil
-// runner restores the built-in path (inline for parallelism <= 1, the
-// process-global pool otherwise).
-func (v *Valuator) SetExactRunner(r ExactRunner) { v.runner = r }
-
 // NewValuator returns a valuator for one run of this configuration.
-// parallelism is the exact-inference worker count; values below 2 mean
-// sequential. The model must support concurrent Evaluate calls when
-// parallelism > 1.
-func (c *Config) NewValuator(parallelism int) *Valuator {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	return &Valuator{cfg: c, par: parallelism, Stats: &ValuationStats{}}
+// Every window's exact inferences go to r; a nil r runs them inline on
+// the calling goroutine. The model must support concurrent Evaluate
+// calls when r runs tasks concurrently.
+func (c *Config) NewValuator(r ExactRunner) *Valuator {
+	return &Valuator{cfg: c, runner: r, Stats: &ValuationStats{}}
 }
 
 // Valuate valuates a single state bitmap against this run's counters —
@@ -120,10 +107,10 @@ type valJob struct {
 // planned, executed, and committed in windows that start at one state
 // and double up to this cap, so early results feed the next window's
 // surrogate (and, in BiMODis, pruning) decisions with near-sequential
-// freshness while wide expansions still saturate the worker pool. The
-// schedule is a constant — never a function of the parallelism degree
-// or the machine — which is what keeps results identical for every
-// pool size; it also caps how many workers one window can keep busy.
+// freshness while wide expansions still saturate a pooled runner. The
+// schedule is a constant — never a function of the runner or the
+// machine — which is what keeps results identical for every pool size;
+// it also caps how many workers one window can keep busy.
 const MaxWindow = 16
 
 // GrowWindow advances the progressive window schedule: 1, 2, 4, 8,
@@ -140,12 +127,12 @@ func GrowWindow(size int) int {
 
 // ValuateWindow plans, executes, and commits one window as a unit: the
 // surrogate consults the estimator as trained before the window, all
-// exact inferences of the window fan out across the pool together, and
+// exact inferences of the window go to the runner together, and
 // side effects commit in child order. Memo hits are free; budget > 0
 // caps this run's total valuations, cutting the window short exactly
 // where a sequential search would stop. It returns how many leading
 // states were processed; states[n:] are left untouched (and
-// unvaluated). Cancellation drains the pool and surfaces ctx.Err();
+// unvaluated). Cancellation drains the window and surfaces ctx.Err();
 // the side effects of states preceding the first error commit first —
 // exactly those a sequential run would have committed before stopping
 // at that state. The search drives it with GrowWindow-sized slices of
@@ -206,11 +193,11 @@ func (v *Valuator) ValuateWindow(ctx context.Context, states []*State, budget in
 	}
 	v.jobs, v.exact = jobs, exact
 
-	// Fan the exact inferences out across the pool.
+	// Hand the exact inferences to the runner.
 	v.runExact(ctx, jobs, exact)
 
 	// Commit in child order: Perf vectors, test-set order, exact-call
-	// counts and estimator observations — identical for any pool size.
+	// counts and estimator observations — identical for any runner.
 	for i := range jobs {
 		j := &jobs[i]
 		if !j.exact {
@@ -239,14 +226,9 @@ func (v *Valuator) ValuateWindow(ctx context.Context, states []*State, budget in
 }
 
 // runExact executes the exact jobs: inline on the calling goroutine
-// when par <= 1, otherwise through the process-global worker pool
-// (workpool.Global) on a per-run queue whose share limit is par — so
-// the total inference concurrency of the process stays bounded by one
-// fixed worker set however many runs are in flight. An installed
-// ExactRunner replaces both paths: the window's tasks are handed over
-// as one batch so a scheduler can route them into its own pool. Tasks
-// observe ctx: once cancelled, remaining jobs are marked with ctx.Err()
-// and the window drains quickly.
+// without a runner, otherwise handed to the runner as one batch per
+// window. Tasks observe ctx: once cancelled, remaining jobs are marked
+// with ctx.Err() and the window drains quickly.
 func (v *Valuator) runExact(ctx context.Context, jobs []valJob, exact []int) {
 	if len(exact) == 0 {
 		return
@@ -269,24 +251,11 @@ func (v *Valuator) runExact(ctx context.Context, jobs []valJob, exact []int) {
 		}
 		j.test, j.computed = t, computed
 	}
-	if v.runner != nil {
-		tasks := v.tasks[:0]
-		for _, i := range exact {
-			j := &jobs[i]
-			tasks = append(tasks, func() { run(j) })
-		}
-		v.tasks = tasks
-		v.runner.RunExact(ctx, tasks)
-		return
-	}
-	if v.par <= 1 || len(exact) == 1 {
+	if v.runner == nil {
 		for _, i := range exact {
 			run(&jobs[i])
 		}
 		return
-	}
-	if v.queue == nil {
-		v.queue = workpool.Global().NewQueue("fst", v.par)
 	}
 	tasks := v.tasks[:0]
 	for _, i := range exact {
@@ -294,5 +263,5 @@ func (v *Valuator) runExact(ctx context.Context, jobs []valJob, exact []int) {
 		tasks = append(tasks, func() { run(j) })
 	}
 	v.tasks = tasks
-	v.queue.Run(tasks)
+	v.runner.RunExact(ctx, tasks)
 }

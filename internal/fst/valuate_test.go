@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/skyline"
 	"repro/internal/table"
+	"repro/internal/workpool"
 )
 
 // TestGetOrComputeSingleFlight: concurrent callers racing on one key
@@ -153,7 +154,7 @@ func valuateWindows(ctx context.Context, v *Valuator, states []*State, budget in
 func TestValuateWindowsBudgetCut(t *testing.T) {
 	cfg := testConfig(&countingModel{})
 	cfg.Validate()
-	val := cfg.NewValuator(4)
+	val := cfg.NewValuator(workpool.Global().NewQueue("test", 4))
 
 	full := cfg.Space.FullBitmap()
 	var states []*State
@@ -190,7 +191,7 @@ func TestValuateWindowsMemoHitsAreFree(t *testing.T) {
 	m := &countingModel{}
 	cfg := testConfig(m)
 	cfg.Validate()
-	val := cfg.NewValuator(1)
+	val := cfg.NewValuator(nil)
 
 	full := cfg.Space.FullBitmap()
 	b := full.Clone()
@@ -219,7 +220,7 @@ func TestValuateWindowsMemoHitsAreFree(t *testing.T) {
 func TestValuateWindowsCancelledContext(t *testing.T) {
 	cfg := testConfig(&countingModel{})
 	cfg.Validate()
-	val := cfg.NewValuator(2)
+	val := cfg.NewValuator(workpool.Global().NewQueue("test", 2))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	b := cfg.Space.FullBitmap()
@@ -252,7 +253,7 @@ func TestConcurrentValuatorsShareMemo(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			val := cfg.NewValuator(2)
+			val := cfg.NewValuator(workpool.Global().NewQueue("test", 2))
 			states := mkStates()
 			if _, err := valuateWindows(context.Background(), val, states, 0); err != nil {
 				t.Error(err)
@@ -289,19 +290,16 @@ func (r *recordingRunner) RunExact(ctx context.Context, tasks []func()) {
 	}
 }
 
-// TestExactRunnerMatchesBuiltinPool: any compliant runner — here one
-// that executes windows in reverse on the caller's goroutine — yields
-// byte-identical valuations, order, and stats to the built-in pool,
-// and receives exactly the exact-inference tasks.
+// TestExactRunnerMatchesBuiltinPool: any compliant runner — one that
+// executes windows in reverse on the caller's goroutine, or a queue of
+// the process-global pool (what modis.WithParallelism installs) —
+// yields byte-identical valuations, order, and stats to the inline
+// valuator, and receives exactly the exact-inference tasks.
 func TestExactRunnerMatchesBuiltinPool(t *testing.T) {
-	run := func(install bool) ([]*State, *Valuator, *recordingRunner, *TestSet) {
+	run := func(r ExactRunner) ([]*State, *Valuator, *TestSet) {
 		cfg := testConfig(&countingModel{})
 		cfg.Validate()
-		val := cfg.NewValuator(1)
-		rr := &recordingRunner{}
-		if install {
-			val.SetExactRunner(rr)
-		}
+		val := cfg.NewValuator(r)
 		full := cfg.Space.FullBitmap()
 		var states []*State
 		for i := 0; i < cfg.Space.Size(); i++ {
@@ -312,35 +310,44 @@ func TestExactRunnerMatchesBuiltinPool(t *testing.T) {
 		if _, err := valuateWindows(context.Background(), val, states, 0); err != nil {
 			t.Fatal(err)
 		}
-		return states, val, rr, cfg.Tests
+		return states, val, cfg.Tests
 	}
 
-	base, bval, _, border := run(false)
-	got, gval, rr, gorder := run(true)
-	if rr.windows == 0 || rr.tasks != len(got) {
-		t.Fatalf("runner saw %d windows / %d tasks, want all %d exact inferences", rr.windows, rr.tasks, len(got))
-	}
-	if bval.Stats.Valuations() != gval.Stats.Valuations() || bval.Stats.ExactCalls() != gval.Stats.ExactCalls() {
-		t.Errorf("stats diverge: pool (%d, %d) runner (%d, %d)",
-			bval.Stats.Valuations(), bval.Stats.ExactCalls(), gval.Stats.Valuations(), gval.Stats.ExactCalls())
-	}
-	for i := range base {
-		if len(base[i].Perf) != len(got[i].Perf) {
-			t.Fatalf("state %d vector length diverges", i)
+	base, bval, border := run(nil)
+	rr := &recordingRunner{}
+	for _, r := range []struct {
+		name   string
+		runner ExactRunner
+	}{
+		{"recording", rr},
+		{"queue", workpool.Global().NewQueue("test", 2)},
+	} {
+		got, gval, gorder := run(r.runner)
+		if bval.Stats.Valuations() != gval.Stats.Valuations() || bval.Stats.ExactCalls() != gval.Stats.ExactCalls() {
+			t.Errorf("%s: stats diverge: inline (%d, %d) runner (%d, %d)", r.name,
+				bval.Stats.Valuations(), bval.Stats.ExactCalls(), gval.Stats.Valuations(), gval.Stats.ExactCalls())
 		}
-		for j := range base[i].Perf {
-			if base[i].Perf[j] != got[i].Perf[j] {
-				t.Fatalf("state %d perf diverges: %v vs %v", i, base[i].Perf, got[i].Perf)
+		for i := range base {
+			if len(base[i].Perf) != len(got[i].Perf) {
+				t.Fatalf("%s: state %d vector length diverges", r.name, i)
+			}
+			for j := range base[i].Perf {
+				if base[i].Perf[j] != got[i].Perf[j] {
+					t.Fatalf("%s: state %d perf diverges: %v vs %v", r.name, i, base[i].Perf, got[i].Perf)
+				}
+			}
+		}
+		ba, ga := border.All(), gorder.All()
+		if len(ba) != len(ga) {
+			t.Fatalf("%s: valuation order lengths diverge: %d vs %d", r.name, len(ba), len(ga))
+		}
+		for i := range ba {
+			if ba[i].Key != ga[i].Key {
+				t.Fatalf("%s: valuation order diverges at %d", r.name, i)
 			}
 		}
 	}
-	ba, ga := border.All(), gorder.All()
-	if len(ba) != len(ga) {
-		t.Fatalf("valuation order lengths diverge: %d vs %d", len(ba), len(ga))
-	}
-	for i := range ba {
-		if ba[i].Key != ga[i].Key {
-			t.Fatalf("valuation order diverges at %d", i)
-		}
+	if rr.windows == 0 || rr.tasks != len(base) {
+		t.Fatalf("runner saw %d windows / %d tasks, want all %d exact inferences", rr.windows, rr.tasks, len(base))
 	}
 }

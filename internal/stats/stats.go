@@ -129,24 +129,6 @@ func Spearman(x, y []float64) float64 {
 	return Pearson(Ranks(x), Ranks(y))
 }
 
-// Cosine returns the cosine similarity of two vectors, or 0 if either is
-// a zero vector or the lengths mismatch.
-func Cosine(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
-	}
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}
-
 // Euclidean returns the Euclidean distance of two vectors.
 func Euclidean(a, b []float64) float64 {
 	n := len(a)
@@ -159,20 +141,4 @@ func Euclidean(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// Hamming returns the number of positions at which two bit vectors differ.
-func Hamming(a, b []bool) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	d := 0
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			d++
-		}
-	}
-	d += len(a) - n + len(b) - n
-	return d
 }

@@ -78,31 +78,9 @@ func TestSpearmanMonotone(t *testing.T) {
 	}
 }
 
-func TestCosine(t *testing.T) {
-	if got := Cosine([]float64{1, 0}, []float64{1, 0}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Cosine same = %v", got)
-	}
-	if got := Cosine([]float64{1, 0}, []float64{0, 1}); got != 0 {
-		t.Errorf("Cosine orthogonal = %v", got)
-	}
-	if got := Cosine([]float64{0, 0}, []float64{1, 1}); got != 0 {
-		t.Error("zero vector cosine should be 0")
-	}
-}
-
 func TestEuclidean(t *testing.T) {
 	if got := Euclidean([]float64{0, 0}, []float64{3, 4}); got != 5 {
 		t.Errorf("Euclidean = %v, want 5", got)
-	}
-}
-
-func TestHamming(t *testing.T) {
-	if got := Hamming([]bool{true, false, true}, []bool{true, true, false}); got != 2 {
-		t.Errorf("Hamming = %d, want 2", got)
-	}
-	// Length mismatch counts the tail.
-	if got := Hamming([]bool{true}, []bool{true, false, false}); got != 2 {
-		t.Errorf("Hamming tail = %d, want 2", got)
 	}
 }
 

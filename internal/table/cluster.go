@@ -133,14 +133,3 @@ func Compress(t *Table, attr string, maxK int) *Table {
 	}
 	return out
 }
-
-// CompressAll applies Compress to every numeric attribute.
-func CompressAll(t *Table, maxK int) *Table {
-	out := t
-	for _, c := range t.Schema {
-		if c.Kind != KindString {
-			out = Compress(out, c.Name, maxK)
-		}
-	}
-	return out
-}

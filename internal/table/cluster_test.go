@@ -127,18 +127,6 @@ func TestCompressLeavesStringsAndNulls(t *testing.T) {
 	}
 }
 
-func TestCompressAll(t *testing.T) {
-	tb := numericTable(200, 5)
-	c := CompressAll(tb, 4)
-	if got := len(c.ActiveDomain("x")); got > 4 {
-		t.Errorf("CompressAll adom(x) = %d, want <= 4", got)
-	}
-	// Categorical untouched.
-	if got := len(c.ActiveDomain("c")); got != len(tb.ActiveDomain("c")) {
-		t.Error("CompressAll must not change categoricals")
-	}
-}
-
 // Every compressed cell must equal one of the derived literal values, so
 // Reduct by cluster literal removes complete clusters.
 func TestCompressAlignsWithLiterals(t *testing.T) {

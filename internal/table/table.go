@@ -134,22 +134,6 @@ func (t *Table) ActiveDomain(name string) []Value {
 	return out
 }
 
-// NullFraction returns the fraction of null cells in the table, 0 if empty.
-func (t *Table) NullFraction() float64 {
-	if len(t.Rows) == 0 || len(t.Schema) == 0 {
-		return 0
-	}
-	nulls := 0
-	for _, r := range t.Rows {
-		for _, v := range r {
-			if v.IsNull() {
-				nulls++
-			}
-		}
-	}
-	return float64(nulls) / float64(len(t.Rows)*len(t.Schema))
-}
-
 // String renders a short human-readable summary.
 func (t *Table) String() string {
 	var b strings.Builder
@@ -174,22 +158,6 @@ func (l Literal) Matches(s Schema, r Row) bool {
 		return false
 	}
 	return r[idx].Equal(l.Value)
-}
-
-// Select returns the tuples of t satisfying pred.
-func (t *Table) Select(pred func(Schema, Row) bool) *Table {
-	out := New(t.Name+"_sel", t.Schema)
-	for _, r := range t.Rows {
-		if pred(t.Schema, r) {
-			out.Rows = append(out.Rows, r.Clone())
-		}
-	}
-	return out
-}
-
-// SelectLiteral returns the tuples satisfying the literal A = a.
-func (t *Table) SelectLiteral(l Literal) *Table {
-	return t.Select(l.Matches)
 }
 
 // Project returns the table restricted to the named attributes, in the
@@ -228,20 +196,5 @@ func (t *Table) DropColumn(name string) *Table {
 	}
 	out := t.Project(keep...)
 	out.Name = t.Name
-	return out
-}
-
-// MaskColumn returns the table with every cell of the named attribute set
-// to null. Unlike DropColumn this keeps the schema intact, matching the
-// paper's adom_s(A) = ∅ state semantics ("attribute not involved").
-func (t *Table) MaskColumn(name string) *Table {
-	idx := t.Schema.Index(name)
-	out := t.Clone()
-	if idx < 0 {
-		return out
-	}
-	for _, r := range out.Rows {
-		r[idx] = Null
-	}
 	return out
 }

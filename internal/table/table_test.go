@@ -55,16 +55,25 @@ func TestActiveDomain(t *testing.T) {
 	}
 }
 
+// TestSelectLiteral: a literal A = a selects exactly the rows whose A
+// cell equals a (Literal.Matches, the test Augment and Reduct apply).
 func TestSelectLiteral(t *testing.T) {
 	tb := sampleTable(t)
-	sel := tb.SelectLiteral(Literal{Attr: "cat", Value: Str("a")})
-	if sel.NumRows() != 2 {
-		t.Fatalf("select cat=a: %d rows, want 2", sel.NumRows())
+	count := func(l Literal) int {
+		n := 0
+		for _, r := range tb.Rows {
+			if l.Matches(tb.Schema, r) {
+				n++
+			}
+		}
+		return n
+	}
+	if got := count(Literal{Attr: "cat", Value: Str("a")}); got != 2 {
+		t.Fatalf("select cat=a: %d rows, want 2", got)
 	}
 	// Null never matches.
-	sel = tb.SelectLiteral(Literal{Attr: "x", Value: Float(1.5)})
-	if sel.NumRows() != 2 {
-		t.Fatalf("select x=1.5: %d rows, want 2", sel.NumRows())
+	if got := count(Literal{Attr: "x", Value: Float(1.5)}); got != 2 {
+		t.Fatalf("select x=1.5: %d rows, want 2", got)
 	}
 }
 
@@ -97,42 +106,12 @@ func TestDropColumn(t *testing.T) {
 	}
 }
 
-func TestMaskColumn(t *testing.T) {
-	tb := sampleTable(t)
-	m := tb.MaskColumn("x")
-	if !m.Schema.Has("x") {
-		t.Fatal("mask must keep the schema")
-	}
-	for _, v := range m.Column("x") {
-		if !v.IsNull() {
-			t.Fatal("masked column should be all null")
-		}
-	}
-	// Original untouched.
-	if tb.Rows[0][1].IsNull() {
-		t.Error("MaskColumn must not mutate the receiver")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	tb := sampleTable(t)
 	cp := tb.Clone()
 	cp.Rows[0][0] = Int(99)
 	if tb.Rows[0][0].AsInt() == 99 {
 		t.Error("Clone must deep-copy rows")
-	}
-}
-
-func TestNullFraction(t *testing.T) {
-	tb := sampleTable(t)
-	got := tb.NullFraction()
-	want := 2.0 / 12.0
-	if got != want {
-		t.Errorf("NullFraction = %v, want %v", got, want)
-	}
-	empty := New("e", nil)
-	if empty.NullFraction() != 0 {
-		t.Error("empty table null fraction should be 0")
 	}
 }
 

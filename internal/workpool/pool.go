@@ -18,6 +18,7 @@
 package workpool
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -219,6 +220,11 @@ func (q *Queue) Run(tasks []func()) {
 	<-b.done
 }
 
+// RunExact is Run in the shape of fst.ExactRunner, so a queue is a
+// valuation's exact-inference runner as is. Tasks observe their own
+// context; ctx is not consulted.
+func (q *Queue) RunExact(_ context.Context, tasks []func()) { q.Run(tasks) }
+
 // worker is one pool goroutine: pick the next task under the DRR
 // policy, execute it, charge its queue the measured duration.
 func (p *Pool) worker() {
@@ -359,10 +365,10 @@ func (p *Pool) dropFromRingLocked(q *Queue) {
 
 // Global is the process-wide pool library users share: created on
 // first use with GOMAXPROCS workers and never closed. The serving
-// daemon does not use it — a Scheduler owns an explicit pool sized by
-// -workers — but a bare engine run with WithParallelism(n > 1) routes
-// its exact inferences here, so even unmanaged runs are bounded by
-// one process-global worker set.
+// daemon does not use it for exact inference — a Scheduler owns an
+// explicit pool sized by -workers — but a bare engine run with
+// WithParallelism(n > 1) runs its exact inferences on a queue here,
+// so even unmanaged runs are bounded by one process-global worker set.
 func Global() *Pool {
 	globalOnce.Do(func() {
 		globalPool = New(Options{})

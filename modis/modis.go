@@ -158,7 +158,7 @@ func (e *Engine) prepare(algorithm string, opts []Option) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	s := settings{Options: core.DefaultOptions(len(e.cfg.Measures))}
+	s := settings{Options: core.DefaultOptions(len(e.cfg.Measures)), parallelism: 1}
 	for _, o := range opts {
 		if o == nil {
 			continue

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fst"
+	"repro/internal/workpool"
 )
 
 // Option tunes one discovery run. Options validate eagerly: an
@@ -28,22 +29,30 @@ type Event = core.ProgressEvent
 
 // settings are the run's knobs in their one resolved form — seeded from
 // core.DefaultOptions and overwritten by each applied option — plus
-// the admission hook, the one knob that is not the search's.
+// the two knobs that are not the search's: the admission hook and the
+// valuation worker count (default 1), which resolve turns into an
+// exact runner.
 type settings struct {
 	core.Options
-	admit func(context.Context) error
+	admit       func(context.Context) error
+	parallelism int
 }
 
 // resolve range-checks the decisive index against the configuration's
-// measures, resolves parallelism 0 to the CPU count, and reports the
-// knobs the run executes with.
+// measures, resolves parallelism 0 to the CPU count, gives a run with
+// parallelism above 1 and no installed runner a queue of the
+// process-global pool as its runner, and reports the knobs the run
+// executes with.
 func (s *settings) resolve(numMeasures int) (RunOptions, error) {
 	if s.Decisive >= numMeasures {
 		return RunOptions{}, fmt.Errorf(
 			"modis: WithDecisive(%d): index out of range for %d measures", s.Decisive, numMeasures)
 	}
-	if s.Parallelism == 0 {
-		s.Parallelism = runtime.GOMAXPROCS(0)
+	if s.parallelism == 0 {
+		s.parallelism = runtime.GOMAXPROCS(0)
+	}
+	if s.parallelism > 1 && s.ExactRunner == nil {
+		s.ExactRunner = workpool.Global().NewQueue("modis", s.parallelism)
 	}
 	return RunOptions{
 		Budget:      s.N,
@@ -54,7 +63,7 @@ func (s *settings) resolve(numMeasures int) (RunOptions, error) {
 		K:           s.K,
 		Alpha:       s.Alpha,
 		Seed:        s.Seed,
-		Parallelism: s.Parallelism,
+		Parallelism: s.parallelism,
 	}, nil
 }
 
@@ -153,10 +162,12 @@ func WithSeed(seed int64) Option {
 }
 
 // WithParallelism sets the valuation worker count of the run: the
-// exact model inferences of each frontier expansion's children fan out
-// across n goroutines. n = 0 uses all CPUs (runtime.GOMAXPROCS); n = 1
-// (the default) runs sequentially. Any degree produces the identical
-// skyline and report — batches are planned and committed in
+// exact model inferences of each frontier expansion's children run on
+// a queue of the process-global pool (workpool.Global) that may occupy
+// at most n workers at once. n = 0 uses all CPUs (runtime.GOMAXPROCS);
+// n = 1 (the default) runs them inline on the run goroutine. An
+// installed [WithExactRunner] takes precedence. Any degree produces the
+// identical skyline and report — batches are planned and committed in
 // deterministic child order — so parallelism is purely a wall-clock
 // knob. The configuration's Model must support concurrent Evaluate
 // calls when n != 1.
@@ -165,18 +176,18 @@ func WithParallelism(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("modis: WithParallelism(%d): worker count must be >= 0 (0 = all CPUs)", n)
 		}
-		s.Parallelism = n
+		s.parallelism = n
 		return nil
 	}
 }
 
 // WithExactRunner installs the run's exact-inference runner: each
 // valuation window's exact model inferences are handed to r as a batch
-// of tasks instead of the run's built-in worker pool. modis/serve's
-// Scheduler uses it to run every job's inferences on the workload's
-// queue in the node's shared pool. Results are byte-identical with any
-// compliant runner (see fst.ExactRunner for the contract). Most
-// callers never need this option.
+// of tasks, whatever [WithParallelism] says. modis/serve's Scheduler
+// uses it to run every job's inferences on the workload's queue in the
+// node's shared pool. Results are byte-identical with any compliant
+// runner (see fst.ExactRunner for the contract). Most callers never
+// need this option.
 func WithExactRunner(r fst.ExactRunner) Option {
 	return func(s *settings) error {
 		s.ExactRunner = r

@@ -341,8 +341,12 @@ func (p *Proxy) pick(hash string) string {
 }
 
 func (p *Proxy) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// Decode as strictly as a node does: a field the node would refuse
+	// is refused here too, not dropped on the way to the node.
 	var req serve.SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("proxy: malformed submit request: %w", err))
 		return
 	}

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -269,6 +270,33 @@ func TestProxySkylineMatchesDirect(t *testing.T) {
 
 	if p, d := skylineJSON(t, viaProxy.Report), skylineJSON(t, viaDirect.Report); p != d {
 		t.Errorf("proxied skyline diverges from direct\n proxy:  %s\n direct: %s", p, d)
+	}
+}
+
+// TestProxyRefusesUnknownOptions: the proxy refuses a submit body a
+// node would refuse — 400 naming the field, no job started anywhere —
+// instead of dropping the field and running a different search.
+func TestProxyRefusesUnknownOptions(t *testing.T) {
+	fleet := startFleet(t, 2, 1, 0)
+	_, base, _ := startProxy(t, fleet, proxy.AdmissionOptions{})
+	for field, options := range map[string]string{
+		"prune":       `{"prune":false}`,
+		"parallelism": `{"parallelism":2}`,
+	} {
+		resp, err := http.Post(base+"/v1/jobs", "application/json",
+			strings.NewReader(`{"workload":"wl0","algorithm":"bi","options":`+options+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := decodeStatus(t, resp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, field) {
+			t.Errorf("option %s through the proxy: %d %s", options, resp.StatusCode, body)
+		}
+	}
+	for i, n := range fleet {
+		if got := jobsOn(t, n); got != 0 {
+			t.Errorf("node %d holds %d jobs, want none", i, got)
+		}
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 // ε-skyline set plus run stats. The options arrive resolved, to be read
 // as given: core.DefaultOptions for the configuration's measures (the
 // last one decisive) overridden by the run's options, the decisive
-// index range-checked, parallelism 0 resolved to the CPU count, and
-// Progress set to the job's event stream.
+// index range-checked, ExactRunner set to a pool queue when
+// [WithParallelism] asks for more than one worker and no runner is
+// installed, and Progress set to the job's event stream.
 type AlgorithmFunc func(ctx context.Context, cfg *fst.Config, opts core.Options) (*core.Result, error)
 
 var (

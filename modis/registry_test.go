@@ -30,7 +30,7 @@ func echoAlgorithm(ctx context.Context, cfg *fst.Config, opts core.Options) (*co
 		return nil, err
 	}
 	bits := cfg.Space.FullBitmap()
-	val := cfg.NewValuator(opts.Parallelism)
+	val := cfg.NewValuator(opts.ExactRunner)
 	perf, err := val.Valuate(ctx, bits)
 	if err != nil {
 		return nil, err
@@ -109,7 +109,7 @@ func TestRegisterExtendsEngine(t *testing.T) {
 		t.Errorf("received options %+v, want the defaults %+v", got, want)
 	}
 	wantReport := RunOptions{Epsilon: want.Eps, Decisive: want.Decisive, Theta: want.Theta,
-		K: want.K, Alpha: want.Alpha, Parallelism: want.Parallelism}
+		K: want.K, Alpha: want.Alpha, Parallelism: 1}
 	if rep.Options != wantReport {
 		t.Errorf("reported options %+v, want the defaults %+v", rep.Options, wantReport)
 	}

@@ -123,7 +123,7 @@ func RetryAfterHint(err error) (time.Duration, bool) {
 // stack: capped exponential backoff between attempts, the server's
 // Retry-After hint honored when larger, every wait bounded by the
 // caller's context. The zero value disables retries (one attempt);
-// DefaultRetryPolicy is the recommended client policy.
+// setting only MaxAttempts retries with 50ms→2s backoff.
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt count including the first
 	// (<= 1 means no retries).
@@ -133,11 +133,6 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 2s).
 	MaxBackoff time.Duration
-}
-
-// DefaultRetryPolicy retries up to 4 attempts with 50ms→2s backoff.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second}
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {

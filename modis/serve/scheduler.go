@@ -1,8 +1,8 @@
 // Package serve is the serving layer of the modis engine: a
 // [Scheduler] that runs concurrently submitted jobs over shared
 // per-workload engines and one bounded inference pool, a
-// [Server] exposing the job API over HTTP (JSON + server-sent events)
-// and over JSONL stdin/stdout for scripting, and a [Client] for
+// [Server] exposing the job API over HTTP (JSON + server-sent events),
+// and a [Client] for
 // driving a remote daemon programmatically. Command modisd wires a
 // Server to the network; cmd/modis -remote runs the CLI against one,
 // and cmd/modisproxy routes a fleet of daemons by workload descriptor
@@ -47,8 +47,9 @@ type SchedulerOptions struct {
 	// Parallelism caps one shard's share of the inference pool — how
 	// many of a shard's tasks may occupy pool workers at once. 0 means
 	// no per-shard cap: a lone shard may use the whole pool. It never
-	// adds workers beyond Workers; see docs/serving.md for how it
-	// interacts with the per-run WithParallelism option.
+	// adds workers beyond Workers. A run's own WithParallelism plays no
+	// part under the scheduler: every run's exact runner is its shard's
+	// queue (see docs/serving.md).
 	Parallelism int
 	// MaxConcurrent bounds the searches executing at once across the
 	// scheduler; excess jobs queue in submission order and their wait
@@ -581,7 +582,12 @@ func (s *Scheduler) SubmitKeyed(ctx context.Context, workloadName, algorithm, id
 	// cannot be overridden into an unmanaged run.
 	all := make([]modis.Option, 0, len(opts)+2)
 	all = append(all, opts...)
-	all = append(all, modis.WithExactRunner(queueRunner{sh.queue}))
+	// Every run's exact inferences execute on the shard's queue, where
+	// they interleave fairly with other shards' tasks and the node's
+	// inference concurrency stays bounded by the pool's workers.
+	// Concurrent runs of one shard share inference through the memo's
+	// single-flight, not through the runner.
+	all = append(all, modis.WithExactRunner(sh.queue))
 	// entered tracks whether the run passed the shard's append gate, so
 	// the completion goroutine releases exactly what was taken.
 	var entered atomic.Bool
@@ -645,16 +651,6 @@ func (s *Scheduler) SubmitKeyed(ctx context.Context, workloadName, algorithm, id
 	}()
 	return rec, false, nil
 }
-
-// queueRunner is every run's fst.ExactRunner: a valuation window's
-// exact-inference tasks execute on the shard's queue in the scheduler's
-// pool, where they interleave fairly with other shards' tasks and the
-// node's inference concurrency stays bounded by the pool's workers.
-// Concurrent runs of one shard share inference through the memo's
-// single-flight, not through the runner.
-type queueRunner struct{ q *workpool.Queue }
-
-func (r queueRunner) RunExact(_ context.Context, tasks []func()) { r.q.Run(tasks) }
 
 // acquireSlot is the admission hook's wait for an execution slot,
 // bounded by MaxQueueWait — overload shedding, part two: a job that

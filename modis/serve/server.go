@@ -14,8 +14,7 @@ import (
 	"repro/modis"
 )
 
-// SubmitRequest is the wire form of one job submission (POST /v1/jobs
-// and the JSONL "submit" op).
+// SubmitRequest is the wire form of one job submission (POST /v1/jobs).
 type SubmitRequest struct {
 	// Workload names a configuration from the server's catalog.
 	Workload string `json:"workload"`
@@ -48,21 +47,22 @@ const IdempotencyHeader = "Idempotency-Key"
 // one.
 const ReplayedHeader = "Idempotency-Replayed"
 
-// JobOptions mirrors the engine's functional options field by field.
+// JobOptions mirrors the engine's search options field by field.
 // Pointer fields distinguish "absent, keep the default" from genuine
 // zero values (alpha 0, decisive measure 0). The search without
 // correlation-based pruning is an algorithm of its own: submit
-// "algorithm":"nobi".
+// "algorithm":"nobi". There is no parallelism field: a node runs every
+// job's exact inferences on its shard's pool queue, sized by modisd's
+// -workers and -parallel.
 type JobOptions struct {
-	Budget      *int     `json:"budget,omitempty"`
-	Epsilon     *float64 `json:"epsilon,omitempty"`
-	MaxLevel    *int     `json:"max_level,omitempty"`
-	Decisive    *int     `json:"decisive,omitempty"`
-	Theta       *float64 `json:"theta,omitempty"`
-	K           *int     `json:"k,omitempty"`
-	Alpha       *float64 `json:"alpha,omitempty"`
-	Seed        *int64   `json:"seed,omitempty"`
-	Parallelism *int     `json:"parallelism,omitempty"`
+	Budget   *int     `json:"budget,omitempty"`
+	Epsilon  *float64 `json:"epsilon,omitempty"`
+	MaxLevel *int     `json:"max_level,omitempty"`
+	Decisive *int     `json:"decisive,omitempty"`
+	Theta    *float64 `json:"theta,omitempty"`
+	K        *int     `json:"k,omitempty"`
+	Alpha    *float64 `json:"alpha,omitempty"`
+	Seed     *int64   `json:"seed,omitempty"`
 }
 
 // toOptions maps the wire options onto engine options; validation
@@ -97,9 +97,6 @@ func (o *JobOptions) toOptions() []modis.Option {
 	if o.Seed != nil {
 		opts = append(opts, modis.WithSeed(*o.Seed))
 	}
-	if o.Parallelism != nil {
-		opts = append(opts, modis.WithParallelism(*o.Parallelism))
-	}
 	return opts
 }
 
@@ -113,7 +110,7 @@ const (
 )
 
 // JobStatus is the wire form of one job's state (GET /v1/jobs/{id},
-// submit responses, and the JSONL status lines).
+// the job listing, and submit responses).
 type JobStatus struct {
 	JobID     string `json:"job_id"`
 	Workload  string `json:"workload,omitempty"`
@@ -200,10 +197,9 @@ func (s *Scheduler) statusOf(rec *JobRecord) *JobStatus {
 // Errors are JSON bodies {"error": "..."}: 400 for malformed requests,
 // unknown algorithms (the body carries the registry's known-keys
 // message verbatim) and invalid options, 404 for unknown workloads and
-// jobs, 503 while draining. The same Server also speaks JSONL (see
-// ServeJSONL). Jobs live on the server's own context, not the
-// submitting request's, so they survive their submitter disconnecting;
-// Close cancels them all.
+// jobs, 503 while draining. Jobs live on the server's own context, not
+// the submitting request's, so they survive their submitter
+// disconnecting; Close cancels them all.
 type Server struct {
 	sched *Scheduler
 	opts  ServerOptions
@@ -252,14 +248,30 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // hard.
 func (s *Server) Close() { s.stop() }
 
-// Submit runs one wire-form submission through the scheduler — shared
-// by the HTTP and JSONL fronts. replayed reports that the request's
-// idempotency key matched an already-accepted job and that job's
-// record was returned instead of starting a new run. TimeoutMS bounds
-// the job's whole life on the node — admission-queue wait included, so
-// a request never runs past its propagated deadline budget at the
-// engine.
-func (s *Server) Submit(req SubmitRequest) (*JobRecord, bool, error) {
+// wireError pairs an error message with the HTTP status it should
+// travel under, plus the Retry-After pacing hint for 503s.
+type wireError struct {
+	status     int
+	msg        string
+	retryAfter time.Duration
+}
+
+func (e *wireError) Error() string { return e.msg }
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req SubmitRequest
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: malformed submit request: %w", err))
+		return
+	}
+	if req.IdempotencyKey == "" {
+		req.IdempotencyKey = r.Header.Get(IdempotencyHeader)
+	}
+	// TimeoutMS bounds the job's whole life on the node — admission-queue
+	// wait included, so a request never runs past its propagated
+	// deadline budget at the engine.
 	ctx := s.ctx
 	var cancel context.CancelFunc
 	if req.TimeoutMS > 0 {
@@ -286,7 +298,8 @@ func (s *Server) Submit(req SubmitRequest) (*JobRecord, bool, error) {
 		case errors.Is(err, ErrUnknownWorkload):
 			status = http.StatusNotFound
 		}
-		return nil, false, &wireError{status: status, msg: err.Error(), retryAfter: retryAfter}
+		writeError(w, status, &wireError{status: status, msg: err.Error(), retryAfter: retryAfter})
+		return
 	}
 	if cancel != nil {
 		if replayed {
@@ -300,35 +313,6 @@ func (s *Server) Submit(req SubmitRequest) (*JobRecord, bool, error) {
 				cancel()
 			}()
 		}
-	}
-	return rec, replayed, nil
-}
-
-// wireError pairs an error message with the HTTP status it should
-// travel under, plus the Retry-After pacing hint for 503s.
-type wireError struct {
-	status     int
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *wireError) Error() string { return e.msg }
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: malformed submit request: %w", err))
-		return
-	}
-	if req.IdempotencyKey == "" {
-		req.IdempotencyKey = r.Header.Get(IdempotencyHeader)
-	}
-	rec, replayed, err := s.Submit(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
 	}
 	// A fresh acceptance is 202; a replay answers 200 — the submission
 	// was already accepted, possibly long ago — and says so in a header

@@ -1,10 +1,8 @@
 package serve_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -190,17 +188,24 @@ func TestDaemonErrorMapping(t *testing.T) {
 		t.Errorf("invalid option error = %v", err)
 	}
 
-	// The retired prune switch → 400 naming the field: the search
-	// without pruning is requested as "algorithm":"nobi".
-	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"workload":"shape","algorithm":"bi","options":{"prune":false}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "prune") {
-		t.Errorf("retired prune option: %d %s", resp.StatusCode, body)
+	// Options the wire does not carry → 400 naming the field: the
+	// search without pruning is requested as "algorithm":"nobi", and a
+	// node sizes a job's inference concurrency itself (-workers,
+	// -parallel).
+	for field, options := range map[string]string{
+		"prune":       `{"prune":false}`,
+		"parallelism": `{"parallelism":2}`,
+	} {
+		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"workload":"shape","algorithm":"bi","options":`+options+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), field) {
+			t.Errorf("option %s: %d %s", options, resp.StatusCode, body)
+		}
 	}
 
 	// Unknown job id → 404.
@@ -248,81 +253,3 @@ func TestDaemonConcurrentSubmits(t *testing.T) {
 type jobFailed struct{ st *serve.JobStatus }
 
 func (e *jobFailed) Error() string { return "job ended " + e.st.Status + ": " + e.st.Error }
-
-// TestJSONLCancelUnblocksIdleReader: cancelling the serving context
-// must end ServeJSONL even while the input reader is blocked with no
-// pending line — modisd's SIGTERM path in -jsonl mode.
-func TestJSONLCancelUnblocksIdleReader(t *testing.T) {
-	srv, _ := newTestServer(t, 0)
-	pr, pw := io.Pipe() // never written: the reader blocks forever
-	defer pw.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeJSONL(ctx, pr, io.Discard) }()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("ServeJSONL returned %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeJSONL still blocked after cancel")
-	}
-}
-
-func TestJSONLProtocol(t *testing.T) {
-	srv, _ := newTestServer(t, 0)
-	var in bytes.Buffer
-	reqs := []serve.JSONLRequest{
-		{Op: "algorithms", Tag: "a"},
-		{Op: "workloads", Tag: "w"},
-		{Op: "submit", Tag: "run1", Stream: true, SubmitRequest: serve.SubmitRequest{
-			Workload: "shape", Algorithm: "bi",
-			Options: &serve.JobOptions{Epsilon: fp(0.15), MaxLevel: intp(3), Seed: i64p(2), K: intp(3)},
-		}},
-		{Op: "nonsense", Tag: "x"},
-	}
-	enc := json.NewEncoder(&in)
-	for _, r := range reqs {
-		if err := enc.Encode(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var out bytes.Buffer
-	if err := srv.ServeJSONL(context.Background(), &in, &out); err != nil {
-		t.Fatal(err)
-	}
-
-	byKind := map[string][]serve.JSONLResponse{}
-	dec := json.NewDecoder(&out)
-	for {
-		var resp serve.JSONLResponse
-		if err := dec.Decode(&resp); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		byKind[resp.Kind] = append(byKind[resp.Kind], resp)
-	}
-	if got := byKind["algorithms"]; len(got) != 1 || len(got[0].Names) != 5 || got[0].Tag != "a" {
-		t.Errorf("algorithms lines = %+v", got)
-	}
-	if got := byKind["workloads"]; len(got) != 1 || len(got[0].Names) != 1 {
-		t.Errorf("workloads lines = %+v", got)
-	}
-	if got := byKind["accepted"]; len(got) != 1 || got[0].JobID == "" || got[0].Tag != "run1" {
-		t.Fatalf("accepted lines = %+v", got)
-	}
-	if got := byKind["event"]; len(got) < 2 || !got[len(got)-1].Event.Done {
-		t.Errorf("event lines = %d, want streamed progress ending Done", len(got))
-	}
-	results := byKind["result"]
-	if len(results) != 1 || results[0].Status == nil || results[0].Status.Status != serve.StatusDone ||
-		results[0].Status.Report == nil || len(results[0].Status.Report.Skyline) == 0 {
-		t.Fatalf("result lines = %+v", results)
-	}
-	if len(byKind["error"]) != 1 || byKind["error"][0].Tag != "x" {
-		t.Errorf("error lines = %+v", byKind["error"])
-	}
-}

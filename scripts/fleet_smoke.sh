@@ -7,7 +7,9 @@
 # distinct nodes (asserted via shard job counts in each node's
 # /healthz), and after the owner of one shard is SIGKILLed a
 # resubmission through the proxy reroutes to the survivor and
-# completes. See docs/serving.md, "Multi-node serving".
+# completes. A submit body carrying a field the job API does not have
+# is refused by the proxy as a node refuses it. See docs/serving.md,
+# "Multi-node serving".
 set -euo pipefail
 
 MODISD=${MODISD:-/tmp/modisd}
@@ -94,6 +96,13 @@ curl -sf "http://$FRONT/v1/workloads" >"$WORKDIR/catalog.json"
 H1=$(python3 -c 'import json,sys; print(next(w["hash"] for w in json.load(sys.stdin) if w["name"]=="t1"))' <"$WORKDIR/catalog.json")
 H3=$(python3 -c 'import json,sys; print(next(w["hash"] for w in json.load(sys.stdin) if w["name"]=="t3"))' <"$WORKDIR/catalog.json")
 test "${#H1}" = 64 && test "${#H3}" = 64 && test "$H1" != "$H3"
+
+echo "== the proxy refuses a per-run parallelism option with 400 naming the field, as a node does"
+CODE=$(curl -s -o "$WORKDIR/refused.json" -w '%{http_code}' -X POST "http://$FRONT/v1/jobs" \
+  -d '{"workload":"t3","algorithm":"bi","options":{"parallelism":2}}')
+cat "$WORKDIR/refused.json"
+test "$CODE" = 400
+grep -q parallelism "$WORKDIR/refused.json"
 
 echo "== submit one job per workload through the proxy"
 J1=$(submit t1)
