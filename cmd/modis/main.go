@@ -41,7 +41,7 @@ func main() {
 		tablesFlag = flag.String("tables", "", "comma-separated CSV files (required)")
 		target     = flag.String("target", "", "target column name (required)")
 		model      = flag.String("model", "gbm", "model family: gbm|forest|histgbm|linear|logistic")
-		algo       = flag.String("algo", "bi", "algorithm: "+strings.Join(modis.Algorithms(), "|")+" (legacy names like bimodis also accepted)")
+		algo       = flag.String("algo", "bi", "algorithm: "+strings.Join(modis.Algorithms(), "|"))
 		eps        = flag.Float64("eps", 0.1, "epsilon of the ε-skyline")
 		maxl       = flag.Int("maxl", 6, "maximum operator path length")
 		n          = flag.Int("n", 300, "valuation budget N")

@@ -10,10 +10,16 @@ import (
 )
 
 // anyStrongPair reports whether G_C — nodes are measures, edges join
-// strongly (|Spearman| ≥ θ) correlated pairs over the test set T — has
-// any edge, stopping at the first one found. Correlation needs at least
-// three tests.
-func anyStrongPair(cols [][]float64, theta float64) bool {
+// strongly (|Spearman| ≥ θ) correlated pairs over the run's tests T —
+// has any edge, stopping at the first one found. Correlation needs at
+// least three tests.
+func anyStrongPair(tests []*fst.Test, numMeasures int, theta float64) bool {
+	cols := make([][]float64, numMeasures)
+	for _, t := range tests {
+		for j := 0; j < numMeasures && j < len(t.Perf); j++ {
+			cols[j] = append(cols[j], t.Perf[j])
+		}
+	}
 	for i := range cols {
 		if len(cols[i]) < 3 {
 			continue
@@ -28,10 +34,10 @@ func anyStrongPair(cols [][]float64, theta float64) bool {
 }
 
 // appendWeights extends the per-test bitmap-weight cache to cover a
-// refreshed history. The test order is append-only within a run, so
-// previously computed weights stay valid and only the new tail pays
-// the feature scan — the weight derivation runs once per test instead
-// of once per pruning candidate.
+// refreshed history. A run's history is append-only, so previously
+// computed weights stay valid and only the new tail pays the feature
+// scan — the weight derivation runs once per test instead of once per
+// pruning candidate.
 func appendWeights(weights []int, tests []*fst.Test) []int {
 	for _, t := range tests[len(weights):] {
 		w := 0
@@ -45,18 +51,16 @@ func appendWeights(weights []int, tests []*fst.Test) []int {
 	return weights
 }
 
-// paramRange derives the parameterized range [p̂_l, p̂_u] of an
-// unvaluated state from the historical tests whose dataset size
-// (bitmap weight, precomputed in weights) brackets the state's — the
-// inference of Example 6, using |D| as the conditioning variable of
-// the correlation analysis.
-func paramRange(tests []*fst.Test, weights []int, ones, numMeasures int) (lo, hi skyline.Vector, ok bool) {
+// paramRange derives the lower end p̂_l of the parameterized range
+// [p̂_l, p̂_u] of an unvaluated state from the historical tests whose
+// dataset size (bitmap weight, precomputed in weights) brackets the
+// state's — the inference of Example 6, using |D| as the conditioning
+// variable of the correlation analysis. The prune reads only p̂_l.
+func paramRange(tests []*fst.Test, weights []int, ones, numMeasures int) (lo skyline.Vector, ok bool) {
 	for window := 2; window <= 16; window *= 2 {
 		lo = make(skyline.Vector, numMeasures)
-		hi = make(skyline.Vector, numMeasures)
 		for i := range lo {
 			lo[i] = math.Inf(1)
-			hi[i] = math.Inf(-1)
 		}
 		found := 0
 		for ti, t := range tests {
@@ -68,16 +72,13 @@ func paramRange(tests []*fst.Test, weights []int, ones, numMeasures int) (lo, hi
 				if t.Perf[i] < lo[i] {
 					lo[i] = t.Perf[i]
 				}
-				if t.Perf[i] > hi[i] {
-					hi[i] = t.Perf[i]
-				}
 			}
 		}
 		if found >= 2 {
-			return lo, hi, true
+			return lo, true
 		}
 	}
-	return nil, nil, false
+	return nil, false
 }
 
 // canPrune applies the operational form of Lemma 4: if a skyline member
@@ -106,7 +107,7 @@ func canPrune(members []*Candidate, lo skyline.Vector, eps float64) bool {
 // frontier augments from the back state s_b (procedure BackSt); both
 // update the shared ε-skyline set via UPareto, and the search stops
 // when the frontiers meet. Correlation-based pruning skips valuating
-// states whose parameterized range — derived from the test set,
+// states whose parameterized range — derived from the run's tests,
 // refreshed between valuation windows — is already ε-dominated. Each
 // expansion's surviving children valuate in progressive windows through
 // the run's Valuator: exact inferences fan across the worker pool and

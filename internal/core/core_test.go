@@ -260,9 +260,9 @@ func TestDisZeroAlphaIgnoresContent(t *testing.T) {
 // last.
 func TestMaxEucIsPairwiseMax(t *testing.T) {
 	perfs := []skyline.Vector{{1, 1}, {0, 0}, {3, 4}, {6, 8}}
-	ts := fst.NewTestSet()
+	tests := make([]*fst.Test, len(perfs))
 	for i, p := range perfs {
-		ts.Put(&fst.Test{Key: fst.StateKey(i + 1), Perf: p})
+		tests[i] = &fst.Test{Key: fst.StateKey(i + 1), Perf: p}
 	}
 	want := 0.0
 	for i := range perfs {
@@ -273,7 +273,7 @@ func TestMaxEucIsPairwiseMax(t *testing.T) {
 	if want != 10 {
 		t.Fatalf("brute-force maximum = %v, want 10", want)
 	}
-	if got := maxEuc(ts); math.Abs(got-want) > 1e-12 {
+	if got := maxEuc(tests); math.Abs(got-want) > 1e-12 {
 		t.Errorf("maxEuc = %v, want %v", got, want)
 	}
 }

@@ -50,10 +50,9 @@ func Div(set []*Candidate, alpha, eucMax float64) float64 {
 	return s
 }
 
-// maxEuc returns the maximum pairwise euclidean distance of the recorded
-// performance vectors, the normalizer euc_m of dis.
-func maxEuc(ts *fst.TestSet) float64 {
-	all := ts.All()
+// maxEuc returns the maximum pairwise euclidean distance of the run's
+// tests' performance vectors, the normalizer euc_m of dis.
+func maxEuc(all []*fst.Test) float64 {
 	best := 0.0
 	for i := 0; i < len(all)-1; i++ {
 		for j := i + 1; j < len(all); j++ {

@@ -44,10 +44,10 @@ type spec struct {
 // inferences go to opts.ExactRunner (inline when nil), and results
 // commit in child order; the schedule is a constant, so any runner
 // reproduces the inline run. Between windows the prune inputs
-// (skyline members, valuated history) refresh, so one window's results
-// prune the next. The context is checked once per round and once per
-// window: cancellation or deadline expiry drains the window and returns
-// ctx.Err() with no partial result.
+// (skyline members, the run's own valuated history) refresh, so one
+// window's results prune the next. The context is checked once per
+// round and once per window: cancellation or deadline expiry drains
+// the window and returns ctx.Err() with no partial result.
 func search(ctx context.Context, cfg *fst.Config, opts Options, sp spec) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -132,19 +132,17 @@ func search(ctx context.Context, cfg *fst.Config, opts Options, sp spec) (*Resul
 
 	maxLevel, pruned := 0, 0
 	var batch []*fst.State
+	var weights []int // bitmap weights of val.History(), extended as it grows
 	// expand valuates the unvisited children of s window by window and
 	// queues those admit keeps; it reports whether a child had been
 	// visited by the other frontier.
 	expand := func(s *fst.State, sd *side, other map[fst.StateKey]bool) (met bool, err error) {
-		prune := sp.prune && anyStrongPair(cfg.Tests.Columns(nm), opts.Theta)
+		prune := sp.prune && anyStrongPair(val.History(), nm, opts.Theta)
 		children := fst.OpGen(s, sd.dir)
-		var history []*fst.Test
-		var weights []int
 		var members []*Candidate
 		for idx, size := 0, 1; idx < len(children) && !spent(); size = fst.GrowWindow(size) {
 			if prune {
-				history = cfg.Tests.AppendAll(history)
-				weights = appendWeights(weights, history)
+				weights = appendWeights(weights, val.History())
 				members = g.members()
 			}
 			batch = batch[:0]
@@ -160,7 +158,7 @@ func search(ctx context.Context, cfg *fst.Config, opts Options, sp spec) (*Resul
 				}
 				sd.visited[k] = true
 				if prune {
-					if lo, _, ok := paramRange(history, weights, child.Bits.Ones(), nm); ok && canPrune(members, lo, opts.Eps) {
+					if lo, ok := paramRange(val.History(), weights, child.Bits.Ones(), nm); ok && canPrune(members, lo, opts.Eps) {
 						pruned++
 						continue
 					}
@@ -220,7 +218,7 @@ func search(ctx context.Context, cfg *fst.Config, opts Options, sp spec) (*Resul
 		}
 		if sp.diversify {
 			if members := g.members(); len(members) > opts.K {
-				g.restrict(diversifyStep(members, opts.K, opts.Alpha, maxEuc(cfg.Tests), rng))
+				g.restrict(diversifyStep(members, opts.K, opts.Alpha, maxEuc(val.History()), rng))
 			}
 		}
 	}

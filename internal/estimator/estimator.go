@@ -116,14 +116,3 @@ func (e *MOGBM) Estimate(features []float64) (skyline.Vector, bool) {
 	pred := e.model.Predict(features)
 	return skyline.Vector(pred), true
 }
-
-// Exact is a no-op estimator: it never answers, forcing every valuation
-// through real model inference. Used for ablations comparing surrogate
-// versus exact discovery.
-type Exact struct{}
-
-// Estimate always reports not-ready.
-func (Exact) Estimate([]float64) (skyline.Vector, bool) { return nil, false }
-
-// Observe discards the observation.
-func (Exact) Observe([]float64, skyline.Vector) {}

@@ -99,14 +99,6 @@ func TestMOGBMRefitPicksUpNewData(t *testing.T) {
 	}
 }
 
-func TestExactNeverAnswers(t *testing.T) {
-	var e Exact
-	e.Observe([]float64{1}, skyline.Vector{0.5})
-	if _, ok := e.Estimate([]float64{1}); ok {
-		t.Error("Exact must never answer")
-	}
-}
-
 // The column-major history, refit through a worker pool, must reproduce
 // the estimates of the row-major path exactly: one reference
 // GBMRegressor per output, fit inline on a row-major ml.Dataset of the

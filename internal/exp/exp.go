@@ -16,7 +16,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/fst"
 	"repro/internal/skyline"
-	"repro/internal/table"
 	"repro/modis"
 )
 
@@ -305,9 +304,4 @@ func adomContribution(w *datagen.Workload, cands []*modis.Candidate) (attrs []st
 	}
 	std = math.Sqrt(std / float64(len(pct)))
 	return attrs, pct, std
-}
-
-// outputSizeOf formats (rows, cols).
-func outputSizeOf(t *table.Table) string {
-	return fmt.Sprintf("(%d,%d)", t.NumRows(), t.NumCols())
 }

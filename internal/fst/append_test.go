@@ -227,10 +227,10 @@ func TestTestSetAdvanceTo(t *testing.T) {
 	if !ok || got.Version != 1 {
 		t.Fatalf("surviving test = %+v ok=%v, want version re-stamped to 1", got, ok)
 	}
-	// The valuation order drops invalidated tests too.
+	// The snapshot drops invalidated tests too.
 	for _, tt := range ts.All() {
 		if tt.Key == StateKey(2) {
-			t.Error("invalidated test still in the valuation order")
+			t.Error("invalidated test still in the memo snapshot")
 		}
 	}
 	// New valuations are stamped with the advanced version.

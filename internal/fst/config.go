@@ -104,8 +104,10 @@ type Config struct {
 	Space    *Space
 	Model    Model
 	Measures []Measure
-	Tests    *TestSet
-	Est      Estimator
+	// Tests is the memo every run of the configuration shares; a run's
+	// own test set T is its Valuator's History.
+	Tests *TestSet
+	Est   Estimator
 	// WarmupExact is the number of exact model valuations performed
 	// before the surrogate estimator is trusted; 0 disables the
 	// surrogate entirely (every state is valuated by model inference).
@@ -176,8 +178,8 @@ func (c *Config) WithinBounds(v skyline.Vector) bool {
 }
 
 // Valuate produces the normalized performance vector of a state bitmap,
-// memoizing through the test set T. It prefers the surrogate estimator
-// after warmup and falls back to exact model inference. This is the
+// memoizing through Tests. It prefers the surrogate estimator after
+// warmup and falls back to exact model inference. This is the
 // one-off convenience path (counters accumulate in a config-internal
 // ValuationStats); search runs valuate through a per-run [Valuator] so
 // their budgets and reports stay independent. Both paths share one

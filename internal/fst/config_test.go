@@ -261,8 +261,4 @@ func TestTestSetColumns(t *testing.T) {
 	if ts.Len() != 2 {
 		t.Fatalf("len = %d, want 2", ts.Len())
 	}
-	cols := ts.Columns(2)
-	if cols[0][0] != 0.1 || cols[1][1] != 0.4 {
-		t.Errorf("columns = %v", cols)
-	}
 }

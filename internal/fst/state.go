@@ -14,11 +14,6 @@ type State struct {
 	// Via is the bitmap entry whose flip produced this state from its
 	// parent (-1 for start states), recording the transition operator.
 	Via int
-	// EstLo and EstHi are the parameterized ranges [p̂_l, p̂_u] used by
-	// BiMODis' correlation-based pruning for unvaluated measures; nil
-	// when no parameterization has been performed.
-	EstLo skyline.Vector
-	EstHi skyline.Vector
 }
 
 // Key returns the state's identity.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -25,20 +26,15 @@ type Test struct {
 	Version uint64
 }
 
-// TestSet is the historical record T of valuated tests, memoizing by
-// state key so repeated states load their vector instead of
-// re-valuating. It is safe for concurrent use: the key map is sharded
+// TestSet is the memo of valuated tests shared by every run of a
+// configuration: keyed by state key, so a state any run has valuated
+// loads its vector instead of re-valuating. Its order means nothing: a
+// run reads the history it decides from (the correlation graph, the
+// prune ranges, the diversification normaliser) off its own
+// Valuator. It is safe for concurrent use: the key map is sharded
 // behind per-shard mutexes, and GetOrCompute single-flights concurrent
 // valuations of the same state, so parallel workers (and parallel
-// engine runs sharing one record) never duplicate a model inference.
-//
-// Registration into the valuation order (All/Columns, which feed the
-// correlation graph and the diversification normalizer) is decoupled
-// from computation: GetOrCompute memoizes the vector immediately, but a
-// test only enters the order when Put is called. Search runs commit
-// their batches in deterministic child order, so the order — and
-// everything derived from it — is identical however many workers
-// computed the vectors.
+// engine runs sharing one memo) never duplicate a model inference.
 type TestSet struct {
 	shards [testShards]testShard
 
@@ -52,9 +48,7 @@ type TestSet struct {
 	// keyed by (StateKey, version) with exactly one version retained.
 	version atomic.Uint64
 
-	ordMu sync.RWMutex
-	order []*Test
-	sink  func(*Test)
+	sink atomic.Pointer[func(*Test)]
 }
 
 // MemoStats are a TestSet's lifetime memoization counters — the memo
@@ -88,10 +82,9 @@ type testShard struct {
 // testSlot is the single-flight cell of one state key: done closes when
 // the test (or the computation's error) is available.
 type testSlot struct {
-	done    chan struct{}
-	t       *Test
-	err     error
-	ordered bool
+	done chan struct{}
+	t    *Test
+	err  error
 }
 
 // closedCh is the pre-closed channel of slots born completed (Put).
@@ -144,10 +137,10 @@ func (ts *TestSet) Get(key StateKey) (*Test, bool) {
 // block until the result lands — or until their ctx fires, which
 // surfaces ctx.Err() immediately while the owning flight carries on.
 // computed reports whether this call ran compute — its caller owns the
-// follow-up bookkeeping (exact-call counting, estimator observation,
-// and Put for order registration). A failed computation is forgotten,
-// so a later caller retries; waiters of the failed flight receive its
-// error.
+// follow-up bookkeeping (exact-call counting, estimator observation).
+// A successful computation is memoized and reaches the sink at once. A
+// failed computation is forgotten, so a later caller retries; waiters
+// of the failed flight receive its error.
 func (ts *TestSet) GetOrCompute(ctx context.Context, key StateKey, compute func() (*Test, error)) (t *Test, computed bool, err error) {
 	sh := ts.shardFor(key)
 	sh.mu.Lock()
@@ -196,6 +189,7 @@ func (ts *TestSet) GetOrCompute(ctx context.Context, key StateKey, compute func(
 	s.t = t
 	settled = true
 	close(s.done)
+	ts.toSink(t)
 	return t, true, nil
 }
 
@@ -204,95 +198,97 @@ func (ts *TestSet) GetOrCompute(ctx context.Context, key StateKey, compute func(
 var errFlightPanicked = errors.New("fst: valuation flight panicked")
 
 // Put records a valuated test (idempotent per key, first writer wins)
-// and registers it in the valuation order exactly once. It returns the
-// canonical test stored under the key — or, when a concurrent run's
-// exact flight for the key is still in the air, the caller's own test
-// unrecorded: commits never block on a peer's model inference, and the
-// flight's owner registers the canonical result itself.
+// and returns the canonical test stored under the key — or, when a
+// concurrent run's exact flight for the key is still in the air, the
+// caller's own test unrecorded: commits never block on a peer's model
+// inference, and the flight memoizes the canonical result itself.
 func (ts *TestSet) Put(t *Test) *Test {
 	sh := ts.shardFor(t.Key)
 	for {
 		sh.mu.Lock()
 		s, ok := sh.m[t.Key]
 		if !ok {
-			// Stamp on install, under the shard lock: concurrent runs Put
-			// the same canonical *Test (handed out by one GetOrCompute
-			// flight), so a stamp outside the lock would be a write race.
-			// Tests already recorded carry their install-time stamp.
+			// Stamp on install, under the shard lock. Tests already
+			// recorded carry their install-time stamp.
 			t.Version = ts.version.Load()
-			s = &testSlot{done: closedCh, t: t}
-			sh.m[t.Key] = s
+			sh.m[t.Key] = &testSlot{done: closedCh, t: t}
+			sh.mu.Unlock()
+			ts.toSink(t)
+			return t
 		}
 		select {
 		case <-s.done:
 		default:
 			// A concurrent run has an exact flight for this key in the
-			// air. Don't block a commit on a peer's model inference: the
-			// flight's owner registers the canonical result at its own
-			// commit, and this run's value stands for this run alone.
+			// air. Don't block a commit on a peer's model inference:
+			// this run's value stands for this run alone.
 			sh.mu.Unlock()
 			return t
 		}
+		sh.mu.Unlock()
 		if s.err != nil {
 			// Completed-with-error slots are being vacated; retry.
-			sh.mu.Unlock()
 			continue
 		}
-		canonical := s.t
-		enter := !s.ordered
-		s.ordered = true
-		sh.mu.Unlock()
-		if enter {
-			ts.ordMu.Lock()
-			ts.order = append(ts.order, canonical)
-			if ts.sink != nil {
-				// Under ordMu on purpose: the sink sees tests in exactly
-				// the order All() reports, so a persisted log replayed
-				// through Put reconstructs the valuation order verbatim.
-				ts.sink(canonical)
-			}
-			ts.ordMu.Unlock()
-		}
-		return canonical
+		return s.t
 	}
 }
 
-// SetSink installs fn to observe every test the moment it enters the
-// valuation order — the persistence hook. fn runs with the order lock
-// held (Len/All/Columns block while it runs), sees tests in exactly
-// valuation order, and must therefore be fast and non-blocking; a
-// write-behind enqueue qualifies. A nil fn detaches. Tests already in
-// the order are not replayed to fn — install the sink before the
-// first Put (recovery does: replay feeds Put first, then the sink is
-// attached).
+// SetSink installs fn to observe every test once, the moment
+// GetOrCompute or Put first memoizes it — the persistence hook. fn may
+// run on several goroutines at once and in any order, so it must be
+// safe for concurrent use, fast and non-blocking; a write-behind
+// enqueue qualifies. A nil fn detaches. Tests already memoized are not
+// replayed to fn — install the sink after recovery has replayed the
+// log through Put.
 func (ts *TestSet) SetSink(fn func(*Test)) {
-	ts.ordMu.Lock()
-	ts.sink = fn
-	ts.ordMu.Unlock()
+	if fn == nil {
+		ts.sink.Store(nil)
+		return
+	}
+	ts.sink.Store(&fn)
 }
 
-// Len returns the number of recorded tests.
+func (ts *TestSet) toSink(t *Test) {
+	if fn := ts.sink.Load(); fn != nil {
+		(*fn)(t)
+	}
+}
+
+// each calls fn on every memoized test, shard by shard under the
+// shard's lock; in-flight and failed slots are skipped.
+func (ts *TestSet) each(fn func(*Test)) {
+	for i := range ts.shards {
+		sh := &ts.shards[i]
+		sh.mu.Lock()
+		for _, s := range sh.m {
+			select {
+			case <-s.done:
+				if s.err == nil {
+					fn(s.t)
+				}
+			default:
+			}
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// Len returns the number of memoized tests.
 func (ts *TestSet) Len() int {
-	ts.ordMu.RLock()
-	defer ts.ordMu.RUnlock()
-	return len(ts.order)
+	n := 0
+	ts.each(func(*Test) { n++ })
+	return n
 }
 
-// All returns a snapshot of the tests in valuation order.
+// All returns a snapshot of the memoized tests, sorted by key. The
+// order carries no meaning; the sort only makes the snapshot
+// repeatable.
 func (ts *TestSet) All() []*Test {
-	ts.ordMu.RLock()
-	defer ts.ordMu.RUnlock()
-	return append([]*Test(nil), ts.order...)
-}
-
-// AppendAll snapshots the valuation order into dst (reusing its
-// capacity) — the allocation-free variant of All for hot loops that
-// re-snapshot as the record grows, e.g. the prune history that the
-// search refreshes between valuation windows.
-func (ts *TestSet) AppendAll(dst []*Test) []*Test {
-	ts.ordMu.RLock()
-	defer ts.ordMu.RUnlock()
-	return append(dst[:0], ts.order...)
+	var out []*Test
+	ts.each(func(t *Test) { out = append(out, t) })
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
 }
 
 // Version returns the table version the record is current for.
@@ -304,11 +300,9 @@ func (ts *TestSet) Version() uint64 { return ts.version.Load() }
 // over the appended rows): surviving tests are re-stamped with v and
 // stay memoized, the rest are dropped, and in-flight computations are
 // forgotten (their owners finish, but the result is never recorded —
-// under the no-runs-during-append contract there are none). The
-// valuation order keeps only surviving tests, in their original
-// order, so the correlation graph and diversification normalizer see
-// a record consistent with the new table. A nil valid drops
-// everything. It returns the number of completed valuations dropped.
+// under the no-runs-during-append contract there are none). A nil
+// valid drops everything. It returns the number of completed
+// valuations dropped.
 //
 // v must be at least the current version; AdvanceTo(current, ...) is
 // permitted (a re-validation pass) and re-screens the record without
@@ -317,9 +311,7 @@ func (ts *TestSet) AdvanceTo(v uint64, valid func(*Test) bool) (invalidated int)
 	for i := range ts.shards {
 		ts.shards[i].mu.Lock()
 	}
-	ts.ordMu.Lock()
 	defer func() {
-		ts.ordMu.Unlock()
 		for i := testShards - 1; i >= 0; i-- {
 			ts.shards[i].mu.Unlock()
 		}
@@ -350,29 +342,5 @@ func (ts *TestSet) AdvanceTo(v uint64, valid func(*Test) bool) (invalidated int)
 			invalidated++
 		}
 	}
-	keep := ts.order[:0]
-	for _, t := range ts.order {
-		if t.Version == v {
-			keep = append(keep, t)
-		}
-	}
-	for i := len(keep); i < len(ts.order); i++ {
-		ts.order[i] = nil
-	}
-	ts.order = keep
 	return invalidated
-}
-
-// Columns returns, for measure index j, the series of recorded values —
-// the distribution the correlation graph G_C is computed from.
-func (ts *TestSet) Columns(numMeasures int) [][]float64 {
-	ts.ordMu.RLock()
-	defer ts.ordMu.RUnlock()
-	cols := make([][]float64, numMeasures)
-	for _, t := range ts.order {
-		for j := 0; j < numMeasures && j < len(t.Perf); j++ {
-			cols[j] = append(cols[j], t.Perf[j])
-		}
-	}
-	return cols
 }

@@ -1,15 +1,16 @@
 package fst
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"repro/internal/skyline"
 )
 
-// TestSinkSeesValuationOrder: under concurrent Puts, the sink's
-// sequence is exactly the valuation order All() reports — the
-// invariant the persisted memo log relies on.
+// TestSinkSeesValuationOrder: under concurrent Puts and GetOrComputes
+// of overlapping keys, the sink sees every memoized test exactly once —
+// the invariant the persisted memo log relies on.
 func TestSinkSeesValuationOrder(t *testing.T) {
 	ts := NewTestSet()
 	var mu sync.Mutex
@@ -30,27 +31,42 @@ func TestSinkSeesValuationOrder(t *testing.T) {
 				// Overlapping keys across workers: each key must reach
 				// the sink exactly once.
 				k := StateKey(uint64(i)*2654435761 + uint64(w%2))
-				ts.Put(&Test{Key: k, Perf: skyline.Vector{float64(i)}})
+				if i%2 == 0 {
+					ts.Put(&Test{Key: k, Perf: skyline.Vector{float64(i)}})
+					continue
+				}
+				if _, _, err := ts.GetOrCompute(context.Background(), k, func() (*Test, error) {
+					return &Test{Key: k, Perf: skyline.Vector{float64(i)}}, nil
+				}); err != nil {
+					t.Error(err)
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	order := ts.All()
+	memo := ts.All()
 	mu.Lock()
 	defer mu.Unlock()
-	if len(sunk) != len(order) {
-		t.Fatalf("sink saw %d tests, order has %d", len(sunk), len(order))
+	if len(memo) != 2*n || len(sunk) != len(memo) {
+		t.Fatalf("sink saw %d tests, memo holds %d, want %d", len(sunk), len(memo), 2*n)
 	}
-	for i, tt := range order {
-		if sunk[i] != tt.Key {
-			t.Fatalf("sink order diverges from valuation order at %d: %x vs %x", i, sunk[i], tt.Key)
+	seen := map[StateKey]bool{}
+	for _, k := range sunk {
+		if seen[k] {
+			t.Fatalf("sink saw key %x twice", k)
+		}
+		seen[k] = true
+	}
+	for _, tt := range memo {
+		if !seen[tt.Key] {
+			t.Fatalf("memoized key %x never reached the sink", tt.Key)
 		}
 	}
 }
 
 // TestSinkIdempotentPut: re-Putting an existing key neither re-sinks
-// nor re-orders it — replayed logs with duplicate records (a retried
+// nor re-records it — replayed logs with duplicate records (a retried
 // batch after a failed fsync) recover to the same state.
 func TestSinkIdempotentPut(t *testing.T) {
 	ts := NewTestSet()

@@ -24,14 +24,14 @@ func (s *ValuationStats) Valuations() int { return int(s.valuations.Load()) }
 func (s *ValuationStats) ExactCalls() int { return int(s.exactCalls.Load()) }
 
 // Valuator drives the valuations of one search run: it owns the run's
-// ValuationStats and hands the exact model inferences of each window of
-// independent sibling states to the run's ExactRunner.
+// ValuationStats and history, and hands the exact model inferences of
+// each window of independent sibling states to the run's ExactRunner.
 //
 // Results are deterministic in who runs the inferences: each window is
 // planned sequentially in child order (memo lookups, budget slots,
 // surrogate decisions against the estimator as trained before the
 // window), only the exact model inferences — the expensive part — go
-// to the runner, and every side effect (test-set order, estimator
+// to the runner, and every side effect (the run's history, estimator
 // observations, exact-call counts, the children's Perf vectors) is
 // committed sequentially in child order afterwards. The progressive
 // window schedule (see MaxWindow) is a constant, so a run through a
@@ -43,6 +43,9 @@ type Valuator struct {
 
 	// Stats are this run's counters; read them for budgets and reports.
 	Stats *ValuationStats
+
+	history []*Test
+	seen    map[StateKey]bool
 
 	jobs  []valJob
 	exact []int
@@ -77,9 +80,28 @@ func (c *Config) NewValuator(r ExactRunner) *Valuator {
 	return &Valuator{cfg: c, runner: r, Stats: &ValuationStats{}}
 }
 
+// History returns the tests this run has committed — memo hits,
+// surrogate estimates and exact results alike — once each, in commit
+// order: the run's own test set T, which BiMODis' correlation graph
+// and prune ranges and DivMODis' normaliser read. The slice only grows
+// between windows; callers must not modify it.
+func (v *Valuator) History() []*Test { return v.history }
+
+// commit records t in the run's history unless the run committed its
+// state before.
+func (v *Valuator) commit(t *Test) {
+	if v.seen == nil {
+		v.seen = map[StateKey]bool{}
+	}
+	if !v.seen[t.Key] {
+		v.seen[t.Key] = true
+		v.history = append(v.history, t)
+	}
+}
+
 // Valuate valuates a single state bitmap against this run's counters —
 // the start-state path; frontiers of children go through ValuateWindow.
-// It is the single-state window, so the policy (memo adoption, warmup
+// It is the single-state window, so the policy (memo hits, warmup
 // gate, ExactEvery, canonical-memo commit) and the cancellation
 // behavior are exactly the batch ones — root valuations are often the
 // largest inferences of a run, so they too honor ctx.
@@ -128,11 +150,12 @@ func GrowWindow(size int) int {
 // ValuateWindow plans, executes, and commits one window as a unit: the
 // surrogate consults the estimator as trained before the window, all
 // exact inferences of the window go to the runner together, and
-// side effects commit in child order. Memo hits are free; budget > 0
-// caps this run's total valuations, cutting the window short exactly
-// where a sequential search would stop. It returns how many leading
-// states were processed; states[n:] are left untouched (and
-// unvaluated). Cancellation drains the window and surfaces ctx.Err();
+// side effects commit in child order, each state's test entering the
+// run's history. Memo hits are free; budget > 0 caps this run's total
+// valuations, cutting the window short exactly where a sequential
+// search would stop. It returns how many leading states were
+// processed; states[n:] are left untouched (and unvaluated).
+// Cancellation drains the window and surfaces ctx.Err();
 // the side effects of states preceding the first error commit first —
 // exactly those a sequential run would have committed before stopping
 // at that state. The search drives it with GrowWindow-sized slices of
@@ -159,11 +182,8 @@ func (v *Valuator) ValuateWindow(ctx context.Context, states []*State, budget in
 		n++
 		key := s.Bits.Key()
 		if t, ok := c.Tests.Get(key); ok {
-			// Re-Put the canonical test: idempotent for anything already
-			// in the valuation order, and it adopts orphans — tests
-			// memoized by a run that was cancelled between computation
-			// and commit — into the order at a deterministic point.
-			s.Perf = c.Tests.Put(t).Perf
+			s.Perf = t.Perf
+			v.commit(t)
 			continue
 		}
 		cnt := v.Stats.valuations.Add(1)
@@ -196,7 +216,7 @@ func (v *Valuator) ValuateWindow(ctx context.Context, states []*State, budget in
 	// Hand the exact inferences to the runner.
 	v.runExact(ctx, jobs, exact)
 
-	// Commit in child order: Perf vectors, test-set order, exact-call
+	// Commit in child order: Perf vectors, the run's history, exact-call
 	// counts and estimator observations — identical for any runner.
 	for i := range jobs {
 		j := &jobs[i]
@@ -206,7 +226,9 @@ func (v *Valuator) ValuateWindow(ctx context.Context, states []*State, budget in
 			// wins everywhere — the run's report then matches what the
 			// shared memo will serve forever after. With no contention
 			// the canonical test is ours and nothing changes.
-			j.state.Perf = c.Tests.Put(&Test{Key: j.key, Perf: j.perf, Features: j.feats}).Perf
+			t := c.Tests.Put(&Test{Key: j.key, Perf: j.perf, Features: j.feats})
+			j.state.Perf = t.Perf
+			v.commit(t)
 			continue
 		}
 		if j.err != nil {
@@ -217,10 +239,7 @@ func (v *Valuator) ValuateWindow(ctx context.Context, states []*State, budget in
 			v.Stats.exactCalls.Add(1)
 			c.observe(j.feats, j.test.Perf)
 		}
-		// Put regardless of who computed it: registers our own result in
-		// the valuation order, and adopts single-flighted results whose
-		// owning run was cancelled before its commit.
-		c.Tests.Put(j.test)
+		v.commit(j.test)
 	}
 	return n, nil
 }

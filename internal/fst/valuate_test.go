@@ -78,7 +78,7 @@ func TestGetOrComputeWaiterHonorsContext(t *testing.T) {
 }
 
 // TestGetOrComputeErrorVacatesSlot: a failed flight is forgotten so a
-// later caller retries, and only Put registers the valuation order.
+// later caller retries, and Put of the retried result is idempotent.
 func TestGetOrComputeErrorVacatesSlot(t *testing.T) {
 	ts := NewTestSet()
 	boom := errors.New("boom")
@@ -94,19 +94,16 @@ func TestGetOrComputeErrorVacatesSlot(t *testing.T) {
 	if err != nil || !computed {
 		t.Fatalf("retry: computed=%v err=%v", computed, err)
 	}
-	if ts.Len() != 0 {
-		t.Fatal("GetOrCompute must not register the order; that is Put's job")
-	}
 	if canonical := ts.Put(tst); canonical != tst {
 		t.Error("Put of a computed test must return it as canonical")
 	}
 	if ts.Len() != 1 {
-		t.Fatalf("order length = %d, want 1", ts.Len())
+		t.Fatalf("memo length = %d, want 1", ts.Len())
 	}
-	// Re-putting is idempotent: same canonical, no duplicate order entry.
+	// Re-putting is idempotent: same canonical, no duplicate entry.
 	ts.Put(&Test{Key: 7, Perf: skyline.Vector{9}})
 	if ts.Len() != 1 {
-		t.Fatal("duplicate Put grew the order")
+		t.Fatal("duplicate Put grew the memo")
 	}
 }
 
@@ -293,10 +290,10 @@ func (r *recordingRunner) RunExact(ctx context.Context, tasks []func()) {
 // TestExactRunnerMatchesBuiltinPool: any compliant runner — one that
 // executes windows in reverse on the caller's goroutine, or a queue of
 // the process-global pool (what modis.WithParallelism installs) —
-// yields byte-identical valuations, order, and stats to the inline
+// yields byte-identical valuations, history, and stats to the inline
 // valuator, and receives exactly the exact-inference tasks.
 func TestExactRunnerMatchesBuiltinPool(t *testing.T) {
-	run := func(r ExactRunner) ([]*State, *Valuator, *TestSet) {
+	run := func(r ExactRunner) ([]*State, *Valuator) {
 		cfg := testConfig(&countingModel{})
 		cfg.Validate()
 		val := cfg.NewValuator(r)
@@ -310,10 +307,10 @@ func TestExactRunnerMatchesBuiltinPool(t *testing.T) {
 		if _, err := valuateWindows(context.Background(), val, states, 0); err != nil {
 			t.Fatal(err)
 		}
-		return states, val, cfg.Tests
+		return states, val
 	}
 
-	base, bval, border := run(nil)
+	base, bval := run(nil)
 	rr := &recordingRunner{}
 	for _, r := range []struct {
 		name   string
@@ -322,7 +319,7 @@ func TestExactRunnerMatchesBuiltinPool(t *testing.T) {
 		{"recording", rr},
 		{"queue", workpool.Global().NewQueue("test", 2)},
 	} {
-		got, gval, gorder := run(r.runner)
+		got, gval := run(r.runner)
 		if bval.Stats.Valuations() != gval.Stats.Valuations() || bval.Stats.ExactCalls() != gval.Stats.ExactCalls() {
 			t.Errorf("%s: stats diverge: inline (%d, %d) runner (%d, %d)", r.name,
 				bval.Stats.Valuations(), bval.Stats.ExactCalls(), gval.Stats.Valuations(), gval.Stats.ExactCalls())
@@ -337,13 +334,13 @@ func TestExactRunnerMatchesBuiltinPool(t *testing.T) {
 				}
 			}
 		}
-		ba, ga := border.All(), gorder.All()
-		if len(ba) != len(ga) {
-			t.Fatalf("%s: valuation order lengths diverge: %d vs %d", r.name, len(ba), len(ga))
+		bh, gh := bval.History(), gval.History()
+		if len(bh) != len(base) || len(bh) != len(gh) {
+			t.Fatalf("%s: history lengths %d (inline) and %d (runner), want %d", r.name, len(bh), len(gh), len(base))
 		}
-		for i := range ba {
-			if ba[i].Key != ga[i].Key {
-				t.Fatalf("%s: valuation order diverges at %d", r.name, i)
+		for i := range bh {
+			if bh[i].Key != gh[i].Key || bh[i].Key != base[i].Key() {
+				t.Fatalf("%s: history diverges at %d", r.name, i)
 			}
 		}
 	}

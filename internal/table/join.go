@@ -149,59 +149,3 @@ func Universal(tables ...*Table) *Table {
 	acc.Name = "D_U"
 	return acc
 }
-
-// Augment implements the paper's ⊕_c(D_M, D) operator as SPJ queries:
-// (a) augment R_M with attributes of R_D that are missing, (b) append the
-// tuples of D satisfying literal c, (c) null-fill unknown cells. If c has
-// a zero-value Literal (empty Attr), all tuples of D are appended.
-func Augment(base, src *Table, c Literal) *Table {
-	schema := base.Schema.Clone()
-	for _, col := range src.Schema {
-		if !schema.Has(col.Name) {
-			schema = append(schema, col)
-		}
-	}
-	out := New(base.Name+"⊕", schema)
-	// Existing tuples, null-padded to the new width.
-	for _, r := range base.Rows {
-		nr := make(Row, len(schema))
-		copy(nr, r)
-		out.Rows = append(out.Rows, nr)
-	}
-	// Source tuples satisfying c, remapped into the united schema.
-	srcPos := make([]int, len(src.Schema))
-	for i, col := range src.Schema {
-		srcPos[i] = schema.Index(col.Name)
-	}
-	for _, r := range src.Rows {
-		if c.Attr != "" && !c.Matches(src.Schema, r) {
-			continue
-		}
-		nr := make(Row, len(schema))
-		for i, v := range r {
-			nr[srcPos[i]] = v
-		}
-		out.Rows = append(out.Rows, nr)
-	}
-	return out
-}
-
-// Reduct implements the paper's ⊖_c(D_M) operator: select the tuples
-// satisfying the literal c on R_M.A and remove them from D_M.
-func Reduct(base *Table, c Literal) *Table {
-	out := New(base.Name+"⊖", base.Schema)
-	for _, r := range base.Rows {
-		if c.Matches(base.Schema, r) {
-			continue
-		}
-		out.Rows = append(out.Rows, r.Clone())
-	}
-	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

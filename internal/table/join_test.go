@@ -115,74 +115,6 @@ func TestUniversalSchemaIsUnion(t *testing.T) {
 	}
 }
 
-func TestAugmentOperator(t *testing.T) {
-	base := leftTable()
-	src := rightTable()
-	aug := Augment(base, src, Literal{Attr: "id", Value: Int(4)})
-	// Schema united.
-	if !aug.Schema.Has("y") {
-		t.Fatal("augment must extend the schema")
-	}
-	// Base rows preserved + one matching source row appended.
-	if aug.NumRows() != base.NumRows()+1 {
-		t.Fatalf("augment rows = %d, want %d", aug.NumRows(), base.NumRows()+1)
-	}
-	last := aug.Rows[aug.NumRows()-1]
-	if last[aug.Schema.Index("y")].AsFloat() != 400 {
-		t.Error("appended row should carry y=400")
-	}
-	if !last[aug.Schema.Index("x")].IsNull() {
-		t.Error("unknown cells must null-fill")
-	}
-}
-
-func TestAugmentEmptyLiteralTakesAll(t *testing.T) {
-	aug := Augment(leftTable(), rightTable(), Literal{})
-	if aug.NumRows() != 6 {
-		t.Fatalf("augment-all rows = %d, want 6", aug.NumRows())
-	}
-}
-
-func TestReductOperator(t *testing.T) {
-	base := leftTable()
-	red := Reduct(base, Literal{Attr: "id", Value: Int(2)})
-	if red.NumRows() != 2 {
-		t.Fatalf("reduct rows = %d, want 2", red.NumRows())
-	}
-	for _, r := range red.Rows {
-		if r[0].AsInt() == 2 {
-			t.Fatal("reduct failed to remove id=2")
-		}
-	}
-	// Reducting a non-matching literal is identity on rows.
-	same := Reduct(base, Literal{Attr: "id", Value: Int(99)})
-	if same.NumRows() != base.NumRows() {
-		t.Error("non-matching reduct must keep all rows")
-	}
-}
-
-// Property: Reduct output is always a subset of rows, and Augment output
-// a superset of the base, for arbitrary literal values.
-func TestReductAugmentMonotone(t *testing.T) {
-	f := func(seed int64, key uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := New("A", Schema{{Name: "k", Kind: KindInt}, {Name: "v", Kind: KindFloat}})
-		for i := 0; i < 20; i++ {
-			a.MustAppend(Row{Int(int64(rng.Intn(5))), Float(rng.Float64())})
-		}
-		lit := Literal{Attr: "k", Value: Int(int64(key % 5))}
-		red := Reduct(a, lit)
-		if red.NumRows() > a.NumRows() {
-			return false
-		}
-		aug := Augment(a, a, lit)
-		return aug.NumRows() >= a.NumRows()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: outer join row count is at least max of the inputs and at
 // most the product, and the schema is the union.
 func TestOuterJoinBounds(t *testing.T) {

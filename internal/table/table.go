@@ -151,15 +151,6 @@ type Literal struct {
 // String implements fmt.Stringer.
 func (l Literal) String() string { return l.Attr + "=" + l.Value.String() }
 
-// Matches reports whether the row satisfies the literal under the schema.
-func (l Literal) Matches(s Schema, r Row) bool {
-	idx := s.Index(l.Attr)
-	if idx < 0 {
-		return false
-	}
-	return r[idx].Equal(l.Value)
-}
-
 // Project returns the table restricted to the named attributes, in the
 // given order; absent attributes are skipped.
 func (t *Table) Project(names ...string) *Table {

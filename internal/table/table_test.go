@@ -55,28 +55,6 @@ func TestActiveDomain(t *testing.T) {
 	}
 }
 
-// TestSelectLiteral: a literal A = a selects exactly the rows whose A
-// cell equals a (Literal.Matches, the test Augment and Reduct apply).
-func TestSelectLiteral(t *testing.T) {
-	tb := sampleTable(t)
-	count := func(l Literal) int {
-		n := 0
-		for _, r := range tb.Rows {
-			if l.Matches(tb.Schema, r) {
-				n++
-			}
-		}
-		return n
-	}
-	if got := count(Literal{Attr: "cat", Value: Str("a")}); got != 2 {
-		t.Fatalf("select cat=a: %d rows, want 2", got)
-	}
-	// Null never matches.
-	if got := count(Literal{Attr: "x", Value: Float(1.5)}); got != 2 {
-		t.Fatalf("select x=1.5: %d rows, want 2", got)
-	}
-}
-
 func TestProjectOrderAndSkip(t *testing.T) {
 	tb := sampleTable(t)
 	p := tb.Project("cat", "id", "ghost")

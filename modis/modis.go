@@ -5,8 +5,9 @@
 // it rather than picking internal function pointers.
 //
 // An [Engine] is constructed once per configuration and reused across
-// runs; the memoized valuation record (the paper's test set T) carries
-// over, so repeated or overlapping runs get cheaper. Algorithms are
+// runs; the memo of valuations carries over, so repeated or
+// overlapping runs get cheaper, while each run decides from its own
+// tests (the paper's test set T). Algorithms are
 // selected by registry key — "apx", "bi", "nobi" (bi without
 // correlation-based pruning), "div", "exact" — and tuned with
 // functional options that validate eagerly instead of silently
@@ -130,9 +131,10 @@ func NewEngine(cfg *fst.Config) *Engine {
 // Run is a thin wrapper over the asynchronous job API — [Engine.Submit]
 // followed by [Job.Result] — so a Run and a submitted job execute
 // identically. Runs may execute concurrently on one engine: each run
-// carries its own valuation counters (the Report always describes this
-// run alone) while the memoized valuation record is shared — across
-// sequential runs and in flight between concurrent ones.
+// carries its own valuation counters and history (the Report always
+// describes this run alone) while the memoized valuation record is
+// shared — across sequential runs and in flight between concurrent
+// ones.
 func (e *Engine) Run(ctx context.Context, algorithm string, opts ...Option) (*Report, error) {
 	j, err := e.Submit(ctx, algorithm, opts...)
 	if err != nil {

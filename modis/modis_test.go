@@ -146,16 +146,23 @@ func TestRegistryRejectsUnknownAlgorithm(t *testing.T) {
 }
 
 func TestRegistryAliasesAndCase(t *testing.T) {
-	for alias, canonical := range map[string]string{
-		"BiMODis": "bi", "apxmodis": "apx", " exact ": "exact", "NOBIMODIS": "nobi", "DivMODis": "div",
+	for name, canonical := range map[string]string{
+		"BI": "bi", "Apx": "apx", " exact ": "exact", "NOBI": "nobi", "Div": "div",
 	} {
-		rep, err := modis.NewEngine(newTestConfig(t, nil)).Run(context.Background(), alias,
+		rep, err := modis.NewEngine(newTestConfig(t, nil)).Run(context.Background(), name,
 			modis.WithBudget(40), modis.WithMaxLevel(2))
 		if err != nil {
-			t.Fatalf("alias %q: %v", alias, err)
+			t.Fatalf("name %q: %v", name, err)
 		}
 		if rep.Algorithm != canonical {
-			t.Errorf("alias %q resolved to %q, want %q", alias, rep.Algorithm, canonical)
+			t.Errorf("name %q resolved to %q, want %q", name, rep.Algorithm, canonical)
+		}
+	}
+	// The long-form names are not second spellings.
+	for _, retired := range []string{"bimodis", "ApxMODis", "exactmodis"} {
+		var unknown *modis.UnknownAlgorithmError
+		if _, err := modis.NewEngine(newTestConfig(t, nil)).Run(context.Background(), retired); !errors.As(err, &unknown) {
+			t.Errorf("%q: err = %v, want an unknown-algorithm error", retired, err)
 		}
 	}
 }

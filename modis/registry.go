@@ -24,15 +24,6 @@ type AlgorithmFunc func(ctx context.Context, cfg *fst.Config, opts core.Options)
 var (
 	regMu    sync.RWMutex
 	registry = map[string]AlgorithmFunc{}
-
-	// aliases accept the long-form names the binaries historically used.
-	aliases = map[string]string{
-		"apxmodis":   "apx",
-		"bimodis":    "bi",
-		"nobimodis":  "nobi",
-		"divmodis":   "div",
-		"exactmodis": "exact",
-	}
 )
 
 func init() {
@@ -44,7 +35,7 @@ func init() {
 }
 
 // Register adds an algorithm under a new key (case-insensitive). It
-// rejects empty keys and keys already taken by an algorithm or alias.
+// rejects empty keys and keys already taken.
 // Every run of the key calls fn with the resolved options described on
 // AlgorithmFunc.
 func Register(name string, fn AlgorithmFunc) error {
@@ -59,9 +50,6 @@ func Register(name string, fn AlgorithmFunc) error {
 	defer regMu.Unlock()
 	if _, ok := registry[key]; ok {
 		return fmt.Errorf("modis: Register(%q): already registered", name)
-	}
-	if _, ok := aliases[key]; ok {
-		return fmt.Errorf("modis: Register(%q): name is a reserved alias", name)
 	}
 	registry[key] = fn
 	return nil
@@ -97,15 +85,11 @@ func (e *UnknownAlgorithmError) Error() string {
 		e.Name, strings.Join(e.Known, ", "))
 }
 
-// lookup resolves a (possibly aliased) algorithm name to its function
-// and canonical key.
+// lookup resolves an algorithm name to its function and canonical key.
 func lookup(name string) (AlgorithmFunc, string, error) {
 	key := normalize(name)
 	regMu.RLock()
 	defer regMu.RUnlock()
-	if canon, ok := aliases[key]; ok {
-		key = canon
-	}
 	if fn, ok := registry[key]; ok {
 		return fn, key, nil
 	}

@@ -180,10 +180,9 @@ func (p *Persistence) committerOptions() wal.CommitterOptions {
 }
 
 // AttachMemo opens (recovering if present) the memo store of the
-// shard, replays every persisted test into ts.Put in logged order —
-// reconstructing the valuation order, correlation columns, and
-// diversification normalizer exactly — and installs a sink so every
-// future valuation is persisted write-behind. accept (nil = accept
+// shard, replays every persisted test into ts.Put — the memo is keyed
+// by state, so replay order does not matter — and installs a sink so
+// every future valuation is persisted write-behind. accept (nil = accept
 // all) screens each decoded record before it is replayed: the
 // versioned-memo predicate drops valuations whose recorded table
 // version no longer matches the shard's replayed row history. A store
@@ -216,8 +215,8 @@ func (p *Persistence) AttachMemo(hash string, ts *fst.TestSet, accept func(*fst.
 	}
 
 	// Open-time compaction: fold the log into a snapshot once it has
-	// outgrown the threshold. The memo state is exactly ts's valuation
-	// order, so the snapshot is written from memory.
+	// outgrown the threshold. The memo state is exactly ts's entries, so
+	// the snapshot is written from memory.
 	if store.LogSize() > p.opts.CompactBytes {
 		tests := ts.All()
 		if cerr := store.Compact(func(_ func(wal.RecordRef) ([]byte, error), write func([]byte) (wal.RecordRef, error)) error {

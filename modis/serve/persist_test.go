@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -79,9 +80,8 @@ func waitUntil(tb testing.TB, d time.Duration, what string, cond func() bool) {
 // TestColdWarmDeterminism is the restart contract end to end: a cold
 // incarnation runs every algorithm on a fresh workload and persists its
 // memo; a warm incarnation — fresh config, same state directory —
-// recovers the memoized valuations in the exact order they were made,
-// reproduces every skyline byte for byte, and performs zero exact
-// inferences doing so. Registration alone does the recovery: the memo
+// recovers every memoized valuation bit for bit, reproduces every
+// skyline byte for byte, and performs zero exact inferences doing so. Registration alone does the recovery: the memo
 // lives under the shard's descriptor hash, and both incarnations derive
 // the same hash from structurally identical configs.
 func TestColdWarmDeterminism(t *testing.T) {
@@ -121,20 +121,24 @@ func TestColdWarmDeterminism(t *testing.T) {
 	defer pB.Close()
 	schedB := serve.NewScheduler(serve.SchedulerOptions{Persist: pB})
 	registerShape(t, schedB, cfgB)
-	warmTests := cfgB.Tests.All()
+	warmTests := map[fst.StateKey]*fst.Test{}
+	for _, tt := range cfgB.Tests.All() {
+		warmTests[tt.Key] = tt
+	}
 	if len(warmTests) != len(coldTests) {
 		t.Fatalf("recovered %d memoized valuations, cold made %d", len(warmTests), len(coldTests))
 	}
-	for i := range coldTests {
-		if warmTests[i].Key != coldTests[i].Key {
-			t.Fatalf("valuation order diverged at %d: recovered key %d, cold key %d", i, warmTests[i].Key, coldTests[i].Key)
+	for _, cold := range coldTests {
+		warm, ok := warmTests[cold.Key]
+		if !ok {
+			t.Fatalf("cold valuation %x was not recovered", cold.Key)
 		}
-		if len(warmTests[i].Perf) != len(coldTests[i].Perf) {
-			t.Fatalf("valuation %d: perf arity diverged", i)
+		if len(warm.Perf) != len(cold.Perf) {
+			t.Fatalf("valuation %x: perf arity diverged", cold.Key)
 		}
-		for j := range coldTests[i].Perf {
-			if warmTests[i].Perf[j] != coldTests[i].Perf[j] {
-				t.Fatalf("valuation %d measure %d: recovered %v, cold %v (not bit-exact)", i, j, warmTests[i].Perf[j], coldTests[i].Perf[j])
+		for j := range cold.Perf {
+			if math.Float64bits(warm.Perf[j]) != math.Float64bits(cold.Perf[j]) {
+				t.Fatalf("valuation %x measure %d: recovered %v, cold %v (not bit-exact)", cold.Key, j, warm.Perf[j], cold.Perf[j])
 			}
 		}
 	}

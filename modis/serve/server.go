@@ -18,7 +18,8 @@ import (
 type SubmitRequest struct {
 	// Workload names a configuration from the server's catalog.
 	Workload string `json:"workload"`
-	// Algorithm is a registry key or alias ("bi", "bimodis", ...).
+	// Algorithm is a registry key ("apx", "bi", "nobi", "div",
+	// "exact"), matched case-insensitively.
 	Algorithm string `json:"algorithm"`
 	// Options tune the run; absent fields keep engine defaults.
 	Options *JobOptions `json:"options,omitempty"`
