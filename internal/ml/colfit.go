@@ -27,9 +27,10 @@ type frame struct {
 	// the value of level l, ascending; a level may hold no position.
 	// Growth reads only lv and lvals, never base or cols, so it copies
 	// and partitions no orders (see bestSplitLevels for
-	// classification, bestSplitHist for regression); a leveled
-	// bootstrap resample leaves base and cols unfilled, and a 0/1 frame
-	// (frameFromCols) has no orders and aliases the caller's columns.
+	// classification, the histogram blocks of growFrame for
+	// regression); a leveled bootstrap resample leaves base and cols
+	// unfilled, and a 0/1 frame (frameFromCols) has no orders and
+	// aliases the caller's columns.
 	leveled bool
 	lv      [][]uint8
 	lvals   [][]float64

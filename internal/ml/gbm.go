@@ -67,10 +67,13 @@ func (g *GBMRegressor) fitFrame(fr *frame, ws *treeScratch) {
 	resid := make([]float64, fr.n)
 	target := fr.y
 	for t := 0; t < cfg.NumTrees; t++ {
+		m := 0.0
 		for i := range resid {
-			resid[i] = target[i] - pred[i]
+			r := target[i] - pred[i]
+			resid[i] = r
+			m = max(m, math.Abs(r)) // NaN if any r is NaN
 		}
-		g.trees = append(g.trees, fitStage(cfg, fr, resid, pred, ws))
+		g.trees = append(g.trees, fitStage(cfg, fr, resid, m, pred, ws))
 	}
 	fr.y = target
 }
@@ -98,17 +101,18 @@ func (g *GBMRegressor) Importances(nf int) []float64 {
 }
 
 // fitStage grows the next boosting tree on the frame with the stage's
-// pseudo-target and adds LearningRate times its output to every row's
-// running prediction pred, taking each row's output from the leaf value
-// growth records for it rather than walking the finished tree.
-func fitStage(cfg GBMConfig, fr *frame, target, pred []float64, ws *treeScratch) *TreeRegressor {
+// pseudo-target, whose max |target| (NaN when one is NaN) is ymax, and
+// adds LearningRate times its output to every row's running prediction
+// pred, taking each row's output from the leaf value growth records for
+// it rather than walking the finished tree.
+func fitStage(cfg GBMConfig, fr *frame, target []float64, ymax float64, pred []float64, ws *treeScratch) *TreeRegressor {
 	tree := &TreeRegressor{Config: TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf}}
 	fr.y = target
 	if cap(ws.leafBuf) < fr.n {
 		ws.leafBuf = make([]float64, fr.n)
 	}
 	ws.leafv = ws.leafBuf[:fr.n]
-	tree.fitFrame(fr, ws)
+	tree.root = growFit(fr, tree.Config, nil, false, 0, ws.quantizeMax(target, ymax), ws)
 	for i, v := range ws.leafv {
 		pred[i] += cfg.LearningRate * v
 	}
@@ -155,10 +159,13 @@ func (g *GBMClassifier) fitFrame(fr *frame, ws *treeScratch) {
 	grad := make([]float64, fr.n)
 	target := fr.y
 	for t := 0; t < cfg.NumTrees; t++ {
+		m := 0.0
 		for i := range grad {
-			grad[i] = target[i] - sigmoid(raw[i])
+			r := target[i] - sigmoid(raw[i])
+			grad[i] = r
+			m = max(m, math.Abs(r)) // NaN if any r is NaN
 		}
-		g.trees = append(g.trees, fitStage(cfg, fr, grad, raw, ws))
+		g.trees = append(g.trees, fitStage(cfg, fr, grad, m, raw, ws))
 	}
 	fr.y = target
 }

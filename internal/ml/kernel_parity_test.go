@@ -538,7 +538,7 @@ func regressionTargets(rng *rand.Rand, n, levels0 int, huge float64, mirror bool
 	return y
 }
 
-// TestHistSplitMatchesOrdered checks bestSplitHist against the ordered
+// TestHistSplitMatchesOrdered checks histSplit against the ordered
 // regression scan bit for bit — gain, threshold and ok — on random
 // leveled frames: 1 to 16 levels, ±0 as one level, adjacent-float
 // levels, targets of mixed magnitude (±1e16 or ±1e3 beside small
@@ -600,7 +600,7 @@ func TestHistSplitMatchesOrdered(t *testing.T) {
 			for _, minLeaf := range []int{1, 2, 3, 4} {
 				for f := 0; f < nf; f++ {
 					wg, wt, wok := bestSplitOrdered(ord, orders[f][lo:hi], f, minLeaf, 0, false, 0, ws)
-					gg, gt, gok := bestSplitHist(lfr, f, seg, minLeaf, ws)
+					gg, gt, gok := histSplit(lfr, f, seg, minLeaf, ws)
 					if math.Float64bits(gg) != math.Float64bits(wg) || math.Float64bits(gt) != math.Float64bits(wt) || gok != wok {
 						t.Fatalf("trial %d feature %d (%d levels) segment [%d,%d) minLeaf %d: hist (%v, %v, %v), ordered (%v, %v, %v)",
 							trial, f, len(lfr.lvals[f]), lo, hi, minLeaf, gg, gt, gok, wg, wt, wok)

@@ -123,7 +123,7 @@ func judge(cands []refCandidate, thresh float64, ok bool) (best int, decisive, a
 	return best, decisive, accept
 }
 
-// TestHistSplitMatchesBigReference checks bestSplitHist against a
+// TestHistSplitMatchesBigReference checks histSplit against a
 // math/big reference over the quantised targets: wherever the exact
 // first-best score is decisive (see judge), the kernel returns that
 // boundary's threshold bits, ok, and a gain within the rounding bound
@@ -157,7 +157,7 @@ func TestHistSplitMatchesBigReference(t *testing.T) {
 			seg := idx[lo:hi]
 			for _, minLeaf := range []int{1, 2, 3} {
 				for f := 0; f < nf; f++ {
-					gain, thresh, ok := bestSplitHist(fr, f, seg, minLeaf, ws)
+					gain, thresh, ok := histSplit(fr, f, seg, minLeaf, ws)
 					cands := refCandidates(fr, f, seg, minLeaf, yq)
 					best, dec, accept := judge(cands, thresh, ok)
 					if !accept {
@@ -264,10 +264,10 @@ func TestSplitPermutationInvariant(t *testing.T) {
 			}
 			if fr.readLevels(); fr.leveled {
 				for f := 0; f < nf; f++ {
-					g, th, ok := bestSplitHist(fr, f, seg, minLeaf, ws)
+					g, th, ok := histSplit(fr, f, seg, minLeaf, ws)
 					out = append(out, split{g, th, ok})
 					rng.Shuffle(len(seg), func(i, j int) { seg[i], seg[j] = seg[j], seg[i] })
-					g, th, ok = bestSplitHist(fr, f, seg, minLeaf, ws)
+					g, th, ok = histSplit(fr, f, seg, minLeaf, ws)
 					out = append(out, split{g, th, ok})
 				}
 			}
@@ -430,7 +430,7 @@ func TestNonFiniteTargetIsOneLeaf(t *testing.T) {
 
 // TestSplitTieKeepsFirst: where two thresholds of a feature, or the
 // best splits of two features, score exactly the same, the first wins
-// — in bestSplitLevels, bestSplitHist, both branches of
+// — in bestSplitLevels, histSplit, both branches of
 // bestSplitOrdered, and across features in growFrame. The node is four
 // value levels of three rows each whose targets (or labels) are
 // symmetric end to end, so the two outer boundaries tie bit for bit
@@ -488,7 +488,7 @@ func TestSplitTieKeepsFirst(t *testing.T) {
 			if clf {
 				lg, lt, lok = bestSplitLevels(fr, 0, seg, 1, giniAt(y, seg, 2, ws), 2, ws)
 			} else {
-				lg, lt, lok = bestSplitHist(fr, 0, seg, 1, ws)
+				lg, lt, lok = histSplit(fr, 0, seg, 1, ws)
 			}
 			ws.putFrame(fr)
 			if !ook || !lok || ot != first || lt != first || math.Float64bits(og) != math.Float64bits(lg) {

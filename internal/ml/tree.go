@@ -42,10 +42,11 @@ func (c TreeConfig) withDefaults() TreeConfig {
 // treeScratch holds the buffers reused across every node of a fit —
 // node position slices, per-feature working orders (none for a leveled
 // frame), partition, class-count and level-histogram scratch, the
-// quantised regression targets, and the feature-sampling source — so
-// growing a tree allocates only its leaf probability vectors and, in
-// slab-sized chunks, its persistent nodes. Ensemble fits share one
-// scratch across all their trees.
+// regression histogram blocks of the open nodes, the quantised
+// regression targets, and the feature-sampling source — so growing a
+// tree allocates only its leaf probability vectors and, in slab-sized
+// chunks, its persistent nodes. Ensemble fits share one scratch across
+// all their trees, and the pool shares it across fits.
 type treeScratch struct {
 	feats    []int
 	leftCnt  []float64
@@ -81,6 +82,14 @@ type treeScratch struct {
 	// being grown, and qshift its scale's exponent (see quantize).
 	yq     []int64
 	qshift int
+	// hsum and hcnt hold the histogram blocks of leveled regression
+	// growth (prepareHist): block s, hstride entries from s·hstride,
+	// holds for every feature f and level l of it the sum of a node's
+	// quantised targets and its row count at entry hoff[f]+l.
+	hsum    []int64
+	hcnt    []int32
+	hoff    []int
+	hstride int
 
 	// frameFree recycles fitting frames (column/order slabs) across the
 	// fits sharing this scratch — see getFrame/putFrame in colfit.go.
@@ -166,7 +175,13 @@ func (t *TreeRegressor) FitData(d Data) {
 // feature orders.
 func (t *TreeRegressor) fitFrame(fr *frame, ws *treeScratch) {
 	cfg := t.Config.withDefaults()
-	t.root = growFit(fr, cfg, featureRNG(cfg, fr.nf, ws), false, 0, ws)
+	t.root = growFit(fr, cfg, featureRNG(cfg, fr.nf, ws), false, 0, ws.quantize(fr.y), ws)
+}
+
+// samples reports whether a split over nf features scans only a
+// MaxFeatures sample of them.
+func (c TreeConfig) samples(nf int) bool {
+	return c.MaxFeatures > 0 && c.MaxFeatures < nf
 }
 
 // featureRNG returns the source MaxFeatures sampling draws from, or nil
@@ -175,7 +190,7 @@ func (t *TreeRegressor) fitFrame(fr *frame, ws *treeScratch) {
 // costs ~3.5 µs (math/rand's ~14.5 µs), a few per cent of a depth-3
 // boosting tree over 420 rows, so trees that never sample skip it.
 func featureRNG(cfg TreeConfig, nf int, ws *treeScratch) *rand.Rand {
-	if cfg.MaxFeatures <= 0 || cfg.MaxFeatures >= nf {
+	if !cfg.samples(nf) {
 		return nil
 	}
 	if ws.rng == nil {
@@ -213,7 +228,7 @@ func (t *TreeClassifier) fitFrame(fr *frame, ws *treeScratch) {
 		t.NumClass = countClasses(fr.y)
 	}
 	cfg := t.Config.withDefaults()
-	t.root = growFit(fr, cfg, featureRNG(cfg, fr.nf, ws), true, t.NumClass, ws)
+	t.root = growFit(fr, cfg, featureRNG(cfg, fr.nf, ws), true, t.NumClass, true, ws)
 }
 
 // PredictProba returns class probabilities for a single example.
@@ -267,12 +282,13 @@ func asLeaf(node *treeNode, y []float64, idx []int32, clf bool, nClass int, ws *
 }
 
 // growFit prepares the per-fit growth state (position slice, working
-// copies of the frame's presorted feature orders, the quantised
-// regression targets or the cached classes) and grows the tree.
-// Orders are nil for leveled frames, classification or regression:
-// there are none to copy, and growth reads each node off its ascending
-// position segment.
-func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws *treeScratch) *treeNode {
+// copies of the frame's presorted feature orders, the cached classes or
+// the regression histogram blocks) and grows the tree. Orders are nil
+// for leveled frames, classification or regression: there are none to
+// copy, and growth reads each node off its ascending position segment.
+// finite reports that a regression tree's targets are finite and
+// quantised into ws.yq (see quantize); classification passes true.
+func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, finite bool, ws *treeScratch) *treeNode {
 	n := fr.n
 	var orders [][]int32
 	if fr.leveled {
@@ -289,14 +305,16 @@ func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws
 		idx[i] = int32(i)
 	}
 	switch {
-	case clf && fr.leveled:
-		ws.prepareLevels(fr.y, nClass)
-	case !clf && !ws.quantize(fr.y):
+	case !finite:
 		// A NaN or infinite target: every gain would be NaN, as the
 		// root's variance is, so the tree is one leaf.
 		return asLeaf(ws.newNode(n), fr.y, idx, clf, nClass, ws)
+	case clf && fr.leveled:
+		ws.prepareLevels(fr.y, nClass)
+	case fr.leveled:
+		ws.prepareHist(fr)
 	}
-	return growFrame(fr, orders, idx, 0, n, 0, cfg, rng, clf, nClass, ws)
+	return growFrame(fr, orders, idx, 0, n, 0, 0, cfg, rng, clf, nClass, ws)
 }
 
 // growFrame recursively grows a CART tree over the position segment
@@ -311,7 +329,18 @@ func growFit(fr *frame, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws
 // only split search reads them. idx[lo:hi] is always ascending, since it
 // starts as 0..n-1 and every partition is stable; leveled frames (nil
 // orders) rely on that.
-func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws *treeScratch) *treeNode {
+//
+// A leveled regression node scans the histogram block hs (see
+// prepareHist) instead of its rows. The root fills its own block, one
+// pass over its rows per feature, and so does every node of a tree that
+// samples features, for the features it drew. In a tree that scans
+// every feature, a splitting node builds its children's blocks instead:
+// the smaller child's from its rows and the larger child's as the
+// node's block minus the smaller one's (histogram subtraction, Ke et
+// al., NeurIPS 2017). The sums are integers, so the difference is
+// exactly the fill the larger child would make, and its splits are the
+// same bit for bit.
+func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth, hs int, cfg TreeConfig, rng *rand.Rand, clf bool, nClass int, ws *treeScratch) *treeNode {
 	node := ws.newNode(hi - lo)
 	seg := idx[lo:hi]
 	if depth >= cfg.MaxDepth || hi-lo < 2*cfg.MinLeaf || pure(fr.y, seg) {
@@ -326,10 +355,15 @@ func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg 
 	for i := range feats {
 		feats[i] = i
 	}
-	if cfg.MaxFeatures > 0 && cfg.MaxFeatures < nf {
+	sample := cfg.samples(nf)
+	if sample {
 		rng.Shuffle(nf, func(i, j int) { feats[i], feats[j] = feats[j], feats[i] })
 		feats = feats[:cfg.MaxFeatures]
 		sort.Ints(feats)
+	}
+	hist := fr.leveled && !clf
+	if hist && (sample || depth == 0) {
+		ws.fillHist(fr, feats, seg, hs)
 	}
 
 	bestGain := 0.0
@@ -345,7 +379,7 @@ func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg 
 		case fr.leveled && clf:
 			gain, thresh, ok = bestSplitLevels(fr, f, seg, cfg.MinLeaf, parentImp, nClass, ws)
 		case fr.leveled:
-			gain, thresh, ok = bestSplitHist(fr, f, seg, cfg.MinLeaf, ws)
+			gain, thresh, ok = ws.scanHist(fr, f, hs, hi-lo, cfg.MinLeaf)
 		default:
 			gain, thresh, ok = bestSplitOrdered(fr, orders[f][lo:hi], f, cfg.MinLeaf, parentImp, clf, nClass, ws)
 		}
@@ -392,13 +426,30 @@ func growFrame(fr *frame, orders [][]int32, idx []int32, lo, hi, depth int, cfg 
 	// after, relative order preserved — the children's segments stay
 	// sorted without re-sorting.
 	stablePartition(idx[lo:hi], k, ws.left, ws.partL, ws.partR)
-	if depth+1 < cfg.MaxDepth && (k >= 2*cfg.MinLeaf || (hi-lo)-k >= 2*cfg.MinLeaf) {
+	splitL := depth+1 < cfg.MaxDepth && k >= 2*cfg.MinLeaf
+	splitR := depth+1 < cfg.MaxDepth && (hi-lo)-k >= 2*cfg.MinLeaf
+	if splitL || splitR {
 		for _, order := range orders {
 			stablePartition(order[lo:hi], k, ws.left, ws.partL, ws.partR)
 		}
 	}
-	node.left = growFrame(fr, orders, idx, lo, lo+k, depth+1, cfg, rng, clf, nClass, ws)
-	node.right = growFrame(fr, orders, idx, lo+k, hi, depth+1, cfg, rng, clf, nClass, ws)
+	ls, rs := hs, hs
+	if hist && !sample {
+		ls, rs = 2*depth+1, 2*depth+2
+		ws.reserveHist(rs + 1)
+		small, ss, smallSplits, bs, bigSplits := idx[lo:lo+k], ls, splitL, rs, splitR
+		if 2*k > hi-lo {
+			small, ss, smallSplits, bs, bigSplits = idx[lo+k:hi], rs, splitR, ls, splitL
+		}
+		if smallSplits || bigSplits {
+			ws.fillHist(fr, feats, small, ss)
+		}
+		if bigSplits {
+			ws.subHist(bs, hs, ss)
+		}
+	}
+	node.left = growFrame(fr, orders, idx, lo, lo+k, depth+1, ls, cfg, rng, clf, nClass, ws)
+	node.right = growFrame(fr, orders, idx, lo+k, hi, depth+1, rs, cfg, rng, clf, nClass, ws)
 	return node
 }
 
@@ -641,37 +692,96 @@ func bestSplitLevels(fr *frame, f int, seg []int32, minLeaf int, parentImp float
 	return best, thresh, true
 }
 
-// bestSplitHist is bestSplitOrdered's regression scan over a leveled
-// frame, bit for bit. One pass over the node's segment seg adds each
-// position's quantised target and a count into its value level's slot;
-// the non-empty levels are then scanned in ascending order. The ordered
-// scan's candidates are exactly the boundaries between non-empty
-// levels, where its running sum and count equal the cumulative level
-// sums and counts here. Integer sums are exact in any order, so every
-// candidate's score, and with it the first-best choice, comes out the
-// same. The threshold is the midpoint of the two level values, as in
-// bestSplitLevels.
-func bestSplitHist(fr *frame, f int, seg []int32, minLeaf int, ws *treeScratch) (gain, thresh float64, ok bool) {
-	lv, vals := fr.lv[f], fr.lvals[f]
-	yq := ws.yq[:len(lv)]
-	var sum [maxLevels]int64
-	var cnt [maxLevels]int
-	for _, p := range seg {
-		l := lv[p] & (maxLevels - 1)
-		sum[l] += yq[p]
-		cnt[l]++
+// prepareHist lays out the histogram blocks of a leveled regression
+// fit. Feature f's levels take entries hoff[f] onward, packed, and a
+// block is maxLevels entries longer than the levels of all features, so
+// that fillHist can view any feature's levels as a [maxLevels] array.
+//
+// A tree that samples features uses block 0 only, refilled by every
+// node. Otherwise the root holds block 0 and the children of a node at
+// depth d hold blocks 2d+1 (left) and 2d+2 (right), made room for by
+// reserveHist when the node splits. A node's block is dead once its
+// children's are built, and a right child's block outlives its left
+// sibling's subtree, whose blocks all lie above 2d+2.
+func (ws *treeScratch) prepareHist(fr *frame) {
+	ws.hoff = ws.hoff[:0]
+	o := 0
+	for _, vals := range fr.lvals {
+		ws.hoff = append(ws.hoff, o)
+		o += len(vals)
 	}
+	ws.hoff = append(ws.hoff, o)
+	ws.hstride = o + maxLevels
+	ws.reserveHist(1)
+}
+
+// reserveHist makes room for blocks 0 … k−1, keeping those already
+// built. The buffers only grow, so once a fit has reached its deepest
+// split, later fits of the same shape allocate nothing here.
+func (ws *treeScratch) reserveHist(k int) {
+	if need := k * ws.hstride; len(ws.hsum) < need {
+		ws.hsum = append(ws.hsum, make([]int64, need-len(ws.hsum))...)
+		ws.hcnt = append(ws.hcnt, make([]int32, need-len(ws.hcnt))...)
+	}
+}
+
+// fillHist builds block s over the rows of seg for the features feats:
+// one pass over seg per feature adds each position's quantised target
+// and a count into its value level's entry.
+func (ws *treeScratch) fillHist(fr *frame, feats []int, seg []int32, s int) {
+	sum := ws.hsum[s*ws.hstride : (s+1)*ws.hstride]
+	cnt := ws.hcnt[s*ws.hstride : (s+1)*ws.hstride]
+	for _, f := range feats {
+		lv := fr.lv[f]
+		yq := ws.yq[:len(lv)]
+		o := ws.hoff[f]
+		sums, cnts := (*[maxLevels]int64)(sum[o:]), (*[maxLevels]int32)(cnt[o:])
+		clear(sums[:ws.hoff[f+1]-o])
+		clear(cnts[:ws.hoff[f+1]-o])
+		for _, p := range seg {
+			l := lv[p] & (maxLevels - 1)
+			sums[l] += yq[p]
+			cnts[l]++
+		}
+	}
+}
+
+// subHist sets block dst to block a minus block b, entry for entry.
+func (ws *treeScratch) subHist(dst, a, b int) {
+	m, st := ws.hoff[len(ws.hoff)-1], ws.hstride
+	ds, as, bs := ws.hsum[dst*st:dst*st+m], ws.hsum[a*st:a*st+m], ws.hsum[b*st:b*st+m]
+	for i := range ds {
+		ds[i] = as[i] - bs[i]
+	}
+	dc, ac, bc := ws.hcnt[dst*st:dst*st+m], ws.hcnt[a*st:a*st+m], ws.hcnt[b*st:b*st+m]
+	for i := range dc {
+		dc[i] = ac[i] - bc[i]
+	}
+}
+
+// scanHist is bestSplitOrdered's regression scan over a leveled frame,
+// bit for bit: it scans feature f's levels in block s, which holds a
+// node of n rows, and the non-empty levels in ascending order. The
+// ordered scan's candidates are exactly the boundaries between
+// non-empty levels, where its running sum and count equal the
+// cumulative level sums and counts here. Integer sums are exact in any
+// order, so every candidate's score, and with it the first-best choice,
+// comes out the same. The threshold is the midpoint of the two level
+// values, as in bestSplitLevels.
+func (ws *treeScratch) scanHist(fr *frame, f, s, n, minLeaf int) (gain, thresh float64, ok bool) {
+	vals := fr.lvals[f]
+	o := s*ws.hstride + ws.hoff[f]
+	sum, cnt := ws.hsum[o:o+len(vals)], ws.hcnt[o:o+len(vals)]
 	var t int64
-	for _, s := range sum {
-		t += s
+	for _, v := range sum {
+		t += v
 	}
-	n := len(seg)
 	var l int64
 	nl := 0
 	best := 0.0
 	prev := -1
-	for lev := range vals {
-		if cnt[lev] == 0 {
+	for lev, c := range cnt {
+		if c == 0 {
 			continue
 		}
 		if prev >= 0 && nl >= minLeaf && n-nl >= minLeaf {
@@ -681,7 +791,7 @@ func bestSplitHist(fr *frame, f int, seg []int32, minLeaf int, ws *treeScratch) 
 			}
 		}
 		l += sum[lev]
-		nl += cnt[lev]
+		nl += int(c)
 		prev = lev
 	}
 	if best <= 0 {
@@ -720,6 +830,13 @@ func (ws *treeScratch) quantize(y []float64) bool {
 	for _, v := range y {
 		m = max(m, math.Abs(v)) // NaN if any v is NaN
 	}
+	return ws.quantizeMax(y, m)
+}
+
+// quantizeMax is quantize for a caller that has m = max|y| in hand, NaN
+// when some y is NaN: boosting takes it while writing each stage's
+// targets.
+func (ws *treeScratch) quantizeMax(y []float64, m float64) bool {
 	if math.IsNaN(m) || math.IsInf(m, 0) {
 		return false
 	}

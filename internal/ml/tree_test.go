@@ -145,7 +145,7 @@ func TestTreeImportancesNormalized(t *testing.T) {
 	}
 }
 
-// On a 0/1 frame built by frameFromCols, bestSplitHist must return
+// On a 0/1 frame built by frameFromCols, histSplit must return
 // bestSplitOrdered's gain bit for bit, not only the same split: a gain
 // one ulp off can flip a later comparison between features. Segments
 // are random ascending subsets of the positions, with zero counts at
@@ -197,11 +197,20 @@ func TestZeroOneSplitMatchesOrdered(t *testing.T) {
 		if !lfr.leveled {
 			t.Fatal("0/1 columns should make a leveled frame")
 		}
-		gain, thresh, ok := bestSplitHist(lfr, 0, seg, minLeaf, ws)
+		gain, thresh, ok := histSplit(lfr, 0, seg, minLeaf, ws)
 		ws.putFrame(lfr)
 		if math.Float64bits(gain) != math.Float64bits(wantGain) || thresh != wantThresh || ok != wantOK {
 			t.Fatalf("trial %d (%d zeros of %d): hist = (%v, %v, %v), ordered = (%v, %v, %v)",
 				trial, zeros, m, gain, thresh, ok, wantGain, wantThresh, wantOK)
 		}
 	}
+}
+
+// histSplit is the production split search of one feature of a leveled
+// regression node whose rows are seg: fill the feature's histogram
+// block, then scan it.
+func histSplit(fr *frame, f int, seg []int32, minLeaf int, ws *treeScratch) (gain, thresh float64, ok bool) {
+	ws.prepareHist(fr)
+	ws.fillHist(fr, []int{f}, seg, 0)
+	return ws.scanHist(fr, f, 0, len(seg), minLeaf)
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Perf smoke: three short modisperf measurements, two of the serving
-# layer and one of the UDF valuation route, gated on the numbers that
-# are stable at that length.
+# Perf smoke: four short modisperf measurements, two of the serving
+# layer, one of the UDF valuation route and one of the surrogate's
+# refits, gated on the numbers that are stable at that length.
 #
 # modisperf exits non-zero when an op's skyline digest check or the
 # SIGKILL durability check fails, and pipefail carries that exit through
@@ -11,8 +11,11 @@
 #                 touch, and the restart replayed the memo without
 #                 re-running inference;
 #   serve-warm    every job answered from the memo, no exact inference;
-#   discover-udf  every valuation took the materialise-and-encode route.
-# About 50 s on two CPUs, most of it building modisd and modisperf.
+#   discover-udf  every valuation took the materialise-and-encode route;
+#   engine-aging  the surrogate answered estimates, so its refit path
+#                 ran (each op's digest is checked against a
+#                 parallelism-1 rerun).
+# About 60 s on two CPUs, most of it building modisd and modisperf.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 out=$(mktemp -d)
@@ -27,4 +30,5 @@ measure() {
 measure serve-append 4
 measure serve-warm 3
 measure discover-udf 3
+measure engine-aging 3
 echo "perf smoke passed" >&2
