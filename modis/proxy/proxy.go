@@ -517,7 +517,8 @@ func (p *Proxy) forwardJob(w http.ResponseWriter, r *http.Request,
 // handleEvents streams the owning node's SSE stream through
 // unbuffered: each chunk read from the node is written and flushed
 // immediately, so proxied subscribers observe the same events in the
-// same order as direct ones.
+// same order as direct ones. The subscriber's Last-Event-ID travels
+// on, so a resumed stream resumes at the node too.
 func (p *Proxy) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	node, ok := p.nodeForJob(r.Context(), id)
@@ -534,6 +535,9 @@ func (p *Proxy) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
+	}
+	if v := r.Header.Get("Last-Event-ID"); v != "" {
+		req.Header.Set("Last-Event-ID", v)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	p.record(node, err)

@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -345,6 +346,56 @@ func TestProxySSEPassThrough(t *testing.T) {
 		if p[i] != d[i] {
 			t.Fatalf("event %d differs through the proxy\n proxy:  %s\n direct: %s", i, p[i], d[i])
 		}
+	}
+}
+
+// TestProxySSEResume: a raw SSE subscriber resuming through the proxy
+// with Last-Event-ID gets exactly what the owning node sends a direct
+// resume — the events after that id, no replay from the start.
+func TestProxySSEResume(t *testing.T) {
+	fleet := startFleet(t, 2, 1, 0)
+	_, front, cl := startProxy(t, fleet, proxy.AdmissionOptions{})
+	ctx := context.Background()
+
+	st, err := cl.Submit(ctx, serve.SubmitRequest{Workload: "wl0", Algorithm: "exact"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, cl, st.JobID)
+	owner := ownerOf(t, fleet, st.JobID)
+
+	stream := func(base, lastID string) string {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+st.JobID+"/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lastID != "" {
+			req.Header.Set("Last-Event-ID", lastID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("events from %s: status %d: %s", base, resp.StatusCode, body)
+		}
+		return string(body)
+	}
+	if full := stream(owner.hs.URL, ""); !strings.Contains(full, "\nid: 2\n") {
+		t.Fatalf("the run streamed fewer than 3 progress events; a mid-stream resume needs more:\n%s", full)
+	}
+	direct, proxied := stream(owner.hs.URL, "1"), stream(front, "1")
+	if strings.Contains(proxied, "\nid: 0\n") || strings.Contains(proxied, "\nid: 1\n") {
+		t.Fatalf("resume after id 1 through the proxy replayed from the start:\n%s", proxied)
+	}
+	if proxied != direct {
+		t.Fatalf("resumed stream differs through the proxy\n proxy:\n%s\n direct:\n%s", proxied, direct)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fst"
 	"repro/internal/table"
 	"repro/modis"
 )
@@ -121,29 +120,6 @@ func (g *appendGate) endAppend() {
 		g.runnable = nil
 	}
 	g.mu.Unlock()
-}
-
-// memoAcceptor builds AttachMemo's replay predicate for a shard whose
-// persisted rows have already been replayed (ReplayRows): a valuation
-// recorded at the current table version is always current; one from an
-// older version survives only when every row appended since then is
-// outside its state's selected row set; one from a version the replay
-// never reached (foreign or truncated state dir) is dropped.
-func memoAcceptor(cfg *fst.Config) func(*fst.Test) bool {
-	sp := cfg.Space
-	if sp == nil {
-		return nil
-	}
-	cur := sp.Version()
-	return func(t *fst.Test) bool {
-		if t.Version > cur {
-			return false
-		}
-		if t.Version == cur {
-			return true
-		}
-		return sp.SelectionUnchanged(t.Features, sp.RowsAtVersion(t.Version))
-	}
 }
 
 // AppendRows commits a batch of rows to the named workload's shard:

@@ -93,15 +93,19 @@ func (c *Client) doRaw(ctx context.Context, method, path string, blob []byte) ([
 		if json.Unmarshal(body, &e) == nil && e.Error != "" {
 			msg = e.Error
 		}
-		ae := &APIError{Status: resp.StatusCode, Msg: msg}
-		if v := resp.Header.Get("Retry-After"); v != "" {
-			if secs, perr := strconv.Atoi(v); perr == nil && secs > 0 {
-				ae.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return nil, ae
+		return nil, newAPIError(resp, msg)
 	}
 	return body, nil
+}
+
+// newAPIError wraps a non-2xx response as an *APIError carrying msg and
+// the response's Retry-After hint (whole seconds), when it sent one.
+func newAPIError(resp *http.Response, msg string) *APIError {
+	ae := &APIError{Status: resp.StatusCode, Msg: msg}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+		ae.RetryAfter = time.Duration(secs) * time.Second
+	}
+	return ae
 }
 
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
@@ -325,13 +329,7 @@ func (c *Client) streamEvents(ctx context.Context, jobID string, lastID *int, fn
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		blob, _ := io.ReadAll(resp.Body)
-		ae := &APIError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(blob))}
-		if v := resp.Header.Get("Retry-After"); v != "" {
-			if secs, perr := strconv.Atoi(v); perr == nil && secs > 0 {
-				ae.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return nil, ae
+		return nil, newAPIError(resp, strings.TrimSpace(string(blob)))
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)

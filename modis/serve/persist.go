@@ -21,9 +21,13 @@ type PersistOptions struct {
 	// Dir is the state directory root. Every workload shard owns one
 	// subdirectory named by its descriptor hash:
 	//
+	//	<dir>/<hash>/rows/   log of appended row batches, one record per table version
 	//	<dir>/<hash>/memo/   snapshot+log of the shard's memoized Test records
 	//	<dir>/<hash>/jobs/   snapshot+log of the shard's job ledger
-	//	<dir>/<hash>/rows/   log of appended row batches, one record per table version
+	//
+	// Persistence.OpenShard replays them in that order: the rows rebuild
+	// the table's version history, the memo is validated against it, and
+	// the ledger recovers the previous incarnation's jobs.
 	//
 	// The layout is the shard-migration unit: copying <dir>/<hash>/ to
 	// another node's state dir moves the shard's warm memo and job
@@ -36,8 +40,9 @@ type PersistOptions struct {
 	// CommitThreshold is the batch size that flushes immediately
 	// (default 64).
 	CommitThreshold int
-	// CompactBytes triggers open-time log compaction once a store's log
-	// outgrows it (default 8MB). Compaction never runs mid-serve.
+	// CompactBytes triggers open-time compaction of the memo and the
+	// ledger once a log outgrows it (default 8MB). Compaction never runs
+	// mid-serve, and the rows log is never compacted.
 	CompactBytes int64
 	// FS overrides the filesystem — the fault-injection seam. Nil means
 	// the real one.
@@ -93,26 +98,21 @@ type RecoveredJob struct {
 }
 
 // Persistence owns the daemon's durable state: per shard (descriptor
-// hash), one memo store and one job ledger, each drained by a
-// write-behind committer. Every failure mode is non-fatal by
-// construction — a store that cannot open runs in-memory only, a disk
-// that stops accepting writes turns the committer unhealthy and is
+// hash), an appended-rows log, a memo store and a job ledger, each
+// drained by a write-behind committer. Every failure mode is non-fatal
+// by construction — a store that cannot open runs in-memory only, a
+// disk that stops accepting writes turns the committer unhealthy and is
 // retried with backoff — and all of it is visible through Health.
 type Persistence struct {
 	opts PersistOptions
 
-	mu      sync.Mutex
-	memos   map[string]*persistStore // hash → memo store
-	ledgers map[string]*persistStore // hash → job ledger
-	rows    map[string]*persistStore // hash → appended-rows log
+	mu     sync.Mutex
+	shards map[string]*shardStores // hash → the shard's open stores
 	// reportRefs locates each finished job's ledger record for
 	// positional report reads after the in-memory handle is dropped.
 	reportRefs map[string]reportRef
-	// reportCache is a tiny LRU over decoded reports of archived jobs.
-	reportCache map[string]*modis.Report
-	reportOrder []string
-	openErrs    map[string]string
-	closed      bool
+	openErrs   map[string]string
+	closed     bool
 }
 
 // reportRef pins a finished job's report to its shard's ledger.
@@ -121,9 +121,22 @@ type reportRef struct {
 	ref  wal.RecordRef
 }
 
-// reportCacheCap bounds the decoded-report LRU.
-const reportCacheCap = 32
+// A shard's stores, indexed in the order OpenShard replays them.
+const (
+	rowsStore = iota
+	memoStore
+	jobsStore
+)
 
+// storeDirs names each store's subdirectory of <dir>/<hash>/, which is
+// also its key in Health.
+var storeDirs = [...]string{rowsStore: "rows", memoStore: "memo", jobsStore: "jobs"}
+
+// shardStores are one shard's stores; a store that failed to open is
+// nil, and its state lives in memory only.
+type shardStores [len(storeDirs)]*persistStore
+
+// persistStore is one open store and its write-behind committer.
 type persistStore struct {
 	store *wal.Store
 	com   *wal.Committer
@@ -134,13 +147,10 @@ type persistStore struct {
 // the affected store degrades to in-memory.
 func OpenPersistence(opts PersistOptions) (*Persistence, error) {
 	p := &Persistence{
-		opts:        opts.withDefaults(),
-		memos:       map[string]*persistStore{},
-		ledgers:     map[string]*persistStore{},
-		rows:        map[string]*persistStore{},
-		reportRefs:  map[string]reportRef{},
-		reportCache: map[string]*modis.Report{},
-		openErrs:    map[string]string{},
+		opts:       opts.withDefaults(),
+		shards:     map[string]*shardStores{},
+		reportRefs: map[string]reportRef{},
+		openErrs:   map[string]string{},
 	}
 	if err := p.opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: state dir %s: %w", opts.Dir, err)
@@ -167,81 +177,171 @@ func sanitizeName(name string) string {
 	return b.String()
 }
 
-// shardDir is the shard's private corner of the state directory.
-func (p *Persistence) shardDir(hash string) string {
-	return p.opts.Dir + "/" + sanitizeName(hash)
+// noteErr records a non-fatal store failure for Health.
+func (p *Persistence) noteErr(key string, err error) {
+	p.mu.Lock()
+	p.openErrs[key] = err.Error()
+	p.mu.Unlock()
 }
 
-func (p *Persistence) committerOptions() wal.CommitterOptions {
-	return wal.CommitterOptions{
-		Interval:  p.opts.CommitInterval,
-		Threshold: p.opts.CommitThreshold,
-	}
-}
+// snapshotFunc writes a store's whole state into a fresh generation
+// (wal.Store.Compact's emit).
+type snapshotFunc = func(read func(wal.RecordRef) ([]byte, error), write func([]byte) (wal.RecordRef, error)) error
 
-// AttachMemo opens (recovering if present) the memo store of the
-// shard, replays every persisted test into ts.Put — the memo is keyed
-// by state, so replay order does not matter — and installs a sink so
-// every future valuation is persisted write-behind. accept (nil = accept
-// all) screens each decoded record before it is replayed: the
-// versioned-memo predicate drops valuations whose recorded table
-// version no longer matches the shard's replayed row history. A store
-// that fails to open leaves ts purely in-memory and records the
-// failure in Health; the returned error is informational, never fatal
-// to serving.
-func (p *Persistence) AttachMemo(hash string, ts *fst.TestSet, accept func(*fst.Test) bool) error {
-	dir := p.shardDir(hash) + "/memo"
-	var replayed int
-	store, err := wal.OpenStore(p.opts.FS, dir, func(ref wal.RecordRef, payload []byte) error {
-		t, derr := decodeTest(payload)
-		if derr != nil {
-			// A record that framed correctly but decodes badly is from
-			// a future/foreign format: skip it rather than refuse to
-			// start.
-			return nil
-		}
-		if accept != nil && !accept(t) {
-			return nil
-		}
-		ts.Put(t)
-		replayed++
+// openStore opens one of the shard's stores, replaying every record
+// into replay, then — when snapshot is non-nil and the log has outgrown
+// CompactBytes — folds the log into a snapshot written by snapshot, and
+// starts the store's write-behind committer. compacted reports whether
+// the snapshot replaced the log. A store that fails to open returns nil
+// and a compaction that fails keeps the uncompacted generation; both
+// are recorded in Health, neither is fatal.
+func (p *Persistence) openStore(hash string, kind int, replay func(wal.RecordRef, []byte), snapshot snapshotFunc) (ps *persistStore, compacted bool) {
+	key := hash + "/" + storeDirs[kind]
+	store, err := wal.OpenStore(p.opts.FS, p.opts.Dir+"/"+sanitizeName(hash)+"/"+storeDirs[kind], func(ref wal.RecordRef, payload []byte) error {
+		replay(ref, payload)
 		return nil
 	})
 	if err != nil {
-		p.mu.Lock()
-		p.openErrs[hash+"/memo"] = err.Error()
-		p.mu.Unlock()
-		return fmt.Errorf("serve: memo store %.12s degraded to in-memory: %w", hash, err)
+		p.noteErr(key, err)
+		return nil, false
 	}
-
-	// Open-time compaction: fold the log into a snapshot once it has
-	// outgrown the threshold. The memo state is exactly ts's entries, so
-	// the snapshot is written from memory.
-	if store.LogSize() > p.opts.CompactBytes {
-		tests := ts.All()
-		if cerr := store.Compact(func(_ func(wal.RecordRef) ([]byte, error), write func([]byte) (wal.RecordRef, error)) error {
-			for _, t := range tests {
-				if _, werr := write(encodeTest(t)); werr != nil {
-					return werr
-				}
-			}
-			return nil
-		}); cerr != nil {
-			// Non-fatal: keep serving on the uncompacted generation.
-			p.mu.Lock()
-			p.openErrs[hash+"/memo/compact"] = cerr.Error()
-			p.mu.Unlock()
+	if snapshot != nil && store.LogSize() > p.opts.CompactBytes {
+		if err := store.Compact(snapshot); err != nil {
+			p.noteErr(key+"/compact", err)
+		} else {
+			compacted = true
 		}
 	}
+	com := wal.NewStoreCommitter(wal.CommitterOptions{Interval: p.opts.CommitInterval, Threshold: p.opts.CommitThreshold}, store)
+	return &persistStore{store: store, com: com}, compacted
+}
 
-	com := wal.NewStoreCommitter(p.committerOptions(), store)
+// OpenShard opens the shard's durable state and replays it into cfg in
+// the one order that is correct:
+//
+//  1. the appended-rows log re-applies every batch through cfg.Append,
+//     rebuilding the table and its version→row-count history exactly as
+//     the previous incarnation left it;
+//  2. the memo replays into cfg.Tests through memoAcceptor, which
+//     validates each persisted valuation against that history, and
+//     every later valuation is persisted write-behind;
+//  3. the job ledger replays, and the previous incarnation's jobs are
+//     returned in submission order.
+//
+// Records that frame correctly but decode badly (a future or foreign
+// format) are skipped, never fatal. Opening a shard twice is a no-op
+// the second time.
+func (p *Persistence) OpenShard(hash string, cfg *fst.Config) []RecoveredJob {
 	p.mu.Lock()
-	p.memos[hash] = &persistStore{store: store, com: com}
+	_, dup := p.shards[hash]
 	p.mu.Unlock()
-	ts.SetSink(func(t *fst.Test) {
-		com.Enqueue(encodeTest(t), nil)
+	if dup {
+		return nil
+	}
+	if cfg.Tests == nil {
+		cfg.Tests = fst.NewTestSet()
+	}
+	var sh shardStores
+
+	var schema table.Schema
+	if cfg.Space != nil {
+		schema = cfg.Space.Universal.Schema
+	}
+	sh[rowsStore], _ = p.openStore(hash, rowsStore, func(_ wal.RecordRef, payload []byte) {
+		var e rowsEntry
+		if json.Unmarshal(payload, &e) != nil || len(e.Rows) == 0 || schema == nil {
+			return
+		}
+		rows := make([]table.Row, 0, len(e.Rows))
+		for _, raw := range e.Rows {
+			row, err := decodeWireRow(schema, raw)
+			if err != nil {
+				return
+			}
+			rows = append(rows, row)
+		}
+		if _, _, err := cfg.Append(rows); err != nil {
+			// A batch that applied cleanly live but not on replay (e.g. a
+			// foreign state dir): the memo predicate rejects the
+			// valuations of the versions that never landed.
+			p.noteErr(hash+"/rows/replay", err)
+		}
+	}, nil)
+
+	ts, accept := cfg.Tests, memoAcceptor(cfg)
+	sh[memoStore], _ = p.openStore(hash, memoStore, func(_ wal.RecordRef, payload []byte) {
+		// The memo is keyed by state, so replay order does not matter.
+		if t, err := decodeTest(payload); err == nil && (accept == nil || accept(t)) {
+			ts.Put(t)
+		}
+	}, func(_ func(wal.RecordRef) ([]byte, error), write func([]byte) (wal.RecordRef, error)) error {
+		// The memo state is exactly ts's entries, so the snapshot is
+		// written from memory.
+		for _, t := range ts.All() {
+			if _, err := write(encodeTest(t)); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
-	return nil
+	if memo := sh[memoStore]; memo != nil {
+		ts.SetSink(func(t *fst.Test) { memo.com.Enqueue(encodeTest(t), nil) })
+	}
+
+	l := ledgerReplay{jobs: map[string]*RecoveredJob{}, refs: map[string]wal.RecordRef{}}
+	var compacted bool
+	sh[jobsStore], compacted = p.openStore(hash, jobsStore, l.replay, l.snapshot)
+	if compacted {
+		l.refs = l.snapRefs
+	}
+
+	p.mu.Lock()
+	p.shards[hash] = &sh
+	for id, ref := range l.refs {
+		p.reportRefs[id] = reportRef{hash: hash, ref: ref}
+	}
+	p.mu.Unlock()
+	if sh[jobsStore] == nil {
+		return nil // a ledger that cannot open recovers no jobs
+	}
+	out := make([]RecoveredJob, len(l.order))
+	for i, id := range l.order {
+		out[i] = *l.jobs[id]
+	}
+	return out
+}
+
+// memoAcceptor is the memo's replay predicate for a shard whose
+// persisted rows have already been replayed: a valuation recorded at
+// the current table version is always current; one from an older
+// version survives only when every row appended since then is outside
+// its state's selected row set; one from a version the replay never
+// reached (foreign or truncated state dir) is dropped.
+func memoAcceptor(cfg *fst.Config) func(*fst.Test) bool {
+	sp := cfg.Space
+	if sp == nil {
+		return nil
+	}
+	cur := sp.Version()
+	return func(t *fst.Test) bool {
+		if t.Version > cur {
+			return false
+		}
+		if t.Version == cur {
+			return true
+		}
+		return sp.SelectionUnchanged(t.Features, sp.RowsAtVersion(t.Version))
+	}
+}
+
+// rowsEntry is one JSON record of a shard's appended-rows log: the
+// table version the batch committed as, and the batch itself in wire
+// form (one JSON array per row, universal-schema order). The log is
+// never compacted: per-version batch boundaries are the row-count
+// history the versioned memo validates old valuations against.
+type rowsEntry struct {
+	Version uint64            `json:"version"`
+	Rows    []json.RawMessage `json:"rows"`
 }
 
 // ledgerEntry is one JSON record of a shard's job ledger. Kind
@@ -261,196 +361,94 @@ type ledgerEntry struct {
 	Report    *modis.Report `json:"report,omitempty"`
 }
 
-// RecoverShard opens the shard's job ledger, replays it, and returns
-// the jobs of the previous incarnation in submission order. Open
-// failure degrades the ledger to in-memory (recorded in Health) and
-// returns no recovered jobs. Recovering the same shard twice is a
-// no-op the second time.
-func (p *Persistence) RecoverShard(hash string) []RecoveredJob {
-	p.mu.Lock()
-	if _, dup := p.ledgers[hash]; dup {
-		p.mu.Unlock()
-		return nil
-	}
-	p.mu.Unlock()
+// ledgerReplay folds a shard's ledger records into one RecoveredJob per
+// id, remembering where each done job's report lives.
+type ledgerReplay struct {
+	order    []string
+	jobs     map[string]*RecoveredJob
+	refs     map[string]wal.RecordRef // id → record carrying its report
+	snapRefs map[string]wal.RecordRef // refs into the compacted snapshot
+}
 
-	dir := p.shardDir(hash) + "/jobs"
-	var order []string
-	recovered := map[string]*RecoveredJob{}
-	refs := map[string]wal.RecordRef{}
-	store, err := wal.OpenStore(p.opts.FS, dir, func(ref wal.RecordRef, payload []byte) error {
-		var e ledgerEntry
-		if derr := json.Unmarshal(payload, &e); derr != nil || e.ID == "" {
-			return nil // foreign/corrupt-format record: skip, don't refuse
-		}
-		r, ok := recovered[e.ID]
-		if !ok {
-			r = &RecoveredJob{ID: e.ID}
-			recovered[e.ID] = r
-			order = append(order, e.ID)
-		}
-		if e.IdemKey != "" {
-			r.IdemKey = e.IdemKey
-		}
-		switch e.Kind {
-		case "submitted":
+func (l *ledgerReplay) replay(ref wal.RecordRef, payload []byte) {
+	var e ledgerEntry
+	if json.Unmarshal(payload, &e) != nil || e.ID == "" {
+		return
+	}
+	r, ok := l.jobs[e.ID]
+	if !ok {
+		r = &RecoveredJob{ID: e.ID}
+		l.jobs[e.ID] = r
+		l.order = append(l.order, e.ID)
+	}
+	if e.IdemKey != "" {
+		r.IdemKey = e.IdemKey
+	}
+	switch e.Kind {
+	case "submitted":
+		r.Workload, r.Algorithm, r.Submitted = e.Workload, e.Algorithm, e.Submitted
+	case "finished":
+		r.Finished = true
+		r.Status, r.Error = e.Status, e.Error
+		if e.Workload != "" {
 			r.Workload, r.Algorithm, r.Submitted = e.Workload, e.Algorithm, e.Submitted
-		case "finished":
-			r.Finished = true
-			r.Status, r.Error = e.Status, e.Error
-			if e.Workload != "" {
-				r.Workload, r.Algorithm, r.Submitted = e.Workload, e.Algorithm, e.Submitted
-			}
-			r.HasReport = e.Report != nil
-			if e.Report != nil {
-				refs[e.ID] = ref
-			}
 		}
-		return nil
-	})
-	if err != nil {
-		p.mu.Lock()
-		p.openErrs[hash+"/jobs"] = err.Error()
-		p.mu.Unlock()
-		return nil
-	}
-
-	// Open-time compaction: one finished entry per job replaces its
-	// whole history.
-	if store.LogSize() > p.opts.CompactBytes {
-		newRefs := map[string]wal.RecordRef{}
-		if cerr := store.Compact(func(read func(wal.RecordRef) ([]byte, error), write func([]byte) (wal.RecordRef, error)) error {
-			for _, id := range order {
-				r := recovered[id]
-				e := ledgerEntry{
-					Kind: "finished", ID: id,
-					Workload: r.Workload, Algorithm: r.Algorithm, IdemKey: r.IdemKey, Submitted: r.Submitted,
-					Status: r.Status, Error: r.Error,
-				}
-				if !r.Finished {
-					e.Kind = "submitted"
-					e.Status, e.Error = "", ""
-				}
-				if ref, ok := refs[id]; ok {
-					payload, rerr := read(ref)
-					if rerr == nil {
-						var full ledgerEntry
-						if json.Unmarshal(payload, &full) == nil {
-							e.Report = full.Report
-						}
-					}
-				}
-				blob, merr := json.Marshal(e)
-				if merr != nil {
-					return merr
-				}
-				nref, werr := write(blob)
-				if werr != nil {
-					return werr
-				}
-				if e.Report != nil {
-					newRefs[id] = nref
-				}
-			}
-			return nil
-		}); cerr != nil {
-			p.mu.Lock()
-			p.openErrs[hash+"/jobs/compact"] = cerr.Error()
-			p.mu.Unlock()
-		} else {
-			refs = newRefs
+		r.HasReport = e.Report != nil
+		if e.Report != nil {
+			l.refs[e.ID] = ref
 		}
 	}
-
-	com := wal.NewStoreCommitter(p.committerOptions(), store)
-	p.mu.Lock()
-	p.ledgers[hash] = &persistStore{store: store, com: com}
-	for id, ref := range refs {
-		p.reportRefs[id] = reportRef{hash: hash, ref: ref}
-	}
-	p.mu.Unlock()
-
-	out := make([]RecoveredJob, 0, len(order))
-	for _, id := range order {
-		out = append(out, *recovered[id])
-	}
-	return out
 }
 
-// rowsEntry is one JSON record of a shard's appended-rows log: the
-// table version the batch committed as, and the batch itself in wire
-// form (one JSON array per row, universal-schema order). The log is
-// never compacted: per-version batch boundaries are the row-count
-// history the versioned memo validates old valuations against.
-type rowsEntry struct {
-	Version uint64            `json:"version"`
-	Rows    []json.RawMessage `json:"rows"`
+// snapshot compacts the ledger to one entry per job — its converged
+// state, with the report of a done job re-read from its last record.
+func (l *ledgerReplay) snapshot(read func(wal.RecordRef) ([]byte, error), write func([]byte) (wal.RecordRef, error)) error {
+	l.snapRefs = map[string]wal.RecordRef{}
+	for _, id := range l.order {
+		r := l.jobs[id]
+		e := ledgerEntry{
+			Kind: "submitted", ID: id,
+			Workload: r.Workload, Algorithm: r.Algorithm, IdemKey: r.IdemKey, Submitted: r.Submitted,
+		}
+		if r.Finished {
+			e.Kind, e.Status, e.Error = "finished", r.Status, r.Error
+		}
+		if ref, ok := l.refs[id]; ok {
+			var full ledgerEntry
+			if payload, err := read(ref); err == nil && json.Unmarshal(payload, &full) == nil {
+				e.Report = full.Report
+			}
+		}
+		blob, err := json.Marshal(e)
+		if err != nil {
+			return err
+		}
+		nref, err := write(blob)
+		if err != nil {
+			return err
+		}
+		if e.Report != nil {
+			l.snapRefs[id] = nref
+		}
+	}
+	return nil
 }
 
-// ReplayRows opens the shard's appended-rows log and replays every
-// persisted batch through cfg.Append in logged order, rebuilding the
-// table — and the version→row-count history — exactly as the previous
-// incarnation left it. Call before AttachMemo: the memo's replay
-// predicate validates each persisted valuation against the row history
-// this replay reconstructs. Open failure degrades appends to in-memory
-// (recorded in Health); a record that fails to decode or to re-apply
-// is skipped and recorded, never fatal. Replaying the same shard twice
-// is a no-op the second time.
-func (p *Persistence) ReplayRows(hash string, cfg *fst.Config) error {
+// store returns the shard's store of the given kind, nil when the shard
+// is unknown or the store runs in-memory only.
+func (p *Persistence) store(hash string, kind int) *persistStore {
 	p.mu.Lock()
-	if _, dup := p.rows[hash]; dup {
-		p.mu.Unlock()
-		return nil
+	defer p.mu.Unlock()
+	if sh := p.shards[hash]; sh != nil {
+		return sh[kind]
 	}
-	p.mu.Unlock()
-
-	dir := p.shardDir(hash) + "/rows"
-	var schema table.Schema
-	if cfg.Space != nil {
-		schema = cfg.Space.Universal.Schema
-	}
-	store, err := wal.OpenStore(p.opts.FS, dir, func(_ wal.RecordRef, payload []byte) error {
-		var e rowsEntry
-		if json.Unmarshal(payload, &e) != nil || len(e.Rows) == 0 || schema == nil {
-			return nil // foreign/corrupt-format record: skip, don't refuse
-		}
-		rows := make([]table.Row, 0, len(e.Rows))
-		for _, raw := range e.Rows {
-			row, derr := decodeWireRow(schema, raw)
-			if derr != nil {
-				return nil
-			}
-			rows = append(rows, row)
-		}
-		if _, _, aerr := cfg.Append(rows); aerr != nil {
-			// A batch that applied cleanly live but not on replay (e.g.
-			// a foreign state dir): record it; the memo predicate will
-			// reject the valuations of the versions that never landed.
-			p.mu.Lock()
-			p.openErrs[hash+"/rows/replay"] = aerr.Error()
-			p.mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		p.mu.Lock()
-		p.openErrs[hash+"/rows"] = err.Error()
-		p.mu.Unlock()
-		return fmt.Errorf("serve: rows store %.12s degraded to in-memory: %w", hash, err)
-	}
-	com := wal.NewStoreCommitter(p.committerOptions(), store)
-	p.mu.Lock()
-	p.rows[hash] = &persistStore{store: store, com: com}
-	p.mu.Unlock()
 	return nil
 }
 
 // AppendRows spills one committed append batch to the shard's rows log
 // write-behind, keyed by the table version it committed as.
 func (p *Persistence) AppendRows(hash string, version uint64, rows []table.Row) {
-	p.mu.Lock()
-	st := p.rows[hash]
-	p.mu.Unlock()
+	st := p.store(hash, rowsStore)
 	if st == nil {
 		return
 	}
@@ -468,9 +466,7 @@ func (p *Persistence) AppendRows(hash string, version uint64, rows []table.Row) 
 // appendLedger enqueues one entry on the shard's ledger write-behind.
 // onDurable (may be nil) runs once the entry is synced to disk.
 func (p *Persistence) appendLedger(hash string, e ledgerEntry, onDurable func(ref wal.RecordRef)) {
-	p.mu.Lock()
-	l := p.ledgers[hash]
-	p.mu.Unlock()
+	l := p.store(hash, jobsStore)
 	if l == nil {
 		return
 	}
@@ -514,21 +510,17 @@ func (p *Persistence) AppendFinished(hash, id, workload, algorithm, idemKey stri
 }
 
 // ReadReport fetches an archived job's report back from its shard's
-// ledger (through a small LRU). A missing or unreadable record reports
-// false — degraded disks degrade to report-less status, never errors.
+// ledger. A missing or unreadable record reports false — degraded
+// disks degrade to report-less status, never errors.
 func (p *Persistence) ReadReport(id string) (*modis.Report, bool) {
 	p.mu.Lock()
-	if rep, ok := p.reportCache[id]; ok {
-		p.mu.Unlock()
-		return rep, true
-	}
 	rref, ok := p.reportRefs[id]
-	var l *persistStore
-	if ok {
-		l = p.ledgers[rref.hash]
-	}
 	p.mu.Unlock()
-	if !ok || l == nil {
+	if !ok {
+		return nil, false
+	}
+	l := p.store(rref.hash, jobsStore)
+	if l == nil {
 		return nil, false
 	}
 	payload, err := l.store.ReadRecord(rref.ref)
@@ -539,17 +531,6 @@ func (p *Persistence) ReadReport(id string) (*modis.Report, bool) {
 	if json.Unmarshal(payload, &e) != nil || e.Report == nil {
 		return nil, false
 	}
-	p.mu.Lock()
-	if len(p.reportOrder) >= reportCacheCap {
-		evict := p.reportOrder[0]
-		p.reportOrder = p.reportOrder[1:]
-		delete(p.reportCache, evict)
-	}
-	if _, dup := p.reportCache[id]; !dup {
-		p.reportCache[id] = e.Report
-		p.reportOrder = append(p.reportOrder, id)
-	}
-	p.mu.Unlock()
 	return e.Report, true
 }
 
@@ -559,33 +540,21 @@ func (p *Persistence) Health() PersistenceHealth {
 	defer p.mu.Unlock()
 	h := PersistenceHealth{
 		Enabled: true,
-		Healthy: true,
+		Healthy: len(p.openErrs) == 0,
 		Dir:     p.opts.Dir,
 		Stores:  map[string]wal.Health{},
 	}
-	for hash, ps := range p.memos {
-		sh := ps.com.Health()
-		h.Stores[hash+"/memo"] = sh
-		if !sh.Healthy {
-			h.Healthy = false
-		}
-	}
-	for hash, ps := range p.ledgers {
-		sh := ps.com.Health()
-		h.Stores[hash+"/jobs"] = sh
-		if !sh.Healthy {
-			h.Healthy = false
-		}
-	}
-	for hash, ps := range p.rows {
-		sh := ps.com.Health()
-		h.Stores[hash+"/rows"] = sh
-		if !sh.Healthy {
-			h.Healthy = false
+	for hash, sh := range p.shards {
+		for kind, ps := range sh {
+			if ps == nil {
+				continue
+			}
+			ch := ps.com.Health()
+			h.Stores[hash+"/"+storeDirs[kind]] = ch
+			h.Healthy = h.Healthy && ch.Healthy
 		}
 	}
 	if len(p.openErrs) > 0 {
-		h.Healthy = false
 		h.OpenErrors = map[string]string{}
 		for k, v := range p.openErrs {
 			h.OpenErrors[k] = v
@@ -594,17 +563,17 @@ func (p *Persistence) Health() PersistenceHealth {
 	return h
 }
 
-// allStores snapshots every open store under the lock.
+// allStores snapshots every open store.
 func (p *Persistence) allStores() []*persistStore {
-	stores := make([]*persistStore, 0, len(p.memos)+len(p.ledgers)+len(p.rows))
-	for _, ps := range p.memos {
-		stores = append(stores, ps)
-	}
-	for _, ps := range p.ledgers {
-		stores = append(stores, ps)
-	}
-	for _, ps := range p.rows {
-		stores = append(stores, ps)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var stores []*persistStore
+	for _, sh := range p.shards {
+		for _, ps := range sh {
+			if ps != nil {
+				stores = append(stores, ps)
+			}
+		}
 	}
 	return stores
 }
@@ -613,11 +582,8 @@ func (p *Persistence) allStores() []*persistStore {
 // "everything enqueued so far is on disk". Reports whether all stores
 // fully drained.
 func (p *Persistence) Flush() bool {
-	p.mu.Lock()
-	stores := p.allStores()
-	p.mu.Unlock()
 	drained := true
-	for _, ps := range stores {
+	for _, ps := range p.allStores() {
 		if !ps.com.Flush() {
 			drained = false
 		}
@@ -629,14 +595,13 @@ func (p *Persistence) Flush() bool {
 // call more than once.
 func (p *Persistence) Close() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	closed := p.closed
+	p.closed = true
+	p.mu.Unlock()
+	if closed {
 		return
 	}
-	p.closed = true
-	stores := p.allStores()
-	p.mu.Unlock()
-	for _, ps := range stores {
+	for _, ps := range p.allStores() {
 		ps.com.Close()
 		ps.store.Close()
 	}

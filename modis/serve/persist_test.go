@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,8 +21,7 @@ import (
 )
 
 // newPersistShapeConfig is newShapeConfig with the test set
-// pre-initialized, so direct AttachMemo calls (outside Register, which
-// initializes it itself) have a set to replay into.
+// pre-initialized, the memo a shard's persisted valuations replay into.
 func newPersistShapeConfig(tb testing.TB) *fst.Config {
 	tb.Helper()
 	cfg := newShapeConfig(tb, 0)
@@ -337,9 +337,7 @@ func TestPersistenceFaultsDegradeGracefully(t *testing.T) {
 			cfg2 := newPersistShapeConfig(t)
 			p2 := openPersist(t, dir, nil)
 			defer p2.Close()
-			if err := p2.AttachMemo(shapeHash(t), cfg2.Tests, nil); err != nil {
-				t.Fatal(err)
-			}
+			p2.OpenShard(shapeHash(t), cfg2)
 			if n := cfg2.Tests.Len(); n != memoLen {
 				t.Fatalf("recovered %d memoized valuations after healed outage, want %d", n, memoLen)
 			}
@@ -603,5 +601,97 @@ func TestLedgerReplaysRetiredReportField(t *testing.T) {
 	}
 	if string(blob) != string(want) {
 		t.Fatalf("replayed report changed:\nwant %s\ngot  %s", want, blob)
+	}
+}
+
+// ledgerReadCounter counts positional reads of a shard's ledger files —
+// what reading an archived job's report back costs the disk.
+type ledgerReadCounter struct {
+	wal.FS
+	reads atomic.Int64
+}
+
+func (c *ledgerReadCounter) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Base(filepath.Dir(name)) != "jobs" {
+		return f, err
+	}
+	return &countedFile{File: f, reads: &c.reads}, nil
+}
+
+type countedFile struct {
+	wal.File
+	reads *atomic.Int64
+}
+
+func (f *countedFile) ReadAt(p []byte, off int64) (int, error) {
+	f.reads.Add(1)
+	return f.File.ReadAt(p, off)
+}
+
+// TestSummariesReadNoReports: the job listing and the event stream's
+// end event are summaries, so they never read an archived job's report
+// back from the ledger; the job's status still returns it.
+func TestSummariesReadNoReports(t *testing.T) {
+	ctx := context.Background()
+	fsys := &ledgerReadCounter{FS: wal.OsFS{}}
+	p := openPersist(t, t.TempDir(), fsys)
+	defer p.Close()
+	sched := serve.NewScheduler(serve.SchedulerOptions{Persist: p, LedgerWindow: 1})
+	defer sched.Close()
+	registerShape(t, sched, newPersistShapeConfig(t))
+	srv := httptest.NewServer(serve.NewServer(sched, serve.ServerOptions{}))
+	defer srv.Close()
+	client := serve.NewClient(srv.URL)
+
+	const jobs = 6
+	var ids []string
+	for i := 0; i < jobs; i++ {
+		job, err := sched.Submit(ctx, "shape", "bi", runOpts()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, job.ID())
+		mustResult(t, job)
+	}
+	waitUntil(t, 5*time.Second, "all but the newest job archived", func() bool {
+		p.Flush()
+		recs := sched.Jobs()
+		for _, rec := range recs[:jobs-1] {
+			if rec.Live() != nil {
+				return false
+			}
+		}
+		return true
+	})
+
+	fsys.reads.Store(0)
+	page, err := client.List(ctx, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Jobs) != jobs {
+		t.Fatalf("listed %d jobs, want %d", len(page.Jobs), jobs)
+	}
+	final, err := client.Events(ctx, ids[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final == nil || final.Status != serve.StatusDone || final.Report != nil {
+		t.Fatalf("end event of an archived job = %+v, want done without a report", final)
+	}
+	if n := fsys.reads.Load(); n != 0 {
+		t.Fatalf("listing and end event made %d ledger reads, want 0", n)
+	}
+
+	st, err := client.Status(ctx, ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Status != serve.StatusDone || st.Report == nil {
+		t.Fatalf("archived job status = %+v, want done with its report", st)
+	}
+	if fsys.reads.Load() == 0 {
+		t.Fatal("status returned a report without reading the ledger; the zero-read assertion above is vacuous")
 	}
 }

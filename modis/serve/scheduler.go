@@ -71,13 +71,14 @@ type SchedulerOptions struct {
 	// ErrOverloaded (0 = a 30s default; negative = only the request
 	// context bounds the wait); modisd's -append-drain flag.
 	AppendDrainWait time.Duration
-	// Persist, when set, makes the scheduler durable: each registered
-	// shard's memo store attaches under state-dir/<hash>/memo at
-	// Register time (warm-starting the valuations a previous
-	// incarnation paid for), job transitions spill to the shard's
-	// ledger under state-dir/<hash>/jobs, and the previous
-	// incarnation's jobs are recovered into the record when their
-	// shard registers. Nil keeps everything in memory.
+	// Persist, when set, makes the scheduler durable: registering a
+	// shard opens its state under state-dir/<hash>/ and replays it —
+	// the appended rows (rows/) rebuild the table, then the memo
+	// (memo/) warm-starts the valuations a previous incarnation paid
+	// for, then the job ledger (jobs/) recovers that incarnation's
+	// jobs into the record. Appends, valuations and job transitions
+	// then spill to the same three stores. Nil keeps everything in
+	// memory.
 	Persist *Persistence
 	// LedgerWindow bounds how many finished jobs stay resident with
 	// their full in-memory handle (default 128). Older ones archive:
@@ -333,21 +334,14 @@ func (s *Scheduler) register(desc *workload.Descriptor, cfg *fst.Config, hash st
 	}
 	s.mu.Unlock()
 
-	// New shard. Attach durable state first (store IO, serialized by
-	// regMu): persisted row batches replay into the table before the
-	// memo attaches — the memo's replay predicate validates each
-	// persisted valuation's version against that reconstructed row
-	// history — and the shard's previous-incarnation jobs are
-	// recovered into the record. Persistence failures degrade the
-	// shard to in-memory (visible in Health), never fail registration.
+	// New shard. Open its durable state first (store IO, serialized by
+	// regMu): rows, memo and ledger replay and the shard's
+	// previous-incarnation jobs are recovered into the record.
+	// Persistence failures degrade the shard to in-memory (visible in
+	// Health), never fail registration.
 	var recovered []RecoveredJob
 	if s.opts.Persist != nil {
-		if cfg.Tests == nil {
-			cfg.Tests = fst.NewTestSet()
-		}
-		s.opts.Persist.ReplayRows(hash, cfg)                          //nolint:errcheck // degradation is visible in Health
-		s.opts.Persist.AttachMemo(hash, cfg.Tests, memoAcceptor(cfg)) //nolint:errcheck // degradation is visible in Health
-		recovered = s.opts.Persist.RecoverShard(hash)
+		recovered = s.opts.Persist.OpenShard(hash, cfg)
 	}
 
 	queue := s.pool.NewQueue(hash, s.opts.Parallelism)

@@ -132,11 +132,13 @@ type JobStatus struct {
 	Replayed bool `json:"replayed,omitempty"`
 }
 
-// statusOf snapshots a job record into its wire form. Archived
+// statusOf snapshots a job record into its wire form, carrying a done
+// job's report only when withReport is set — the listing and the event
+// stream's end event are summaries, so they never read one. Archived
 // records resolve their status from the ledger state and their report
-// — when asked for and still readable — from the persistence store;
-// a degraded disk degrades to a report-less status, never an error.
-func (s *Scheduler) statusOf(rec *JobRecord) *JobStatus {
+// from the persistence store; a degraded disk degrades to a report-less
+// status, never an error.
+func (s *Scheduler) statusOf(rec *JobRecord, withReport bool) *JobStatus {
 	st := &JobStatus{
 		JobID:     rec.ID,
 		Workload:  rec.Workload,
@@ -147,7 +149,7 @@ func (s *Scheduler) statusOf(rec *JobRecord) *JobStatus {
 	if arch != nil {
 		st.Status = arch.status
 		st.Error = arch.errMsg
-		if arch.hasReport && s.opts.Persist != nil {
+		if withReport && arch.hasReport && s.opts.Persist != nil {
 			if rep, ok := s.opts.Persist.ReadReport(rec.ID); ok {
 				st.Report = rep
 			}
@@ -160,7 +162,9 @@ func (s *Scheduler) statusOf(rec *JobRecord) *JobStatus {
 		switch {
 		case err == nil:
 			st.Status = StatusDone
-			st.Report = rep
+			if withReport {
+				st.Report = rep
+			}
 		case errors.Is(err, context.Canceled):
 			st.Status = StatusCancelled
 			st.Error = err.Error()
@@ -249,15 +253,26 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // hard.
 func (s *Server) Close() { s.stop() }
 
-// wireError pairs an error message with the HTTP status it should
-// travel under, plus the Retry-After pacing hint for 503s.
-type wireError struct {
-	status     int
-	msg        string
-	retryAfter time.Duration
+// writeSchedulerError answers a submit or append the scheduler refused.
+// Draining and overload are the retryable failures (503, overload with
+// a one-second Retry-After pacing hint); an unknown workload is
+// addressed to the wrong node (404, the proxy's reroute cue);
+// everything else — unknown algorithm (the registry's typed error,
+// known keys in the message), invalid options or rows — is the
+// client's (400).
+func writeSchedulerError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		status = http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", "1")
+	case errors.Is(err, ErrDraining):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, ErrUnknownWorkload):
+		status = http.StatusNotFound
+	}
+	writeError(w, status, err)
 }
-
-func (e *wireError) Error() string { return e.msg }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
@@ -283,23 +298,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if cancel != nil {
 			cancel()
 		}
-		// Draining and overload are the retryable submit failures (503
-		// with a pacing hint); an unknown workload is addressed to the
-		// wrong node (404, the proxy's reroute cue); everything else —
-		// unknown algorithm (the registry's typed error, known keys in
-		// the message), invalid options — is the client's.
-		status := http.StatusBadRequest
-		var retryAfter time.Duration
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			status = http.StatusServiceUnavailable
-			retryAfter = time.Second
-		case errors.Is(err, ErrDraining):
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, ErrUnknownWorkload):
-			status = http.StatusNotFound
-		}
-		writeError(w, status, &wireError{status: status, msg: err.Error(), retryAfter: retryAfter})
+		writeSchedulerError(w, err)
 		return
 	}
 	if cancel != nil {
@@ -318,7 +317,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// A fresh acceptance is 202; a replay answers 200 — the submission
 	// was already accepted, possibly long ago — and says so in a header
 	// and in the body, so retry layers can tell dedup from double-run.
-	st := s.sched.statusOf(rec)
+	st := s.sched.statusOf(rec, true)
 	st.Replayed = replayed
 	status := http.StatusAccepted
 	if replayed {
@@ -353,9 +352,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	recs, next := s.sched.JobsPage(r.URL.Query().Get("cursor"), limit)
 	out := make([]*JobStatus, 0, len(recs))
 	for _, rec := range recs {
-		st := s.sched.statusOf(rec)
-		st.Report = nil // list is a summary; fetch the job for the report
-		out = append(out, st)
+		out = append(out, s.sched.statusOf(rec, false)) // a summary: fetch the job for its report
 	}
 	writeJSON(w, http.StatusOK, JobsPageResponse{Jobs: out, NextCursor: next})
 }
@@ -375,7 +372,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.sched.statusOf(rec))
+	writeJSON(w, http.StatusOK, s.sched.statusOf(rec, true))
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -386,7 +383,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	rec.Cancel() // archived records are already terminal; Cancel no-ops
 	// Report the post-cancel state: a job cancelled here observes the
 	// cancellation at valuation granularity, so Done may lag a moment.
-	writeJSON(w, http.StatusOK, s.sched.statusOf(rec))
+	writeJSON(w, http.StatusOK, s.sched.statusOf(rec, true))
 }
 
 // handleEvents streams the job's progress events as server-sent
@@ -438,9 +435,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// terminal status when there is one.
 	select {
 	case <-rec.Done():
-		st := s.sched.statusOf(rec)
-		st.Report = nil // the report travels over GET /v1/jobs/{id}
-		data, err := json.Marshal(st)
+		// The report travels over GET /v1/jobs/{id}.
+		data, err := json.Marshal(s.sched.statusOf(rec, false))
 		if err != nil {
 			return
 		}
@@ -540,18 +536,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.sched.AppendRows(r.Context(), name, rows)
 	if err != nil {
-		status := http.StatusBadRequest
-		var retryAfter time.Duration
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			status = http.StatusServiceUnavailable
-			retryAfter = time.Second
-		case errors.Is(err, ErrDraining):
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, ErrUnknownWorkload):
-			status = http.StatusNotFound
-		}
-		writeError(w, status, &wireError{status: status, msg: err.Error(), retryAfter: retryAfter})
+		writeSchedulerError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, AppendResponse{
@@ -575,18 +560,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, fallback int, err error) {
-	status := fallback
-	var we *wireError
-	if errors.As(err, &we) {
-		status = we.status
-		if we.retryAfter > 0 {
-			secs := int64(we.retryAfter / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		}
-	}
+func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
