@@ -2,7 +2,7 @@
 // given a target column, a model family and a set of performance
 // measures, it generates an ε-skyline set of datasets and writes them
 // out as CSV files. Searches run through the public engine
-// (repro/modis): algorithms are picked by registry key, runs honor
+// (repro/modis): algorithms are picked by key, runs honor
 // -timeout via context, and -json emits the machine-readable Report.
 //
 // With -remote the same CLI drives a modisd daemon instead of running

@@ -68,7 +68,6 @@ func main() {
 
 		stateDir  = flag.String("state-dir", "", "directory for crash-safe state, one <hash>/ subdirectory per workload shard; empty = in-memory only")
 		commitInt = flag.Duration("commit-interval", 100*time.Millisecond, "max latency before pending state records are committed to disk")
-		commitThr = flag.Int("commit-threshold", 64, "pending state records that force an immediate commit")
 		ledgerWin = flag.Int("ledger-window", 128, "finished jobs kept fully in memory; older ones are served from the on-disk ledger, or without -state-dir keep only their status")
 	)
 	flag.Parse()
@@ -89,9 +88,8 @@ func main() {
 	var persist *serve.Persistence
 	if *stateDir != "" {
 		persist, err = serve.OpenPersistence(serve.PersistOptions{
-			Dir:             *stateDir,
-			CommitInterval:  *commitInt,
-			CommitThreshold: *commitThr,
+			Dir:            *stateDir,
+			CommitInterval: *commitInt,
 		})
 		if err != nil {
 			fatal(err)

@@ -46,11 +46,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":9090", "HTTP listen address")
 		nodes      = flag.String("nodes", "", "comma-separated modisd node addresses forming the routing ring")
-		vnodes     = flag.Int("vnodes", 0, "virtual nodes per fleet member (0 = default 64)")
-		loadFactor = flag.Float64("load-factor", 0, "bounded-load ceiling multiplier (0 = default 1.25)")
 		healthInt  = flag.Duration("health-interval", 2*time.Second, "node health/catalog sweep period")
-		probeTO    = flag.Duration("probe-timeout", 0, "per-node health probe timeout within a sweep (0 = default 1s)")
-		brFails    = flag.Int("breaker-failures", 0, "consecutive node failures that open its circuit breaker (0 = default 1)")
 		brCooldown = flag.Duration("breaker-cooldown", 0, "open-circuit cooldown before a half-open probe (0 = default 2s)")
 		rate       = flag.Float64("rate", 0, "per-tenant sustained submissions/second (0 = unlimited)")
 		burst      = flag.Float64("burst", 0, "per-tenant submission burst depth (0 = default max(rate, 1))")
@@ -71,14 +67,8 @@ func main() {
 
 	p := proxy.New(proxy.Options{
 		Nodes:          fleet,
-		VNodes:         *vnodes,
-		LoadFactor:     *loadFactor,
 		HealthInterval: *healthInt,
-		ProbeTimeout:   *probeTO,
-		Breaker: proxy.BreakerOptions{
-			FailureThreshold: *brFails,
-			Cooldown:         *brCooldown,
-		},
+		Breaker:        proxy.BreakerOptions{Cooldown: *brCooldown},
 		Admission: proxy.AdmissionOptions{
 			Rate:          *rate,
 			Burst:         *burst,

@@ -102,25 +102,6 @@ func OpGen(s *State, dir Direction) []*State {
 	return spawn(s, s.Bits.Len()-s.Bits.Ones(), s.Bits.ForEachClear)
 }
 
-// OpGenEntries is OpGen restricted to a subset of entry indexes; used by
-// the backward search to only re-augment entries absent from the back
-// state.
-func OpGenEntries(s *State, dir Direction, entries []int) []*State {
-	count := 0
-	for _, i := range entries {
-		if (dir == Forward) == s.Bits.Get(i) {
-			count++
-		}
-	}
-	return spawn(s, count, func(f func(i int)) {
-		for _, i := range entries {
-			if (dir == Forward) == s.Bits.Get(i) {
-				f(i)
-			}
-		}
-	})
-}
-
 // BackSt initializes the backward start state s_b of BiMODis: all
 // attribute entries stay present, and literal entries are greedily
 // cleared while every value of the target's active domain remains

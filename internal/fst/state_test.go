@@ -33,17 +33,6 @@ func TestOpGenBackward(t *testing.T) {
 	}
 }
 
-func TestOpGenEntries(t *testing.T) {
-	s := &State{Bits: BitmapOf(true, true, true)}
-	kids := OpGenEntries(s, Forward, []int{1})
-	if len(kids) != 1 {
-		t.Fatalf("restricted children = %d, want 1", len(kids))
-	}
-	if kids[0].Bits.Get(1) {
-		t.Error("entry 1 should be cleared")
-	}
-}
-
 func TestOpGenDoesNotMutateParent(t *testing.T) {
 	s := &State{Bits: BitmapOf(true, true)}
 	_ = OpGen(s, Forward)

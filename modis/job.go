@@ -67,7 +67,7 @@ func newJobID() string {
 // report's JobID.
 func (j *Job) ID() string { return j.id }
 
-// Algorithm returns the canonical registry key the job runs.
+// Algorithm returns the canonical algorithm key the job runs.
 func (j *Job) Algorithm() string { return j.algorithm }
 
 // Done returns a channel that closes when the run terminates —

@@ -8,7 +8,7 @@
 // runs; the memo of valuations carries over, so repeated or
 // overlapping runs get cheaper, while each run decides from its own
 // tests (the paper's test set T). Algorithms are
-// selected by registry key — "apx", "bi", "nobi" (bi without
+// selected by key — "apx", "bi", "nobi" (bi without
 // correlation-based pruning), "div", "exact" — and tuned with
 // functional options that validate eagerly instead of silently
 // defaulting:
@@ -147,7 +147,7 @@ func (e *Engine) Run(ctx context.Context, algorithm string, opts ...Option) (*Re
 // job goroutine starts, so every option and algorithm error surfaces
 // synchronously.
 type prepared struct {
-	fn        AlgorithmFunc
+	fn        algorithm
 	canonical string
 	resolved  RunOptions
 	copts     core.Options
@@ -261,11 +261,6 @@ func (e *Engine) execute(ctx context.Context, j *Job, pr prepared) (*Report, err
 	return rep, nil
 }
 
-// Config exposes the engine's underlying configuration (e.g. for
-// valuating a reference state or materializing candidates through its
-// space).
-func (e *Engine) Config() *fst.Config { return e.cfg }
-
 // Candidate is one member of a discovered ε-skyline set.
 type Candidate struct {
 	// Bits is the state bitmap; materialize the dataset with
@@ -285,7 +280,7 @@ type Report struct {
 	// JobID identifies the run's job (see [Engine.Submit]); reports
 	// fetched from a daemon carry the same id the submit returned.
 	JobID string `json:"job_id,omitempty"`
-	// Algorithm is the canonical registry key that ran.
+	// Algorithm is the canonical algorithm key that ran.
 	Algorithm string `json:"algorithm"`
 	// Options are the knobs the run executed with: the defaults (see
 	// the package doc) overridden by the run's options, parallelism 0

@@ -32,14 +32,14 @@ type AdmissionOptions struct {
 	// MaxGlobalJobs caps the whole fleet's concurrently running jobs
 	// admitted through this proxy.
 	MaxGlobalJobs int
-	// Now overrides the clock (tests). Nil = time.Now.
-	Now func() time.Time
+	// now overrides the clock (tests). Nil = time.Now.
+	now func() time.Time
 }
 
-// Admission is the proxy's front door: a token bucket per tenant for
+// admission is the proxy's front door: a token bucket per tenant for
 // submission rate plus per-tenant and global concurrent-job caps. Safe
 // for concurrent use.
-type Admission struct {
+type admission struct {
 	opts AdmissionOptions
 
 	mu      sync.Mutex
@@ -53,10 +53,10 @@ type bucket struct {
 	last   time.Time
 }
 
-// NewAdmission builds an Admission from options.
-func NewAdmission(opts AdmissionOptions) *Admission {
-	if opts.Now == nil {
-		opts.Now = time.Now
+// newAdmission builds an admission from options.
+func newAdmission(opts AdmissionOptions) *admission {
+	if opts.now == nil {
+		opts.now = time.Now
 	}
 	if opts.Rate > 0 && opts.Burst <= 0 {
 		opts.Burst = opts.Rate
@@ -64,20 +64,20 @@ func NewAdmission(opts AdmissionOptions) *Admission {
 			opts.Burst = 1
 		}
 	}
-	return &Admission{
+	return &admission{
 		opts:    opts,
 		buckets: map[string]*bucket{},
 		running: map[string]int{},
 	}
 }
 
-// Admit charges one submission to the tenant. On success it returns a
+// admit charges one submission to the tenant. On success it returns a
 // release function the caller must invoke once the admitted job
 // reaches a terminal state (it frees the concurrency slot; the rate
 // token is consumed either way). On rejection it returns ErrThrottled
 // (wrapped with the reason) and the duration after which retrying can
 // succeed — the Retry-After value.
-func (a *Admission) Admit(tenant string) (release func(), retryAfter time.Duration, err error) {
+func (a *admission) admit(tenant string) (release func(), retryAfter time.Duration, err error) {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
@@ -94,7 +94,7 @@ func (a *Admission) Admit(tenant string) (release func(), retryAfter time.Durati
 	}
 
 	if a.opts.Rate > 0 {
-		now := a.opts.Now()
+		now := a.opts.now()
 		b, ok := a.buckets[tenant]
 		if !ok {
 			b = &bucket{tokens: a.opts.Burst, last: now}
@@ -129,15 +129,4 @@ func (a *Admission) Admit(tenant string) (release func(), retryAfter time.Durati
 			a.mu.Unlock()
 		})
 	}, 0, nil
-}
-
-// Running reports the tenant's admitted-and-unreleased job count and
-// the global one.
-func (a *Admission) Running(tenant string) (tenantJobs, globalJobs int) {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.running[tenant], a.global
 }

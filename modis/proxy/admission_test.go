@@ -13,9 +13,9 @@ func (c *fakeClock) Now() time.Time          { return c.now }
 func (c *fakeClock) advance(d time.Duration) { c.now = c.now.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{now: time.Unix(1700000000, 0)} }
 
-func mustAdmit(t *testing.T, a *Admission, tenant string) func() {
+func mustAdmit(t *testing.T, a *admission, tenant string) func() {
 	t.Helper()
-	release, _, err := a.Admit(tenant)
+	release, _, err := a.admit(tenant)
 	if err != nil {
 		t.Fatalf("admit %q: %v", tenant, err)
 	}
@@ -27,11 +27,11 @@ func mustAdmit(t *testing.T, a *Admission, tenant string) func() {
 // the clock. Tenants have independent buckets.
 func TestAdmissionRate(t *testing.T) {
 	clk := newFakeClock()
-	a := NewAdmission(AdmissionOptions{Rate: 1, Burst: 2, Now: clk.Now})
+	a := newAdmission(AdmissionOptions{Rate: 1, Burst: 2, now: clk.Now})
 
 	mustAdmit(t, a, "alice")()
 	mustAdmit(t, a, "alice")()
-	_, retry, err := a.Admit("alice")
+	_, retry, err := a.admit("alice")
 	if !errors.Is(err, ErrThrottled) {
 		t.Fatalf("third burst submit: err = %v, want ErrThrottled", err)
 	}
@@ -50,7 +50,7 @@ func TestAdmissionRate(t *testing.T) {
 	clk.advance(time.Hour)
 	mustAdmit(t, a, "alice")()
 	mustAdmit(t, a, "alice")()
-	if _, _, err := a.Admit("alice"); !errors.Is(err, ErrThrottled) {
+	if _, _, err := a.admit("alice"); !errors.Is(err, ErrThrottled) {
 		t.Errorf("burst cap after idle: err = %v, want ErrThrottled", err)
 	}
 }
@@ -58,10 +58,10 @@ func TestAdmissionRate(t *testing.T) {
 // TestAdmissionCaps: per-tenant and global concurrent-job caps bound
 // admitted-but-unreleased jobs; release frees a slot exactly once.
 func TestAdmissionCaps(t *testing.T) {
-	a := NewAdmission(AdmissionOptions{MaxTenantJobs: 1, MaxGlobalJobs: 2})
+	a := newAdmission(AdmissionOptions{MaxTenantJobs: 1, MaxGlobalJobs: 2})
 
 	relA := mustAdmit(t, a, "alice")
-	if _, retry, err := a.Admit("alice"); !errors.Is(err, ErrThrottled) {
+	if _, retry, err := a.admit("alice"); !errors.Is(err, ErrThrottled) {
 		t.Fatalf("capped tenant admitted: %v", err)
 	} else if retry < time.Second {
 		t.Errorf("cap retryAfter = %v, want >= 1s", retry)
@@ -69,38 +69,35 @@ func TestAdmissionCaps(t *testing.T) {
 
 	relB := mustAdmit(t, a, "bob")
 	// Global cap (2) now binds even for a fresh tenant.
-	if _, _, err := a.Admit("carol"); !errors.Is(err, ErrThrottled) {
+	if _, _, err := a.admit("carol"); !errors.Is(err, ErrThrottled) {
 		t.Fatalf("over-global admit succeeded: %v", err)
 	}
 
 	relA()
 	relA() // double release must not free a second slot
-	if tj, gj := a.Running("alice"); tj != 0 || gj != 1 {
-		t.Fatalf("after release Running(alice) = (%d, %d), want (0, 1)", tj, gj)
-	}
 	relC := mustAdmit(t, a, "carol")
-	if _, _, err := a.Admit("dave"); !errors.Is(err, ErrThrottled) {
+	if _, _, err := a.admit("dave"); !errors.Is(err, ErrThrottled) {
 		t.Error("global cap stopped binding after an extra release")
 	}
 	relB()
 	relC()
-	if _, gj := a.Running(""); gj != 0 {
-		t.Errorf("global running = %d after all releases, want 0", gj)
-	}
+	// Every slot is free again: alice's own and both global ones.
+	mustAdmit(t, a, "alice")
+	mustAdmit(t, a, "dave")
 }
 
 // TestAdmissionDefaults: no limits configured → everything admits; an
 // empty tenant shares the DefaultTenant budget.
 func TestAdmissionDefaults(t *testing.T) {
-	a := NewAdmission(AdmissionOptions{})
+	a := newAdmission(AdmissionOptions{})
 	for i := 0; i < 100; i++ {
 		mustAdmit(t, a, "")
 	}
 
-	capped := NewAdmission(AdmissionOptions{MaxTenantJobs: 1})
+	capped := newAdmission(AdmissionOptions{MaxTenantJobs: 1})
 	rel := mustAdmit(t, capped, "")
 	defer rel()
-	if _, _, err := capped.Admit(DefaultTenant); !errors.Is(err, ErrThrottled) {
+	if _, _, err := capped.admit(DefaultTenant); !errors.Is(err, ErrThrottled) {
 		t.Error("anonymous requests must share the DefaultTenant budget")
 	}
 }

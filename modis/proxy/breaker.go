@@ -19,70 +19,62 @@ const (
 	BreakerHalfOpen BreakerState = "half-open"
 )
 
-// BreakerOptions tune one node's circuit breaker.
+// BreakerOptions tune the per-node circuit breakers. A breaker opens
+// on the first failure, so a dead node leaves the rotation at once.
 type BreakerOptions struct {
-	// FailureThreshold is the consecutive-failure count that opens the
-	// circuit (default 1: the first failure opens, matching the old
-	// binary dead-node sweep; raise it to ride out blips).
-	FailureThreshold int
 	// Cooldown is how long an open circuit blocks traffic before
 	// half-opening for a probe (default 2s). Out-of-band health sweeps
 	// bypass the cooldown: a sweep success closes the circuit
 	// immediately.
 	Cooldown time.Duration
-	// Now overrides the clock (tests). Nil = time.Now.
-	Now func() time.Time
+	// now overrides the clock (tests). Nil = time.Now.
+	now func() time.Time
 }
 
 func (o BreakerOptions) withDefaults() BreakerOptions {
-	if o.FailureThreshold <= 0 {
-		o.FailureThreshold = 1
-	}
 	if o.Cooldown <= 0 {
 		o.Cooldown = 2 * time.Second
 	}
-	if o.Now == nil {
-		o.Now = time.Now
+	if o.now == nil {
+		o.now = time.Now
 	}
 	return o
 }
 
-// Breaker is a per-node circuit breaker: closed while the node
-// behaves, open for a cooldown once it fails past the threshold, then
-// half-open — admitting exactly one probe whose outcome decides the
-// next state. It replaces the binary alive flag: a flapping node is
-// retried on the breaker's schedule instead of on every request, and a
-// recovered node rejoins after one successful probe rather than
-// waiting for the sweep that happens to see it. Safe for concurrent
-// use.
-type Breaker struct {
+// breaker is a per-node circuit breaker: closed while the node
+// behaves, open for a cooldown once it fails, then half-open —
+// admitting exactly one probe whose outcome decides the next state. A
+// flapping node is retried on the breaker's schedule instead of on
+// every request, and a recovered node rejoins after one successful
+// probe rather than waiting for the sweep that happens to see it. Safe
+// for concurrent use.
+type breaker struct {
 	opts BreakerOptions
 
 	mu       sync.Mutex
 	state    BreakerState
-	failures int
 	openedAt time.Time
 	probing  bool
 }
 
-// NewBreaker returns a closed Breaker.
-func NewBreaker(opts BreakerOptions) *Breaker {
-	return &Breaker{opts: opts.withDefaults(), state: BreakerClosed}
+// newBreaker returns a closed breaker.
+func newBreaker(opts BreakerOptions) *breaker {
+	return &breaker{opts: opts.withDefaults(), state: BreakerClosed}
 }
 
-// Allow reports whether a request may be sent to the node now. A true
+// allow reports whether a request may be sent to the node now. A true
 // return from a half-open circuit claims the probe slot: the caller's
-// request IS the probe, and its outcome must be reported with Success
-// or Failure (every caller reports outcomes anyway, so there is no
+// request IS the probe, and its outcome must be reported with success
+// or failure (every caller reports outcomes anyway, so there is no
 // separate probe bookkeeping to leak).
-func (b *Breaker) Allow() bool {
+func (b *breaker) allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.opts.Now().Sub(b.openedAt) >= b.opts.Cooldown {
+		if b.opts.now().Sub(b.openedAt) >= b.opts.Cooldown {
 			b.state = BreakerHalfOpen
 			b.probing = true
 			return true
@@ -97,46 +89,35 @@ func (b *Breaker) Allow() bool {
 	}
 }
 
-// Success reports a successful exchange with the node: the circuit
+// success reports a successful exchange with the node: the circuit
 // closes from any state (a health-sweep success short-circuits an open
 // cooldown — the node answered, there is nothing left to wait for).
-func (b *Breaker) Success() {
+func (b *breaker) success() {
 	b.mu.Lock()
 	b.state = BreakerClosed
-	b.failures = 0
 	b.probing = false
 	b.mu.Unlock()
 }
 
-// Failure reports a failed exchange. A half-open probe failure
-// re-opens immediately; closed circuits open once consecutive failures
-// reach the threshold.
-func (b *Breaker) Failure() {
+// failure reports a failed exchange: a closed circuit or a half-open
+// probe opens. An open circuit refreshes nothing — the cooldown runs
+// from the original trip, so a stream of rejected probes cannot push
+// recovery out forever.
+func (b *breaker) failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerHalfOpen:
+	if b.state != BreakerOpen {
 		b.state = BreakerOpen
-		b.openedAt = b.opts.Now()
+		b.openedAt = b.opts.now()
 		b.probing = false
-	case BreakerClosed:
-		b.failures++
-		if b.failures >= b.opts.FailureThreshold {
-			b.state = BreakerOpen
-			b.openedAt = b.opts.Now()
-		}
-	case BreakerOpen:
-		// Already open; refresh nothing — the cooldown runs from the
-		// original trip so a stream of rejected probes cannot push
-		// recovery out forever.
 	}
 }
 
-// ReleaseProbe returns an unconsumed half-open probe slot — for
-// callers that claimed it through Allow but then routed the request to
+// releaseProbe returns an unconsumed half-open probe slot — for
+// callers that claimed it through allow but then routed the request to
 // a different node, so no outcome will ever be reported. No-op in any
 // other state.
-func (b *Breaker) ReleaseProbe() {
+func (b *breaker) releaseProbe() {
 	b.mu.Lock()
 	if b.state == BreakerHalfOpen {
 		b.probing = false
@@ -144,17 +125,17 @@ func (b *Breaker) ReleaseProbe() {
 	b.mu.Unlock()
 }
 
-// State returns the circuit's current position. An open circuit whose
+// currentState returns the circuit's position. An open circuit whose
 // cooldown has elapsed still reads open until a request half-opens it.
-func (b *Breaker) State() BreakerState {
+func (b *breaker) currentState() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
 }
 
-// Healthy reports the passive view — circuit closed — used by read
+// healthy reports the passive view — circuit closed — used by read
 // paths (catalog refresh, fleet-wide listings) that should not burn
 // the half-open probe slot on bulk traffic.
-func (b *Breaker) Healthy() bool {
-	return b.State() == BreakerClosed
+func (b *breaker) healthy() bool {
+	return b.currentState() == BreakerClosed
 }

@@ -23,23 +23,12 @@ type Options struct {
 	// forming the routing ring. Order does not matter: two proxies
 	// given permuted lists route identically.
 	Nodes []string
-	// VNodes is the virtual-node count per node (0 =
-	// DefaultVirtualNodes).
-	VNodes int
-	// LoadFactor is the bounded-load ceiling multiplier (values < 1
-	// mean the default 1.25): a node takes its keys until its in-flight
-	// count exceeds loadFactor × the fleet average, then keys spill to
-	// the next ring candidate.
-	LoadFactor float64
 	// HealthInterval is the background health/catalog sweep period
 	// (0 = 2s; negative disables the background loop — tests drive
 	// sweeps with CheckNow).
 	HealthInterval time.Duration
-	// ProbeTimeout bounds each per-node health probe within a sweep
-	// (0 = 1s), so one hung node cannot stall the whole sweep.
-	ProbeTimeout time.Duration
 	// Breaker configures the per-node circuit breakers. The zero value
-	// opens on the first failure with a 2s cooldown.
+	// has a 2s cooldown.
 	Breaker BreakerOptions
 	// Admission configures per-tenant rate limits and job caps.
 	Admission AdmissionOptions
@@ -47,7 +36,7 @@ type Options struct {
 
 // nodeState is the proxy's view of one modisd.
 type nodeState struct {
-	br       *Breaker
+	br       *breaker
 	inflight int
 	errMsg   string
 	identity *serve.NodeIdentity
@@ -67,8 +56,8 @@ type nodeState struct {
 // except the SSE pipe is a call on that node's serve.Client.
 type Proxy struct {
 	opts       Options
-	ring       *Ring
-	adm        *Admission
+	ring       *ring
+	adm        *admission
 	mux        *http.ServeMux
 	sweepEvery time.Duration            // effective sweep period (0 = disabled)
 	clients    map[string]*serve.Client // node → its client; fixed at New, read without mu
@@ -109,16 +98,16 @@ func New(opts Options) *Proxy {
 	}
 	p := &Proxy{
 		opts:    opts,
-		ring:    NewRing(normalized, opts.VNodes),
-		adm:     NewAdmission(opts.Admission),
+		ring:    newRing(normalized),
+		adm:     newAdmission(opts.Admission),
 		mux:     http.NewServeMux(),
 		clients: map[string]*serve.Client{},
 		nodes:   map[string]*nodeState{},
 		catalog: map[string]serve.WorkloadInfo{},
 		jobs:    map[string]string{},
 	}
-	for _, n := range p.ring.Nodes() {
-		p.nodes[n] = &nodeState{br: NewBreaker(opts.Breaker)}
+	for _, n := range p.ring.nodes {
+		p.nodes[n] = &nodeState{br: newBreaker(opts.Breaker)}
 		p.clients[n] = serve.NewClient(n)
 	}
 	p.ctx, p.stop = context.WithCancel(context.Background())
@@ -179,17 +168,17 @@ func (p *Proxy) Close() {
 // merge into the routing table. The background loop calls this on its
 // interval; tests call it directly for determinism.
 func (p *Proxy) CheckNow(ctx context.Context) {
-	for _, node := range p.ring.Nodes() {
-		pctx, cancel := context.WithTimeout(ctx, p.probeTimeout())
+	for _, node := range p.ring.nodes {
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		hr, err := p.clients[node].Health(pctx)
 		cancel()
 		p.mu.Lock()
 		ns := p.nodes[node]
 		if err != nil {
-			ns.br.Failure()
+			ns.br.failure()
 			ns.errMsg = err.Error()
 		} else {
-			ns.br.Success()
+			ns.br.success()
 			ns.errMsg = ""
 			ns.identity = hr.Node
 		}
@@ -198,13 +187,9 @@ func (p *Proxy) CheckNow(ctx context.Context) {
 	p.refreshCatalog(ctx)
 }
 
-// probeTimeout is the per-node health probe bound.
-func (p *Proxy) probeTimeout() time.Duration {
-	if p.opts.ProbeTimeout > 0 {
-		return p.opts.ProbeTimeout
-	}
-	return time.Second
-}
+// probeTimeout bounds each per-node health probe within a sweep, so
+// one hung node cannot stall the whole sweep.
+const probeTimeout = time.Second
 
 // aliveNodes lists the nodes whose circuit is closed, in ring order —
 // the targets of fleet-wide reads, which should not burn a half-open
@@ -213,8 +198,8 @@ func (p *Proxy) aliveNodes() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var alive []string
-	for _, n := range p.ring.Nodes() {
-		if p.nodes[n].br.Healthy() {
+	for _, n := range p.ring.nodes {
+		if p.nodes[n].br.healthy() {
 			alive = append(alive, n)
 		}
 	}
@@ -261,12 +246,12 @@ func (p *Proxy) record(node string, err error) {
 	defer p.mu.Unlock()
 	ns := p.nodes[node]
 	if err == nil || answered(err) {
-		ns.br.Success()
+		ns.br.success()
 		ns.errMsg = ""
 		ns.ok++
 		return
 	}
-	ns.br.Failure()
+	ns.br.failure()
 	ns.errMsg = err.Error()
 	ns.failed++
 }
@@ -304,37 +289,36 @@ func (p *Proxy) resolveWorkload(ctx context.Context, name string) (string, bool)
 }
 
 // pick chooses the serving node for a shard hash: ring candidates,
-// breaker willing, bounded load. Allow claims the half-open probe slot
+// breaker willing, bounded load. allow claims the half-open probe slot
 // when it fires, so the submission routed to a recovering node IS its
 // probe — the outcome is reported back through record like any other
 // exchange.
 func (p *Proxy) pick(hash string) string {
 	p.mu.Lock()
-	brs := make(map[string]*Breaker, len(p.nodes))
+	brs := make(map[string]*breaker, len(p.nodes))
 	load := make(map[string]int, len(p.nodes))
 	for n, ns := range p.nodes {
 		brs[n] = ns.br
 		load[n] = ns.inflight
 	}
 	p.mu.Unlock()
-	// BoundedPick asks the alive predicate more than once per node;
-	// memoize Allow so one pick claims at most one probe per breaker,
+	// boundedPick asks the alive predicate more than once per node;
+	// memoize allow so one pick claims at most one probe per breaker,
 	// and release the probes of nodes that were allowed but not chosen
 	// (bounded load can skip them), since no outcome will be reported.
 	decided := map[string]bool{}
 	allow := func(n string) bool {
 		v, ok := decided[n]
 		if !ok {
-			v = brs[n].Allow()
+			v = brs[n].allow()
 			decided[n] = v
 		}
 		return v
 	}
-	picked := p.ring.BoundedPick(hash, p.opts.LoadFactor,
-		allow, func(n string) int { return load[n] })
+	picked := p.ring.boundedPick(hash, allow, func(n string) int { return load[n] })
 	for n, allowed := range decided {
 		if allowed && n != picked {
-			brs[n].ReleaseProbe()
+			brs[n].releaseProbe()
 		}
 	}
 	return picked
@@ -362,7 +346,7 @@ func (p *Proxy) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	release, retryAfter, err := p.adm.Admit(r.Header.Get(TenantHeader))
+	release, retryAfter, err := p.adm.admit(r.Header.Get(TenantHeader))
 	if err != nil {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retryAfter)))
 		writeError(w, http.StatusTooManyRequests, err)
@@ -615,7 +599,7 @@ func (p *Proxy) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAppendRows forwards a row-append batch to the workload's ring
-// owner. Appends route strictly to Owner — never spilled under load,
+// owner. Appends route strictly to the owner — never spilled under load,
 // never failed over — because a batch landing on a different node
 // would fork the shard's table version history; and they are forwarded
 // exactly once — never retried — because an append is not idempotent:
@@ -637,7 +621,7 @@ func (p *Proxy) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("proxy: unknown workload %q (fleet serves: %s)", name, strings.Join(p.workloadNames(), ", ")))
 		return
 	}
-	node := p.ring.Owner(hash)
+	node := p.ring.owner(hash)
 	if node == "" {
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("proxy: no node for workload %q", name))
 		return
@@ -645,7 +629,7 @@ func (p *Proxy) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	p.mu.Lock()
 	ns := p.nodes[node]
 	p.mu.Unlock()
-	if ns == nil || !ns.br.Allow() {
+	if ns == nil || !ns.br.allow() {
 		writeError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("proxy: workload %q owner %s is unavailable; appends do not fail over", name, node))
 		return
@@ -699,12 +683,12 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := HealthResponse{
 		Status:          "ok",
 		SweepIntervalMS: p.sweepEvery.Milliseconds(),
-		ProbeTimeoutMS:  p.probeTimeout().Milliseconds(),
+		ProbeTimeoutMS:  probeTimeout.Milliseconds(),
 	}
 	aliveCount := 0
-	for _, node := range p.ring.Nodes() {
+	for _, node := range p.ring.nodes {
 		ns := p.nodes[node]
-		state := ns.br.State()
+		state := ns.br.currentState()
 		alive := state != BreakerOpen
 		if alive {
 			aliveCount++
@@ -732,10 +716,10 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw := metrics.NewWriter()
 	p.mu.Lock()
-	for _, node := range p.ring.Nodes() {
+	for _, node := range p.ring.nodes {
 		ns := p.nodes[node]
 		labels := []metrics.Label{{Name: "node", Value: node}}
-		state := ns.br.State()
+		state := ns.br.currentState()
 		up := 0.0
 		if state != BreakerOpen {
 			up = 1

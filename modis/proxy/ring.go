@@ -18,10 +18,10 @@ import (
 	"sort"
 )
 
-// Ring is a consistent-hash ring with virtual nodes and bounded-load
-// candidate selection. It is immutable after construction; membership
-// changes build a new Ring (cheap: a few thousand points).
-type Ring struct {
+// ring is a consistent-hash ring with virtual nodes and bounded-load
+// candidate selection. It is immutable after construction; nodes holds
+// the members, sorted.
+type ring struct {
 	nodes  []string
 	points []ringPoint
 }
@@ -31,11 +31,15 @@ type ringPoint struct {
 	node string
 }
 
-// DefaultVirtualNodes is the per-node point count when NewRing is
-// given 0. More points smooth the load split between nodes; 64 keeps
-// the max/mean shard imbalance low for small fleets without making
-// ring construction noticeable.
-const DefaultVirtualNodes = 64
+// virtualNodes is the per-node point count. More points smooth the
+// load split between nodes; 64 keeps the max/mean shard imbalance low
+// for small fleets without making ring construction noticeable.
+const virtualNodes = 64
+
+// loadFactor is the bounded-load ceiling multiplier: a node takes its
+// keys until its in-flight count exceeds loadFactor × the fleet
+// average, then keys spill to the next ring candidate.
+const loadFactor = 1.25
 
 // hashKey positions a routing key (a descriptor hash) on the ring.
 func hashKey(key string) uint64 {
@@ -43,16 +47,12 @@ func hashKey(key string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// NewRing builds a ring over the given node addresses with vnodes
-// virtual points per node (0 = DefaultVirtualNodes). Node order does
+// newRing builds a ring over the given node addresses. Node order does
 // not matter — the ring sorts — and duplicate addresses collapse, so
 // two proxies configured with permuted node lists route identically.
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+func newRing(nodes []string) *ring {
 	seen := map[string]bool{}
-	r := &Ring{}
+	r := &ring{}
 	for _, n := range nodes {
 		if n == "" || seen[n] {
 			continue
@@ -61,9 +61,9 @@ func NewRing(nodes []string, vnodes int) *Ring {
 		r.nodes = append(r.nodes, n)
 	}
 	sort.Strings(r.nodes)
-	r.points = make([]ringPoint, 0, len(r.nodes)*vnodes)
+	r.points = make([]ringPoint, 0, len(r.nodes)*virtualNodes)
 	for _, n := range r.nodes {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < virtualNodes; i++ {
 			sum := sha256.Sum256([]byte(n + "#" + itoa(i)))
 			r.points = append(r.points, ringPoint{h: binary.BigEndian.Uint64(sum[:8]), node: n})
 		}
@@ -93,14 +93,11 @@ func itoa(i int) string {
 	return string(b[pos:])
 }
 
-// Nodes returns the ring members, sorted.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
-// Candidates returns every node in preference order for the key: the
+// candidates returns every node in preference order for the key: the
 // clockwise walk from the key's ring position, deduplicated. The first
 // entry is the key's owner; the rest are the failover order a
 // bounded-load or dead-node pass falls through.
-func (r *Ring) Candidates(key string) []string {
+func (r *ring) candidates(key string) []string {
 	if len(r.points) == 0 {
 		return nil
 	}
@@ -118,16 +115,16 @@ func (r *Ring) Candidates(key string) []string {
 	return out
 }
 
-// Owner returns the key's first-choice node ("" on an empty ring).
-func (r *Ring) Owner(key string) string {
-	c := r.Candidates(key)
+// owner returns the key's first-choice node ("" on an empty ring).
+func (r *ring) owner(key string) string {
+	c := r.candidates(key)
 	if len(c) == 0 {
 		return ""
 	}
 	return c[0]
 }
 
-// BoundedPick walks the key's candidates and returns the first node
+// boundedPick walks the key's candidates and returns the first node
 // that is alive and under the bounded-load ceiling
 // ceil(loadFactor·(totalInflight+1)/aliveCount) — the classic
 // consistent-hashing-with-bounded-loads rule: keys route to their
@@ -136,11 +133,8 @@ func (r *Ring) Owner(key string) string {
 // ceiling the least-loaded alive one is returned (admission control,
 // not routing, is where hard rejection lives); "" means no candidate
 // is alive.
-func (r *Ring) BoundedPick(key string, loadFactor float64, alive func(string) bool, inflight func(string) int) string {
-	cands := r.Candidates(key)
-	if loadFactor < 1 {
-		loadFactor = 1.25
-	}
+func (r *ring) boundedPick(key string, alive func(string) bool, inflight func(string) int) string {
+	cands := r.candidates(key)
 	total, nAlive := 0, 0
 	for _, n := range r.nodes {
 		if alive(n) {

@@ -11,11 +11,11 @@ import (
 // order. This is the property that keeps a shard's jobs, memo, and
 // state-dir/<hash>/ on one node across proxy restarts.
 func TestRingDeterminism(t *testing.T) {
-	a := NewRing([]string{"http://n1", "http://n2", "http://n3"}, 0)
-	b := NewRing([]string{"http://n3", "http://n1", "http://n2", "http://n1", ""}, 0)
+	a := newRing([]string{"http://n1", "http://n2", "http://n3"})
+	b := newRing([]string{"http://n3", "http://n1", "http://n2", "http://n1", ""})
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("hash-%04d", i)
-		ca, cb := a.Candidates(key), b.Candidates(key)
+		ca, cb := a.candidates(key), b.candidates(key)
 		if len(ca) != 3 || len(cb) != 3 {
 			t.Fatalf("key %s: candidate walks %v / %v must cover all nodes once", key, ca, cb)
 		}
@@ -24,8 +24,8 @@ func TestRingDeterminism(t *testing.T) {
 				t.Fatalf("key %s: rings over permuted node lists disagree: %v vs %v", key, ca, cb)
 			}
 		}
-		if a.Owner(key) != ca[0] {
-			t.Fatalf("key %s: Owner %q is not the first candidate %q", key, a.Owner(key), ca[0])
+		if a.owner(key) != ca[0] {
+			t.Fatalf("key %s: owner %q is not the first candidate %q", key, a.owner(key), ca[0])
 		}
 	}
 }
@@ -33,12 +33,12 @@ func TestRingDeterminism(t *testing.T) {
 // TestRingSpread: virtual nodes split keys across the fleet — no node
 // ends up owning everything or nothing.
 func TestRingSpread(t *testing.T) {
-	r := NewRing([]string{"http://n1", "http://n2", "http://n3"}, 0)
+	r := newRing([]string{"http://n1", "http://n2", "http://n3"})
 	owned := map[string]int{}
 	for i := 0; i < 600; i++ {
-		owned[r.Owner(fmt.Sprintf("hash-%04d", i))]++
+		owned[r.owner(fmt.Sprintf("hash-%04d", i))]++
 	}
-	for _, n := range r.Nodes() {
+	for _, n := range r.nodes {
 		if owned[n] == 0 {
 			t.Errorf("node %s owns no keys out of 600 — virtual nodes not spreading", n)
 		}
@@ -53,21 +53,21 @@ func TestRingSpread(t *testing.T) {
 // fully saturated fleet falls back to the least-loaded alive node; a
 // fully dead fleet yields "".
 func TestBoundedPick(t *testing.T) {
-	r := NewRing([]string{"http://n1", "http://n2", "http://n3"}, 0)
+	r := newRing([]string{"http://n1", "http://n2", "http://n3"})
 	const key = "some-descriptor-hash"
-	cands := r.Candidates(key)
+	cands := r.candidates(key)
 	owner, second := cands[0], cands[1]
 
 	aliveAll := func(string) bool { return true }
 	idle := func(string) int { return 0 }
 
-	if got := r.BoundedPick(key, 0, aliveAll, idle); got != owner {
+	if got := r.boundedPick(key, aliveAll, idle); got != owner {
 		t.Errorf("idle fleet: picked %q, want owner %q", got, owner)
 	}
-	if got := r.BoundedPick(key, 0, func(n string) bool { return n != owner }, idle); got != second {
+	if got := r.boundedPick(key, func(n string) bool { return n != owner }, idle); got != second {
 		t.Errorf("dead owner: picked %q, want next candidate %q", got, second)
 	}
-	if got := r.BoundedPick(key, 0, func(string) bool { return false }, idle); got != "" {
+	if got := r.boundedPick(key, func(string) bool { return false }, idle); got != "" {
 		t.Errorf("dead fleet: picked %q, want \"\"", got)
 	}
 
@@ -79,14 +79,14 @@ func TestBoundedPick(t *testing.T) {
 		}
 		return 0
 	}
-	if got := r.BoundedPick(key, 1.25, aliveAll, loaded); got != second {
+	if got := r.boundedPick(key, aliveAll, loaded); got != second {
 		t.Errorf("overloaded owner: picked %q, want spill to %q", got, second)
 	}
 
 	// Everyone saturated equally: fall back to a least-loaded alive
 	// node rather than rejecting (admission control owns rejection).
 	flat := func(string) int { return 100 }
-	if got := r.BoundedPick(key, 1.0, aliveAll, flat); got == "" {
+	if got := r.boundedPick(key, aliveAll, flat); got == "" {
 		t.Error("saturated fleet: want the least-loaded alive node, got \"\"")
 	}
 }

@@ -1,13 +1,12 @@
 package modis
 
-// White-box registry tests: registering a custom algorithm needs the
-// internal/core types that AlgorithmFunc is built from, which only the
+// White-box algorithm-table tests: installing a custom algorithm needs
+// the internal/core types an algorithm is built from, which only the
 // package itself (not external consumers) is meant to reference.
 
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -18,7 +17,7 @@ import (
 // echoOptions are the options echoAlgorithm last received.
 var echoOptions core.Options
 
-// echoAlgorithm is a minimal registrable algorithm: it records its
+// echoAlgorithm is a minimal algorithm: it records its
 // options, valuates the universal state and returns it as a singleton
 // skyline.
 func echoAlgorithm(ctx context.Context, cfg *fst.Config, opts core.Options) (*core.Result, error) {
@@ -70,26 +69,11 @@ func (m *shapeCountModel) Evaluate(d *table.Table) ([]float64, error) {
 	return []float64{0.1 + 0.9*share, 1 - 0.9*share}, nil
 }
 
-func TestRegisterRejectsBadNames(t *testing.T) {
-	if err := Register("bi", nil); err == nil {
-		t.Error("nil algorithm must be rejected")
-	}
-	if err := Register("", echoAlgorithm); err == nil {
-		t.Error("empty name must be rejected")
-	}
-	if err := Register("bi", echoAlgorithm); err == nil {
-		t.Error("duplicate name must be rejected")
-	}
-	if err := Register(" BI ", echoAlgorithm); err == nil {
-		t.Error("a name that normalizes to a registered key must be rejected")
-	}
-}
-
-func TestRegisterExtendsEngine(t *testing.T) {
-	// The registry is process-global; tolerate reruns (-count > 1).
-	if err := Register("echo-test", echoAlgorithm); err != nil && !strings.Contains(err.Error(), "already registered") {
-		t.Fatal(err)
-	}
+// TestAlgorithmReceivesResolvedOptions: an algorithm is handed the
+// run's resolved options, to be read as given.
+func TestAlgorithmReceivesResolvedOptions(t *testing.T) {
+	algorithms["echo-test"] = echoAlgorithm
+	defer delete(algorithms, "echo-test")
 	eng := NewEngine(registryTestConfig(t)) // two measures
 	rep, err := eng.Run(context.Background(), "Echo-Test")
 	if err != nil {
@@ -118,14 +102,5 @@ func TestRegisterExtendsEngine(t *testing.T) {
 	}
 	if echoOptions.Decisive != 0 || echoOptions.Alpha != 0 {
 		t.Errorf("after WithDecisive(0), WithAlpha(0): decisive %d, alpha %v", echoOptions.Decisive, echoOptions.Alpha)
-	}
-	found := false
-	for _, name := range Algorithms() {
-		if name == "echo-test" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("Algorithms() does not list the custom registration")
 	}
 }

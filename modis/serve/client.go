@@ -86,21 +86,23 @@ func (c *Client) doRaw(ctx context.Context, method, path string, blob []byte) ([
 		return nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := strings.TrimSpace(string(body))
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return nil, newAPIError(resp, msg)
+		return nil, newAPIError(resp, body)
 	}
 	return body, nil
 }
 
-// newAPIError wraps a non-2xx response as an *APIError carrying msg and
-// the response's Retry-After hint (whole seconds), when it sent one.
-func newAPIError(resp *http.Response, msg string) *APIError {
+// newAPIError wraps a non-2xx response as an *APIError: Msg is the
+// body's {"error": …} field (the whole body when it has none), and
+// RetryAfter the response's Retry-After hint (whole seconds), when it
+// sent one.
+func newAPIError(resp *http.Response, body []byte) *APIError {
+	var e struct {
+		Error string `json:"error"`
+	}
+	msg := strings.TrimSpace(string(body))
+	if json.Unmarshal(body, &e) == nil && e.Error != "" {
+		msg = e.Error
+	}
 	ae := &APIError{Status: resp.StatusCode, Msg: msg}
 	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
 		ae.RetryAfter = time.Duration(secs) * time.Second
@@ -254,7 +256,7 @@ func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 	return &hr, nil
 }
 
-// Algorithms lists the daemon's registered algorithm keys.
+// Algorithms lists the daemon's algorithm keys.
 func (c *Client) Algorithms(ctx context.Context) ([]string, error) {
 	var names []string
 	if err := c.do(ctx, http.MethodGet, "/v1/algorithms", nil, &names); err != nil {
@@ -329,7 +331,7 @@ func (c *Client) streamEvents(ctx context.Context, jobID string, lastID *int, fn
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		blob, _ := io.ReadAll(resp.Body)
-		return nil, newAPIError(resp, strings.TrimSpace(string(blob)))
+		return nil, newAPIError(resp, blob)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)

@@ -35,14 +35,14 @@ type PersistOptions struct {
 	// name — is the identity everything is keyed by.
 	Dir string
 	// CommitInterval is the write-behind committers' max latency before
-	// a pending record is flushed (default 100ms).
+	// a pending record is flushed (default 100ms). A batch of 64 records
+	// flushes at once, the committer's own threshold.
 	CommitInterval time.Duration
-	// CommitThreshold is the batch size that flushes immediately
-	// (default 64).
-	CommitThreshold int
 	// CompactBytes triggers open-time compaction of the memo and the
-	// ledger once a log outgrows it (default 8MB). Compaction never runs
-	// mid-serve, and the rows log is never compacted.
+	// ledger once a log outgrows it (default 8MB); the memo also
+	// compacts when its replay met records from an older table version.
+	// Compaction never runs mid-serve, and the rows log is never
+	// compacted.
 	CompactBytes int64
 	// FS overrides the filesystem — the fault-injection seam. Nil means
 	// the real one.
@@ -53,9 +53,6 @@ func (o *PersistOptions) withDefaults() PersistOptions {
 	out := *o
 	if out.CommitInterval <= 0 {
 		out.CommitInterval = 100 * time.Millisecond
-	}
-	if out.CommitThreshold <= 0 {
-		out.CommitThreshold = 64
 	}
 	if out.CompactBytes <= 0 {
 		out.CompactBytes = 8 << 20
@@ -190,29 +187,31 @@ type snapshotFunc = func(read func(wal.RecordRef) ([]byte, error), write func([]
 
 // openStore opens one of the shard's stores, replaying every record
 // into replay, then — when snapshot is non-nil and the log has outgrown
-// CompactBytes — folds the log into a snapshot written by snapshot, and
+// CompactBytes or replay reported a record that no longer reads as
+// stored — folds the log into a snapshot written by snapshot, and
 // starts the store's write-behind committer. compacted reports whether
 // the snapshot replaced the log. A store that fails to open returns nil
 // and a compaction that fails keeps the uncompacted generation; both
 // are recorded in Health, neither is fatal.
-func (p *Persistence) openStore(hash string, kind int, replay func(wal.RecordRef, []byte), snapshot snapshotFunc) (ps *persistStore, compacted bool) {
+func (p *Persistence) openStore(hash string, kind int, replay func(wal.RecordRef, []byte) (stale bool), snapshot snapshotFunc) (ps *persistStore, compacted bool) {
 	key := hash + "/" + storeDirs[kind]
+	stale := false
 	store, err := wal.OpenStore(p.opts.FS, p.opts.Dir+"/"+sanitizeName(hash)+"/"+storeDirs[kind], func(ref wal.RecordRef, payload []byte) error {
-		replay(ref, payload)
+		stale = replay(ref, payload) || stale
 		return nil
 	})
 	if err != nil {
 		p.noteErr(key, err)
 		return nil, false
 	}
-	if snapshot != nil && store.LogSize() > p.opts.CompactBytes {
+	if snapshot != nil && (stale || store.LogSize() > p.opts.CompactBytes) {
 		if err := store.Compact(snapshot); err != nil {
 			p.noteErr(key+"/compact", err)
 		} else {
 			compacted = true
 		}
 	}
-	com := wal.NewStoreCommitter(wal.CommitterOptions{Interval: p.opts.CommitInterval, Threshold: p.opts.CommitThreshold}, store)
+	com := wal.NewStoreCommitter(wal.CommitterOptions{Interval: p.opts.CommitInterval}, store)
 	return &persistStore{store: store, com: com}, compacted
 }
 
@@ -223,8 +222,11 @@ func (p *Persistence) openStore(hash string, kind int, replay func(wal.RecordRef
 //     rebuilding the table and its version→row-count history exactly as
 //     the previous incarnation left it;
 //  2. the memo replays into cfg.Tests through memoAcceptor, which
-//     validates each persisted valuation against that history, and
-//     every later valuation is persisted write-behind;
+//     validates each persisted valuation against that history; a
+//     record from an older table version loads re-stamped at the
+//     current one or not at all, and either way the memo is compacted
+//     at once, so the next open reads only current records. Every
+//     later valuation is persisted write-behind;
 //  3. the job ledger replays, and the previous incarnation's jobs are
 //     returned in submission order.
 //
@@ -247,16 +249,16 @@ func (p *Persistence) OpenShard(hash string, cfg *fst.Config) []RecoveredJob {
 	if cfg.Space != nil {
 		schema = cfg.Space.Universal.Schema
 	}
-	sh[rowsStore], _ = p.openStore(hash, rowsStore, func(_ wal.RecordRef, payload []byte) {
+	sh[rowsStore], _ = p.openStore(hash, rowsStore, func(_ wal.RecordRef, payload []byte) bool {
 		var e rowsEntry
 		if json.Unmarshal(payload, &e) != nil || len(e.Rows) == 0 || schema == nil {
-			return
+			return false
 		}
 		rows := make([]table.Row, 0, len(e.Rows))
 		for _, raw := range e.Rows {
 			row, err := decodeWireRow(schema, raw)
 			if err != nil {
-				return
+				return false
 			}
 			rows = append(rows, row)
 		}
@@ -266,14 +268,21 @@ func (p *Persistence) OpenShard(hash string, cfg *fst.Config) []RecoveredJob {
 			// valuations of the versions that never landed.
 			p.noteErr(hash+"/rows/replay", err)
 		}
+		return false
 	}, nil)
 
 	ts, accept := cfg.Tests, memoAcceptor(cfg)
-	sh[memoStore], _ = p.openStore(hash, memoStore, func(_ wal.RecordRef, payload []byte) {
+	sh[memoStore], _ = p.openStore(hash, memoStore, func(_ wal.RecordRef, payload []byte) bool {
 		// The memo is keyed by state, so replay order does not matter.
-		if t, err := decodeTest(payload); err == nil && (accept == nil || accept(t)) {
-			ts.Put(t)
+		t, err := decodeTest(payload)
+		if err != nil {
+			return false
 		}
+		stale := t.Version < ts.Version()
+		if accept == nil || accept(t) {
+			ts.Put(t) // stamps the current version
+		}
+		return stale
 	}, func(_ func(wal.RecordRef) ([]byte, error), write func([]byte) (wal.RecordRef, error)) error {
 		// The memo state is exactly ts's entries, so the snapshot is
 		// written from memory.
@@ -290,7 +299,10 @@ func (p *Persistence) OpenShard(hash string, cfg *fst.Config) []RecoveredJob {
 
 	l := ledgerReplay{jobs: map[string]*RecoveredJob{}, refs: map[string]wal.RecordRef{}}
 	var compacted bool
-	sh[jobsStore], compacted = p.openStore(hash, jobsStore, l.replay, l.snapshot)
+	sh[jobsStore], compacted = p.openStore(hash, jobsStore, func(ref wal.RecordRef, payload []byte) bool {
+		l.replay(ref, payload)
+		return false
+	}, l.snapshot)
 	if compacted {
 		l.refs = l.snapRefs
 	}

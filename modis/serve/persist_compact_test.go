@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/fst"
 	"repro/internal/table"
+	"repro/internal/wal"
 	"repro/modis/serve"
 )
 
@@ -89,8 +90,8 @@ func TestOpenTimeCompaction(t *testing.T) {
 	schedA.Close()
 	pA.Close()
 
-	// Reference: the same directory replayed without compaction, in a
-	// copy so the original keeps its uncompacted logs.
+	// Reference: the same directory replayed from its uncompacted logs,
+	// in a copy so the original keeps them.
 	refDir := t.TempDir()
 	if err := os.CopyFS(refDir, os.DirFS(dir)); err != nil {
 		t.Fatal(err)
@@ -103,8 +104,14 @@ func TestOpenTimeCompaction(t *testing.T) {
 	if n := cfgRef.Tests.Len(); n != memoCold-res.Invalidated {
 		t.Fatalf("uncompacted replay recovered %d valuations, want %d", n, memoCold-res.Invalidated)
 	}
-	if got := snapFiles(t, refDir, hash, "memo"); len(got) != 0 {
-		t.Fatalf("default CompactBytes compacted the memo: %v", got)
+	// The memo replay met records from before the append, so the memo
+	// folds into a snapshot even under the default CompactBytes; the
+	// ledger does not.
+	if got := snapFiles(t, refDir, hash, "memo"); len(got) != 1 {
+		t.Fatalf("memo snapshots after a replay that met pre-append records = %v, want one", got)
+	}
+	if got := snapFiles(t, refDir, hash, "jobs"); len(got) != 0 {
+		t.Fatalf("default CompactBytes compacted the ledger: %v", got)
 	}
 	schedRef.Close()
 	pRef.Close()
@@ -175,5 +182,73 @@ func TestOpenTimeCompaction(t *testing.T) {
 		}
 		sched.Close()
 		p.Close()
+	}
+}
+
+// TestMemoRestampedAfterAppend: the first restart after an append
+// leaves only current-version records in the memo directory — replay
+// stamps each surviving pre-append record with the current version and
+// compacts the memo at open — so no later restart re-validates or
+// drops anything, and each one recovers the memo the append left live.
+func TestMemoRestampedAfterAppend(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	hash := shapeHash(t)
+
+	cfgA := newPersistShapeConfig(t)
+	pA := openPersist(t, dir, nil)
+	schedA := serve.NewScheduler(serve.SchedulerOptions{Persist: pA})
+	registerShape(t, schedA, cfgA)
+	job, err := schedA.Submit(ctx, "shape", "bi", runOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustResult(t, job)
+	res, err := schedA.AppendRows(ctx, "shape", []table.Row{shapeRow()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Invalidated == 0 || cfgA.Tests.Len() == 0 {
+		t.Fatalf("append invalidated %d of %d valuations; want some dropped and some kept",
+			res.Invalidated, cfgA.Tests.Len()+res.Invalidated)
+	}
+	wantMemo := memoImage(cfgA.Tests)
+	if !pA.Flush() {
+		t.Fatal("flush did not drain")
+	}
+	schedA.Close()
+	pA.Close()
+
+	for _, round := range []string{"first restart", "second restart"} {
+		cfg := newPersistShapeConfig(t)
+		p := openPersist(t, dir, nil)
+		sched := serve.NewScheduler(serve.SchedulerOptions{Persist: p})
+		registerShape(t, sched, cfg)
+		if got := memoImage(cfg.Tests); got != wantMemo {
+			t.Fatalf("%s: memo diverged from the live one after the append:\nwant\n%s\ngot\n%s", round, wantMemo, got)
+		}
+		version, memoLen := cfg.Space.Version(), cfg.Tests.Len()
+		sched.Close()
+		p.Close()
+
+		records := 0
+		store, err := wal.OpenStore(wal.OsFS{}, filepath.Join(dir, hash, "memo"), func(_ wal.RecordRef, payload []byte) error {
+			rec, err := serve.DecodeTest(payload)
+			if err != nil {
+				return err
+			}
+			if rec.Version != version {
+				t.Errorf("%s: memo record %x decodes at version %d, want the current %d", round, uint64(rec.Key), rec.Version, version)
+			}
+			records++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+		if records != memoLen {
+			t.Fatalf("%s: the memo directory holds %d records, the memo %d", round, records, memoLen)
+		}
 	}
 }

@@ -37,8 +37,8 @@ func TestRegisterCollisionGuard(t *testing.T) {
 	if s.Engine("wl-b") != nil {
 		t.Error("rejected registration left an engine behind")
 	}
-	if got := s.WorkloadNames(); len(got) != 1 || got[0] != "wl-a" {
-		t.Errorf("catalog after rejected registration = %v, want [wl-a]", got)
+	if got := s.WorkloadInfos(); len(got) != 1 || got[0].Name != "wl-a" {
+		t.Errorf("catalog after rejected registration = %v, want wl-a alone", got)
 	}
 }
 

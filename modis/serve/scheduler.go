@@ -405,18 +405,6 @@ func (s *Scheduler) Engine(name string) *modis.Engine {
 	return nil
 }
 
-// WorkloadNames lists the registered catalog names, sorted.
-func (s *Scheduler) WorkloadNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.regs))
-	for name := range s.regs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // WorkloadInfo is the catalog view of one registered workload.
 type WorkloadInfo struct {
 	Name       string               `json:"name"`

@@ -18,7 +18,7 @@ import (
 type SubmitRequest struct {
 	// Workload names a configuration from the server's catalog.
 	Workload string `json:"workload"`
-	// Algorithm is a registry key ("apx", "bi", "nobi", "div",
+	// Algorithm is an algorithm key ("apx", "bi", "nobi", "div",
 	// "exact"), matched case-insensitively.
 	Algorithm string `json:"algorithm"`
 	// Options tune the run; absent fields keep engine defaults.
@@ -195,12 +195,12 @@ func (s *Scheduler) statusOf(rec *JobRecord, withReport bool) *JobStatus {
 //	GET    /v1/jobs/{id}/events progress as server-sent events
 //	GET    /v1/workloads        workload catalog
 //	POST   /v1/workloads/{name}/rows append rows (AppendRowsRequest → AppendResponse)
-//	GET    /v1/algorithms       registry keys
+//	GET    /v1/algorithms       algorithm keys
 //	GET    /healthz             readiness
 //	GET    /metrics             Prometheus text exposition
 //
 // Errors are JSON bodies {"error": "..."}: 400 for malformed requests,
-// unknown algorithms (the body carries the registry's known-keys
+// unknown algorithms (the body carries the engine's known-keys
 // message verbatim) and invalid options, 404 for unknown workloads and
 // jobs, 503 while draining. Jobs live on the server's own context, not
 // the submitting request's, so they survive their submitter
@@ -257,7 +257,7 @@ func (s *Server) Close() { s.stop() }
 // Draining and overload are the retryable failures (503, overload with
 // a one-second Retry-After pacing hint); an unknown workload is
 // addressed to the wrong node (404, the proxy's reroute cue);
-// everything else — unknown algorithm (the registry's typed error,
+// everything else — unknown algorithm (the engine's typed error,
 // known keys in the message), invalid options or rows — is the
 // client's (400).
 func writeSchedulerError(w http.ResponseWriter, err error) {

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -162,7 +163,7 @@ func TestDaemonErrorMapping(t *testing.T) {
 	_, hs := newTestServer(t, 0)
 	cl := serve.NewClient(hs.URL)
 
-	// Unknown algorithm → 400, body carrying the registry's message
+	// Unknown algorithm → 400, body carrying the engine's message
 	// verbatim (the known keys included).
 	inProc := modis.NewEngine(newShapeConfig(t, 0))
 	_, wantErr := inProc.Run(ctx, "annealing")
@@ -211,6 +212,30 @@ func TestDaemonErrorMapping(t *testing.T) {
 	// Unknown job id → 404.
 	if _, err := cl.Status(ctx, "job-unknown"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown job error = %v", err)
+	}
+}
+
+// TestClientEventsAndStatusAgreeOnErrors: a node's error answer reads
+// the same through every client call — Events on an unknown job
+// returns the *APIError that Status does, message extracted from the
+// {"error": …} body in both.
+func TestClientEventsAndStatusAgreeOnErrors(t *testing.T) {
+	ctx := context.Background()
+	_, hs := newTestServer(t, 0)
+	cl := serve.NewClient(hs.URL)
+
+	_, statusErr := cl.Status(ctx, "job-unknown")
+	_, eventsErr := cl.Events(ctx, "job-unknown", nil)
+	var fromStatus, fromEvents *serve.APIError
+	if !errors.As(statusErr, &fromStatus) || !errors.As(eventsErr, &fromEvents) {
+		t.Fatalf("Status error %v, Events error %v: want an *APIError from both", statusErr, eventsErr)
+	}
+	if fromEvents.Status != fromStatus.Status || fromEvents.Msg != fromStatus.Msg {
+		t.Errorf("Events error (%d, %q) differs from Status error (%d, %q)",
+			fromEvents.Status, fromEvents.Msg, fromStatus.Status, fromStatus.Msg)
+	}
+	if fromStatus.Status != http.StatusNotFound || strings.HasPrefix(fromStatus.Msg, "{") {
+		t.Errorf("Status error (%d, %q): want 404 with the body's error field", fromStatus.Status, fromStatus.Msg)
 	}
 }
 

@@ -76,12 +76,8 @@ type CustomOptions struct {
 	// Model selects the learner family: "gbm", "forest", "histgbm",
 	// "linear", "logistic" ("" = gbm).
 	Model string
-	// Classes overrides the derived class count for classification.
-	Classes int
 	// AdomK bounds the per-attribute literal count (default 8).
 	AdomK int
-	// Protected lists attributes no operator may mask.
-	Protected []string
 	// Surrogate enables the MO-GBM estimator.
 	Surrogate bool
 }
@@ -95,9 +91,7 @@ func FromTables(tables []*table.Table, o CustomOptions) (*Built, error) {
 		Tables:    tables,
 		Target:    o.Target,
 		ModelKind: o.Model,
-		Classes:   o.Classes,
 		AdomK:     o.AdomK,
-		Protected: o.Protected,
 	})
 	if err != nil {
 		return nil, err

@@ -9,12 +9,10 @@
 // nodes, so two daemons that build the same workload agree on its
 // identity without sharing a process.
 //
-// The hash contract: it is computed from the parsed, normalized
-// descriptor — never from raw JSON bytes — so it is invariant under
-// JSON field-order permutations and whitespace; the display Name is
-// excluded, set-valued fields (encoder skip/protected lists) are
-// sorted, and order-significant fields (measures, attributes, tables)
-// are hashed as given. Descriptors built by the same constructor from
+// The hash contract: it is computed from the normalized descriptor's
+// canonical JSON; the display Name is excluded, set-valued fields
+// (encoder skip/protected lists) are sorted, and order-significant
+// fields (measures, attributes, tables) are hashed as given. Descriptors built by the same constructor from
 // the same inputs hash identically across processes and restarts.
 package workload
 
@@ -29,8 +27,8 @@ import (
 	"repro/internal/table"
 )
 
-// Version is the current descriptor format version. Parsing rejects
-// descriptors from a newer format rather than mis-hashing them.
+// Version is the current descriptor format version, part of every
+// descriptor's hash.
 const Version = 1
 
 // TableDigest is the content address of one source table: its shape
@@ -138,8 +136,8 @@ func (d *Descriptor) CanonicalJSON() []byte {
 }
 
 // Hash returns the workload's stable content address: the hex SHA-256
-// of the canonical JSON. Equal descriptors — under any JSON field
-// order, any display name — hash equally.
+// of the canonical JSON. Equal descriptors — under any display name —
+// hash equally.
 func (d *Descriptor) Hash() string {
 	sum := sha256.Sum256(d.CanonicalJSON())
 	return hex.EncodeToString(sum[:])
@@ -148,28 +146,6 @@ func (d *Descriptor) Hash() string {
 // Short returns the 12-character hash prefix used in logs and
 // directory listings.
 func (d *Descriptor) Short() string { return d.Hash()[:12] }
-
-// Marshal renders the descriptor as JSON (display fields included).
-func (d *Descriptor) Marshal() ([]byte, error) { return json.Marshal(d) }
-
-// Parse decodes a descriptor from JSON, in any field order, and
-// validates the format version.
-func Parse(blob []byte) (*Descriptor, error) {
-	var d Descriptor
-	if err := json.Unmarshal(blob, &d); err != nil {
-		return nil, fmt.Errorf("workload: malformed descriptor: %w", err)
-	}
-	if d.Version != Version {
-		return nil, fmt.Errorf("workload: descriptor version %d not supported (this build speaks %d)", d.Version, Version)
-	}
-	return &d, nil
-}
-
-// Equal reports structural equality of workload identity: same
-// canonical form, hence same hash.
-func (d *Descriptor) Equal(o *Descriptor) bool {
-	return string(d.CanonicalJSON()) == string(o.CanonicalJSON())
-}
 
 // DigestTable content-addresses a table: SHA-256 over the schema
 // (names and kinds) and every cell in row order, using the cells'

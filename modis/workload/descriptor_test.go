@@ -1,13 +1,6 @@
 package workload
 
-import (
-	"encoding/json"
-	"math/rand"
-	"reflect"
-	"sort"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // fixture returns a fully-populated descriptor with every field class
 // exercised: ordered slices, set-valued slices, nested structs, an
@@ -104,94 +97,6 @@ func TestHashSensitivity(t *testing.T) {
 	}
 }
 
-// TestRoundTrip: Marshal → Parse reproduces the descriptor and its
-// hash exactly.
-func TestRoundTrip(t *testing.T) {
-	d := fixture()
-	blob, err := d.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Parse(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(d, got) {
-		t.Fatalf("round trip diverged:\n in: %+v\nout: %+v", d, got)
-	}
-	if d.Hash() != got.Hash() {
-		t.Fatal("round trip changed the hash")
-	}
-}
-
-// renderShuffled re-renders a decoded JSON value with object keys in
-// rng-shuffled order — a genuine field-order permutation at every
-// nesting level.
-func renderShuffled(v any, rng *rand.Rand) string {
-	switch x := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-		parts := make([]string, 0, len(keys))
-		for _, k := range keys {
-			kb, _ := json.Marshal(k)
-			parts = append(parts, string(kb)+":"+renderShuffled(x[k], rng))
-		}
-		return "{" + strings.Join(parts, ",") + "}"
-	case []any:
-		parts := make([]string, 0, len(x))
-		for _, e := range x {
-			parts = append(parts, renderShuffled(e, rng))
-		}
-		return "[" + strings.Join(parts, ",") + "]"
-	default:
-		b, _ := json.Marshal(x)
-		return string(b)
-	}
-}
-
-// TestHashFieldOrderPermutation is the property test of the hash
-// contract: any JSON field-order permutation of a descriptor parses to
-// the same hash, because the hash is computed from the parsed struct,
-// never from the bytes.
-func TestHashFieldOrderPermutation(t *testing.T) {
-	d := fixture()
-	want := d.Hash()
-	blob, err := d.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded any
-	if err := json.Unmarshal(blob, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(0); seed < 32; seed++ {
-		permuted := renderShuffled(decoded, rand.New(rand.NewSource(seed)))
-		got, err := Parse([]byte(permuted))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if got.Hash() != want {
-			t.Fatalf("seed %d: permuted field order changed the hash\n json: %s", seed, permuted)
-		}
-	}
-}
-
-// TestVersionGate: a descriptor from a future format is rejected, not
-// mis-hashed.
-func TestVersionGate(t *testing.T) {
-	d := fixture()
-	d.Version = Version + 1
-	blob, _ := d.Marshal()
-	if _, err := Parse(blob); err == nil {
-		t.Fatal("future-version descriptor parsed")
-	}
-}
-
 // TestBuildTaskDeterministic: the built-in constructors are the
 // cross-process identity path — two independent builds of the same
 // task at the same scale must produce equal descriptors, and different
@@ -205,7 +110,7 @@ func TestBuildTaskDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Desc.Equal(b.Desc) || a.Desc.Hash() != b.Desc.Hash() {
+	if string(a.Desc.CanonicalJSON()) != string(b.Desc.CanonicalJSON()) || a.Desc.Hash() != b.Desc.Hash() {
 		t.Fatal("two builds of t3@120 disagree on identity")
 	}
 	if c, _ := BuildTask("t3", 140, true); c.Desc.Hash() == a.Desc.Hash() {
