@@ -71,18 +71,32 @@ func BenchmarkGBMFitLeveled(b *testing.B) {
 }
 
 // BenchmarkSurrogateRefit times one refit of the MO-GBM surrogate's
-// shape: FitColsTasks, run inline, over n observations of 24 0/1 features and three
-// targets, 40 trees of depth 3 per target. At n=60 (an early refit)
-// nodes are small and a split search's fixed cost shows; n=400 is a
-// refit late in a long search.
+// shape: FitColsTasks, run inline, over n observations of nf 0/1
+// features and three targets, 40 trees of depth 3 per target. At n=60
+// (an early refit) nodes are small and a split search's fixed cost
+// shows; n=400 is a refit late in a long search. Their features are
+// ones at half the rows. dense is an aged engine's history (nf 48,
+// n 600), whose features are ones at 90–99 % of the rows because
+// history states keep nearly every literal.
 func BenchmarkSurrogateRefit(b *testing.B) {
+	type refit struct {
+		name          string
+		n             int
+		cols, targets [][]float64
+	}
+	var cases []refit
 	for _, n := range []int{60, 400} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			cols, targets := surrogateObservations(n, 24)
-			cfg := GBMConfig{NumTrees: 40, MaxDepth: 3, LearningRate: 0.15, Seed: 7}
+		cols, targets := surrogateObservations(n, 24)
+		cases = append(cases, refit{fmt.Sprintf("n=%d", n), n, cols, targets})
+	}
+	cols, targets := denseObservations(600, 48)
+	cases = append(cases, refit{"dense", 600, cols, targets})
+	cfg := GBMConfig{NumTrees: 40, MaxDepth: 3, LearningRate: 0.15, Seed: 7}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				fitCols(&MultiOutputGBM{Config: cfg}, n, cols, targets)
+				fitCols(&MultiOutputGBM{Config: cfg}, c.n, c.cols, c.targets)
 			}
 		})
 	}
@@ -100,14 +114,37 @@ func surrogateObservations(n, nf int) (cols, targets [][]float64) {
 			cols[f][i] = float64(rng.Intn(2))
 		}
 	}
-	targets = make([][]float64, 3)
+	return cols, surrogateTargets(rng, cols, n)
+}
+
+// surrogateTargets draws three noisy targets over n observations that
+// depend on the first nine features.
+func surrogateTargets(rng *rand.Rand, cols [][]float64, n int) [][]float64 {
+	targets := make([][]float64, 3)
 	for j := range targets {
 		targets[j] = make([]float64, n)
 		for i := range targets[j] {
 			targets[j][i] = cols[j][i] + 0.5*cols[j+3][i]*cols[j+6][i] + 0.1*rng.NormFloat64()
 		}
 	}
-	return cols, targets
+	return targets
+}
+
+// denseObservations is surrogateObservations over features whose ones
+// density is drawn per feature from 90–99 %.
+func denseObservations(n, nf int) (cols, targets [][]float64) {
+	rng := rand.New(rand.NewSource(9))
+	cols = make([][]float64, nf)
+	for f := range cols {
+		cols[f] = make([]float64, n)
+		dens := 0.90 + 0.09*rng.Float64()
+		for i := range cols[f] {
+			if rng.Float64() < dens {
+				cols[f][i] = 1
+			}
+		}
+	}
+	return cols, surrogateTargets(rng, cols, n)
 }
 
 // BenchmarkForestFitSmall times one t2-shaped forest fit at the size of

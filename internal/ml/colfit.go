@@ -29,11 +29,18 @@ type frame struct {
 	// and partitions no orders (see bestSplitLevels for
 	// classification, the histogram blocks of growFrame for
 	// regression); a leveled bootstrap resample leaves base and cols
-	// unfilled, and a 0/1 frame (frameFromCols) has no orders and
+	// unfilled, and a 0/1 frame (zeroOneFrame) has no orders and
 	// aliases the caller's columns.
 	leveled bool
 	lv      [][]uint8
 	lvals   [][]float64
+	// bits is set on 0/1 frames only: bit p of bits[f] (word p/64) is
+	// lv[f][p], and the last word's bits past n are clear. fillHist
+	// reads a 0/1 frame's levels from these bitsets, not from lv: it
+	// walks each feature's sparser level and derives the other from the
+	// node's totals (LightGBM's sparse-feature histogram, Ke et al.,
+	// NeurIPS 2017).
+	bits [][]uint64
 
 	// Backing slabs, retained across the pool so a recycled frame of
 	// the same shape reslices instead of reallocating. ybuf backs y
@@ -44,6 +51,7 @@ type frame struct {
 	ybuf    []float64
 	lvBuf   []uint8
 	lvalBuf []float64
+	bitBuf  []uint64
 }
 
 // maxLevels is the most values a feature of a leveled frame may have,
@@ -57,6 +65,7 @@ func (ws *treeScratch) takeFrame() *frame {
 		fr := ws.frameFree[k-1]
 		ws.frameFree = ws.frameFree[:k-1]
 		fr.leveled = false
+		fr.bits = fr.bits[:0]
 		return fr
 	}
 	return &frame{}
@@ -211,33 +220,15 @@ func frameFromRowsRaw(X [][]float64, y []float64, ws *treeScratch) *frame {
 // disappears — columns copy straight into the pooled slabs — and the
 // presorted orders are derived the same way, so a column fit and a row
 // fit of the same numbers grow bit-identical trees. Columns that hold
-// only 0 and 1 (bitmap literals, the surrogate's features) make a
-// leveled frame with levels 0 and 1 instead, read straight off the
-// columns: no copy and no orders. frameFromRows never takes this
-// route, so FitData on a *Dataset stays the generic reference
+// only 0 and 1 (bitmap literals, the surrogate's features) make a 0/1
+// frame instead (zeroOneFrame). frameFromRows never takes that route,
+// so FitData on a *Dataset stays the generic reference
 // MultiOutputGBM.FitColsTasks is tested against.
 func frameFromCols(cols [][]float64, y []float64, ws *treeScratch) *frame {
-	nf := len(cols)
-	n := len(y)
-	if binaryCols(cols, n) {
-		fr := ws.takeFrame()
-		fr.n, fr.nf, fr.y = n, nf, y
-		fr.cols = fr.cols[:0]
-		for _, c := range cols {
-			fr.cols = append(fr.cols, c[:n])
-		}
-		fr.carveLevels()
-		for f, c := range fr.cols {
-			lv := fr.lv[f]
-			for p, x := range c {
-				lv[p] = uint8(x)
-			}
-			fr.lvals[f] = append(fr.lvals[f], 0, 1)
-		}
-		fr.leveled = true
+	if fr := zeroOneFrame(cols, y, ws); fr != nil {
 		return fr
 	}
-	fr := ws.getFrame(nf, n)
+	fr := ws.getFrame(len(cols), len(y))
 	fr.y = y
 	for f, c := range cols {
 		copy(fr.cols[f], c)
@@ -246,17 +237,46 @@ func frameFromCols(cols [][]float64, y []float64, ws *treeScratch) *frame {
 	return fr
 }
 
-// binaryCols reports whether the first n values of every column are
-// 0 or 1.
-func binaryCols(cols [][]float64, n int) bool {
-	for _, c := range cols {
-		for _, x := range c[:n] {
-			if x != 0 && x != 1 {
-				return false
-			}
-		}
+// zeroOneFrame builds the leveled frame of columns whose first n =
+// len(y) values are all 0 or 1, or returns nil when one is not. Levels
+// 0 and 1 are read straight off the columns, which the frame aliases:
+// no copy and no orders. The same pass that checks the values and
+// writes lv packs each feature into a pooled bitset, from which
+// fillHist builds the frame's histograms by walking set bits (fillBits,
+// LightGBM's sparse-feature histogram: Ke et al., NeurIPS 2017).
+func zeroOneFrame(cols [][]float64, y []float64, ws *treeScratch) *frame {
+	nf, n := len(cols), len(y)
+	fr := ws.takeFrame()
+	fr.n, fr.nf = n, nf
+	fr.carveLevels()
+	nw := (n + 63) / 64
+	if cap(fr.bitBuf) < nf*nw {
+		fr.bitBuf = make([]uint64, nf*nw)
 	}
-	return true
+	fr.cols = fr.cols[:0]
+	for f, c := range cols {
+		c = c[:n]
+		lv, b := fr.lv[f], fr.bitBuf[f*nw:(f+1)*nw]
+		for w := range b {
+			var word uint64
+			for j, x := range c[w*64 : min(w*64+64, n)] {
+				if x != 0 && x != 1 {
+					ws.putFrame(fr)
+					return nil
+				}
+				l := uint8(x)
+				lv[w*64+j] = l
+				word |= uint64(l) << j
+			}
+			b[w] = word
+		}
+		fr.cols = append(fr.cols, c)
+		fr.lvals[f] = append(fr.lvals[f], 0, 1)
+		fr.bits = append(fr.bits, b)
+	}
+	fr.y = y
+	fr.leveled = true
+	return fr
 }
 
 // sortOrder fills order with positions 0..n-1 sorted by

@@ -7,7 +7,6 @@ package ml
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/table"
 )
@@ -30,19 +29,6 @@ func (d *Dataset) NumFeatures() int {
 		return len(d.X[0])
 	}
 	return len(d.Features)
-}
-
-// Clone deep-copies the dataset.
-func (d *Dataset) Clone() *Dataset {
-	out := &Dataset{
-		X:        make([][]float64, len(d.X)),
-		Y:        append([]float64(nil), d.Y...),
-		Features: append([]string(nil), d.Features...),
-	}
-	for i, r := range d.X {
-		out.X[i] = append([]float64(nil), r...)
-	}
-	return out
 }
 
 // FromTable converts a table into a dataset predicting the target
@@ -152,18 +138,4 @@ func splitPerm(n int, testFrac float64, seed int64) (perm []int, nTest int) {
 		nTest = 1
 	}
 	return perm, nTest
-}
-
-// Classes returns the sorted distinct labels of Y interpreted as class ids.
-func (d *Dataset) Classes() []int {
-	seen := map[int]bool{}
-	for _, y := range d.Y {
-		seen[int(y)] = true
-	}
-	out := make([]int, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
 }

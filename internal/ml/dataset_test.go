@@ -97,30 +97,6 @@ func TestSplitTinyDataset(t *testing.T) {
 	}
 }
 
-func TestClasses(t *testing.T) {
-	ds := &Dataset{Y: []float64{2, 0, 2, 1}}
-	cs := ds.Classes()
-	want := []int{0, 1, 2}
-	if len(cs) != 3 {
-		t.Fatalf("classes = %v", cs)
-	}
-	for i := range want {
-		if cs[i] != want[i] {
-			t.Errorf("classes = %v, want %v", cs, want)
-		}
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	ds := &Dataset{X: [][]float64{{1}}, Y: []float64{1}, Features: []string{"x"}}
-	cp := ds.Clone()
-	cp.X[0][0] = 99
-	cp.Y[0] = 99
-	if ds.X[0][0] == 99 || ds.Y[0] == 99 {
-		t.Error("Clone must deep-copy")
-	}
-}
-
 // A *Dataset's width is its rows' width, whether or not its features
 // are named: every learner and score gives the same bits on X with and
 // without Features.

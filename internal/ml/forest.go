@@ -77,11 +77,6 @@ func (f *ForestClassifier) fitFrame(fr *frame, ws *treeScratch) {
 	ws.putFrame(bs.out)
 }
 
-// PredictProba returns averaged class probabilities.
-func (f *ForestClassifier) PredictProba(x []float64) []float64 {
-	return f.probaInto(make([]float64, f.NumClass), x)
-}
-
 // probaInto averages the trees' class probabilities into p, which holds
 // NumClass zeros.
 func (f *ForestClassifier) probaInto(p, x []float64) []float64 {
@@ -105,19 +100,6 @@ func (f *ForestClassifier) probaInto(p, x []float64) []float64 {
 func (f *ForestClassifier) Predict(x []float64) float64 {
 	var buf [8]float64
 	return float64(argmax(f.probaInto(withLen(buf[:], f.NumClass), x)))
-}
-
-// Importances averages per-tree split importances.
-func (f *ForestClassifier) Importances(nf int) []float64 {
-	acc := make([]float64, nf)
-	for _, t := range f.trees {
-		ti := t.Importances(nf)
-		for i := range acc {
-			acc[i] += ti[i]
-		}
-	}
-	normalizeSum(acc)
-	return acc
 }
 
 // ForestRegressor is a bagged ensemble of CART regression trees.
@@ -168,19 +150,6 @@ func (f *ForestRegressor) Predict(x []float64) float64 {
 		s += t.Predict(x)
 	}
 	return s / float64(len(f.trees))
-}
-
-// Importances averages per-tree split importances.
-func (f *ForestRegressor) Importances(nf int) []float64 {
-	acc := make([]float64, nf)
-	for _, t := range f.trees {
-		ti := t.Importances(nf)
-		for i := range acc {
-			acc[i] += ti[i]
-		}
-	}
-	normalizeSum(acc)
-	return acc
 }
 
 // bootstrapper draws with-replacement resamples of a base frame,

@@ -129,16 +129,6 @@ type GBMClassifier struct {
 	lr     float64
 }
 
-// FitData trains the boosted classifier on a data view whose labels
-// are 0 or 1.
-func (g *GBMClassifier) FitData(d Data) {
-	ws := getScratch()
-	fr := d.buildFrame(ws)
-	g.fitFrame(fr, ws)
-	ws.putFrame(fr)
-	putScratch(ws)
-}
-
 func (g *GBMClassifier) fitFrame(fr *frame, ws *treeScratch) {
 	cfg := g.Config.withDefaults()
 	if !fr.leveled {
@@ -185,19 +175,6 @@ func (g *GBMClassifier) Predict(x []float64) float64 {
 		return 1
 	}
 	return 0
-}
-
-// Importances averages split importances over all boosting stages.
-func (g *GBMClassifier) Importances(nf int) []float64 {
-	acc := make([]float64, nf)
-	for _, t := range g.trees {
-		ti := t.Importances(nf)
-		for i := range acc {
-			acc[i] += ti[i]
-		}
-	}
-	normalizeSum(acc)
-	return acc
 }
 
 // MultiOutputGBM fits one GBMRegressor per output dimension: the MO-GBM
@@ -250,9 +227,6 @@ func (m *MultiOutputGBM) Predict(x []float64) []float64 {
 	}
 	return out
 }
-
-// NumOutputs reports the output dimensionality.
-func (m *MultiOutputGBM) NumOutputs() int { return len(m.models) }
 
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -98,9 +98,6 @@ func withLen(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// Importances proxies the inner model's importances.
-func (h *HistGBMClassifier) Importances(nf int) []float64 { return h.inner.Importances(nf) }
-
 // computeBinsCols derives per-feature quantile bin edges, one slice
 // per column.
 func computeBinsCols(cols [][]float64, nb int) [][]float64 {

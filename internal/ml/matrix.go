@@ -20,8 +20,7 @@ import (
 // table; TableEncoder.Encode builds one over a materialized child.
 // A Matrix is immutable once built.
 type Matrix struct {
-	names []string
-	cols  []matCol
+	cols []matCol
 	// Target vector: numeric value, or universal domain position for
 	// string targets. ynull marks rows a Dataset would drop (null or
 	// NaN target).
@@ -70,9 +69,6 @@ func (m *Matrix) Column(name string) (vals []float64, null []bool, ok bool) {
 	}
 	return nil, nil, false
 }
-
-// FeatureNames returns the encoded feature columns in schema order.
-func (m *Matrix) FeatureNames() []string { return m.names }
 
 // buildMatrix encodes t column by column with the encoder's frozen
 // string domains: string cells become their universal domain position.
@@ -147,7 +143,6 @@ func (e *TableEncoder) buildMatrix(t *table.Table) (m *Matrix, ok bool) {
 			}
 		}
 		m.cols = append(m.cols, col)
-		m.names = append(m.names, c.Name)
 	}
 	m.yvals = make([]float64, n)
 	m.ynull = make([]bool, n)
@@ -390,15 +385,6 @@ func (v *View) NumRows() int { return len(v.rows) }
 
 // NumFeatures implements Data.
 func (v *View) NumFeatures() int { return len(v.feats) }
-
-// FeatureNames returns the active feature names in dataset order.
-func (v *View) FeatureNames() []string {
-	out := make([]string, len(v.feats))
-	for k, ci := range v.feats {
-		out[k] = v.m.cols[ci].name
-	}
-	return out
-}
 
 // Label implements Data.
 func (v *View) Label(i int) float64 { return v.labelOf(v.rows[i]) }

@@ -300,3 +300,136 @@ func TestLeveledFitAllocs(t *testing.T) {
 		t.Fatalf("histogram blocks allocate %v times after the first fit", got)
 	}
 }
+
+// TestZeroOneFillMatchesLevels checks the bitset fill of 0/1 frames
+// (fillBits) against a fresh per-level scatter over lv, entry for
+// entry. Each frame has one feature per density — no ones, one 1, 3 %,
+// 50 %, 97 %, all but one and all ones — and row counts around word
+// boundaries, so the walk runs on both sides of a feature, in single
+// and tail words. Nodes are the root, empty nodes and random ascending
+// subsets of sparse, even and dense draws, filled into a block that
+// holds another node's entries.
+func TestZeroOneFillMatchesLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	var walks [2][2]int // [root][level 0 walked]
+	for _, n := range []int{1, 63, 64, 65, 129, 600} {
+		ones := []int{0, 1, n * 3 / 100, n / 2, n * 97 / 100, n - 1, n}
+		cols := make([][]float64, len(ones))
+		for f, k := range ones {
+			cols[f] = make([]float64, n)
+			for _, p := range rng.Perm(n)[:k] {
+				cols[f][p] = 1
+			}
+		}
+		feats := make([]int, len(cols))
+		for f := range feats {
+			feats[f] = f
+		}
+		for trial := 0; trial < 40; trial++ {
+			y := make([]float64, n)
+			for i := range y {
+				y[i] = rng.NormFloat64() * []float64{1, 1e16}[trial%2]
+			}
+			ws := new(treeScratch)
+			fr := frameFromCols(cols, y, ws)
+			if len(fr.bits) != len(cols) {
+				t.Fatalf("n %d: %d feature bitsets, want %d", n, len(fr.bits), len(cols))
+			}
+			if !ws.quantize(fr.y) {
+				t.Fatalf("n %d: finite targets not quantised", n)
+			}
+			ws.prepareHist(fr)
+			seg := []int32{}
+			keep := []float64{1, 0, 0.03, 0.5, 0.97}[trial%5] // 1 keeps every row
+			for p := 0; p < n; p++ {
+				if rng.Float64() < keep {
+					seg = append(seg, int32(p))
+				}
+			}
+			other := []int32{int32(rng.Intn(n))}
+			ws.fillHist(fr, feats, other, 0)
+			ws.fillHist(fr, feats, seg, 0)
+			for _, f := range feats {
+				var sum [maxLevels]int64
+				var cnt [maxLevels]int
+				for _, p := range seg {
+					l := fr.lv[f][p] & (maxLevels - 1)
+					sum[l] += ws.yq[p]
+					cnt[l]++
+				}
+				o := ws.hoff[f]
+				for l := 0; l < 2; l++ {
+					if ws.hsum[o+l] != sum[l] || int(ws.hcnt[o+l]) != cnt[l] {
+						t.Fatalf("n %d, trial %d, %d rows, feature %d (%d ones), level %d: sum %d count %d, want %d and %d",
+							n, trial, len(seg), f, ones[f], l, ws.hsum[o+l], ws.hcnt[o+l], sum[l], cnt[l])
+					}
+				}
+				if len(seg) > 0 {
+					root := 0
+					if len(seg) == n {
+						root = 1
+					}
+					flip := 0
+					if 2*cnt[1] > len(seg) {
+						flip = 1
+					}
+					walks[root][flip]++
+				}
+			}
+		}
+	}
+	for root := range walks {
+		for flip, k := range walks[root] {
+			if k < 20 {
+				t.Fatalf("weak coverage: %d fills of root %d walking level %d", k, root, 1-flip)
+			}
+		}
+	}
+}
+
+// TestZeroOneFillAllocs is the allocation contract of the bitset fill:
+// warm refits of one 0/1 shape reuse the frame's pooled bitset slab and
+// the scratch's node bitset, and a fill then allocates nothing.
+func TestZeroOneFillAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	cols, targets := denseObservations(600, 48)
+	ws := new(treeScratch)
+	g := &GBMRegressor{Config: GBMConfig{NumTrees: 10, MaxDepth: 3, LearningRate: 0.15, Seed: 7}}
+	refit := func() *frame {
+		fr := frameFromCols(cols, targets[0], ws)
+		g.fitFrame(fr, ws)
+		return fr
+	}
+	fr := refit()
+	slab, node := &fr.bitBuf[0], &ws.nodeBits[0]
+	ws.putFrame(fr)
+	for i := range 10 {
+		fr = refit()
+		if &fr.bitBuf[0] != slab || &ws.nodeBits[0] != node {
+			t.Fatalf("refit %d reallocated the bitset slab or the node bitset", i)
+		}
+		ws.putFrame(fr)
+	}
+
+	fr = frameFromCols(cols, targets[0], ws)
+	defer ws.putFrame(fr)
+	ws.quantize(fr.y)
+	ws.prepareHist(fr)
+	seg := make([]int32, fr.n)
+	for i := range seg {
+		seg[i] = int32(i)
+	}
+	feats := make([]int, fr.nf)
+	for f := range feats {
+		feats[f] = f
+	}
+	got := testing.AllocsPerRun(50, func() {
+		ws.fillHist(fr, feats, seg, 0)
+		ws.fillHist(fr, feats, seg[:fr.n/3], 0)
+	})
+	if got != 0 {
+		t.Fatalf("the bitset fill allocates %v times", got)
+	}
+}

@@ -90,6 +90,9 @@ type treeScratch struct {
 	hcnt    []int32
 	hoff    []int
 	hstride int
+	// nodeBits is the bitset of a node's rows that fillBits builds for
+	// a 0/1 frame, one bit per position.
+	nodeBits []uint64
 
 	// frameFree recycles fitting frames (column/order slabs) across the
 	// fits sharing this scratch — see getFrame/putFrame in colfit.go.
@@ -161,16 +164,6 @@ type TreeRegressor struct {
 	root   *treeNode
 }
 
-// FitData grows the tree on a columnar data view.
-func (t *TreeRegressor) FitData(d Data) {
-	ws := getScratch()
-	fr := d.buildFrame(ws)
-	fr.readLevels()
-	t.fitFrame(fr, ws)
-	ws.putFrame(fr)
-	putScratch(ws)
-}
-
 // fitFrame grows the tree over the frame's value levels or presorted
 // feature orders.
 func (t *TreeRegressor) fitFrame(fr *frame, ws *treeScratch) {
@@ -212,17 +205,6 @@ type TreeClassifier struct {
 	root     *treeNode
 }
 
-// FitData grows the tree on a data view whose labels are class ids
-// 0..NumClass-1.
-func (t *TreeClassifier) FitData(d Data) {
-	ws := getScratch()
-	fr := d.buildFrame(ws)
-	fr.readLevels()
-	t.fitFrame(fr, ws)
-	ws.putFrame(fr)
-	putScratch(ws)
-}
-
 func (t *TreeClassifier) fitFrame(fr *frame, ws *treeScratch) {
 	if t.NumClass <= 0 {
 		t.NumClass = countClasses(fr.y)
@@ -234,11 +216,6 @@ func (t *TreeClassifier) fitFrame(fr *frame, ws *treeScratch) {
 // PredictProba returns class probabilities for a single example.
 func (t *TreeClassifier) PredictProba(x []float64) []float64 {
 	return descend(t.root, x).proba
-}
-
-// Predict returns the arg-max class for a single example.
-func (t *TreeClassifier) Predict(x []float64) float64 {
-	return float64(argmax(t.PredictProba(x)))
 }
 
 func countClasses(y []float64) int {
@@ -713,6 +690,9 @@ func (ws *treeScratch) prepareHist(fr *frame) {
 	ws.hoff = append(ws.hoff, o)
 	ws.hstride = o + maxLevels
 	ws.reserveHist(1)
+	if len(fr.bits) > 0 && cap(ws.nodeBits) < len(fr.bits[0]) {
+		ws.nodeBits = make([]uint64, len(fr.bits[0]))
+	}
 }
 
 // reserveHist makes room for blocks 0 … k−1, keeping those already
@@ -725,12 +705,17 @@ func (ws *treeScratch) reserveHist(k int) {
 	}
 }
 
-// fillHist builds block s over the rows of seg for the features feats:
-// one pass over seg per feature adds each position's quantised target
-// and a count into its value level's entry.
+// fillHist builds block s over the rows of seg for the features feats.
+// A 0/1 frame takes fillBits; any other makes one pass over seg per
+// feature, adding each position's quantised target and a count into its
+// value level's entry.
 func (ws *treeScratch) fillHist(fr *frame, feats []int, seg []int32, s int) {
 	sum := ws.hsum[s*ws.hstride : (s+1)*ws.hstride]
 	cnt := ws.hcnt[s*ws.hstride : (s+1)*ws.hstride]
+	if len(fr.bits) > 0 {
+		ws.fillBits(fr, feats, seg, sum, cnt)
+		return
+	}
 	for _, f := range feats {
 		lv := fr.lv[f]
 		yq := ws.yq[:len(lv)]
@@ -743,6 +728,63 @@ func (ws *treeScratch) fillHist(fr *frame, feats []int, seg []int32, s int) {
 			sums[l] += yq[p]
 			cnts[l]++
 		}
+	}
+}
+
+// fillBits is fillHist over a 0/1 frame's bitsets, LightGBM's
+// sparse-feature histogram with the zero bin taken from the node's
+// totals (Ke et al., NeurIPS 2017). One pass over seg sets the node's
+// bits and totals its quantised targets. Then, per feature, a popcount
+// of node ∧ feature counts level 1, and a walk of the set bits of the
+// sparser side — node ∧ feature, or node ∧ ¬feature when level 1 holds
+// more than half the node — sums one level's targets. The other level's
+// sum and count are the node's totals minus these. Integer sums are
+// exact in any order, so every entry is the one the per-row scatter
+// makes.
+func (ws *treeScratch) fillBits(fr *frame, feats []int, seg []int32, sum []int64, cnt []int32) {
+	node := ws.nodeBits[:len(fr.bits[0])]
+	yq := ws.yq[:fr.n]
+	var tot int64
+	if len(seg) == fr.n {
+		// The root: seg holds every position once.
+		for w := range node {
+			node[w] = ^uint64(0)
+		}
+		if r := fr.n % 64; r != 0 {
+			node[len(node)-1] = 1<<r - 1
+		}
+		for _, q := range yq {
+			tot += q
+		}
+	} else {
+		clear(node)
+		for _, p := range seg {
+			node[p>>6] |= 1 << (p & 63)
+			tot += yq[p]
+		}
+	}
+	for _, f := range feats {
+		b := fr.bits[f]
+		c := 0
+		for w, x := range node {
+			c += bits.OnesCount64(x & b[w])
+		}
+		var flip uint64
+		if 2*c > len(seg) {
+			flip = ^uint64(0)
+		}
+		var t int64
+		for w, x := range node {
+			for x &= b[w] ^ flip; x != 0; x &= x - 1 {
+				t += yq[w<<6|bits.TrailingZeros64(x)]
+			}
+		}
+		if flip != 0 {
+			t = tot - t
+		}
+		o := ws.hoff[f]
+		sum[o], sum[o+1] = tot-t, t
+		cnt[o], cnt[o+1] = int32(len(seg)-c), int32(c)
 	}
 }
 
@@ -922,14 +964,6 @@ func treeImportances(n *treeNode, nf int, acc []float64) {
 
 // Importances returns normalized split importances of the regressor.
 func (t *TreeRegressor) Importances(nf int) []float64 {
-	acc := make([]float64, nf)
-	treeImportances(t.root, nf, acc)
-	normalizeSum(acc)
-	return acc
-}
-
-// Importances returns normalized split importances of the classifier.
-func (t *TreeClassifier) Importances(nf int) []float64 {
 	acc := make([]float64, nf)
 	treeImportances(t.root, nf, acc)
 	normalizeSum(acc)
